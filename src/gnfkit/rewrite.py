@@ -1,8 +1,9 @@
 """Compiling certain-answer problems over guarded rule sets into Datalog.
 
-All three compilation schemes share one mechanism: enumerate a capped space of
-candidate rules, ask the chase to certify each candidate as a consequence of
-the input rules, and keep exactly the certified ones.  The emitted program
+All three compilation schemes run one pipeline: enumerate a capped space of
+candidate rules, chase each distinct canonical candidate body once to certify
+every candidate as a consequence of the input rules, keep exactly the
+certified ones, and assemble them into a program.  The emitted program
 therefore carries a certificate for every rule, and the returned artifacts
 record the enumeration caps together with the verdict for every candidate.
 
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
-from .model import Fact, Instance, Signature, Value, active_domain, elem
+from .model import Fact, Instance, Signature, active_domain, elem
 from .query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst,
                     canonical_cq, core_cq, cq, cq_contained, eval_cq,
                     is_answer_guarded, query_signature)
@@ -53,11 +54,21 @@ UNIT_CONST = "_unit"
 class RewriteConfig:
     """Caps for candidate enumeration plus the chase budget used to certify.
 
-    ``k`` bounds the number of variables in derived queries and goal rules;
-    when unset it defaults to the larger of the rule bodies' variable count
-    and the query's variable count, clamped by ``max_k``.  The remaining caps
-    bound the enumeration space itself; every produced artifact records the
-    caps it was built under.
+    ``k`` bounds the number of variables in derived queries and goal rules.
+    ``rewrite_cq_guarded`` and ``rewrite_fg`` read it from here, while
+    ``query_generation_rules`` and ``goal_rules`` take it as an argument.
+    When it is unset, with ``body vars`` the largest variable count of a rule
+    body (1 without rules) and ``query vars`` the query's variable count:
+
+    - ``rewrite_cq_guarded`` and ``query_generation_rules`` use
+      ``min(max(body vars, query vars, 1), max_k)``;
+    - ``rewrite_fg`` uses ``max(min(max(body vars, 1), max_k), query vars)``,
+      so the query's count is never clamped;
+    - ``goal_rules`` uses ``max(query vars, 1)``;
+    - ``rewrite_atomic_guarded`` does not use ``k``.
+
+    The remaining caps bound the enumeration space itself; every produced
+    artifact records the caps it was built under.
     """
 
     k: Optional[int] = None
@@ -224,6 +235,12 @@ def _copy_map(sig: Signature) -> dict[str, str]:
     return out
 
 
+def _family_head(name: str, frees: Sequence[str]) -> Atom:
+    if frees:
+        return Atom(name, tuple(Var(v) for v in frees))
+    return Atom(name, (Cst(UNIT_CONST),))
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -235,46 +252,35 @@ def _cored_body(atoms: tuple[Atom, ...], kept_vars: frozenset[str]) -> tuple[Ato
     return tuple(core_cq(cq(frees, atoms)).atoms)
 
 
-@lru_cache(maxsize=None)
-def _body_canonical(atoms: tuple[Atom, ...]) -> tuple[tuple[Atom, ...], tuple[tuple[str, str], ...]]:
-    """Variable renaming minimizing the body's serialization; returns the
-    renamed atoms and the renaming that produced them."""
+def _canonical(atoms: tuple[Atom, ...], head: Optional[Atom] = None
+               ) -> tuple[tuple[Atom, ...], Optional[Atom], dict[str, str]]:
+    """Renaming of the body's variables to v0, v1, ... minimizing the
+    serialized head, then the serialized sorted body.  Returns the renamed
+    body and head and the renaming; bodies over more than six variables keep
+    their names."""
     names = sorted({v for a in atoms for v in a.vars()})
     if len(names) > 6:
-        return atoms, tuple((v, v) for v in names)
+        return atoms, head, {v: v for v in names}
     best = None
     for perm in itertools.permutations(range(len(names))):
         ren = {v: f"v{perm[i]}" for i, v in enumerate(names)}
-        lst = tuple(sorted({_subst_atom(a, ren) for a in atoms}, key=str))
-        key = tuple(str(a) for a in lst)
+        body = tuple(sorted({_subst_atom(a, ren) for a in atoms}, key=str))
+        h = None if head is None else _subst_atom(head, ren)
+        key = (str(h), tuple(str(a) for a in body))
         if best is None or key < best[0]:
-            best = (key, lst, ren)
-    if best is None:
-        return atoms, ()
-    return best[1], tuple(sorted(best[2].items()))
+            best = (key, body, h, ren)
+    return best[1:]
 
 
 def _canonical_full_rule(body_atoms: Sequence[Atom], head: Atom,
                          core_body: bool = True) -> Tgd:
     """Canonical form of a full single-head rule: optionally core the body
-    around the head variables, then pick the variable naming minimizing the
-    serialized rule."""
+    around the head variables, then canonicalize the naming."""
     atoms = tuple(sorted(set(body_atoms), key=str))
     if core_body:
         atoms = tuple(sorted(set(_cored_body(atoms, frozenset(head.vars()))), key=str))
-    names = sorted({v for a in atoms for v in a.vars()})
-    if len(names) > 6:
-        return make_tgd(list(atoms), [head])
-    best = None
-    for perm in itertools.permutations(range(len(names))):
-        ren = {v: f"v{perm[i]}" for i, v in enumerate(names)}
-        b = tuple(sorted({_subst_atom(a, ren) for a in atoms}, key=str))
-        h = _subst_atom(head, ren)
-        key = (str(h), tuple(str(a) for a in b))
-        if best is None or key < best[0]:
-            best = (key, b, h)
-    _, b, h = best
-    return make_tgd(list(b), [h])
+    body, head, _ = _canonical(atoms, head)
+    return make_tgd(list(body), [head])
 
 
 def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, dict[str, int]]:
@@ -299,63 +305,17 @@ def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, 
 
 
 # ---------------------------------------------------------------------------
-# certification: chase each candidate body once, judge all heads against it
+# candidate enumeration
 
-def _closure_request(atoms: Sequence[Atom]) -> tuple[str, tuple[Atom, ...], dict[str, str]]:
-    base = tuple(sorted(set(atoms), key=str))
-    canon, ren_items = _body_canonical(base)
-    key = " & ".join(str(a) for a in canon)
-    return key, canon, dict(ren_items)
+# a candidate body with its guard's variables
+_Body = tuple[tuple[Atom, ...], tuple[str, ...]]
 
 
-def _closure_chunk(arg):
-    rules, sig, items, oracle = arg
-    out = []
-    for key, atoms in items:
-        inst, _ = canon_inst(cq([], list(atoms)), sig)
-        res = chase(inst, list(rules), oracle)
-        out.append((key, (res.status, res.result)))
-    return out
+class _Candidate(NamedTuple):
+    rule: Tgd
+    kind: str = "rule"  # rule | query-rule | axiom (entailed without a chase)
+    query: Optional[ConjunctiveQuery] = None  # a query-rule's head stands for it
 
-
-def _closures_for_bodies(rules: Sequence[Tgd], sig: Signature,
-                         bodies: dict[str, tuple[Atom, ...]],
-                         config: RewriteConfig) -> dict[str, tuple[str, Instance]]:
-    items = sorted(bodies.items())
-    if config.jobs > 1 and len(items) > 1:
-        chunks = [items[i::config.jobs] for i in range(config.jobs)]
-        args = [(tuple(rules), sig, chunk, config.oracle) for chunk in chunks if chunk]
-        out: dict[str, tuple[str, Instance]] = {}
-        with ProcessPoolExecutor(max_workers=config.jobs) as ex:
-            for part in ex.map(_closure_chunk, args):
-                out.update(part)
-        return out
-    if not items:
-        return {}
-    return dict(_closure_chunk((tuple(rules), sig, items, config.oracle)))
-
-
-def _head_verdict(status: str, closure: Instance, head: Atom, ren: dict[str, str]) -> str:
-    args = []
-    for t in head.args:
-        if isinstance(t, Cst):
-            args.append(closure.const_interp[t.name])
-        else:
-            args.append(elem(ren.get(t.name, t.name)))
-    if Fact(head.rel, tuple(args)) in closure:
-        return ENTAILED
-    return REJECTED if status == TERMINATED else UNKNOWN
-
-
-def _query_verdict(status: str, closure: Instance, q: ConjunctiveQuery,
-                   binding: dict[str, Value]) -> str:
-    if eval_cq(q, closure, binding=binding):
-        return ENTAILED
-    return REJECTED if status == TERMINATED else UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# candidate enumeration (guarded bodies)
 
 def _enumeration_relations(sig: Signature, config: RewriteConfig) -> tuple[list[tuple[str, int]], bool]:
     rels = [(r, a) for r, a in sig.arities.items()]
@@ -367,50 +327,53 @@ def _enumeration_relations(sig: Signature, config: RewriteConfig) -> tuple[list[
     return kept, capped
 
 
-def _guarded_bodies(rels: Sequence[tuple[str, int]],
-                    config: RewriteConfig) -> tuple[list[tuple[tuple[Atom, ...], tuple[str, ...]]], bool]:
-    """All bodies consisting of a guard atom plus extra atoms over its variables."""
+def _guarded_bodies(rels: Sequence[tuple[str, int]], max_extra: int,
+                    config: RewriteConfig, k: int = 0) -> tuple[list[_Body], bool]:
+    """All bodies consisting of a guard atom plus at most ``max_extra`` atoms
+    over its variables and fresh ones w0, w1, ... up to ``k`` variables; each
+    with the guard's variables."""
     capped = False
     bodies = []
     for rel, arity in rels:
         for pattern in _position_patterns(arity):
             guard = Atom(rel, tuple(Var(v) for v in pattern))
             gvars = tuple(dict.fromkeys(pattern))
-            pool = [a for a in _atoms_over(rels, gvars) if a != guard]
+            fresh = tuple(f"w{i}" for i in range(k - len(gvars)))
+            pool = [a for a in _atoms_over(rels, gvars + fresh) if a != guard]
             if len(pool) > config.extra_atom_pool_limit:
                 pool = pool[:config.extra_atom_pool_limit]
                 capped = True
-            top = min(config.max_extra_body_atoms, len(pool))
+            top = min(max_extra, len(pool))
             for n in range(top + 1):
                 for extra in itertools.combinations(pool, n):
                     bodies.append(((guard,) + extra, gvars))
     return bodies, capped
 
 
-def enumerate_full_guarded_candidates(sig: Signature, head_rel: Optional[str] = None,
-                                      config: Optional[RewriteConfig] = None) -> CandidateSpace:
-    """Every full guarded single-head rule over the signature, up to renaming,
-    with cored bodies, within the configured enumeration caps."""
-    config = config or RewriteConfig()
+def _guarded_space(sig: Signature,
+                   config: RewriteConfig) -> tuple[list[tuple[str, int]], list[_Body], bool]:
+    """The relations and guarded bodies the guarded schemes enumerate over."""
     rels, capped = _enumeration_relations(sig, config)
-    if head_rel is not None and head_rel not in sig.arities:
-        raise ValueError(f"undeclared head relation {head_rel}")
-    bodies, caps_hit = _guarded_bodies(rels, config)
-    capped = capped or caps_hit
-    head_rels = [(r, a) for r, a in rels if head_rel is None or r == head_rel]
-    cands: dict[str, Tgd] = {}
+    bodies, pool_capped = _guarded_bodies(rels, config.max_extra_body_atoms, config)
+    return rels, bodies, capped or pool_capped
+
+
+def _rule_candidates(bodies: Iterable[_Body],
+                     heads: Sequence[tuple[str, int, Optional[ConjunctiveQuery]]]
+                     ) -> dict[str, _Candidate]:
+    """Every body with every head ``(relation, n, query)``, whose arguments
+    are each n-tuple of the body's guard variables (``_unit`` when n is 0).
+    A head standing for a query is judged by that query, and its body is
+    kept uncored."""
+    cands: dict[str, _Candidate] = {}
     for body, gvars in bodies:
-        for hrel, harity in head_rels:
-            for combo in itertools.product(gvars, repeat=harity):
-                cand = _canonical_full_rule(body, Atom(hrel, tuple(Var(v) for v in combo)))
-                cands.setdefault(str(cand), cand)
-    caps = {
-        "max_relations": config.max_relations,
-        "max_arity": config.max_arity,
-        "max_extra_body_atoms": config.max_extra_body_atoms,
-        "extra_atom_pool_limit": config.extra_atom_pool_limit,
-    }
-    return CandidateSpace(tuple(cands[s] for s in sorted(cands)), caps, capped)
+        for rel, n, q in heads:
+            for combo in itertools.product(gvars, repeat=n):
+                cand = _canonical_full_rule(body, _family_head(rel, combo),
+                                            core_body=q is None)
+                kind = "rule" if q is None else "query-rule"
+                cands.setdefault(str(cand), _Candidate(cand, kind, q))
+    return cands
 
 
 def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd]:
@@ -427,131 +390,172 @@ def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd
     return out
 
 
+def _derivation_candidates(rules: Sequence[Tgd], sig: Signature, config: RewriteConfig
+                           ) -> tuple[list[_Body], dict[str, _Candidate], bool]:
+    """Guarded bodies, and full guarded candidates plus the input rules of
+    that shape."""
+    rels, bodies, capped = _guarded_space(sig, config)
+    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels])
+    for c in _inject_input_rules(rules, require_guarded=True):
+        cands.setdefault(str(c), _Candidate(c))
+    return bodies, cands, capped
+
+
+def enumerate_full_guarded_candidates(sig: Signature, head_rel: Optional[str] = None,
+                                      config: Optional[RewriteConfig] = None) -> CandidateSpace:
+    """Every full guarded single-head rule over the signature, up to renaming,
+    with cored bodies, within the configured enumeration caps."""
+    config = config or RewriteConfig()
+    if head_rel is not None and head_rel not in sig.arities:
+        raise ValueError(f"undeclared head relation {head_rel}")
+    rels, bodies, capped = _guarded_space(sig, config)
+    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels
+                                      if head_rel in (None, r)])
+    return CandidateSpace(tuple(cands[s].rule for s in sorted(cands)),
+                          _caps(config), capped)
+
+
+# ---------------------------------------------------------------------------
+# certification: chase each candidate body once, judge all heads against it
+
+@lru_cache(maxsize=None)
+def _closure_request(atoms: tuple[Atom, ...]
+                     ) -> tuple[str, tuple[Atom, ...], tuple[tuple[str, str], ...]]:
+    """The closure that certifies a body: its key, its canonical atoms, and
+    the renaming of the body's variables into them."""
+    canon, _, ren = _canonical(tuple(sorted(set(atoms), key=str)))
+    return " & ".join(str(a) for a in canon), canon, tuple(sorted(ren.items()))
+
+
+def _closure_chunk(arg):
+    rules, sig, items, oracle = arg
+    out = []
+    for key, atoms in items:
+        inst, _ = canon_inst(cq([], list(atoms)), sig)
+        res = chase(inst, list(rules), oracle)
+        out.append((key, (res.status, res.result)))
+    return out
+
+
+def _verdict(cand: _Candidate, status: str, closure: Instance, ren: dict[str, str]) -> str:
+    head = cand.rule.head.atoms[0]
+    if cand.query is None:
+        args = tuple(closure.const_interp[t.name] if isinstance(t, Cst)
+                     else elem(ren.get(t.name, t.name)) for t in head.args)
+        holds = Fact(head.rel, args) in closure
+    else:
+        binding = {f: elem(ren[t.name]) for f, t in zip(cand.query.free_vars, head.args)}
+        holds = eval_cq(cand.query, closure, binding=binding)
+    if holds:
+        return ENTAILED
+    return REJECTED if status == TERMINATED else UNKNOWN
+
+
+def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _Candidate]],
+             config: RewriteConfig) -> tuple[list[CertificationRecord], list[Tgd]]:
+    """Chase each distinct canonical body once under the rules and judge every
+    candidate against its closure; axioms are entailed without a chase.
+    Returns the verdicts, group by group and each group in text order, and
+    the entailed rules in the same order."""
+    requests = {s: _closure_request(c.rule.body.atoms)
+                for group in groups for s, c in group.items() if c.kind != "axiom"}
+    items = sorted({key: canon for key, canon, _ in requests.values()}.items())
+    if config.jobs > 1 and len(items) > 1:
+        chunks = [items[i::config.jobs] for i in range(config.jobs)]
+        args = [(tuple(rules), sig, chunk, config.oracle) for chunk in chunks if chunk]
+        closures: dict[str, tuple[str, Instance]] = {}
+        with ProcessPoolExecutor(max_workers=config.jobs) as ex:
+            for part in ex.map(_closure_chunk, args):
+                closures.update(part)
+    else:
+        closures = dict(_closure_chunk((tuple(rules), sig, items, config.oracle)))
+    records, kept = [], []
+    for group in groups:
+        for s in sorted(group):
+            c = group[s]
+            if c.kind == "axiom":
+                verdict = ENTAILED
+            else:
+                key, _, ren = requests[s]
+                verdict = _verdict(c, *closures[key], dict(ren))
+            records.append(CertificationRecord(s, verdict, c.kind))
+            if verdict == ENTAILED:
+                kept.append(c.rule)
+    return records, kept
+
+
 def derive_full_guarded(rules: Sequence[Tgd], config: Optional[RewriteConfig] = None,
                         sig: Optional[Signature] = None) -> DerivationResult:
     """Chase-certified full guarded consequences of the rule set, within caps."""
     config = config or RewriteConfig()
     base = tgd_signature(list(rules), sig)
-    space = enumerate_full_guarded_candidates(base, None, config)
-    cands = {str(c): c for c in space.candidates}
-    for c in _inject_input_rules(rules, require_guarded=True):
-        cands.setdefault(str(c), c)
-    bodies: dict[str, tuple[Atom, ...]] = {}
-    requests = {}
-    for s, c in cands.items():
-        key, canon, ren = _closure_request(c.body.atoms)
-        bodies.setdefault(key, canon)
-        requests[s] = (key, ren)
-    closures = _closures_for_bodies(rules, base, bodies, config)
-    records, kept = [], []
-    for s in sorted(cands):
-        c = cands[s]
-        key, ren = requests[s]
-        status, closure = closures[key]
-        verdict = _head_verdict(status, closure, c.head.atoms[0], ren)
-        records.append(CertificationRecord(s, verdict, "rule"))
-        if verdict == ENTAILED:
-            kept.append(c)
-    return DerivationResult(tuple(kept), tuple(records), space.caps, space.capped)
+    _, cands, capped = _derivation_candidates(rules, base, config)
+    records, kept = _certify(rules, base, [cands], config)
+    return DerivationResult(tuple(kept), tuple(records), _caps(config), capped)
 
 
 # ---------------------------------------------------------------------------
 # query families: quotients of subqueries, canonicalized
 
-def _quotient_subquery_family(query: ConjunctiveQuery, k: int, config: RewriteConfig,
-                              answer_guarded_only: bool = False) -> tuple[dict[str, ConjunctiveQuery], bool]:
+def _quotients(query: ConjunctiveQuery,
+               config: RewriteConfig) -> tuple[list[tuple[list[Atom], list[str]]], bool]:
+    """Each variable quotient of the query as its distinct atoms and its
+    answer variables.  Past ``max_quotient_vars`` only the identity quotient
+    is taken, and the result is flagged as capped."""
+    allvars = list(query.all_vars())
+    capped = len(allvars) > config.max_quotient_vars
+    out = []
+    for part in [[[v] for v in allvars]] if capped else _set_partitions(allvars):
+        rep = {v: cls[0] for cls in part for v in cls}
+        out.append((list(dict.fromkeys(_subst_atom(a, rep) for a in query.atoms)),
+                    [rep[x] for x in query.free_vars]))
+    return out, capped
+
+
+def _subquery(atoms: list[Atom], free: list[str], group: Sequence[int]) -> ConjunctiveQuery:
+    """The atoms at the given indices, exposing the variables they share with
+    the other atoms or with the answer."""
+    sub = [atoms[i] for i in group]
+    outside = {v for i, a in enumerate(atoms) if i not in group for v in a.vars()} | set(free)
+    return cq([v for v in dict.fromkeys(v for a in sub for v in a.vars()) if v in outside], sub)
+
+
+def _query_family(query: ConjunctiveQuery, k: int, config: RewriteConfig, used: set[str],
+                  answer_guarded_only: bool = False
+                  ) -> tuple[dict[str, ConjunctiveQuery], dict[str, str], bool]:
     """Queries relevant to answering the input query: take a variable quotient,
     keep a subset of its atoms, and expose the variables shared with the rest
-    (plus answer variables).  Canonicalized and capped at k variables."""
-    capped = False
-    allvars = list(query.all_vars())
-    if len(allvars) > config.max_quotient_vars:
-        partitions: Iterable[list[list[str]]] = [[[v] for v in allvars]]
-        capped = True
-    else:
-        partitions = _set_partitions(allvars)
-    out: dict[str, ConjunctiveQuery] = {}
-    for part in partitions:
-        rep = {v: cls[0] for cls in part for v in cls}
-        theta_atoms = list(dict.fromkeys(_subst_atom(a, rep) for a in query.atoms))
-        theta_free = [rep[x] for x in query.free_vars]
-        n = len(theta_atoms)
-        for mask in range(1, 1 << n):
-            sub = [theta_atoms[i] for i in range(n) if mask >> i & 1]
-            rest = [theta_atoms[i] for i in range(n) if not mask >> i & 1]
-            outside = {v for a in rest for v in a.vars()} | set(theta_free)
-            boundary = [v for v in dict.fromkeys(v for a in sub for v in a.vars())
-                        if v in outside]
-            qsub = cq(boundary, sub)
+    (plus answer variables).  Canonicalized and capped at k variables.
+    Returns the family by canonical key, a predicate name per key (Q0, Q1,
+    ... in key order, avoiding the used names) and whether it was capped."""
+    quotients, capped = _quotients(query, config)
+    family: dict[str, ConjunctiveQuery] = {}
+    for atoms, free in quotients:
+        for mask in range(1, 1 << len(atoms)):
+            qsub = _subquery(atoms, free, [i for i in range(len(atoms)) if mask >> i & 1])
             if len(set(qsub.all_vars())) > k:
                 continue
             key, canonq, _ = _canonical_family_form(qsub)
             if answer_guarded_only and not is_answer_guarded(canonq):
                 continue
-            out.setdefault(key, canonq)
-    return out, capped
-
-
-def _family_predicate_names(family: dict[str, ConjunctiveQuery], used: set[str]) -> dict[str, str]:
+            family.setdefault(key, canonq)
     names = {}
     i = 0
     for key in sorted(family):
         while f"Q{i}" in used:
             i += 1
         names[key] = f"Q{i}"
-        used.add(f"Q{i}")
         i += 1
-    return names
+    return family, names, capped
 
 
-def _family_head(name: str, frees: Sequence[str]) -> Atom:
-    if frees:
-        return Atom(name, tuple(Var(v) for v in frees))
-    return Atom(name, (Cst(UNIT_CONST),))
+def _query_heads(family: dict[str, ConjunctiveQuery],
+                 names: dict[str, str]) -> list[tuple[str, int, ConjunctiveQuery]]:
+    return [(names[key], len(q.free_vars), q) for key, q in family.items()]
 
 
 # ---------------------------------------------------------------------------
 # query generation rules (guarded bodies deriving query-extension predicates)
-
-def _query_rule_candidates(bodies, family: dict[str, ConjunctiveQuery],
-                           pred_names: dict[str, str]) -> dict[str, tuple[Tgd, str]]:
-    cands: dict[str, tuple[Tgd, str]] = {}
-    for body, gvars in bodies:
-        for key in sorted(family):
-            canonq = family[key]
-            frees = canonq.free_vars
-            if frees:
-                for combo in itertools.product(gvars, repeat=len(frees)):
-                    head = Atom(pred_names[key], tuple(Var(v) for v in combo))
-                    cand = _canonical_full_rule(body, head, core_body=False)
-                    cands.setdefault(str(cand), (cand, key))
-            else:
-                head = Atom(pred_names[key], (Cst(UNIT_CONST),))
-                cand = _canonical_full_rule(body, head, core_body=False)
-                cands.setdefault(str(cand), (cand, key))
-    return cands
-
-
-def _certify_query_rules(cands: dict[str, tuple[Tgd, str]],
-                         family: dict[str, ConjunctiveQuery],
-                         closures: dict[str, tuple[str, Instance]]) -> tuple[list[Tgd], list[CertificationRecord]]:
-    kept, records = [], []
-    for s in sorted(cands):
-        cand, key = cands[s]
-        ckey, _, ren = _closure_request(cand.body.atoms)
-        status, closure = closures[ckey]
-        canonq = family[key]
-        if canonq.free_vars:
-            binding = {f: elem(ren[t.name])
-                       for f, t in zip(canonq.free_vars, cand.head.atoms[0].args)}
-        else:
-            binding = {}
-        verdict = _query_verdict(status, closure, canonq, binding)
-        records.append(CertificationRecord(s, verdict, "query-rule"))
-        if verdict == ENTAILED:
-            kept.append(cand)
-    return kept, records
-
 
 def query_generation_rules(rules: Sequence[Tgd], query: ConjunctiveQuery,
                            k: Optional[int] = None,
@@ -561,89 +565,45 @@ def query_generation_rules(rules: Sequence[Tgd], query: ConjunctiveQuery,
     config = config or RewriteConfig()
     sig = tgd_signature(list(rules), query_signature(query))
     k = k if k is not None else _default_k(rules, query, config)
-    family, fam_capped = _quotient_subquery_family(query, k, config)
-    pred_names = _family_predicate_names(family, set(sig.arities) | set(sig.constants))
-    rels, rel_capped = _enumeration_relations(sig, config)
-    bodies, body_capped = _guarded_bodies(rels, config)
-    cands = _query_rule_candidates(bodies, family, pred_names)
-    closure_bodies: dict[str, tuple[Atom, ...]] = {}
-    for cand, _ in cands.values():
-        key, canon, _ren = _closure_request(cand.body.atoms)
-        closure_bodies.setdefault(key, canon)
-    closures = _closures_for_bodies(rules, sig, closure_bodies, config)
-    kept, records = _certify_query_rules(cands, family, closures)
-    caps = {"k": k, "max_relations": config.max_relations,
-            "max_arity": config.max_arity,
-            "max_extra_body_atoms": config.max_extra_body_atoms,
-            "extra_atom_pool_limit": config.extra_atom_pool_limit}
-    predicates = {pred_names[key]: key for key in family}
-    return QueryRulesResult(tuple(kept), tuple(records), predicates,
-                            caps, fam_capped or rel_capped or body_capped)
+    family, names, fam_capped = _query_family(query, k, config,
+                                              set(sig.arities) | set(sig.constants))
+    _, bodies, capped = _guarded_space(sig, config)
+    records, kept = _certify(rules, sig, [_rule_candidates(bodies, _query_heads(family, names))],
+                             config)
+    return QueryRulesResult(tuple(kept), tuple(records), {names[key]: key for key in family},
+                            _caps(config, k), fam_capped or capped)
 
 
 # ---------------------------------------------------------------------------
 # goal rules (conjunctions of query-extension predicates entailing the query)
 
-def _goal_rules_impl(query: ConjunctiveQuery, k: int,
-                     family: dict[str, ConjunctiveQuery],
-                     pred_names: dict[str, str], goal_name: str,
+def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goal_name: str,
                      config: RewriteConfig) -> tuple[list[Rule], list[CertificationRecord], bool]:
-    capped = False
-    allvars = list(query.all_vars())
-    if len(allvars) > config.max_quotient_vars:
-        partitions: Iterable[list[list[str]]] = [[[v] for v in allvars]]
-        capped = True
-    else:
-        partitions = _set_partitions(allvars)
+    quotients, capped = _quotients(query, config)
     rules_out: dict[str, Rule] = {}
     records: dict[str, CertificationRecord] = {}
-    for part in partitions:
-        rep = {v: cls[0] for cls in part for v in cls}
-        theta_atoms = list(dict.fromkeys(_subst_atom(a, rep) for a in query.atoms))
-        theta_free = [rep[x] for x in query.free_vars]
-        used_vars = {v for a in theta_atoms for v in a.vars()}
-        if len(used_vars) > k:
+    for atoms, free in quotients:
+        if len({v for a in atoms for v in a.vars()}) > k:
             continue
-        n = len(theta_atoms)
-        for atom_part in _set_partitions(list(range(n))):
+        for atom_part in _set_partitions(list(range(len(atoms)))):
             if len(atom_part) > config.max_goal_premises:
                 continue
             premises = []
-            ok = True
             for group in atom_part:
-                sub = [theta_atoms[i] for i in group]
-                rest = [theta_atoms[i] for i in range(n) if i not in group]
-                outside = {v for a in rest for v in a.vars()} | set(theta_free)
-                boundary = [v for v in dict.fromkeys(v for a in sub for v in a.vars())
-                            if v in outside]
-                key, _canonq, posmap = _canonical_family_form(cq(boundary, sub))
-                if key not in pred_names:
-                    ok = False
+                key, _, posmap = _canonical_family_form(_subquery(atoms, free, group))
+                if key not in names:
                     break
-                if boundary:
-                    args: list = [None] * len(boundary)
-                    for v, pos in posmap.items():
-                        args[pos] = Var(v)
-                    premises.append(Atom(pred_names[key], tuple(args)))
-                else:
-                    premises.append(Atom(pred_names[key], (Cst(UNIT_CONST),)))
-            if not ok:
-                continue
-            if theta_free:
-                head = Atom(goal_name, tuple(Var(v) for v in theta_free))
+                premises.append(_family_head(names[key], sorted(posmap, key=posmap.get)))
             else:
-                head = Atom(goal_name, (Cst(UNIT_CONST),))
-            rule = Rule(head, tuple(sorted(premises, key=str)))
-            s = str(rule)
-            if s in records:
-                continue
-            conj = cq(tuple(theta_free), theta_atoms)
-            verdict = ENTAILED if cq_contained(conj, query) else REJECTED
-            records[s] = CertificationRecord(s, verdict, "goal-rule")
-            if verdict == ENTAILED:
-                rules_out[s] = rule
-    ordered = sorted(rules_out)
-    return ([rules_out[s] for s in ordered],
+                rule = Rule(_family_head(goal_name, free), tuple(sorted(premises, key=str)))
+                s = str(rule)
+                if s in records:
+                    continue
+                verdict = ENTAILED if cq_contained(cq(tuple(free), atoms), query) else REJECTED
+                records[s] = CertificationRecord(s, verdict, "goal-rule")
+                if verdict == ENTAILED:
+                    rules_out[s] = rule
+    return ([rules_out[s] for s in sorted(rules_out)],
             [records[s] for s in sorted(records)], capped)
 
 
@@ -654,34 +614,16 @@ def goal_rules(query: ConjunctiveQuery, k: Optional[int] = None,
     is contained in the query (checked by the containment test)."""
     config = config or RewriteConfig()
     k = k if k is not None else max(len(query.all_vars()), 1)
-    family, fam_capped = _quotient_subquery_family(query, k, config)
     sig = query_signature(query)
-    pred_names = _family_predicate_names(
-        family, set(sig.arities) | set(sig.constants) | {goal_name})
-    rules, records, capped = _goal_rules_impl(query, k, family, pred_names,
-                                              goal_name, config)
-    predicates = {pred_names[key]: key for key in family}
-    return GoalRulesResult(tuple(rules), tuple(records), predicates,
+    family, names, fam_capped = _query_family(
+        query, k, config, set(sig.arities) | set(sig.constants) | {goal_name})
+    rules, records, capped = _goal_rules_impl(query, k, names, goal_name, config)
+    return GoalRulesResult(tuple(rules), tuple(records), {names[key]: key for key in family},
                            capped or fam_capped)
 
 
 # ---------------------------------------------------------------------------
-# program assembly helpers
-
-def _rule_from_tgd(t: Tgd, relmap: dict[str, str]) -> Rule:
-    def tr(a: Atom) -> Atom:
-        return Atom(relmap.get(a.rel, a.rel), a.args)
-
-    return Rule(tr(t.head.atoms[0]), tuple(tr(a) for a in t.body.atoms))
-
-
-def _import_rules(sig: Signature, copies: dict[str, str]) -> list[Rule]:
-    out = []
-    for rel, arity in sig.arities.items():
-        args = tuple(Var(f"x{i}") for i in range(arity))
-        out.append(Rule(Atom(copies[rel], args), (Atom(rel, args),)))
-    return out
-
+# program assembly
 
 def _default_k(rules: Sequence[Tgd], query: ConjunctiveQuery,
                config: RewriteConfig) -> int:
@@ -689,18 +631,69 @@ def _default_k(rules: Sequence[Tgd], query: ConjunctiveQuery,
     return min(max(maxbody, len(query.all_vars()), 1), config.max_k)
 
 
-def _uses_unit(rules: Iterable[Rule]) -> bool:
-    for r in rules:
-        for a in (r.head, *r.body):
-            if any(isinstance(t, Cst) and t.name == UNIT_CONST for t in a.args):
-                return True
-    return False
+def _caps(config: RewriteConfig, k: Optional[int] = None,
+          max_extra: str = "max_extra_body_atoms") -> dict[str, int]:
+    """The enumeration caps a result was built under, led by k where used."""
+    caps = {} if k is None else {"k": k}
+    for name in ("max_relations", "max_arity", max_extra, "extra_atom_pool_limit"):
+        caps[name] = getattr(config, name)
+    return caps
 
 
 def _completeness(capped: bool, records: Iterable[CertificationRecord]) -> str:
     if capped or any(r.verdict == UNKNOWN for r in records):
         return CAPPED
     return COMPLETE_WITHIN_CAPS
+
+
+def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, goal: str,
+              derived: Iterable[Tgd], records: Iterable[CertificationRecord],
+              caps: dict[str, int], capped: bool, *, goal_list: Iterable[Rule] = (),
+              idb: Sequence[tuple[str, int]] = (),
+              idb_if_used: Sequence[tuple[str, int]] = (),
+              query_predicates: Optional[dict[str, str]] = None,
+              projection: Optional[tuple[int, ...]] = None) -> RewriteArtifacts:
+    """The program over relation copies: each certified rule that is not a
+    tautology, moved onto the copies, the goal rules, and one import rule per
+    input relation.  The idb declares the copies, then the relations of
+    ``idb_if_used`` that some rule mentions, then ``idb``."""
+    def onto_copies(a: Atom) -> Atom:
+        return Atom(copies.get(a.rel, a.rel), a.args)
+
+    prog_rules: dict[str, Rule] = {}
+    for t in derived:
+        if t.head.atoms[0] not in t.body.atoms:
+            r = Rule(onto_copies(t.head.atoms[0]), tuple(onto_copies(a) for a in t.body.atoms))
+            prog_rules[str(r)] = r
+    for r in goal_list:
+        prog_rules[str(r)] = r
+    records = list(records)
+    for rel, arity in sig.arities.items():
+        args = tuple(Var(f"x{i}") for i in range(arity))
+        r = Rule(Atom(copies[rel], args), (Atom(rel, args),))
+        prog_rules[str(r)] = r
+        records.append(CertificationRecord(str(r), ENTAILED, "import"))
+
+    ordered = tuple(prog_rules[s] for s in sorted(prog_rules))
+    atoms = [a for r in ordered for a in (r.head, *r.body)]
+    referenced = {a.rel for a in atoms}
+    idb_rels = ([(copies[rel], arity) for rel, arity in sig.arities.items()]
+                + [(r, a) for r, a in idb_if_used if r in referenced] + list(idb))
+    edb = sig
+    if UNIT_CONST not in sig.constants and any(
+            isinstance(t, Cst) and t.name == UNIT_CONST for a in atoms for t in a.args):
+        edb = sig.extend(constants=(UNIT_CONST,))
+    return RewriteArtifacts(
+        program=DatalogProgram(edb, Signature(idb_rels), ordered, goal),
+        certification=tuple(records),
+        caps=caps,
+        capped=capped,
+        completeness=_completeness(capped, records),
+        query_predicates=query_predicates or {},
+        boolean_goal=not query.free_vars,
+        answer_projection=(tuple(range(len(query.free_vars))) if projection is None
+                           else projection),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -731,32 +724,10 @@ def rewrite_atomic_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     sig = tgd_signature(list(rules), query_signature(query))
     derivation = derive_full_guarded(rules, config, sig)
     copies = _copy_map(sig)
-    prog_rules: dict[str, Rule] = {}
-    records = list(derivation.certification)
-    for t in derivation.rules:
-        if t.head.atoms[0] in set(t.body.atoms):
-            continue
-        r = _rule_from_tgd(t, copies)
-        prog_rules[str(r)] = r
-    for r in _import_rules(sig, copies):
-        prog_rules[str(r)] = r
-        records.append(CertificationRecord(str(r), ENTAILED, "import"))
-    idb = Signature([(copies[rel], arity) for rel, arity in sig.arities.items()])
-    program = DatalogProgram(sig, idb,
-                             tuple(prog_rules[s] for s in sorted(prog_rules)),
-                             copies[qatom.rel])
     positions = {t.name: i for i, t in enumerate(qatom.args)}
-    projection = tuple(positions[x] for x in query.free_vars)
-    return RewriteArtifacts(
-        program=program,
-        certification=tuple(records),
-        caps=dict(derivation.caps),
-        capped=derivation.capped,
-        completeness=_completeness(derivation.capped, records),
-        query_predicates={},
-        boolean_goal=False,
-        answer_projection=projection,
-    )
+    return _assemble(sig, copies, query, copies[qatom.rel], derivation.rules,
+                     derivation.certification, derivation.caps, derivation.capped,
+                     projection=tuple(positions[x] for x in query.free_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -773,104 +744,33 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
             raise ValueError(f"rule is not guarded: {t}")
     sig = tgd_signature(list(rules), query_signature(query))
     k = config.k if config.k is not None else _default_k(rules, query, config)
-    capped = k < len(query.all_vars())
 
-    family, fam_capped = _quotient_subquery_family(query, k, config)
     copies = _copy_map(sig)
     used = set(sig.arities) | set(sig.constants) | set(copies.values())
     goal_name = _fresh_name("Goal", used)
-    used.add(goal_name)
-    pred_names = _family_predicate_names(family, used)
+    family, names, fam_capped = _query_family(query, k, config, used | {goal_name})
 
-    rels, rel_capped = _enumeration_relations(sig, config)
-    bodies, body_capped = _guarded_bodies(rels, config)
-    capped = capped or fam_capped or rel_capped or body_capped
+    bodies, full_cands, body_capped = _derivation_candidates(rules, sig, config)
+    query_cands = _rule_candidates(bodies, _query_heads(family, names))
+    records, kept = _certify(rules, sig, [full_cands, query_cands], config)
+    goal_list, goal_records, goal_capped = _goal_rules_impl(query, k, names, goal_name, config)
 
-    # candidates: full guarded consequences plus query-extension rules
-    full_cands = {str(c): c for c in
-                  enumerate_full_guarded_candidates(sig, None, config).candidates}
-    for c in _inject_input_rules(rules, require_guarded=True):
-        full_cands.setdefault(str(c), c)
-    qg_cands = _query_rule_candidates(bodies, family, pred_names)
-
-    closure_bodies: dict[str, tuple[Atom, ...]] = {}
-    for c in full_cands.values():
-        key, canon, _ = _closure_request(c.body.atoms)
-        closure_bodies.setdefault(key, canon)
-    for cand, _ in qg_cands.values():
-        key, canon, _ = _closure_request(cand.body.atoms)
-        closure_bodies.setdefault(key, canon)
-    closures = _closures_for_bodies(rules, sig, closure_bodies, config)
-
-    records: list[CertificationRecord] = []
-    derived: list[Tgd] = []
-    for s in sorted(full_cands):
-        c = full_cands[s]
-        key, _, ren = _closure_request(c.body.atoms)
-        status, closure = closures[key]
-        verdict = _head_verdict(status, closure, c.head.atoms[0], ren)
-        records.append(CertificationRecord(s, verdict, "rule"))
-        if verdict == ENTAILED:
-            derived.append(c)
-    qg_kept, qg_records = _certify_query_rules(qg_cands, family, closures)
-    records.extend(qg_records)
-
-    goal_list, goal_records, goal_capped = _goal_rules_impl(
-        query, k, family, pred_names, goal_name, config)
-    records.extend(goal_records)
-    capped = capped or goal_capped
-
-    prog_rules: dict[str, Rule] = {}
-    for t in derived:
-        if t.head.atoms[0] in set(t.body.atoms):
-            continue
-        r = _rule_from_tgd(t, copies)
-        prog_rules[str(r)] = r
-    for t in qg_kept:
-        r = _rule_from_tgd(t, copies)  # head predicate is not an input relation
-        prog_rules[str(r)] = r
-    for r in goal_list:
-        prog_rules[str(r)] = r
-    for r in _import_rules(sig, copies):
-        prog_rules[str(r)] = r
-        records.append(CertificationRecord(str(r), ENTAILED, "import"))
-
-    referenced = {a.rel for r in prog_rules.values() for a in (r.head, *r.body)}
-    idb_rels = [(copies[rel], arity) for rel, arity in sig.arities.items()]
-    for key in sorted(family):
-        name = pred_names[key]
-        if name in referenced:
-            idb_rels.append((name, max(1, len(family[key].free_vars))))
-    idb_rels.append((goal_name, max(1, len(query.free_vars))))
-
-    ordered_rules = tuple(prog_rules[s] for s in sorted(prog_rules))
-    edb = sig
-    if _uses_unit(ordered_rules) and UNIT_CONST not in sig.constants:
-        edb = sig.extend(constants=(UNIT_CONST,))
-    program = DatalogProgram(edb, Signature(idb_rels), ordered_rules, goal_name)
-    assert classify_datalog(program).internally_guarded
-
-    return RewriteArtifacts(
-        program=program,
-        certification=tuple(records),
-        caps={"k": k, "max_relations": config.max_relations,
-              "max_arity": config.max_arity,
-              "max_extra_body_atoms": config.max_extra_body_atoms,
-              "extra_atom_pool_limit": config.extra_atom_pool_limit,
-              "max_goal_premises": config.max_goal_premises},
-        capped=capped,
-        completeness=_completeness(capped, records),
-        query_predicates={pred_names[key]: key for key in family},
-        boolean_goal=not query.free_vars,
-        answer_projection=tuple(range(len(query.free_vars))),
-    )
+    capped = (k < len(query.all_vars()) or fam_capped or body_capped or goal_capped)
+    art = _assemble(sig, copies, query, goal_name, kept, records + goal_records,
+                    {**_caps(config, k), "max_goal_premises": config.max_goal_premises},
+                    capped, goal_list=goal_list,
+                    idb=[(goal_name, max(1, len(query.free_vars)))],
+                    idb_if_used=[(names[key], max(1, len(family[key].free_vars)))
+                                 for key in names],
+                    query_predicates={names[key]: key for key in family})
+    assert classify_datalog(art.program).internally_guarded
+    return art
 
 
 # ---------------------------------------------------------------------------
 # guard extension predicates
 
-def guard_extension_axioms(sig: Signature,
-                           config: Optional[RewriteConfig] = None) -> GuardExtensionResult:
+def guard_extension_axioms(sig: Signature) -> GuardExtensionResult:
     """Projection predicates for every argument-position subset of each input
     relation, with axioms tying them to the relation in both directions."""
     used = set(sig.arities) | set(sig.constants)
@@ -907,39 +807,6 @@ def guard_extension_axioms(sig: Signature,
 # ---------------------------------------------------------------------------
 # scheme 3: answer-guarded queries under frontier-guarded rules
 
-def _fg_rule_candidates(pool_rels: Sequence[tuple[str, int]],
-                        head_rels: Sequence[tuple[str, int]],
-                        guard_rels: Sequence[tuple[str, int]],
-                        k: int, config: RewriteConfig) -> tuple[dict[str, Tgd], bool]:
-    """Full frontier-guarded candidates: a guard atom covering the head
-    variables, extra atoms over the guard's variables plus fresh ones."""
-    capped = False
-    cands: dict[str, Tgd] = {}
-    for rel, arity in guard_rels:
-        for pattern in _position_patterns(arity):
-            guard = Atom(rel, tuple(Var(v) for v in pattern))
-            gvars = tuple(dict.fromkeys(pattern))
-            fresh = tuple(f"w{i}" for i in range(max(0, k - len(gvars))))
-            pool = [a for a in _atoms_over(pool_rels, gvars + fresh) if a != guard]
-            if len(pool) > config.extra_atom_pool_limit:
-                pool = pool[:config.extra_atom_pool_limit]
-                capped = True
-            top = min(config.fg_max_extra_body_atoms, len(pool))
-            for n in range(top + 1):
-                for extra in itertools.combinations(pool, n):
-                    body = (guard,) + extra
-                    for hrel, harity in head_rels:
-                        for combo in itertools.product(gvars, repeat=harity):
-                            head = Atom(hrel, tuple(Var(v) for v in combo))
-                            cand = _canonical_full_rule(body, head)
-                            cands.setdefault(str(cand), cand)
-                        if harity == 1:
-                            head = Atom(hrel, (Cst(UNIT_CONST),))
-                            cand = _canonical_full_rule(body, head)
-                            cands.setdefault(str(cand), cand)
-    return cands, capped
-
-
 def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
                config: Optional[RewriteConfig] = None) -> RewriteArtifacts:
     """Compile certain answers of an answer-guarded query under frontier-guarded
@@ -957,123 +824,44 @@ def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
         k = config.k
     else:
         k = max(min(max(maxbody, 1), config.max_k), len(query.all_vars()))
-    capped = k < len(query.all_vars())
 
-    ext = guard_extension_axioms(base_sig, config)
+    ext = guard_extension_axioms(base_sig)
     used = set(ext.signature.arities) | set(ext.signature.constants)
     ans_name = _fresh_name("Ans", used)
-    used.add(ans_name)
-    family, fam_capped = _quotient_subquery_family(query, k, config,
-                                                   answer_guarded_only=True)
-    capped = capped or fam_capped
-    pred_names = _family_predicate_names(family, used)
+    family, names, fam_capped = _query_family(query, k, config, used | {ans_name},
+                                              answer_guarded_only=True)
 
-    ans_arity = max(1, len(query.free_vars))
-    if query.free_vars:
-        ans_head = Atom(ans_name, tuple(Var(x) for x in query.free_vars))
-    else:
-        ans_head = Atom(ans_name, (Cst(UNIT_CONST),))
-    answer_rule = make_tgd(list(query.atoms), [ans_head])
-
-    extension_axioms: list[Tgd] = []
-    for key in sorted(family):
+    # the theory: input rules, the answer rule, and axioms defining every
+    # guard-extension and query-extension predicate in both directions
+    theory = list(rules) + [make_tgd(list(query.atoms), [_family_head(ans_name, query.free_vars)])]
+    theory += ext.axioms
+    for key, name in names.items():
         canonq = family[key]
-        head = _family_head(pred_names[key], canonq.free_vars)
-        extension_axioms.append(make_tgd(list(canonq.atoms), [head]))
-        if canonq.free_vars:
-            back_body = Atom(pred_names[key], tuple(Var(v) for v in canonq.free_vars))
-        else:
-            back_body = Atom(pred_names[key], (Var("u"),))
-        extension_axioms.append(make_tgd([back_body], list(canonq.atoms)))
-
-    theory = list(rules) + [answer_rule] + list(ext.axioms) + extension_axioms
-    ext_sig = ext.signature.extend(
-        relations=[(ans_name, ans_arity)]
-        + [(pred_names[key], max(1, len(family[key].free_vars)))
-           for key in sorted(family)])
-
-    base_rels, rel_capped = _enumeration_relations(base_sig, config)
-    capped = capped or rel_capped
-    extension_rels = ([(ans_name, ans_arity)]
-                      + [(pred_names[key], max(1, len(family[key].free_vars)))
-                         for key in sorted(family)]
+        head = _family_head(name, canonq.free_vars)
+        back = head if canonq.free_vars else Atom(name, (Var("u"),))
+        theory += [make_tgd(list(canonq.atoms), [head]), make_tgd([back], list(canonq.atoms))]
+    extension_rels = ([(ans_name, max(1, len(query.free_vars)))]
+                      + [(name, max(1, len(family[key].free_vars))) for key, name in names.items()]
                       + [(name, ext.signature.arities[name])
                          for name in sorted(set(ext.signature.arities) - set(base_sig.arities))])
-    pool_rels = list(base_rels) + [(r, a) for r, a in extension_rels
-                                   if a <= config.max_arity]
-    head_rels = pool_rels
-    guard_rels = pool_rels
 
-    cands, enum_capped = _fg_rule_candidates(pool_rels, head_rels, guard_rels,
-                                             k, config)
-    capped = capped or enum_capped
+    base_rels, rel_capped = _enumeration_relations(base_sig, config)
+    rels = base_rels + [(r, a) for r, a in extension_rels if a <= config.max_arity]
+    bodies, pool_capped = _guarded_bodies(rels, config.fg_max_extra_body_atoms, config, k)
+    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels]
+                             + [(r, 0, None) for r, a in rels if a == 1])
+    for c in _inject_input_rules(theory, require_guarded=False):
+        cands[str(c)] = _Candidate(c, "axiom")
+    records, kept = _certify(theory, ext.signature.extend(relations=extension_rels),
+                             [cands], config)
 
-    axiom_fulls: dict[str, Tgd] = {}
-    for t in theory:
-        if t.head.exist_vars:
-            continue
-        for ha in t.head.atoms:
-            c = _canonical_full_rule(t.body.atoms, ha)
-            axiom_fulls.setdefault(str(c), c)
-
-    closure_bodies: dict[str, tuple[Atom, ...]] = {}
-    for c in cands.values():
-        if str(c) in axiom_fulls:
-            continue
-        key, canon, _ = _closure_request(c.body.atoms)
-        closure_bodies.setdefault(key, canon)
-    closures = _closures_for_bodies(theory, ext_sig, closure_bodies, config)
-
-    records: list[CertificationRecord] = []
-    derived: dict[str, Tgd] = {}
-    for s in sorted(set(cands) | set(axiom_fulls)):
-        if s in axiom_fulls:
-            records.append(CertificationRecord(s, ENTAILED, "axiom"))
-            derived[s] = axiom_fulls[s]
-            continue
-        c = cands[s]
-        key, _, ren = _closure_request(c.body.atoms)
-        status, closure = closures[key]
-        verdict = _head_verdict(status, closure, c.head.atoms[0], ren)
-        records.append(CertificationRecord(s, verdict, "rule"))
-        if verdict == ENTAILED:
-            derived[s] = c
-
-    copies = _copy_map(base_sig)
-    prog_rules: dict[str, Rule] = {}
-    for s in sorted(derived):
-        t = derived[s]
-        if t.head.atoms[0] in set(t.body.atoms):
-            continue
-        r = _rule_from_tgd(t, copies)
-        prog_rules[str(r)] = r
-    records_rules = list(records)
-    for r in _import_rules(base_sig, copies):
-        prog_rules[str(r)] = r
-        records_rules.append(CertificationRecord(str(r), ENTAILED, "import"))
-
-    idb_rels = [(copies[rel], arity) for rel, arity in base_sig.arities.items()]
-    idb_rels += [(r, a) for r, a in extension_rels]
-    ordered_rules = tuple(prog_rules[s] for s in sorted(prog_rules))
-    edb = base_sig
-    if _uses_unit(ordered_rules) and UNIT_CONST not in base_sig.constants:
-        edb = base_sig.extend(constants=(UNIT_CONST,))
-    program = DatalogProgram(edb, Signature(idb_rels), ordered_rules, ans_name)
-    assert classify_datalog(program).frontier_guarded
-
-    return RewriteArtifacts(
-        program=program,
-        certification=tuple(records_rules),
-        caps={"k": k, "max_relations": config.max_relations,
-              "max_arity": config.max_arity,
-              "fg_max_extra_body_atoms": config.fg_max_extra_body_atoms,
-              "extra_atom_pool_limit": config.extra_atom_pool_limit},
-        capped=capped,
-        completeness=_completeness(capped, records_rules),
-        query_predicates={pred_names[key]: key for key in family},
-        boolean_goal=not query.free_vars,
-        answer_projection=tuple(range(len(query.free_vars))),
-    )
+    capped = k < len(query.all_vars()) or fam_capped or rel_capped or pool_capped
+    art = _assemble(base_sig, _copy_map(base_sig), query, ans_name, kept, records,
+                    _caps(config, k, "fg_max_extra_body_atoms"), capped,
+                    idb=extension_rels,
+                    query_predicates={names[key]: key for key in family})
+    assert classify_datalog(art.program).frontier_guarded
+    return art
 
 
 # ---------------------------------------------------------------------------

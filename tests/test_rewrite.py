@@ -6,16 +6,16 @@ from shapes import cycle
 from gnfkit.chase import ChaseConfig
 from gnfkit.datalog import classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import Atom, atom, cq
+from gnfkit.query import Atom, atom, cq, query_signature
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED,
-                            RewriteConfig, certain_answers_oracle,
+                            RewriteConfig, _default_k, certain_answers_oracle,
                             derive_full_guarded,
                             enumerate_full_guarded_candidates,
                             evaluate_program, goal_rules,
                             guard_extension_axioms, query_generation_rules,
                             rewrite_atomic_guarded, rewrite_cq_guarded,
                             rewrite_fg)
-from gnfkit.tgd import make_tgd
+from gnfkit.tgd import make_tgd, tgd_signature
 
 SIG = Signature([("R", 2), ("U", 1), ("S", 2), ("T", 1)])
 RULES = [
@@ -123,6 +123,13 @@ def test_derive_matches_between_sequential_and_parallel():
     seq = derive_full_guarded(RULES, RewriteConfig(jobs=1), SIG)
     par = derive_full_guarded(RULES, RewriteConfig(jobs=2), SIG)
     assert [str(t) for t in seq.rules] == [str(t) for t in par.rules]
+    # every scheme certifies through the same step, so it too must not care
+    for scheme, rules, q in ((rewrite_cq_guarded, RULES, Q_T),
+                             (rewrite_fg, FG_RULES, FG_Q)):
+        seq = scheme(rules, q, RewriteConfig(jobs=1))
+        par = scheme(rules, q, RewriteConfig(jobs=2))
+        assert str(seq.program) == str(par.program)
+        assert seq.certification == par.certification
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +318,24 @@ def test_goal_rules_respect_premise_cap():
     cfg = RewriteConfig(max_goal_premises=1)
     res = goal_rules(Q_TRI, k=3, config=cfg)
     assert all(len(r.body) <= 1 for r in res.rules)
+
+
+def test_schemes_are_compositions_of_their_public_steps():
+    cfg = RewriteConfig()
+    q_join = cq(["x"], [atom("R", "x", "y"), atom("T", "y")])
+    for rules, q in ((RULES, Q_T), (RULES, q_join), ([], Q_TRI)):
+        sig = tgd_signature(rules, query_signature(q))
+        k = _default_k(rules, q, cfg)
+        art = rewrite_cq_guarded(rules, q, cfg)
+        derived = derive_full_guarded(rules, cfg, sig)
+        query_rules = query_generation_rules(rules, q, k, cfg)
+        goals = goal_rules(q, k, cfg, goal_name=art.program.goal)
+        steps = derived.certification + query_rules.certification + goals.certification
+        assert tuple(r for r in art.certification if r.kind != "import") == steps
+        assert list(art.query_predicates.items()) == list(query_rules.query_predicates.items())
+    atomic = rewrite_atomic_guarded(RULES, Q_T, cfg)
+    derived = derive_full_guarded(RULES, cfg, tgd_signature(RULES, query_signature(Q_T)))
+    assert tuple(r for r in atomic.certification if r.kind != "import") == derived.certification
 
 
 # ---------------------------------------------------------------------------
