@@ -30,6 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -41,6 +42,7 @@ from .model import (
     Instance,
     Signature,
     Value,
+    _hom_search,
     active_domain,
     elem,
     fact_key,
@@ -51,6 +53,7 @@ from .model import (
 MapItems = tuple[tuple[Value, Value], ...]
 GuardedTuple = tuple[Value, ...]
 TuplePair = tuple[GuardedTuple, GuardedTuple]
+ImageMap = dict[GuardedTuple, list[GuardedTuple]]
 
 
 # ---------------------------------------------------------------------------
@@ -318,73 +321,60 @@ def _initial_pairs(a: Instance, b: Instance) -> set[TuplePair]:
     return out
 
 
-def _compatible_hom(src: Instance, dst: Instance, seed: Mapping[Value, Value],
-                    zpairs: Iterable[TuplePair], forward: bool) -> Optional[dict[Value, Value]]:
-    """Total map on the active domain of `src` extending `seed` such that
-    every src fact's (argument tuple, image tuple) pair — oriented per
-    `forward` — belongs to `zpairs`.  Backtracking over facts, most
-    constrained first; returns the assignment or None.
+def _image_maps(pairs: Iterable[TuplePair]) -> tuple[ImageMap, ImageMap]:
+    """The collection as two image maps: each a-tuple to its partner b-tuples,
+    and each b-tuple to its partner a-tuples."""
+    fwd: ImageMap = {}
+    bwd: ImageMap = {}
+    for ta, tb in pairs:
+        fwd.setdefault(ta, []).append(tb)
+        bwd.setdefault(tb, []).append(ta)
+    return fwd, bwd
+
+
+def _compatible_hom(src: Instance, seed: Mapping[Value, Value],
+                    images: ImageMap) -> Optional[dict[Value, Value]]:
+    """First map extending `seed` to the active domain of `src` that sends every
+    src fact's argument tuple to one of its `images`; None when there is none.
 
     Pair membership subsumes fact preservation: well-typed pairs only relate
     tuples whose induced map carries facts across.
     """
-    allowed: dict[GuardedTuple, list[GuardedTuple]] = {}
-    for p in zpairs:
-        s, t = p if forward else (p[1], p[0])
-        allowed.setdefault(s, []).append(t)
-    for s in allowed:
-        allowed[s].sort(key=_tuple_key)
-    facts = sorted(src.facts, key=fact_key)
-    assign: dict[Value, Value] = dict(seed)
+    constraints = [(f.args, images.get(f.args, ())) for f in sorted(src.facts, key=fact_key)]
+    found = next(_hom_search(constraints, seed), None)
+    return None if found is None else {**seed, **found}
 
-    def options(f: Fact) -> list[GuardedTuple]:
-        return [t for t in allowed.get(f.args, ())
-                if all(assign.get(v, w) == w for v, w in zip(f.args, t))]
 
-    def dfs(remaining: list[Fact]) -> bool:
-        if not remaining:
-            return True
-        best = min(range(len(remaining)), key=lambda i: len(options(remaining[i])))
-        f = remaining[best]
-        rest = remaining[:best] + remaining[best + 1:]
-        for t in options(f):
-            newly: list[Value] = []
-            for v, w in zip(f.args, t):
-                if v not in assign:
-                    assign[v] = w
-                    newly.append(v)
-            if dfs(rest):
-                return True
-            for v in newly:
-                del assign[v]
-        return False
-
-    if dfs(facts):
-        return dict(assign)
-    return None
+def _pair_homs(a: Instance, b: Instance, p: TuplePair,
+               seeds: tuple[dict[Value, Value], dict[Value, Value]],
+               maps: tuple[ImageMap, ImageMap]
+               ) -> Optional[tuple[dict[Value, Value], dict[Value, Value]]]:
+    """Compatible homomorphisms a -> b and b -> a mapping the pair's tuples onto
+    each other, given both constant seeds and both image maps; None if either
+    is missing."""
+    ta, tb = p
+    fwd_seed = _merged_seed(seeds[0], ta, tb)
+    bwd_seed = _merged_seed(seeds[1], tb, ta)
+    if fwd_seed is None or bwd_seed is None:
+        return None
+    h = _compatible_hom(a, fwd_seed, maps[0])
+    g = None if h is None else _compatible_hom(b, bwd_seed, maps[1])
+    return None if g is None else (h, g)
 
 
 def _refine(a: Instance, b: Instance, pairs: set[TuplePair]) -> set[TuplePair]:
     """Remove pairs lacking a compatible homomorphism in either direction,
     until stable.  The result is the greatest fixpoint inside `pairs`."""
-    seed_ab = _const_seed(a, b)
-    seed_ba = _const_seed(b, a)
-    if seed_ab is None or seed_ba is None:
+    seeds = (_const_seed(a, b), _const_seed(b, a))
+    if seeds[0] is None or seeds[1] is None:
         return set()
     live = set(pairs)
     while True:
-        dropped: list[TuplePair] = []
-        for p in sorted(live, key=_pair_key):
-            ta, tb = p
-            fwd_seed = _merged_seed(seed_ab, ta, tb)
-            bwd_seed = _merged_seed(seed_ba, tb, ta)
-            if (fwd_seed is None or bwd_seed is None
-                    or _compatible_hom(a, b, fwd_seed, live, True) is None
-                    or _compatible_hom(b, a, bwd_seed, live, False) is None):
-                dropped.append(p)
+        maps = _image_maps(live)
+        dropped = {p for p in live if _pair_homs(a, b, p, seeds, maps) is None}
         if not dropped:
             return live
-        live -= set(dropped)
+        live -= dropped
 
 
 def _stable_pairs(a: Instance, b: Instance) -> set[TuplePair]:
@@ -423,18 +413,16 @@ def check_strong_gn(a: Instance, b: Instance,
     stable = _stable_pairs(a, b)
     if not stable:
         return None
-    seed_ab = _const_seed(a, b)
-    seed_ba = _const_seed(b, a)
+    seeds = (_const_seed(a, b), _const_seed(b, a))
+    maps = _image_maps(stable)
     forward: list[tuple[TuplePair, Homomorphism]] = []
     backward: list[tuple[TuplePair, Homomorphism]] = []
     for p in sorted(stable, key=_pair_key):
-        ta, tb = p
-        h = _compatible_hom(a, b, _merged_seed(seed_ab, ta, tb), stable, True)
-        g = _compatible_hom(b, a, _merged_seed(seed_ba, tb, ta), stable, False)
-        if h is None or g is None:
+        homs = _pair_homs(a, b, p, seeds, maps)
+        if homs is None:
             raise AssertionError("internal error: stable pair lost its witness")
-        forward.append((p, Homomorphism.of(h)))
-        backward.append((p, Homomorphism.of(g)))
+        forward.append((p, Homomorphism.of(homs[0])))
+        backward.append((p, Homomorphism.of(homs[1])))
     witness = StrongGnBisimWitness(frozenset(stable), tuple(forward), tuple(backward))
     if not verify_strong_gn(a, b, witness):
         raise AssertionError("internal error: strong-GN witness failed re-verification")
@@ -515,20 +503,11 @@ def is_strong_gn_bisimulation(a: Instance, b: Instance,
         return False
     if not _pattern_closed(pset):
         return False
-    seed_ab = _const_seed(a, b)
-    seed_ba = _const_seed(b, a)
-    if seed_ab is None or seed_ba is None:
+    seeds = (_const_seed(a, b), _const_seed(b, a))
+    if seeds[0] is None or seeds[1] is None:
         return False
-    for ta, tb in sorted(pset, key=_pair_key):
-        fwd_seed = _merged_seed(seed_ab, ta, tb)
-        bwd_seed = _merged_seed(seed_ba, tb, ta)
-        if fwd_seed is None or bwd_seed is None:
-            return False
-        if _compatible_hom(a, b, fwd_seed, pset, True) is None:
-            return False
-        if _compatible_hom(b, a, bwd_seed, pset, False) is None:
-            return False
-    return True
+    maps = _image_maps(pset)
+    return all(_pair_homs(a, b, p, seeds, maps) is not None for p in pset)
 
 
 def check_directional(a: Instance, ta: Sequence[Value], b: Instance,
@@ -555,8 +534,8 @@ def check_directional(a: Instance, ta: Sequence[Value], b: Instance,
     seed = _merged_seed(seed0, ta, tb)
     if seed is None:
         return False
-    stable = _stable_pairs(a, b)
-    return _compatible_hom(a, b, seed, stable, True) is not None
+    fwd, _ = _image_maps(_stable_pairs(a, b))
+    return _compatible_hom(a, seed, fwd) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -612,27 +591,15 @@ def amalgamate(a: Instance, b: Instance, z: StrongGnBisimWitness,
     _check_size(a_part, max_size, "amalgamate")
     _check_size(b_part, max_size, "amalgamate")
 
-    zp = z.pairs
     seed_ab = _const_seed(ra, rb)
     seed_ba = _const_seed(rb, ra)
+    by_a, by_b = _image_maps(z.pairs)
 
-    ext_cache: dict[tuple[bool, GuardedTuple, GuardedTuple], bool] = {}
-
+    @functools.cache
     def extends(src_t: GuardedTuple, dst_t: GuardedTuple, fwd: bool) -> bool:
-        key = (fwd, src_t, dst_t)
-        hit = ext_cache.get(key)
-        if hit is not None:
-            return hit
-        base = seed_ab if fwd else seed_ba
+        src, base, images = (ra, seed_ab, by_a) if fwd else (rb, seed_ba, by_b)
         seed = _merged_seed(base, src_t, dst_t)
-        if seed is None:
-            ok = False
-        elif fwd:
-            ok = _compatible_hom(ra, rb, seed, zp, True) is not None
-        else:
-            ok = _compatible_hom(rb, ra, seed, zp, False) is not None
-        ext_cache[key] = ok
-        return ok
+        return seed is not None and _compatible_hom(src, seed, images) is not None
 
     dom_a = sorted(active_domain(a_part) | a_part.const_values(), key=_val_key)
     dom_b = sorted(active_domain(b_part) | b_part.const_values(), key=_val_key)
@@ -641,12 +608,6 @@ def amalgamate(a: Instance, b: Instance, z: StrongGnBisimWitness,
         for d in dom_b:
             if extends((c,), (d,), True):
                 glued[(c, d)] = pair_value(c, d)
-
-    by_a: dict[GuardedTuple, list[GuardedTuple]] = {}
-    by_b: dict[GuardedTuple, list[GuardedTuple]] = {}
-    for p in sorted(zp, key=_pair_key):
-        by_a.setdefault(p[0], []).append(p[1])
-        by_b.setdefault(p[1], []).append(p[0])
 
     shared_set = set(shared)
     facts: set[Fact] = set()

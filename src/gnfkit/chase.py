@@ -90,6 +90,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
 
     guards = [_guard_atom_index(t) for t in rules]
     body_order = [_ordered_for_join(t.body.atoms) for t in rules]
+    head_order = [_ordered_for_join(t.head.atoms) for t in rules]
     origin: dict[Fact, Optional[frozenset[Value]]] = {}
     adom0 = active_domain(inst)
     consts = inst.const_values()
@@ -100,10 +101,10 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     rounds = 0
 
     for rnd in range(1, config.max_rounds + 1):
-        snapshot = {r: frozenset(s) for r, s in cur.items()}
+        # every trigger is enumerated before any fires, so `cur` is the round's snapshot
         triggers: list[tuple[int, tuple[Value, ...]]] = []
         for ri, t in enumerate(rules):
-            sources = [snapshot[a.rel] for a in body_order[ri]]
+            sources = [cur[a.rel] for a in body_order[ri]]
             for m in match_atoms(body_order[ri], sources, {}, const_of):
                 triggers.append((ri, tuple(m[x] for x in t.body.free_vars)))
         triggers.sort(key=lambda tr: (tr[0], tuple(v.name for v in tr[1])))
@@ -116,9 +117,8 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
             binding = dict(zip(t.body.free_vars, bvals))
             if config.mode == "restricted":
                 seed = {x: binding[x] for x in t.frontier()}
-                ordered = _ordered_for_join(t.head.atoms)
-                sources = [cur[a.rel] for a in ordered]
-                satisfied = next(match_atoms(ordered, sources, dict(seed), const_of), None)
+                sources = [cur[a.rel] for a in head_order[ri]]
+                satisfied = next(match_atoms(head_order[ri], sources, dict(seed), const_of), None)
                 if satisfied is not None:
                     continue
             else:

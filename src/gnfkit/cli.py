@@ -264,7 +264,7 @@ def cmd_search_countermodel(args) -> int:
     f = parse_formula(args.formula)
     if free_vars(f):
         raise ValueError("countermodel search expects a sentence (no free variables)")
-    found = search_countermodel(f, max_size=args.max_size, jobs=args.jobs)
+    found = search_countermodel(f, max_size=args.max_size)
     if found is None:
         print(f"countermodel: none within size {args.max_size}")
         return EXIT_BUDGET
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-countermodel", help="bounded falsifying structure")
     p.add_argument("--formula", required=True)
     p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_search_countermodel)
 
     return parser

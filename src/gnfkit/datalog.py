@@ -113,6 +113,7 @@ def eval_datalog_fixpoint(p: DatalogProgram, inst: Instance) -> dict[str, set[tu
 
     ordered = [(_ordered_for_join(r.body), r) for r in p.rules]
 
+    # rules write into `out`, never into `full` or `delta`, so both are matched in place
     def run_rule(body: Sequence[Atom], rule: Rule, use_delta: Optional[int],
                  out: dict[str, set[tuple[Value, ...]]]) -> None:
         sources = []
@@ -120,9 +121,9 @@ def eval_datalog_fixpoint(p: DatalogProgram, inst: Instance) -> dict[str, set[tu
             if a.rel in p.edb.arities:
                 sources.append(edb_tuples[a.rel])
             elif use_delta is not None and i == use_delta:
-                sources.append(frozenset(delta[a.rel]))
+                sources.append(delta[a.rel])
             else:
-                sources.append(frozenset(full[a.rel]))
+                sources.append(full[a.rel])
         for m in match_atoms(list(body), sources, {}, const_of):
             args = tuple(m[t.name] if isinstance(t, Var) else const_of(t.name)
                          for t in rule.head.args)

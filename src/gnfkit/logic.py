@@ -15,7 +15,6 @@ Guardedness conventions implemented here:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -682,8 +681,7 @@ def _search_at_size(f: FoFormula, sig: Signature, k: int) -> Optional[Countermod
     return None
 
 
-def search_countermodel(f: FoFormula, max_size: int,
-                        jobs: int = 1) -> Optional[Countermodel]:
+def search_countermodel(f: FoFormula, max_size: int) -> Optional[Countermodel]:
     """Smallest-domain falsifying finite structure within the size bound, or None.
     Enumerates instances up to isomorphism (domain permutations respecting the
     constant assignment); every returned countermodel is re-verified."""
@@ -693,22 +691,10 @@ def search_countermodel(f: FoFormula, max_size: int,
         raise ValueError("max_size must be at least 1")
     sig = formula_signature(f)
     found: Optional[Countermodel] = None
-    if jobs <= 1:
-        for k in range(1, max_size + 1):
-            found = _search_at_size(f, sig, k)
-            if found is not None:
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(_search_at_size, f, sig, k)
-                       for k in range(1, max_size + 1)]
-            for fut in futures:
-                r = fut.result()
-                if r is not None:
-                    found = r
-                    break
-            for fut in futures:
-                fut.cancel()
+    for k in range(1, max_size + 1):
+        found = _search_at_size(f, sig, k)
+        if found is not None:
+            break
     if found is None:
         return None
     if eval_fo(f, found.instance, domain=set(found.domain)):

@@ -252,78 +252,77 @@ def verify_homomorphism(h: Homomorphism, src: Instance, dst: Instance) -> bool:
     return True
 
 
-def _hom_search(src: Instance, dst: Instance, seed: dict[Value, Value],
-                budget: Optional[int]) -> Iterator[dict[Value, Value]]:
-    """Backtracking search for fact-preserving maps adom(src) -> values of dst.
+def _hom_search(constraints: Iterable[tuple[tuple[Value, ...], Iterable[tuple[Value, ...]]]],
+                seed: Mapping[Value, Value],
+                budget: Optional[int] = None) -> Iterator[dict[Value, Value]]:
+    """Every extension of `seed` sending each constraint's argument tuple to one
+    of that constraint's allowed image tuples, restricted to the argument values.
 
-    Most-constrained-value ordering; candidate sets narrowed through the
-    (relation, position, value) index of dst.  Yields every solution.
+    Constraint-first backtracking: each step takes the first remaining constraint
+    with the fewest images consistent with the assignment so far and tries those
+    images in name order.  An image is consistent when it agrees with the values
+    already assigned and with itself, so E(x,x) never maps to (a,b).  One budget
+    node is one tentative image tuple for one constraint.
     """
-    dom = sorted(active_domain(src), key=lambda v: v.name)
-    if not dom:
-        yield {}
-        return
-    targets = set(active_domain(dst)) | dst.const_values()
-    # per-value candidate sets, narrowed by unary occurrence patterns
-    cands: dict[Value, set[Value]] = {}
-    for v in dom:
-        if v in seed:
-            cands[v] = {seed[v]}
-            continue
-        cs = set(targets)
-        for f in src.facts:
-            for i, a in enumerate(f.args):
-                if a == v:
-                    cs &= {g.args[i] for g in dst.rel_facts(f.rel)}
-        cands[v] = cs
-    src_facts = sorted(src.facts, key=fact_key)
+    # agreeing with itself does not depend on the assignment, so it is checked once
+    cons = [(args, sorted((t for t in images if len(set(zip(args, t))) == len(set(args))),
+                          key=lambda t: tuple(v.name for v in t)))
+            for args, images in constraints]
+    dom = {v for args, _ in cons for v in args}
+    assign = dict(seed)
     nodes = 0
 
-    def extend(assign: dict[Value, Value]) -> Iterator[dict[Value, Value]]:
+    def extend(remaining: list) -> Iterator[dict[Value, Value]]:
         nonlocal nodes
-        if len(assign) == len(dom):
-            yield dict(assign)
+        if not remaining:
+            yield {v: assign[v] for v in dom}
             return
-        # pick the unassigned value with the fewest live candidates
-        best, best_cs = None, None
-        for v in dom:
-            if v in assign:
-                continue
-            cs = {c for c in cands[v] if _consistent(v, c, assign)}
-            if best is None or len(cs) < len(best_cs):
-                best, best_cs = v, cs
-                if not cs:
+        best, options = 0, None
+        for i, (args, images) in enumerate(remaining):
+            live = [t for t in images if all(assign.get(v, w) == w for v, w in zip(args, t))]
+            if options is None or len(live) < len(options):
+                best, options = i, live
+                if not live:
                     break
-        for c in sorted(best_cs, key=lambda x: x.name):
+        args = remaining[best][0]
+        rest = remaining[:best] + remaining[best + 1:]
+        for t in options:
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(f"homomorphism search exceeded {budget} nodes")
-            assign[best] = c
-            yield from extend(assign)
-            del assign[best]
+            newly = {v: w for v, w in zip(args, t) if v not in assign}
+            assign.update(newly)
+            yield from extend(rest)
+            for v in newly:
+                del assign[v]
 
-    def _consistent(v: Value, c: Value, assign: dict[Value, Value]) -> bool:
-        # every src fact whose args are all assigned (after v:=c) must have its image in dst
-        trial = dict(assign)
-        trial[v] = c
-        for f in src_facts:
-            if v not in f.args:
-                continue
-            if all(a in trial for a in f.args):
-                if Fact(f.rel, tuple(trial[a] for a in f.args)) not in dst:
-                    return False
-            else:
-                # partial check through the index: some dst fact must agree on bound positions
-                live = None
-                for i, a in enumerate(f.args):
-                    if a in trial:
-                        s = dst.facts_with(f.rel, i, trial[a])
-                        live = s if live is None else live & s
-                        if not live:
-                            return False
-        return True
+    yield from extend(cons)
 
-    yield from extend({})
+
+def all_homomorphisms(src: Instance, dst: Instance,
+                      seed: Optional[Mapping[Value, Value]] = None,
+                      budget: Optional[int] = None) -> Iterator[Homomorphism]:
+    """Every homomorphism src -> dst extending `seed`, each once.
+
+    Constant interpretations are pinned: if c is interpreted at an active value of src,
+    that value must map to dst's interpretation of c.  A seed contradicting this raises
+    ValueError.  A budget node is one tentative image tuple for one source fact; the
+    search raises BudgetExceeded when it needs more nodes than `budget`.
+    """
+    pinned: dict[Value, Value] = {}
+    for name, v in src.const_interp.items():
+        if v in active_domain(src):
+            w = dst.const_interp.get(name)
+            if w is None or pinned.setdefault(v, w) != w:
+                return
+    for s, t in (seed or {}).items():
+        if pinned.get(s, t) != t:
+            raise ValueError(f"seed maps {s} to {t}, conflicting with constant pinning")
+        pinned[s] = t
+    constraints = [(f.args, [g.args for g in dst.rel_facts(f.rel)])
+                   for f in sorted(src.facts, key=fact_key)]
+    for m in _hom_search(constraints, pinned, budget):
+        yield Homomorphism.of(m)
 
 
 def find_homomorphism(src: Instance, dst: Instance,
@@ -331,38 +330,12 @@ def find_homomorphism(src: Instance, dst: Instance,
                       budget: Optional[int] = None) -> Optional[Homomorphism]:
     """First homomorphism src -> dst extending `seed`, or None.
 
-    Constant interpretations are pinned: if c is interpreted at an active value of src,
-    that value must map to dst's interpretation of c.  A seed contradicting this raises.
+    Constants are pinned as in `all_homomorphisms`, and a seed contradicting the
+    pinning raises ValueError.  A budget node is one tentative image tuple for one
+    source fact, so `budget=0` raises BudgetExceeded as soon as the search tries an
+    image.
     """
-    pinned: dict[Value, Value] = {}
-    for name, v in src.const_interp.items():
-        if v in active_domain(src):
-            if name not in dst.const_interp:
-                return None
-            pinned[v] = dst.const_interp[name]
-    if seed:
-        for s, t in seed.items():
-            if s in pinned and pinned[s] != t:
-                raise ValueError(f"seed maps {s} to {t}, conflicting with constant pinning")
-            pinned[s] = t
-    for m in _hom_search(src, dst, pinned, budget):
-        return Homomorphism.of(m)
-    return None
-
-
-def all_homomorphisms(src: Instance, dst: Instance,
-                      seed: Optional[Mapping[Value, Value]] = None,
-                      budget: Optional[int] = None) -> Iterator[Homomorphism]:
-    pinned: dict[Value, Value] = {}
-    for name, v in src.const_interp.items():
-        if v in active_domain(src):
-            if name not in dst.const_interp:
-                return
-            pinned[v] = dst.const_interp[name]
-    if seed:
-        pinned.update(seed)
-    for m in _hom_search(src, dst, pinned, budget):
-        yield Homomorphism.of(m)
+    return next(all_homomorphisms(src, dst, seed, budget), None)
 
 
 def pair_value(v1: Value, v2: Value) -> Value:

@@ -55,10 +55,10 @@ class RewriteConfig:
     """Caps for candidate enumeration plus the chase budget used to certify.
 
     ``k`` bounds the number of variables in derived queries and goal rules.
-    ``rewrite_cq_guarded`` and ``rewrite_fg`` read it from here, while
-    ``query_generation_rules`` and ``goal_rules`` take it as an argument.
-    When it is unset, with ``body vars`` the largest variable count of a rule
-    body (1 without rules) and ``query vars`` the query's variable count:
+    Every step that uses it reads it from here; ``query_generation_rules`` and
+    ``goal_rules`` also take a ``k`` argument, which overrides it.
+    When neither is set, with ``body vars`` the largest variable count of a
+    rule body (1 without rules) and ``query vars`` the query's variable count:
 
     - ``rewrite_cq_guarded`` and ``query_generation_rules`` use
       ``min(max(body vars, query vars, 1), max_k)``;
@@ -613,7 +613,8 @@ def goal_rules(query: ConjunctiveQuery, k: Optional[int] = None,
     """All goal rules over query-extension predicates whose premise conjunction
     is contained in the query (checked by the containment test)."""
     config = config or RewriteConfig()
-    k = k if k is not None else max(len(query.all_vars()), 1)
+    if k is None:
+        k = config.k if config.k is not None else max(len(query.all_vars()), 1)
     sig = query_signature(query)
     family, names, fam_capped = _query_family(
         query, k, config, set(sig.arities) | set(sig.constants) | {goal_name})
@@ -627,6 +628,9 @@ def goal_rules(query: ConjunctiveQuery, k: Optional[int] = None,
 
 def _default_k(rules: Sequence[Tgd], query: ConjunctiveQuery,
                config: RewriteConfig) -> int:
+    """``config.k`` when set, else the cq-scheme default."""
+    if config.k is not None:
+        return config.k
     maxbody = max((len(t.body.free_vars) for t in rules), default=1)
     return min(max(maxbody, len(query.all_vars()), 1), config.max_k)
 
@@ -743,7 +747,7 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
         if not classify(t).guarded:
             raise ValueError(f"rule is not guarded: {t}")
     sig = tgd_signature(list(rules), query_signature(query))
-    k = config.k if config.k is not None else _default_k(rules, query, config)
+    k = _default_k(rules, query, config)
 
     copies = _copy_map(sig)
     used = set(sig.arities) | set(sig.constants) | set(copies.values())

@@ -8,7 +8,7 @@ package internals — so that agreement with the package is meaningful.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from gnfkit.model import Fact, Homomorphism, Instance, Value
 from gnfkit.query import Atom, ConjunctiveQuery, Cst, Var
@@ -54,10 +54,11 @@ def naive_eval_cq(q: ConjunctiveQuery, inst: Instance,
     return out
 
 
-def naive_find_homomorphism(src: Instance, dst: Instance,
-                            seed: Optional[Mapping[Value, Value]] = None
-                            ) -> Optional[dict[Value, Value]]:
-    """Try every total map from src values into dst values."""
+def naive_homomorphisms(src: Instance, dst: Instance,
+                        seed: Optional[Mapping[Value, Value]] = None
+                        ) -> Iterator[dict[Value, Value]]:
+    """Try every total map from src values into dst values; yield each one
+    that pins constants and carries every fact into dst."""
     seed = dict(seed or {})
     src_vals = _values_of(src)
     dst_vals = _values_of(dst)
@@ -76,8 +77,14 @@ def naive_find_homomorphism(src: Instance, dst: Instance,
                     ok = False
                     break
         if ok:
-            return h
-    return None
+            yield h
+
+
+def naive_find_homomorphism(src: Instance, dst: Instance,
+                            seed: Optional[Mapping[Value, Value]] = None
+                            ) -> Optional[dict[Value, Value]]:
+    """The first map `naive_homomorphisms` yields, or None."""
+    return next(naive_homomorphisms(src, dst, seed), None)
 
 
 def naive_eval_fo(f: FoFormula, inst: Instance, domain=None,

@@ -36,7 +36,7 @@ from gnfkit.model import (
 )
 from gnfkit.tgd import holds_in
 
-from oracles import naive_find_homomorphism
+from oracles import naive_find_homomorphism, naive_homomorphisms
 from randgen import random_guarded_tgd, random_instance, random_signature
 from shapes import cycle
 
@@ -247,6 +247,26 @@ def test_seed_conflicting_with_constant_pinning_raises():
     dst = inst_ru(Fact("U", (const("c"),)), Fact("U", (elem("a"),)), constants=("c",))
     with pytest.raises(ValueError):
         find_homomorphism(src, dst, seed={const("c"): elem("a")})
+    sig = Signature([("E", 2)], ["c", "d"])
+    src = Instance(sig, [Fact("E", (const("c"), elem("a")))])
+    dst = Instance(sig, [Fact("E", (const("c"), elem("b"))), Fact("E", (const("d"), elem("b")))])
+    seed = {const("c"): const("d")}
+    with pytest.raises(ValueError):
+        find_homomorphism(src, dst, seed=seed)
+    with pytest.raises(ValueError):
+        next(all_homomorphisms(src, dst, seed=seed))
+
+
+def test_constants_sharing_a_value_need_one_image():
+    sig = Signature([("U", 1)], ["c", "d"])
+    v = elem("v")
+    src = Instance(sig, [Fact("U", (v,))], {"c": v, "d": v})
+    split = Instance(sig, [Fact("U", (elem("x"),)), Fact("U", (elem("y"),))],
+                     {"c": elem("x"), "d": elem("y")})
+    assert find_homomorphism(src, split) is None
+    merged = Instance(sig, split.facts, {"c": elem("x"), "d": elem("x")})
+    h = find_homomorphism(src, merged)
+    assert h is not None and verify_homomorphism(h, src, merged)
 
 
 def test_budget_exhaustion_raises():
@@ -263,17 +283,35 @@ def test_verify_homomorphism_rejects_bad_maps():
     assert not verify_homomorphism(partial, c3, c3)
 
 
+def _with_constant(rng: random.Random, inst: Instance) -> Instance:
+    """`inst` over its signature plus the constant c, mostly with e0 read as c."""
+    ren = {elem("e0"): const("c")} if rng.random() < 0.7 else {}
+    return Instance(inst.sig.extend(constants=["c"]),
+                    (Fact(f.rel, tuple(ren.get(v, v) for v in f.args)) for f in inst.facts))
+
+
 def test_find_homomorphism_agrees_with_exhaustive_search():
     rng = random.Random(11)
-    for _ in range(100):
+    repeated = pinned = 0
+    for trial in range(150):
         sig = random_signature(rng, max_rels=3, max_arity=2)
         src = random_instance(rng, sig, max_elems=4, max_facts=5)
         dst = random_instance(rng, sig, max_elems=4, max_facts=6)
+        if trial >= 100:
+            src, dst = _with_constant(rng, src), _with_constant(rng, dst)
+        repeated += any(len(set(f.args)) < len(f.args) for f in src.facts)
+        pinned += const("c") in active_domain(src)
         got = find_homomorphism(src, dst)
         want = naive_find_homomorphism(src, dst)
         assert (got is None) == (want is None)
         if got is not None:
             assert verify_homomorphism(got, src, dst)
+        # the same set of maps as exhaustive enumeration, restricted to adom(src)
+        adom = active_domain(src)
+        every = {Homomorphism.of({v: h[v] for v in adom}).mapping
+                 for h in naive_homomorphisms(src, dst)}
+        assert {h.mapping for h in all_homomorphisms(src, dst)} == every
+    assert repeated >= 10 and pinned >= 10
 
 
 # ---------------------------------------------------------------- products

@@ -320,6 +320,17 @@ def test_goal_rules_respect_premise_cap():
     assert all(len(r.body) <= 1 for r in res.rules)
 
 
+def test_query_and_goal_rules_read_k_from_the_config():
+    cfg = RewriteConfig(k=2)
+    assert rewrite_cq_guarded([], Q_TRI, cfg).caps["k"] == 2
+    assert query_generation_rules([], Q_TRI, config=cfg).caps["k"] == 2
+    goals = goal_rules(Q_TRI, config=cfg)
+    assert goals.rules == goal_rules(Q_TRI, k=2).rules
+    assert len(goals.rules) == 12 and len(goal_rules(Q_TRI, k=3).rules) == 17
+    # an explicit k still overrides the config
+    assert query_generation_rules([], Q_TRI, k=3, config=cfg).caps["k"] == 3
+
+
 def test_schemes_are_compositions_of_their_public_steps():
     cfg = RewriteConfig()
     q_join = cq(["x"], [atom("R", "x", "y"), atom("T", "y")])
