@@ -54,6 +54,7 @@ MapItems = tuple[tuple[Value, Value], ...]
 GuardedTuple = tuple[Value, ...]
 TuplePair = tuple[GuardedTuple, GuardedTuple]
 ImageMap = dict[GuardedTuple, list[GuardedTuple]]
+PairHoms = tuple[dict[Value, Value], dict[Value, Value]]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ def _compatible_hom(src: Instance, seed: Mapping[Value, Value],
 def _pair_homs(a: Instance, b: Instance, p: TuplePair,
                seeds: tuple[dict[Value, Value], dict[Value, Value]],
                maps: tuple[ImageMap, ImageMap]
-               ) -> Optional[tuple[dict[Value, Value], dict[Value, Value]]]:
+               ) -> Optional[PairHoms]:
     """Compatible homomorphisms a -> b and b -> a mapping the pair's tuples onto
     each other, given both constant seeds and both image maps; None if either
     is missing."""
@@ -362,26 +363,30 @@ def _pair_homs(a: Instance, b: Instance, p: TuplePair,
     return None if g is None else (h, g)
 
 
-def _refine(a: Instance, b: Instance, pairs: set[TuplePair]) -> set[TuplePair]:
+def _refine(a: Instance, b: Instance, pairs: set[TuplePair]) -> dict[TuplePair, PairHoms]:
     """Remove pairs lacking a compatible homomorphism in either direction,
-    until stable.  The result is the greatest fixpoint inside `pairs`."""
+    until stable.  The result is the greatest fixpoint inside `pairs`, each
+    pair with the homomorphisms a -> b and b -> a found for it in the last
+    round."""
     seeds = (_const_seed(a, b), _const_seed(b, a))
     if seeds[0] is None or seeds[1] is None:
-        return set()
+        return {}
     live = set(pairs)
     while True:
         maps = _image_maps(live)
-        dropped = {p for p in live if _pair_homs(a, b, p, seeds, maps) is None}
-        if not dropped:
-            return live
-        live -= dropped
+        homs = {p: _pair_homs(a, b, p, seeds, maps) for p in live}
+        stable = {p: hg for p, hg in homs.items() if hg is not None}
+        if len(stable) == len(live):
+            return stable
+        live = set(stable)
 
 
-def _stable_pairs(a: Instance, b: Instance) -> set[TuplePair]:
-    """Greatest stable collection of guarded-tuple pairs between a and b
-    (empty when the constant substructures cannot correspond)."""
+def _stable_pairs(a: Instance, b: Instance) -> dict[TuplePair, PairHoms]:
+    """Greatest stable collection of guarded-tuple pairs between a and b,
+    each with its compatible homomorphisms (empty when the constant
+    substructures cannot correspond)."""
     if _const_seed(a, b) is None or not _is_partial_iso(a, b, {}):
-        return set()
+        return {}
     return _refine(a, b, _initial_pairs(a, b))
 
 
@@ -413,17 +418,10 @@ def check_strong_gn(a: Instance, b: Instance,
     stable = _stable_pairs(a, b)
     if not stable:
         return None
-    seeds = (_const_seed(a, b), _const_seed(b, a))
-    maps = _image_maps(stable)
-    forward: list[tuple[TuplePair, Homomorphism]] = []
-    backward: list[tuple[TuplePair, Homomorphism]] = []
-    for p in sorted(stable, key=_pair_key):
-        homs = _pair_homs(a, b, p, seeds, maps)
-        if homs is None:
-            raise AssertionError("internal error: stable pair lost its witness")
-        forward.append((p, Homomorphism.of(homs[0])))
-        backward.append((p, Homomorphism.of(homs[1])))
-    witness = StrongGnBisimWitness(frozenset(stable), tuple(forward), tuple(backward))
+    ordered = sorted(stable, key=_pair_key)
+    forward = tuple((p, Homomorphism.of(stable[p][0])) for p in ordered)
+    backward = tuple((p, Homomorphism.of(stable[p][1])) for p in ordered)
+    witness = StrongGnBisimWitness(frozenset(stable), forward, backward)
     if not verify_strong_gn(a, b, witness):
         raise AssertionError("internal error: strong-GN witness failed re-verification")
     return witness

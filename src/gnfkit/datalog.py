@@ -158,23 +158,3 @@ def eval_datalog_fixpoint(p: DatalogProgram, inst: Instance) -> dict[str, set[tu
 def eval_datalog(p: DatalogProgram, inst: Instance) -> set[tuple[Value, ...]]:
     """Goal tuples of the least fixpoint."""
     return eval_datalog_fixpoint(p, inst)[p.goal]
-
-
-def eval_datalog_naive(p: DatalogProgram, inst: Instance) -> dict[str, set[tuple[Value, ...]]]:
-    """Reference evaluator: recompute every rule on the full state until stable."""
-    edb_tuples = {r: frozenset(f.args for f in inst.rel_facts(r)) for r in p.edb.arities}
-    full: dict[str, set[tuple[Value, ...]]] = {r: set() for r in p.idb.arities}
-    const_of = lambda c: _resolve(inst, c)
-    while True:
-        changed = False
-        for rule in p.rules:
-            sources = [edb_tuples[a.rel] if a.rel in p.edb.arities else frozenset(full[a.rel])
-                       for a in rule.body]
-            for m in match_atoms(list(rule.body), sources, {}, const_of):
-                args = tuple(m[t.name] if isinstance(t, Var) else const_of(t.name)
-                             for t in rule.head.args)
-                if args not in full[rule.head.rel]:
-                    full[rule.head.rel].add(args)
-                    changed = True
-        if not changed:
-            return full

@@ -134,18 +134,12 @@ class Instance:
             if len(f.args) != sig.arities[f.rel]:
                 raise ValueError(f"arity mismatch in fact {f}")
         self._adom = frozenset(v for f in self.facts for v in f.args)
-        self._index: dict[tuple[str, int, Value], set[Fact]] = {}
         self._by_rel: dict[str, set[Fact]] = {}
         for f in self.facts:
             self._by_rel.setdefault(f.rel, set()).add(f)
-            for i, v in enumerate(f.args):
-                self._index.setdefault((f.rel, i, v), set()).add(f)
 
     def rel_facts(self, rel: str) -> set[Fact]:
         return self._by_rel.get(rel, set())
-
-    def facts_with(self, rel: str, pos: int, v: Value) -> set[Fact]:
-        return self._index.get((rel, pos, v), set())
 
     def const_values(self) -> set[Value]:
         return set(self.const_interp.values())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import (Fact, Instance, Signature, Value, active_domain, elem,
                     find_homomorphism)
@@ -251,18 +251,9 @@ def core_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
             h = find_homomorphism(inst, target, seed=seed)
             if h is None:
                 continue
-            m = h.as_dict()
-
-            def image(t: Term) -> Term:
-                if isinstance(t, Cst):
-                    return t
-                v = m[elem(t.name)]
-                return Cst(v.name) if v.kind == "constant" else Var(v.name)
-
-            ren = {}
-            for a in atoms:
-                ren[Atom(a.rel, tuple(image(t) for t in a.args))] = True
-            atoms = list(ren)
+            sub = {x.name: Cst(v.name) if v.kind == "constant" else Var(v.name)
+                   for x, v in h.as_dict().items() if x.kind != "constant"}
+            atoms = list(dict.fromkeys(substitute(a, sub) for a in atoms))
             shrunk = True
             break
         if not shrunk:
@@ -311,40 +302,105 @@ def is_acyclic(q: ConjunctiveQuery) -> bool:
     return not edges
 
 
+# ---------------------------------------------------------------------------
+# canonical naming up to variable renaming
+
+# most variables whose names are chosen by trying every permutation
+RENAMING_CAP = 7
+
+
+def substitute(a: Atom, sub: Mapping[str, Term]) -> Atom:
+    """The atom with every variable named in `sub` replaced by its image."""
+    return Atom(a.rel, tuple(sub.get(t.name, t) if isinstance(t, Var) else t
+                             for t in a.args))
+
+
+def fresh_names(prefix: str, n: int, kept: Container[str]) -> list[str]:
+    """The first n of prefix0, prefix1, ... that are not kept names."""
+    out: list[str] = []
+    i = 0
+    while len(out) < n:
+        if f"{prefix}{i}" not in kept:
+            out.append(f"{prefix}{i}")
+        i += 1
+    return out
+
+
+def _templates(atoms: Sequence[Atom], order: Sequence[str]) -> list[str]:
+    """Each atom's text as a format string with field i for variable order[i]."""
+    slot = {v: i for i, v in enumerate(order)}
+    out = []
+    for a in atoms:
+        args = ",".join(f"{{{slot[t.name]}}}" if isinstance(t, Var) and t.name in slot
+                        else t.name.replace("{", "{{").replace("}", "}}") for t in a.args)
+        out.append(f"{a.rel.replace('{', '{{').replace('}', '}}')}({args})")
+    return out
+
+
+def canonical_renaming(atoms: Iterable[Atom], groups: Sequence[tuple[str, Sequence[str]]],
+                       head: Optional[Atom] = None, kept: Iterable[str] = ()
+                       ) -> tuple[tuple[Atom, ...], Optional[Atom], dict[str, str]]:
+    """Canonical names for the variables of each group ``(prefix, variables)``.
+
+    A group's variables are renamed onto prefix0, prefix1, ..., skipping the
+    `kept` names, the constants, every variable outside the groups and the
+    names of earlier groups.  The renaming chosen is the one whose serialized
+    head, then sorted serialized atoms, is least; ties go to the first in the
+    order of the permutations of each group's variables as listed, the first
+    group varying slowest.  Past ``RENAMING_CAP`` renamed variables, each
+    group is named in order of first occurrence in the head, then in the
+    atoms sorted by text.  Returns the distinct renamed atoms sorted by text,
+    the renamed head and the renaming.
+    """
+    atoms = list(dict.fromkeys(atoms))
+    lead = [] if head is None else [head]
+    order = [v for _, vs in groups for v in vs]
+    if len(order) > RENAMING_CAP:
+        occ = [v for a in lead + sorted(atoms, key=str) for v in a.vars()] + order
+        groups = [(prefix, sorted(vs, key=occ.index)) for prefix, vs in groups]
+        order = [v for _, vs in groups for v in vs]
+    renamed = set(order)
+    taken = set(kept).union(t.name for a in lead + atoms for t in a.args
+                            if isinstance(t, Cst) or t.name not in renamed)
+    pools = []
+    for prefix, vs in groups:
+        pools.append(fresh_names(prefix, len(vs), taken))
+        taken.update(pools[-1])
+    texts = None  # the renamed atoms' texts, when the search computed them
+    choices = ([pools] if len(order) > RENAMING_CAP
+               else list(itertools.product(*map(itertools.permutations, pools))))
+    best = choices[0]
+    if len(choices) > 1:
+        tmpls = _templates(atoms + lead, order)
+        least = None
+        for choice in choices:
+            ns = [n for names in choice for n in names]
+            ts = [t.format(*ns) for t in tmpls]
+            key = (ts[len(atoms):], sorted(ts[:len(atoms)]))
+            if least is None or key < least:
+                least, best, texts = key, choice, ts
+    ren = dict(zip(order, (n for names in best for n in names)))
+    sub = {v: Var(n) for v, n in ren.items()}
+    out = [substitute(a, sub) for a in atoms]
+    if texts is None:
+        out.sort(key=str)
+    else:
+        out = [out[i] for i in sorted(range(len(out)), key=texts.__getitem__)]
+    return tuple(out), None if head is None else substitute(head, sub), ren
+
+
 def canonical_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Canonical variant renaming: free variables fixed, existentials renamed v0,v1,...
-    minimizing the serialized form over all assignments."""
+    """Canonical variant: free variables kept, the existentials that occur in
+    an atom renamed v0, v1, ... by ``canonical_renaming``."""
     ex = sorted(set(q.exist_vars) & {v for a in q.atoms for v in a.vars()})
-    if len(ex) > 7:
-        # too many to canonicalize exactly; fall back to first-occurrence naming
-        order = []
-        for a in sorted(q.atoms, key=str):
-            for v in a.vars():
-                if v in ex and v not in order:
-                    order.append(v)
-        ren = {v: f"v{i}" for i, v in enumerate(order)}
-        return _rename(q, ren)
-    best = None
-    for perm in itertools.permutations(range(len(ex))):
-        ren = {v: f"v{perm[i]}" for i, v in enumerate(ex)}
-        cand = _rename(q, ren)
-        key = str(cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1] if best else cq(q.free_vars, q.atoms)
-
-
-def _rename(q: ConjunctiveQuery, ren: dict[str, str]) -> ConjunctiveQuery:
-    atoms = tuple(Atom(a.rel, tuple(t if isinstance(t, Cst) else Var(ren.get(t.name, t.name))
-                                    for t in a.args))
-                  for a in q.atoms)
-    return cq(q.free_vars, sorted(set(atoms), key=str))
+    atoms, _, _ = canonical_renaming(q.atoms, [("v", ex)])
+    return cq(q.free_vars, atoms)
 
 
 def _enumerate_cqs(sig: Signature, free: tuple[str, ...], max_atoms: int,
                    max_vars: int) -> Iterator[ConjunctiveQuery]:
     """All canonical CQs over sig with the given free variables, within bounds."""
-    pool_vars = list(free) + [f"v{i}" for i in range(max_vars - len(free))]
+    pool_vars = list(free) + fresh_names("v", max_vars - len(free), free)
     atoms = []
     for rel in sig.relations():
         ar = sig.arities[rel]

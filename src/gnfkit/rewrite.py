@@ -32,9 +32,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
 from .model import Fact, Instance, Signature, active_domain, elem
+# canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
 from .query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst,
-                    canonical_cq, core_cq, cq, cq_contained, eval_cq,
-                    is_answer_guarded, query_signature)
+                    canonical_cq, canonical_renaming, core_cq, cq, cq_contained,
+                    eval_cq, is_answer_guarded, query_signature, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
 
 ENTAILED = "entailed"
@@ -212,11 +213,6 @@ def _atoms_over(rels: Sequence[tuple[str, int]], names: Sequence[str]) -> list[A
     return out
 
 
-def _subst_atom(a: Atom, ren: dict[str, str]) -> Atom:
-    return Atom(a.rel, tuple(t if isinstance(t, Cst) else Var(ren.get(t.name, t.name))
-                             for t in a.args))
-
-
 def _fresh_name(base: str, used: set[str]) -> str:
     name = base
     while name in used:
@@ -252,26 +248,6 @@ def _cored_body(atoms: tuple[Atom, ...], kept_vars: frozenset[str]) -> tuple[Ato
     return tuple(core_cq(cq(frees, atoms)).atoms)
 
 
-def _canonical(atoms: tuple[Atom, ...], head: Optional[Atom] = None
-               ) -> tuple[tuple[Atom, ...], Optional[Atom], dict[str, str]]:
-    """Renaming of the body's variables to v0, v1, ... minimizing the
-    serialized head, then the serialized sorted body.  Returns the renamed
-    body and head and the renaming; bodies over more than six variables keep
-    their names."""
-    names = sorted({v for a in atoms for v in a.vars()})
-    if len(names) > 6:
-        return atoms, head, {v: v for v in names}
-    best = None
-    for perm in itertools.permutations(range(len(names))):
-        ren = {v: f"v{perm[i]}" for i, v in enumerate(names)}
-        body = tuple(sorted({_subst_atom(a, ren) for a in atoms}, key=str))
-        h = None if head is None else _subst_atom(head, ren)
-        key = (str(h), tuple(str(a) for a in body))
-        if best is None or key < best[0]:
-            best = (key, body, h, ren)
-    return best[1:]
-
-
 def _canonical_full_rule(body_atoms: Sequence[Atom], head: Atom,
                          core_body: bool = True) -> Tgd:
     """Canonical form of a full single-head rule: optionally core the body
@@ -279,29 +255,24 @@ def _canonical_full_rule(body_atoms: Sequence[Atom], head: Atom,
     atoms = tuple(sorted(set(body_atoms), key=str))
     if core_body:
         atoms = tuple(sorted(set(_cored_body(atoms, frozenset(head.vars()))), key=str))
-    body, head, _ = _canonical(atoms, head)
+    names = sorted({v for a in atoms for v in a.vars()})
+    body, head, _ = canonical_renaming(atoms, [("v", names)], head)
     return make_tgd(list(body), [head])
 
 
-def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, dict[str, int]]:
-    """Canonicalize a query up to renaming: core it, rename free variables to
-    f0, f1, ... minimizing the serialization.  Returns the canonical key, the
-    canonical query, and the position each original free variable landed on."""
+def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, list[str]]:
+    """Canonicalize a query up to renaming: core it, rename its answer
+    variables to f0, f1, ... and the others to v0, v1, ...  Returns the
+    canonical key, the canonical query, and the original answer variables in
+    the order of the canonical ones."""
     cored = core_cq(q)
-    temp_free = {v: f"t{i}" for i, v in enumerate(cored.free_vars)}
-    temp_ex = {v: f"e{i}" for i, v in enumerate(cored.exist_vars)}
-    ren0 = {**temp_free, **temp_ex}
-    atoms0 = [_subst_atom(a, ren0) for a in cored.atoms]
-    frees0 = [temp_free[v] for v in cored.free_vars]
-    best = None
-    for perm in itertools.permutations(range(len(frees0))):
-        ren = {v: f"f{perm[i]}" for i, v in enumerate(frees0)}
-        atoms = [_subst_atom(a, ren) for a in atoms0]
-        qq = canonical_cq(cq([f"f{j}" for j in range(len(frees0))], atoms))
-        key = f"({','.join(qq.free_vars)}) {qq}"
-        if best is None or key < best[0]:
-            best = (key, qq, {v: perm[i] for i, v in enumerate(cored.free_vars)})
-    return best
+    atoms, _, ren = canonical_renaming(cored.atoms, [("f", cored.free_vars),
+                                                     ("v", cored.exist_vars)])
+    # every variable is renamed, so the answer variables become exactly f0, f1, ...
+    frees = [f"f{i}" for i in range(len(cored.free_vars))]
+    canonq = cq(frees, atoms)
+    origin = {ren[x]: x for x in cored.free_vars}
+    return f"({','.join(frees)}) {canonq}", canonq, [origin[f] for f in frees]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +394,8 @@ def _closure_request(atoms: tuple[Atom, ...]
                      ) -> tuple[str, tuple[Atom, ...], tuple[tuple[str, str], ...]]:
     """The closure that certifies a body: its key, its canonical atoms, and
     the renaming of the body's variables into them."""
-    canon, _, ren = _canonical(tuple(sorted(set(atoms), key=str)))
+    names = sorted({v for a in atoms for v in a.vars()})
+    canon, _, ren = canonical_renaming(atoms, [("v", names)])
     return " & ".join(str(a) for a in canon), canon, tuple(sorted(ren.items()))
 
 
@@ -506,9 +478,9 @@ def _quotients(query: ConjunctiveQuery,
     capped = len(allvars) > config.max_quotient_vars
     out = []
     for part in [[[v] for v in allvars]] if capped else _set_partitions(allvars):
-        rep = {v: cls[0] for cls in part for v in cls}
-        out.append((list(dict.fromkeys(_subst_atom(a, rep) for a in query.atoms)),
-                    [rep[x] for x in query.free_vars]))
+        rep = {v: Var(cls[0]) for cls in part for v in cls}
+        out.append((list(dict.fromkeys(substitute(a, rep) for a in query.atoms)),
+                    [rep[x].name for x in query.free_vars]))
     return out, capped
 
 
@@ -590,10 +562,10 @@ def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goa
                 continue
             premises = []
             for group in atom_part:
-                key, _, posmap = _canonical_family_form(_subquery(atoms, free, group))
+                key, _, args = _canonical_family_form(_subquery(atoms, free, group))
                 if key not in names:
                     break
-                premises.append(_family_head(names[key], sorted(posmap, key=posmap.get)))
+                premises.append(_family_head(names[key], args))
             else:
                 rule = Rule(_family_head(goal_name, free), tuple(sorted(premises, key=str)))
                 s = str(rule)

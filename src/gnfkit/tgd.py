@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .model import Instance, Signature
-from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_cq, cq,
-                    eval_cq, query_signature, treeify)
+from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_renaming, cq,
+                    eval_cq, fresh_names, query_signature, substitute, treeify)
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,12 @@ def disjunctive_holds_in(d: DisjunctiveTgd, inst: Instance) -> bool:
 
 
 def canonical_tgd(t: Tgd) -> Tgd:
-    """Canonical head-existential naming and sorted atoms, for dedup."""
-    ch = canonical_cq(t.head)
+    """Canonical head-existential naming (``canonical_renaming``, keeping every
+    body variable's name) and sorted atoms, for dedup."""
+    head, _, _ = canonical_renaming(t.head.atoms, [("v", sorted(t.head.exist_vars))],
+                                    kept=t.body.free_vars)
     body = cq(t.body.free_vars, sorted(dict.fromkeys(t.body.atoms), key=str))
-    return Tgd(ConjunctiveQuery(body.free_vars, (), body.atoms), ch)
+    return Tgd(ConjunctiveQuery(body.free_vars, (), body.atoms), cq(t.head.free_vars, head))
 
 
 def specializations(t: Tgd, constants: Iterable[str] = ()) -> list[Tgd]:
@@ -199,13 +201,7 @@ def specializations(t: Tgd, constants: Iterable[str] = ()) -> list[Tgd]:
     out: dict[str, Tgd] = {}
     for combo in itertools.product(*choices):
         sub = dict(zip(ex, combo))
-
-        def app(term: Term) -> Term:
-            if isinstance(term, Var) and term.name in sub:
-                return sub[term.name]
-            return term
-
-        atoms = [Atom(a.rel, tuple(app(x) for x in a.args)) for a in t.head.atoms]
+        atoms = [substitute(a, sub) for a in t.head.atoms]
         cand = canonical_tgd(make_tgd(t.body.atoms, atoms))
         out.setdefault(str(cand), cand)
     return [out[k] for k in sorted(out)]
@@ -215,19 +211,10 @@ def _head_for_body(body: ConjunctiveQuery, h: ConjunctiveQuery) -> Optional[Conj
     """h as a head over this body: frees must be body variables, existentials freshened."""
     if not set(h.free_vars) <= set(body.free_vars):
         return None
-    taken = set(body.free_vars) | set(h.free_vars)
-    ren: dict[str, str] = {}
-    i = 0
-    for z in h.exist_vars:
-        if z in set(body.free_vars):
-            while f"z{i}" in taken:
-                i += 1
-            ren[z] = f"z{i}"
-            taken.add(f"z{i}")
-        else:
-            ren[z] = z
-    atoms = [Atom(a.rel, tuple(Var(ren.get(t.name, t.name)) if isinstance(t, Var) else t
-                               for t in a.args)) for a in h.atoms]
+    clashing = [z for z in h.exist_vars if z in body.free_vars]
+    fresh = fresh_names("z", len(clashing), set(body.free_vars) | set(h.all_vars()))
+    sub = {z: Var(n) for z, n in zip(clashing, fresh)}
+    atoms = [substitute(a, sub) for a in h.atoms]
     frontier = tuple(x for x in body.free_vars if x in set(h.free_vars))
     return cq(frontier, atoms)
 

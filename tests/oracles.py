@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Mapping, Optional
 
+from gnfkit.datalog import DatalogProgram
 from gnfkit.model import Fact, Homomorphism, Instance, Value
 from gnfkit.query import Atom, ConjunctiveQuery, Cst, Var
 from gnfkit.logic import (FoAnd, FoEq, FoExists, FoForall, FoFormula, FoNot,
@@ -52,6 +53,34 @@ def naive_eval_cq(q: ConjunctiveQuery, inst: Instance,
         if ok:
             out.add(tuple(asg[v] for v in q.free_vars))
     return out
+
+
+def naive_eval_datalog(p: DatalogProgram, inst: Instance) -> dict[str, set[tuple[Value, ...]]]:
+    """Every idb relation's least fixpoint: apply each rule under every
+    assignment of its variables into the instance values, until a pass over
+    all rules derives nothing new."""
+    vals = _values_of(inst)
+    state = {r: {f.args for f in inst.facts if f.rel == r} for r in p.edb.arities}
+    state.update({r: set() for r in p.idb.arities})
+
+    def image(a: Atom, asg: dict[str, Value]) -> tuple[Value, ...]:
+        return tuple(asg[t.name] if isinstance(t, Var) else inst.const_interp[t.name]
+                     for t in a.args)
+
+    changed = True
+    while changed:
+        changed = False
+        for rule in p.rules:
+            names = sorted(rule.vars())
+            for combo in itertools.product(vals, repeat=len(names)):
+                asg = dict(zip(names, combo))
+                if not all(image(a, asg) in state[a.rel] for a in rule.body):
+                    continue
+                head = image(rule.head, asg)
+                if head not in state[rule.head.rel]:
+                    state[rule.head.rel].add(head)
+                    changed = True
+    return {r: state[r] for r in p.idb.arities}
 
 
 def naive_homomorphisms(src: Instance, dst: Instance,

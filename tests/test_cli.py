@@ -235,6 +235,27 @@ def test_specialize(capsys, tmp_path):
     assert "tgd " in out
 
 
+@pytest.mark.parametrize("theory,rule", [
+    ("rel U/1. rel R/2.\ntgd U(v0) -> exists z: R(v0,z).",
+     "tgd U(v0) -> exists v1: R(v0,v1)."),
+    ("rel U/1. rel R/2. rel S/1.\ntgd U(x), S(v0) -> exists z: R(x,z).",
+     "tgd S(v0), U(x) -> exists v1: R(x,v1)."),
+], ids=["frontier-variable", "body-only-variable"])
+def test_specialize_never_renames_onto_a_rule_variable(capsys, tmp_path, theory, rule):
+    path = tmp_path / "t.gdt"
+    path.write_text(theory)
+    rc, out = run_cli(capsys, "specialize", "--theory", str(path))
+    assert rc == EXIT_OK
+    assert rule in out.splitlines()
+
+
+def test_treeify_never_renames_onto_an_answer_variable(capsys):
+    rc, out = run_cli(capsys, "treeify", "--query", "exists y: R(v0,y), S(y)",
+                      "--max-atoms", "2", "--max-vars", "2")
+    assert rc == EXIT_OK
+    assert out.splitlines() == ["members: 1", "ans(v0) :- R(v0,v1), S(v1)."]
+
+
 def test_search_countermodel(capsys):
     rc, out = run_cli(capsys, "search-countermodel", "--formula", "forall x. U(x)",
                       "--max-size", "3")

@@ -91,7 +91,6 @@ def test_instance_basics():
     assert Fact("U", (elem("b"),)) in i
     assert Fact("U", (elem("a"),)) not in i
     assert i.rel_facts("R") == {Fact("R", (elem("a"), elem("b")))}
-    assert i.facts_with("R", 1, elem("b")) == {Fact("R", (elem("a"), elem("b")))}
     assert active_domain(i) == {elem("a"), elem("b")}
 
 

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from gnfkit.model import Fact, Instance, Signature, active_domain, const, elem
 from gnfkit.query import (
+    RENAMING_CAP,
     Atom,
     ConjunctiveQuery,
+    Cst,
     UnionOfCQs,
     Var,
     atom,
     canon_inst,
     canonical_cq,
+    canonical_renaming,
     cq,
     cq_contained,
     cq_equivalent,
@@ -232,6 +236,94 @@ def test_canonical_cq_is_invariant_under_renaming():
     q2 = cq(["x"], [atom("E", "x", "u"), atom("E", "u", "v")])
     assert str(canonical_cq(q1)) == str(canonical_cq(q2))
     assert canonical_cq(q1).free_vars == ("x",)
+
+
+# every query body of one to three atoms over three variables and a constant,
+# all but one named like the fresh names v0, v1, ...
+NAMES = ("x", "v0", "v1")
+POOL = ([Atom("R", (Var(s), Var(t))) for s in NAMES for t in NAMES]
+        + [Atom("R", (Var(s), Cst("v2"))) for s in NAMES]
+        + [Atom("S", (Var(s),)) for s in NAMES])
+BODIES = [list(c) for n in (1, 2, 3) for c in itertools.combinations(POOL, n)]
+
+
+def _vars(atoms):
+    return list(dict.fromkeys(v for a in atoms for v in a.vars()))
+
+
+def _subsets(items):
+    return [list(c) for n in range(len(items) + 1) for c in itertools.combinations(items, n)]
+
+
+def _renamed(atoms, ren):
+    return [Atom(a.rel, tuple(Var(ren.get(t.name, t.name)) if isinstance(t, Var) else t
+                              for t in a.args)) for a in atoms]
+
+
+def _least_serialization(atoms, groups, head=None):
+    """The least (head text, sorted atom texts) over every renaming of each
+    group onto the first names prefix0, prefix1, ... used by no constant or
+    other variable, by trying them all."""
+    grouped = [v for _, vs in groups for v in vs]
+    taken = set(_vars(atoms + ([head] if head else []))) - set(grouped)
+    taken |= {t.name for a in atoms for t in a.args if isinstance(t, Cst)}
+    pools = []
+    for prefix, vs in groups:
+        pools.append([f"{prefix}{i}" for i in range(20) if f"{prefix}{i}" not in taken][:len(vs)])
+    best = None
+    for choice in itertools.product(*(itertools.permutations(p) for p in pools)):
+        ren = dict(zip(grouped, (n for names in choice for n in names)))
+        key = ("" if head is None else str(_renamed([head], ren)[0]),
+               sorted({str(a) for a in _renamed(atoms, ren)}))
+        best = key if best is None or key < best else best
+    return best
+
+
+def test_canonical_renaming_picks_the_least_serialization():
+    for body in BODIES:
+        vs = _vars(body)
+        head = Atom("H", (Var(vs[-1]),))
+        cases = [([("v", sorted(vs))], head)]
+        for free in _subsets(vs):
+            ex = [v for v in vs if v not in free]
+            cases += [([("v", ex)], None), ([("f", free), ("v", ex)], None)]
+        for groups, h in cases:
+            atoms, new_head, ren = canonical_renaming(body, groups, h)
+            assert (("" if h is None else str(new_head)), [str(a) for a in atoms]) \
+                == _least_serialization(body, groups, h), (body, groups)
+            assert set(atoms) == set(_renamed(body, ren))
+            kept = {t.name for a in body for t in a.args
+                    if isinstance(t, Cst) or t.name not in ren}
+            assert not kept & set(ren.values())
+
+
+def test_canonical_forms_are_invariant_under_renaming():
+    rng = random.Random(47)
+    targets = ("y", "v0", "v1", "v2", "w")
+    for body in BODIES:
+        vs = _vars(body)
+        free = [v for v in vs if rng.random() < 0.5]
+        q = cq(free, body)
+        ex = [v for v in vs if v not in free]
+        ren = dict(zip(ex, rng.sample([t for t in targets if t not in free], len(ex))))
+        assert str(canonical_cq(cq(free, _renamed(body, ren)))) == str(canonical_cq(q))
+        assert canonical_cq(q).free_vars == tuple(free)
+        ren = dict(zip(vs, rng.sample(targets, len(vs))))
+        head = Atom("H", (Var(vs[0]),))
+        one = canonical_renaming(body, [("v", vs)], head)
+        other = canonical_renaming(_renamed(body, ren), [("v", [ren[v] for v in vs])],
+                                   _renamed([head], ren)[0])
+        assert one[:2] == other[:2]
+
+
+def test_canonical_renaming_names_by_first_occurrence_past_the_cap():
+    n = RENAMING_CAP + 2
+    names = [f"y{n - 1 - i}" for i in range(n)]
+    path_atoms = [atom("E", a, b) for a, b in zip(names, names[1:])]
+    atoms, _, ren = canonical_renaming(path_atoms + [atom("U", "v1")], [("v", names)])
+    first = _vars(sorted(path_atoms, key=str))
+    assert [ren[v] for v in first] == [f"v{i}" for i in range(n + 1) if i != 1]
+    assert set(atoms) == set(_renamed(path_atoms + [atom("U", "v1")], ren))
 
 
 # ---------------------------------------------------------------- treeify

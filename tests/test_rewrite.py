@@ -1,14 +1,18 @@
 """Tests for compiling certain-answer problems into Datalog."""
 
+import itertools
+import random
+
 import pytest
 
 from shapes import cycle
 from gnfkit.chase import ChaseConfig
 from gnfkit.datalog import classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import Atom, atom, cq, query_signature
+from gnfkit.query import Atom, Var, atom, cq, cq_equivalent, query_signature
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED,
-                            RewriteConfig, _default_k, certain_answers_oracle,
+                            RewriteConfig, _canonical_family_form, _default_k,
+                            certain_answers_oracle,
                             derive_full_guarded,
                             enumerate_full_guarded_candidates,
                             evaluate_program, goal_rules,
@@ -28,6 +32,32 @@ Q_T = cq(["x"], [atom("T", "x")])
 Q_TRI = cq([], [atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "x")])
 
 AB = {(elem("a"),), (elem("b"),)}
+
+
+# ---------------------------------------------------------------------------
+# query families
+
+def test_family_forms_agree_on_renamed_queries():
+    # every query of one or two atoms over three variables, two of them named
+    # like the fresh names, with every choice of answer variables
+    names = ("x", "v0", "f1")
+    pool = ([atom("R", s, t) for s in names for t in names] + [atom("S", s) for s in names])
+    rng = random.Random(53)
+    for n in (1, 2):
+        for body in itertools.combinations(pool, n):
+            used = list(dict.fromkeys(v for a in body for v in a.vars()))
+            for k in range(len(used) + 1):
+                for free in itertools.combinations(used, k):
+                    q = cq(free, body)
+                    key, canonq, order = _canonical_family_form(q)
+                    # canonical answer position i holds the original variable order[i]
+                    assert cq_equivalent(canonq, cq(order, body))
+                    ren = dict(zip(used, rng.sample(("y", "v1", "f0", "f2", "w"), len(used))))
+                    renamed = cq([ren[x] for x in free],
+                                 [Atom(a.rel, tuple(Var(ren[t.name]) for t in a.args))
+                                  for a in body])
+                    assert _canonical_family_form(renamed) == (key, canonq,
+                                                               [ren[x] for x in order])
 
 
 # ---------------------------------------------------------------------------

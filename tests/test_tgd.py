@@ -197,6 +197,15 @@ def test_select_disjunct_picks_an_entailed_head():
     assert select_disjunct(rules, d2) is None
 
 
+def test_select_disjunct_keeps_freshened_existentials_apart():
+    # z clashes with a body variable; its fresh name must not be z0, the other existential
+    rules = [make_tgd([atom("A", "x"), atom("B", "z")],
+                      [atom("R", "x", "u"), atom("S", "u", "w")])]
+    d = DisjunctiveTgd(cq(["x", "z"], [atom("A", "x"), atom("B", "z")]),
+                       (cq(["x"], [atom("R", "x", "z"), atom("S", "z", "z0")]),))
+    assert select_disjunct(rules, d) == 0
+
+
 def test_specialize_to_fg_pins_shared_existential_to_a_constant():
     # S(x,c) is derivable for every A-element, so the shared witness can be pinned to c
     sigma_c = make_tgd([atom("A", "x")], [Atom("S", (Var("x"), cst("c")))])
