@@ -385,7 +385,7 @@ def _stable_pairs(a: Instance, b: Instance) -> dict[TuplePair, PairHoms]:
     """Greatest stable collection of guarded-tuple pairs between a and b,
     each with its compatible homomorphisms (empty when the constant
     substructures cannot correspond)."""
-    if _const_seed(a, b) is None or not _is_partial_iso(a, b, {}):
+    if not _is_partial_iso(a, b, {}):
         return {}
     return _refine(a, b, _initial_pairs(a, b))
 
@@ -453,8 +453,10 @@ def verify_strong_gn(a: Instance, b: Instance, witness: StrongGnBisimWitness) ->
     """Structural validity of a strong-GN witness: pairs relate guarded
     tuples, and each pair's stored homomorphisms are total on the respective
     active domain, map the pair's tuples onto each other, pin constants,
-    preserve facts, and send every guarded tuple to a pair of the witness."""
-    if a.sig != b.sig or not witness.pairs:
+    preserve facts, and send every guarded tuple to a pair of the witness.
+    The constants of `a` and `b` must span isomorphic substructures, as
+    `check_strong_gn` requires."""
+    if a.sig != b.sig or not witness.pairs or not _is_partial_iso(a, b, {}):
         return False
     fwd = witness.forward_homs()
     bwd = witness.backward_homs()

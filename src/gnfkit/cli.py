@@ -21,7 +21,7 @@ from .bisim import check_guarded_bisim, check_strong_gn
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import classify_datalog, eval_datalog
 from .logic import check_gnf, free_vars, search_countermodel
-from .model import (BudgetExceeded, Instance, Signature, Value,
+from .model import (BudgetExceeded, Instance, Value, align_instance,
                     direct_product, squid_check, squid_extension)
 from .query import ConjunctiveQuery, eval_cq, query_signature, treeify
 from .rewrite import (COMPLETE_WITHIN_CAPS, RewriteConfig,
@@ -30,7 +30,7 @@ from .rewrite import (COMPLETE_WITHIN_CAPS, RewriteConfig,
 from .syntax import (ParseError, parse_datalog, parse_formula, parse_instance,
                      parse_query, parse_theory, print_datalog, print_instance,
                      print_query, print_theory)
-from .tgd import classify, specialize_to_fg, tgd_signature
+from .tgd import classify, specialize_to_fg
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -53,17 +53,6 @@ def _load_theory(path: str):
 
 def _load_instance(path: str) -> Instance:
     return parse_instance(_read(path))
-
-
-def _align_instance(inst: Instance, sig: Signature) -> Instance:
-    """Extend the instance's signature with relations/constants it lacks."""
-    missing_rels = [(r, a) for r, a in sig.arities.items()
-                    if r not in inst.sig.arities]
-    missing_consts = [c for c in sig.constants if c not in inst.const_interp]
-    if not missing_rels and not missing_consts:
-        return inst
-    return Instance(inst.sig.extend(missing_rels, missing_consts),
-                    inst.facts, inst.const_interp)
 
 
 def _serialize_tuple(t: tuple[Value, ...]) -> str:
@@ -104,8 +93,7 @@ def _rewrite_config(args) -> RewriteConfig:
 
 def cmd_chase(args) -> int:
     sig, rules = _load_theory(args.theory)
-    inst = _align_instance(_load_instance(args.instance),
-                           tgd_signature(rules, sig) if rules else sig)
+    inst = align_instance(_load_instance(args.instance), sig)
     res = chase(inst, list(rules), _chase_config(args))
     print(f"status: {res.status}")
     print(f"rounds: {res.rounds_executed}")
@@ -117,9 +105,8 @@ def cmd_chase(args) -> int:
 
 def cmd_certain(args) -> int:
     sig, rules = _load_theory(args.theory)
-    inst = _align_instance(_load_instance(args.instance),
-                           tgd_signature(rules, sig) if rules else sig)
-    q = parse_query(args.query, tgd_signature(rules, inst.sig) if rules else inst.sig)
+    inst = align_instance(_load_instance(args.instance), sig)
+    q = parse_query(args.query, inst.sig)
     config = RewriteConfig(oracle=_chase_config(args))
     answers, complete = certain_answers_oracle(rules, q, inst, config)
     print(f"complete: {'yes' if complete else 'no'}")
@@ -133,7 +120,7 @@ _REWRITERS = {"atomic": rewrite_atomic_guarded, "cq": rewrite_cq_guarded,
 
 def cmd_rewrite(args) -> int:
     sig, rules = _load_theory(args.theory)
-    q = parse_query(args.query, tgd_signature(rules, sig) if rules else sig)
+    q = parse_query(args.query, sig)
     artifacts = _REWRITERS[args.mode](rules, q, _rewrite_config(args))
     print(f"completeness: {artifacts.completeness}")
     print(f"goal: {artifacts.program.goal}")
@@ -145,7 +132,7 @@ def cmd_rewrite(args) -> int:
 
 def cmd_eval_datalog(args) -> int:
     prog = parse_datalog(_read(args.program))
-    inst = _align_instance(_load_instance(args.instance), prog.edb)
+    inst = align_instance(_load_instance(args.instance), prog.edb)
     answers = eval_datalog(prog, inst)
     print(answer_line(prog.goal, answers, boolean=False))
     return EXIT_OK
@@ -223,8 +210,8 @@ def cmd_product(args) -> int:
 
 def cmd_squid(args) -> int:
     base = _load_instance(args.base)
-    extension = _align_instance(_load_instance(args.extension), base.sig)
-    base = _align_instance(base, extension.sig)
+    extension = align_instance(_load_instance(args.extension), base.sig)
+    base = align_instance(base, extension.sig)
     b_prime, _, tentacles = squid_extension(base, extension)
     ok = squid_check(base, b_prime, tentacles)
     print(f"tentacles: {len(tentacles)}")
@@ -236,10 +223,7 @@ def cmd_squid(args) -> int:
 
 
 def cmd_treeify(args) -> int:
-    sig = None
-    if args.theory:
-        sig, rules = _load_theory(args.theory)
-        sig = tgd_signature(rules, sig) if rules else sig
+    sig = _load_theory(args.theory)[0] if args.theory else None
     q = parse_query(args.query, sig)
     members = treeify(q, args.max_atoms, args.max_vars, sig)
     print(f"members: {len(members)}")
@@ -255,8 +239,7 @@ def cmd_specialize(args) -> int:
     print(f"specialized: {len(result.rules)}")
     print(f"failed: {len(result.failed)}")
     print()
-    out_sig = tgd_signature(result.rules, sig) if result.rules else sig
-    sys.stdout.write(print_theory(out_sig, result.rules))
+    sys.stdout.write(print_theory(sig, result.rules))
     return EXIT_OK if result.ok else EXIT_BUDGET
 
 

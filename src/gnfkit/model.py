@@ -159,6 +159,17 @@ class Instance:
         return f"Instance({{{shown}}})"
 
 
+def align_instance(inst: Instance, sig: Signature) -> Instance:
+    """`inst` over its signature extended by the relations and constants of
+    `sig` that it lacks; `inst` itself when it lacks none."""
+    missing_rels = [(r, a) for r, a in sig.arities.items() if r not in inst.sig.arities]
+    missing_consts = [c for c in sig.constants if c not in inst.const_interp]
+    if not missing_rels and not missing_consts:
+        return inst
+    return Instance(inst.sig.extend(missing_rels, missing_consts),
+                    inst.facts, inst.const_interp)
+
+
 def active_domain(inst: Instance) -> frozenset[Value]:
     return inst._adom
 

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
-from .model import Fact, Instance, Signature, active_domain, elem
+from .model import Fact, Instance, Signature, active_domain, align_instance, elem
 # canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
 from .query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst,
                     canonical_cq, canonical_renaming, core_cq, cq, cq_contained,
@@ -863,14 +863,7 @@ def certain_answers_oracle(rules: Sequence[Tgd], query: ConjunctiveQuery,
 def evaluate_program(artifacts: RewriteArtifacts, inst: Instance) -> set[tuple]:
     """Run a compiled program on an input instance and return the answers in
     the original query's free-variable order (Boolean queries: {()} or set())."""
-    prog = artifacts.program
-    missing_rels = [(r, a) for r, a in prog.edb.arities.items()
-                    if r not in inst.sig.arities]
-    missing_consts = [c for c in prog.edb.constants
-                      if c not in inst.const_interp]
-    sig = inst.sig.extend(relations=missing_rels, constants=missing_consts)
-    inst2 = Instance(sig, inst.facts, inst.const_interp)
-    answers = eval_datalog(prog, inst2)
+    answers = eval_datalog(artifacts.program, align_instance(inst, artifacts.program.edb))
     if artifacts.boolean_goal:
         return {()} if answers else set()
     return {tuple(t[i] for i in artifacts.answer_projection) for t in answers}

@@ -44,9 +44,20 @@ extend as far right as possible::
     exists x. (E(x,y) & !U(x))
     forall x. (!E(x,x) | exists y. E(x,y))
 
+In theory, instance and Datalog files a statement is a declaration exactly
+when it is one of the format's keywords followed by a name (``rel R/2.``,
+``const c.``, ``let c = a.``, ``tgd R(x) -> U(x).``, ``goal G/1.``), so
+``rel(b,b).``, ``let(a).`` or ``goal(x) :- R(x,x).`` are still facts and rules
+over relations with those names.  Two name rules hold in every format, and
+breaking either is a parse error: a variable bound by ``exists`` or
+``forall`` (tgd existentials, query prefixes, formula quantifiers) and a
+query's answer variable may not carry a declared constant's name, and a
+constant may not share its name with a relation.
+
 Printers invert parsers: ``parse(print(v)) == v`` for every value whose
-variable orders follow the builders' first-occurrence conventions and whose
-values are elements or constants.  Chase nulls print as plain names and parse
+variable orders follow the builders' first-occurrence conventions, whose
+variables are not named like declared constants and whose values are
+elements or constants.  Chase nulls print as plain names and parse
 back as elements (same name, element kind), so reloading a chase result gives
 an isomorphic copy, not the identical value objects.
 """
@@ -173,31 +184,99 @@ class _Cursor:
 
 
 # ---------------------------------------------------------------------------
-# statement-oriented files: split the token stream at periods
+# statement-oriented files: one reader, shared declarations and binders
 
 
-def _statements(tokens: list[Token]) -> list[list[Token]]:
-    out: list[list[Token]] = []
-    current: list[Token] = []
-    for tok in tokens:
-        if tok.kind == "eof":
-            if current:
-                raise ParseError("statement is missing its final '.'",
-                                 current[0].line, current[0].col)
-            break
-        if tok.kind == ".":
-            if not current:
-                raise ParseError("empty statement", tok.line, tok.col)
-            out.append(current)
-            current = []
-        else:
-            current.append(tok)
+def _statements(tokens: list[Token],
+                keywords: Sequence[str]) -> list[tuple[Optional[Token], _Cursor]]:
+    """Split a file at its periods.  A statement that is one of `keywords`
+    followed by a name is a declaration and comes with its keyword token and
+    a cursor past it; any other statement comes with None and a cursor at its
+    start, so relations named like keywords still start facts and rules."""
+    out: list[tuple[Optional[Token], _Cursor]] = []
+    start = 0
+    for i, tok in enumerate(tokens):
+        if tok.kind == "eof" and i > start:
+            raise ParseError("statement is missing its final '.'",
+                             tokens[start].line, tokens[start].col)
+        if tok.kind != ".":
+            continue
+        if i == start:
+            raise ParseError("empty statement", tok.line, tok.col)
+        stmt = tokens[start:i]
+        last = stmt[-1]
+        cur = _Cursor(stmt + [Token("eof", "", last.line, last.col + len(last.text))])
+        declares = (len(stmt) > 1 and stmt[0].kind == "ident"
+                    and stmt[0].text in keywords and stmt[1].kind == "ident")
+        out.append((cur.advance() if declares else None, cur))
+        start = i + 1
     return out
 
 
-def _statement_cursor(stmt: list[Token]) -> _Cursor:
-    last = stmt[-1]
-    return _Cursor(stmt + [Token("eof", "", last.line, last.col + len(last.text))])
+def _declare_relation(keyword: Token, cur: _Cursor, into: dict[str, int],
+                      *others: dict[str, int]) -> None:
+    """Read ``R/2`` into `into`; a name already in `into` or `others` is a
+    duplicate."""
+    name, arity = _rel_decl(cur)
+    if name in into or any(name in rels for rels in others):
+        raise ParseError(f"duplicate relation {name}", keyword.line, keyword.col)
+    into[name] = arity
+
+
+def _rel_decl(cur: _Cursor) -> tuple[str, int]:
+    name = cur.expect("ident", "relation name")
+    cur.expect("/", "'/'")
+    arity_tok = cur.expect("number", "arity")
+    cur.expect("eof", "end of declaration")
+    arity = int(arity_tok.text)
+    if arity < 1:
+        raise ParseError("arity must be at least 1", arity_tok.line, arity_tok.col)
+    return name.text, arity
+
+
+def _declare_constant(cur: _Cursor, consts: dict[str, Token]) -> None:
+    """Read a constant name; repeated declarations of one name are one."""
+    tok = cur.expect("ident", "constant name")
+    cur.expect("eof", "end of declaration")
+    consts.setdefault(tok.text, tok)
+
+
+def _signature(rels: dict[str, int], consts: dict[str, Token],
+               *others: dict[str, int]) -> Signature:
+    """The signature of `rels` and `consts`; a constant may not share its
+    name with a relation of `rels` or `others`."""
+    for name, tok in consts.items():
+        if name in rels or any(name in other for other in others):
+            raise ParseError(f"constant {name} shares its name with a relation",
+                             tok.line, tok.col)
+    return Signature(sorted(rels.items()), consts)
+
+
+def _binder(cur: _Cursor, consts: set[str], end: str,
+            keywords: Sequence[str] = ("exists",)) -> Optional[list[str]]:
+    """The names of a quantifier prefix such as ``exists x,y`` closed by
+    `end`, or None when the cursor is not at one (a keyword followed by '('
+    starts an atom).  Bound names are pairwise distinct and none is a
+    declared constant."""
+    kw = cur.peek()
+    if kw.kind != "ident" or kw.text not in keywords or cur.peek(1).kind == "(":
+        return None
+    cur.advance()
+    kind = "existential" if kw.text == "exists" else "universal"
+    names: list[str] = []
+    while True:
+        tok = cur.expect("ident", "variable")
+        if tok.text in consts:
+            raise ParseError(f"{kind} variable {tok.text} is a declared constant",
+                             tok.line, tok.col)
+        if tok.text in names:
+            raise ParseError(f"duplicate {kind} variable {tok.text}", tok.line, tok.col)
+        names.append(tok.text)
+        if not cur.at(","):
+            break
+        cur.advance()
+    cur.expect(end, repr(end))
+    return names
 
 
 class _ArityTable:
@@ -225,17 +304,6 @@ class _ArityTable:
 
     def arities(self) -> dict[str, int]:
         return dict(self.declared) if self.declared is not None else dict(self.inferred)
-
-
-def _rel_decl(cur: _Cursor) -> tuple[str, int]:
-    name = cur.expect("ident", "relation name")
-    cur.expect("/", "'/'")
-    arity_tok = cur.expect("number", "arity")
-    cur.expect("eof", "end of declaration")
-    arity = int(arity_tok.text)
-    if arity < 1:
-        raise ParseError("arity must be at least 1", arity_tok.line, arity_tok.col)
-    return name.text, arity
 
 
 def _term(cur: _Cursor, consts: set[str]) -> Term:
@@ -284,69 +352,32 @@ def parse_theory(text: str) -> tuple[Signature, tuple[Tgd, ...]]:
     With no ``rel`` declarations the signature is inferred from the rules;
     with any, every relation used must be declared at the declared arity.
     """
-    stmts = _statements(tokenize(text))
     rels: dict[str, int] = {}
-    consts: list[str] = []
-    rule_stmts: list[list[Token]] = []
-    has_rel_decl = False
-    for stmt in stmts:
-        head = stmt[0]
-        cur = _statement_cursor(stmt)
-        if cur.at("ident", "rel"):
-            cur.advance()
-            name, arity = _rel_decl(cur)
-            if name in rels:
-                raise ParseError(f"duplicate relation {name}", head.line, head.col)
-            rels[name] = arity
-            has_rel_decl = True
-        elif cur.at("ident", "const"):
-            cur.advance()
-            name = cur.expect("ident", "constant name").text
-            cur.expect("eof", "end of declaration")
-            if name not in consts:
-                consts.append(name)
-        elif cur.at("ident", "tgd"):
-            rule_stmts.append(stmt)
+    consts: dict[str, Token] = {}
+    rule_stmts: list[_Cursor] = []
+    for keyword, cur in _statements(tokenize(text), ("rel", "const", "tgd")):
+        if keyword is None:
+            cur.fail(f"expected 'rel', 'const' or 'tgd', found {_describe(cur.peek())}")
+        elif keyword.text == "rel":
+            _declare_relation(keyword, cur, rels)
+        elif keyword.text == "const":
+            _declare_constant(cur, consts)
         else:
-            raise ParseError(
-                f"expected 'rel', 'const' or 'tgd', found {_describe(head)}",
-                head.line, head.col)
-    table = _ArityTable(rels if has_rel_decl else None)
-    const_set = set(consts)
-    rules = []
-    for stmt in rule_stmts:
-        cur = _statement_cursor(stmt)
-        cur.advance()  # 'tgd'
-        rules.append(_parse_tgd(cur, const_set, table))
-    sig = Signature(sorted(table.arities().items()), consts)
-    return sig, tuple(rules)
+            rule_stmts.append(cur)
+    table = _ArityTable(rels or None)
+    rules = tuple(_parse_tgd(cur, set(consts), table) for cur in rule_stmts)
+    return _signature(table.arities(), consts), rules
 
 
 def _parse_tgd(cur: _Cursor, consts: set[str], table: _ArityTable) -> Tgd:
     start = cur.peek()
     body_atoms = _atom_list(cur, consts, table)
     cur.expect("->", "'->'")
-    exist: list[str] = []
-    if cur.at("ident", "exists") and not cur.peek(1).kind == "(":
-        cur.advance()
-        exist_toks = [cur.expect("ident", "variable")]
-        while cur.at(","):
-            cur.advance()
-            exist_toks.append(cur.expect("ident", "variable"))
-        cur.expect(":", "':'")
-        for tok in exist_toks:
-            if tok.text in exist:
-                raise ParseError(f"duplicate existential variable {tok.text}",
-                                 tok.line, tok.col)
-            exist.append(tok.text)
+    exist = _binder(cur, consts, ":") or []
     head_atoms = _atom_list(cur, consts, table)
     cur.expect("eof", "'.'")
 
-    body_vars: list[str] = []
-    for a in body_atoms:
-        for v in a.vars():
-            if v not in body_vars:
-                body_vars.append(v)
+    body_vars = _first_occurrence_vars(body_atoms)
     for v in exist:
         if v in body_vars:
             raise ParseError(f"existential variable {v} also occurs in the body",
@@ -394,56 +425,40 @@ def parse_instance(text: str) -> Instance:
     Unquoted fact arguments naming a declared constant denote its
     interpretation; everything else (and every quoted name) is an element.
     """
-    stmts = _statements(tokenize(text))
     rels: dict[str, int] = {}
-    consts: list[str] = []
-    lets: list[tuple[Token, str, str, bool]] = []
-    fact_stmts: list[list[Token]] = []
-    has_rel_decl = False
-    for stmt in stmts:
-        head = stmt[0]
-        cur = _statement_cursor(stmt)
-        if cur.at("ident", "rel") and cur.peek(1).kind == "ident":
-            cur.advance()
-            name, arity = _rel_decl(cur)
-            if name in rels:
-                raise ParseError(f"duplicate relation {name}", head.line, head.col)
-            rels[name] = arity
-            has_rel_decl = True
-        elif cur.at("ident", "const") and cur.peek(1).kind == "ident":
-            cur.advance()
-            name = cur.expect("ident", "constant name").text
-            cur.expect("eof", "end of declaration")
-            if name not in consts:
-                consts.append(name)
-        elif cur.at("ident", "let") and cur.peek(1).kind == "ident":
-            cur.advance()
+    consts: dict[str, Token] = {}
+    lets: list[tuple[Token, str, bool]] = []
+    fact_stmts: list[_Cursor] = []
+    for keyword, cur in _statements(tokenize(text), ("rel", "const", "let")):
+        if keyword is None:
+            fact_stmts.append(cur)
+        elif keyword.text == "rel":
+            _declare_relation(keyword, cur, rels)
+        elif keyword.text == "const":
+            _declare_constant(cur, consts)
+        else:
             target = cur.expect("ident", "constant name")
             cur.expect("=", "'='")
             name, quoted = _value_name(cur)
             cur.expect("eof", "end of declaration")
-            lets.append((target, target.text, name, quoted))
-        else:
-            fact_stmts.append(stmt)
+            lets.append((target, name, quoted))
 
-    const_set = set(consts)
     interp: dict[str, Value] = {c: const(c) for c in consts}
-    for tok, target, name, quoted in lets:
-        if target not in const_set:
-            raise ParseError(f"let target {target} is not a declared constant",
-                             tok.line, tok.col)
-        interp[target] = interp[name] if (not quoted and name in const_set) else elem(name)
+    for target, name, quoted in lets:
+        if target.text not in consts:
+            raise ParseError(f"let target {target.text} is not a declared constant",
+                             target.line, target.col)
+        interp[target.text] = interp[name] if (not quoted and name in consts) else elem(name)
 
-    table = _ArityTable(rels if has_rel_decl else None)
+    table = _ArityTable(rels or None)
     facts = []
-    for stmt in fact_stmts:
-        cur = _statement_cursor(stmt)
+    for cur in fact_stmts:
         rel_tok = cur.expect("ident", "relation name")
         cur.expect("(", "'('")
         args = []
         while True:
             name, quoted = _value_name(cur)
-            args.append(interp[name] if (not quoted and name in const_set) else elem(name))
+            args.append(interp[name] if (not quoted and name in consts) else elem(name))
             if cur.at(","):
                 cur.advance()
                 continue
@@ -452,8 +467,7 @@ def parse_instance(text: str) -> Instance:
         cur.expect("eof", "'.'")
         table.check(rel_tok, len(args))
         facts.append(Fact(rel_tok.text, tuple(args)))
-    sig = Signature(sorted(table.arities().items()), consts)
-    return Instance(sig, facts, interp)
+    return Instance(_signature(table.arities(), consts), facts, interp)
 
 
 def _quote_name(name: str, consts: set[str]) -> str:
@@ -496,13 +510,10 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> ConjunctiveQuery:
     consts = set(sig.constants) if sig is not None else set()
     table = _ArityTable(dict(sig.arities) if sig is not None else None)
     cur = _Cursor(tokens)
-    rule_shape = any(t.kind == ":-" for t in tokens)
-    free: list[str]
-    exist: list[str] = []
-    if rule_shape:
+    if any(t.kind == ":-" for t in tokens):
         cur.expect("ident", "answer predicate")
         cur.expect("(", "'('")
-        free = []
+        free: list[str] = []
         if not cur.at(")"):
             for tok_text in _var_list(cur):
                 if tok_text in consts:
@@ -518,18 +529,10 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> ConjunctiveQuery:
             if v not in body_vars:
                 cur.fail(f"answer variable {v} occurs in no atom")
         exist = [v for v in body_vars if v not in free]
-    elif cur.at("ident", "exists") and cur.peek(1).kind != "(":
-        cur.advance()
-        for name in _var_list(cur):
-            if name in exist:
-                cur.fail(f"duplicate existential variable {name}")
-            exist.append(name)
-        cur.expect(":", "':'")
+    else:
+        exist = _binder(cur, consts, ":") or []
         atoms = _atom_list(cur, consts, table)
         free = [v for v in _first_occurrence_vars(atoms) if v not in exist]
-    else:
-        atoms = _atom_list(cur, consts, table)
-        free = _first_occurrence_vars(atoms)
     if cur.at("."):
         cur.advance()
     cur.expect("eof", "end of query")
@@ -560,57 +563,38 @@ def parse_datalog(text: str) -> DatalogProgram:
     Every relation a rule mentions must be declared; rule heads must be
     ``idb`` (or the goal) relations.
     """
-    stmts = _statements(tokenize(text))
+    tokens = tokenize(text)
     edb: dict[str, int] = {}
     idb: dict[str, int] = {}
-    consts: list[str] = []
-    goal: Optional[tuple[str, int]] = None
-    rule_stmts: list[list[Token]] = []
-    for stmt in stmts:
-        head = stmt[0]
-        cur = _statement_cursor(stmt)
-        if cur.at("ident", "edb") and cur.peek(1).kind == "ident":
-            cur.advance()
-            name, arity = _rel_decl(cur)
-            if name in edb or name in idb:
-                raise ParseError(f"duplicate relation {name}", head.line, head.col)
-            edb[name] = arity
-        elif cur.at("ident", "idb") and cur.peek(1).kind == "ident":
-            cur.advance()
-            name, arity = _rel_decl(cur)
-            if name in edb or name in idb:
-                raise ParseError(f"duplicate relation {name}", head.line, head.col)
-            idb[name] = arity
-        elif cur.at("ident", "goal") and cur.peek(1).kind == "ident":
-            if goal is not None:
-                raise ParseError("duplicate goal declaration", head.line, head.col)
-            cur.advance()
-            name, arity = _rel_decl(cur)
-            if name in edb:
-                raise ParseError(f"goal {name} clashes with an edb relation",
-                                 head.line, head.col)
-            if name in idb and idb[name] != arity:
-                raise ParseError(f"goal {name} redeclared at a different arity",
-                                 head.line, head.col)
-            idb.setdefault(name, arity)
-            goal = (name, arity)
-        elif cur.at("ident", "const") and cur.peek(1).kind == "ident":
-            cur.advance()
-            name = cur.expect("ident", "constant name").text
-            cur.expect("eof", "end of declaration")
-            if name not in consts:
-                consts.append(name)
+    consts: dict[str, Token] = {}
+    goal: Optional[str] = None
+    rule_stmts: list[_Cursor] = []
+    for keyword, cur in _statements(tokens, ("edb", "idb", "goal", "const")):
+        if keyword is None:
+            rule_stmts.append(cur)
+        elif keyword.text == "edb":
+            _declare_relation(keyword, cur, edb, idb)
+        elif keyword.text == "idb":
+            _declare_relation(keyword, cur, idb, edb)
+        elif keyword.text == "const":
+            _declare_constant(cur, consts)
         else:
-            rule_stmts.append(stmt)
+            if goal is not None:
+                raise ParseError("duplicate goal declaration", keyword.line, keyword.col)
+            goal, arity = _rel_decl(cur)
+            if goal in edb:
+                raise ParseError(f"goal {goal} clashes with an edb relation",
+                                 keyword.line, keyword.col)
+            if idb.setdefault(goal, arity) != arity:
+                raise ParseError(f"goal {goal} redeclared at a different arity",
+                                 keyword.line, keyword.col)
     if goal is None:
-        tok = tokenize(text)[-1]
-        raise ParseError("missing goal declaration", tok.line, tok.col)
+        raise ParseError("missing goal declaration", tokens[-1].line, tokens[-1].col)
 
-    table = _ArityTable(dict(edb) | dict(idb))
+    table = _ArityTable(edb | idb)
     const_set = set(consts)
     rules = []
-    for stmt in rule_stmts:
-        cur = _statement_cursor(stmt)
+    for cur in rule_stmts:
         head_tok = cur.peek()
         head_atom = _atom(cur, const_set, table)
         if head_atom.rel not in idb:
@@ -625,9 +609,8 @@ def parse_datalog(text: str) -> DatalogProgram:
                 raise ParseError(f"head variable {v} does not occur in the body",
                                  head_tok.line, head_tok.col)
         rules.append(Rule(head_atom, tuple(body)))
-    return DatalogProgram(Signature(sorted(edb.items()), consts),
-                          Signature(sorted(idb.items())),
-                          tuple(rules), goal[0])
+    return DatalogProgram(_signature(edb, consts, idb), Signature(sorted(idb.items())),
+                          tuple(rules), goal)
 
 
 def print_datalog(p: DatalogProgram) -> str:
@@ -654,23 +637,21 @@ class _FormulaParser:
         self.cur.expect("eof", "end of formula")
         return f
 
-    def _at_binder(self) -> bool:
-        return ((self.cur.at("ident", "exists") or self.cur.at("ident", "forall"))
-                and self.cur.peek(1).kind != "(")
-
     def _formula(self) -> FoFormula:
-        if self._at_binder():
-            return self._quantified()
+        quantified = self._quantified()
+        if quantified is not None:
+            return quantified
         parts = [self._and()]
         while self.cur.at("|"):
             self.cur.advance()
             parts.append(self._and())
         return parts[0] if len(parts) == 1 else FoOr(tuple(parts))
 
-    def _quantified(self) -> FoFormula:
-        kw = self.cur.advance().text
-        names = _var_list(self.cur)
-        self.cur.expect(".", "'.'")
+    def _quantified(self) -> Optional[FoFormula]:
+        kw = self.cur.peek().text
+        names = _binder(self.cur, self.consts, ".", ("exists", "forall"))
+        if names is None:
+            return None
         sub = self._formula()
         ctor = FoExists if kw == "exists" else FoForall
         for name in reversed(names):
@@ -688,9 +669,8 @@ class _FormulaParser:
         if self.cur.at("!"):
             self.cur.advance()
             return FoNot(self._unary())
-        if self._at_binder():
-            return self._quantified()
-        return self._primary()
+        quantified = self._quantified()
+        return self._primary() if quantified is None else quantified
 
     def _primary(self) -> FoFormula:
         if self.cur.at("("):
@@ -703,11 +683,9 @@ class _FormulaParser:
             self.cur.fail(f"expected a formula, found {_describe(tok)}")
         if self.cur.peek(1).kind == "(":
             return _atom(self.cur, self.consts, self.table)
-        self.cur.advance()
-        left = Cst(tok.text) if tok.text in self.consts else Var(tok.text)
+        left = _term(self.cur, self.consts)
         self.cur.expect("=", "'=' or '('")
-        right = _term(self.cur, self.consts)
-        return FoEq(left, right)
+        return FoEq(left, _term(self.cur, self.consts))
 
 
 def parse_formula(text: str, sig: Optional[Signature] = None) -> FoFormula:

@@ -5,11 +5,17 @@ variables are pairwise distinct and all free, so each of the three rewriting
 schemes (atomic, conjunctive-query, frontier-guarded) is applicable to every
 entry.  Problems are small by design: the suite re-runs the full rewriting
 pipeline on each of them.
+
+``COMPILE_QUERIES`` pairs seven of these rule sets with queries and the
+schemes to compile them under, as the benchmark's ``compile`` workload does:
+the problems' own single-atom queries, and multi-atom and Boolean queries
+that are answer-guarded wherever the fg scheme is listed.
 """
 
 from gnfkit.query import atom, cq
 from gnfkit.rewrite import CertainAnswerProblem
-from gnfkit.tgd import make_tgd
+from gnfkit.syntax import parse_query
+from gnfkit.tgd import make_tgd, tgd_signature
 
 
 def _problem(name, rules, query):
@@ -121,3 +127,26 @@ PROBLEMS: tuple[CertainAnswerProblem, ...] = (
         cq(["x"], [atom("V", "x")]),
     ),
 )
+
+# (corpus problem, schemes, query text)
+COMPILE_QUERIES: tuple[tuple[str, tuple[str, ...], str], ...] = (
+    ("u-propagation", ("atomic", "cq"), "T(x)"),
+    ("edge-endpoint", ("atomic", "cq"), "P(x)"),
+    ("unary-cycle", ("atomic", "cq", "fg"), "C(x)"),
+    ("null-producer", ("atomic", "cq"), "V(x)"),
+    ("pair-marker", ("atomic", "cq"), "S(x,y)"),
+    ("symmetric-loop", ("atomic", "cq", "fg"), "L(x)"),
+    ("mutual-unary", ("atomic", "cq"), "P(x)"),
+    ("u-propagation", ("cq",), "exists y: R(x,y), U(y)"),
+    ("mutual-unary", ("cq",), "exists y: E(x,y), Q(y)"),
+    ("mutual-unary", ("cq",), "exists x: P(x), Q(x)"),
+    ("edge-endpoint", ("cq",), "exists x,y: E(x,y), P(y)"),
+    ("symmetric-loop", ("cq",), "exists x,y: E(x,y), E(y,x), L(x)"),
+    ("unary-cycle", ("cq", "fg"), "A(x), C(x)"),
+)
+
+
+def compile_problem(name: str, query_text: str) -> CertainAnswerProblem:
+    """The corpus problem `name` with `query_text` as its query."""
+    rules = next(p for p in PROBLEMS if p.name == name).rules
+    return _problem(name, rules, parse_query(query_text, tgd_signature(rules)))

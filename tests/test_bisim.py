@@ -443,6 +443,24 @@ def test_amalgamate_validation_errors():
         amalgamate(a, directed_cycle(4), w, sig, sig)
 
 
+def test_verifier_rejects_witness_whose_constants_cannot_correspond():
+    # c and d share a value in `a` but not in `b`; a witness found without
+    # the constants must not verify with them, and amalgamate must refuse it
+    sig = Signature([("E", 2)], ["c", "d"])
+    bare = Signature([("E", 2)])
+    fa = [Fact("E", (elem("x"), elem("y")))]
+    fb = [Fact("E", (elem("p"), elem("q")))]
+    a = Instance(sig, fa, {"c": elem("v"), "d": elem("v")})
+    b = Instance(sig, fb, {"c": elem("w1"), "d": elem("w2")})
+    z = check_strong_gn(Instance(bare, fa), Instance(bare, fb))
+    assert z is not None
+    assert check_strong_gn(a, b) is None
+    assert not verify_strong_gn(a, b, z)
+    assert not verify_strong_gn(b, a, z)
+    with pytest.raises(ValueError, match="does not verify"):
+        amalgamate(a, b, z, sig, sig)
+
+
 def test_amalgamate_budget():
     a = directed_cycle(3)
     sig = Signature([("E", 2)])

@@ -285,6 +285,22 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert rc == EXIT_PARSE
 
 
+@pytest.mark.parametrize("theory, position", [
+    ("const c.\ntgd U(x) -> exists c: R(x,c).", "2:20"),  # binder named like a constant
+    ("rel R/2. const R.\ntgd R(x,y) -> R(y,x).", "1:16"),  # constant named like a relation
+], ids=["binder", "constant"])
+def test_name_clashes_in_a_theory_are_parse_errors(capsys, tmp_path, theory, position):
+    path = tmp_path / "t.gdt"
+    path.write_text(theory)
+    inst = tmp_path / "i.gdi"
+    inst.write_text("U(a).")
+    rc = main(["chase", "--theory", str(path), "--instance", str(inst)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE
+    assert captured.out == ""
+    assert f"parse error: {position}: " in captured.err
+
+
 def test_missing_file_is_precondition(capsys, tmp_path):
     inst = tmp_path / "i.gdi"
     inst.write_text("R(a,b).")

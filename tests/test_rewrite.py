@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from corpus import COMPILE_QUERIES, PROBLEMS, compile_problem
+from randgen import random_instance
 from shapes import cycle
 from gnfkit.chase import ChaseConfig
 from gnfkit.datalog import classify_datalog
@@ -457,6 +459,44 @@ def test_fg_rewrite_agrees_with_oracle_on_guarded_example():
     art = rewrite_fg(RULES, Q_T)
     assert classify_datalog(art.program).frontier_guarded
     assert evaluate_program(art, INST) == AB
+
+
+# ---------------------------------------------------------------------------
+# differential check against the oracle
+
+SCHEMES = {"atomic": rewrite_atomic_guarded, "cq": rewrite_cq_guarded, "fg": rewrite_fg}
+COMPILES = [(i, name, scheme, text)
+            for i, (name, schemes, text) in enumerate(COMPILE_QUERIES)
+            for scheme in schemes]
+
+
+def test_compile_queries_parse_over_the_corpus_rules():
+    assert len(COMPILES) == 23
+    for _, name, _, text in COMPILES:
+        problem = compile_problem(name, text)
+        if len(problem.query.atoms) == 1:
+            assert problem.query == next(p.query for p in PROBLEMS if p.name == name)
+
+
+@pytest.mark.parametrize("index, name, scheme, text", COMPILES,
+                         ids=[f"{name}-{scheme}-{i}" for i, name, scheme, _ in COMPILES])
+def test_compiled_answers_agree_with_the_oracle(index, name, scheme, text):
+    # compiled answers are sound; with every cap respected they are complete
+    problem = compile_problem(name, text)
+    art = SCHEMES[scheme](problem.rules, problem.query)
+    sig = tgd_signature(problem.rules)
+    rng = random.Random(index)
+    decided = 0
+    for _ in range(5):
+        inst = random_instance(rng, sig)
+        compiled = evaluate_program(art, inst)
+        oracle, terminated = certain_answers_oracle(problem.rules, problem.query, inst)
+        if terminated:
+            decided += 1
+            assert compiled <= oracle, inst
+            if art.completeness == COMPLETE_WITHIN_CAPS:
+                assert compiled == oracle, inst
+    assert decided >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,11 @@ def test_theory_bad_statement():
         parse_theory("R(a,b).")
     with pytest.raises(ParseError, match="missing its final"):
         parse_theory("rel R/2")
+    # a keyword not followed by a name does not start a declaration
+    for text in ("rel(a).", "tgd -> U(x)."):
+        with pytest.raises(ParseError, match="expected 'rel', 'const' or 'tgd'") as err:
+            parse_theory(text)
+        assert (err.value.line, err.value.col) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +334,68 @@ def test_formula_roundtrip_random():
     assert done == 120
 
 
+def _position(parse, *args) -> tuple[int, int, str]:
+    with pytest.raises(ParseError) as err:
+        parse(*args)
+    return err.value.line, err.value.col, str(err.value)
+
+
+def test_bound_variables_may_not_carry_a_constant_name():
+    line, col, msg = _position(parse_theory, "const c.\ntgd U(x) -> exists c: R(x,c).")
+    assert (line, col) == (2, 20) and "existential variable c is a declared constant" in msg
+    line, col, _ = _position(parse_theory, "const c. tgd U(x) -> exists z,c: R(x,c).")
+    assert (line, col) == (1, 31)
+    sig = Signature([("R", 2), ("E", 2)], ["c"])
+    assert _position(parse_query, "exists c: R(x,c)", sig)[:2] == (1, 8)
+    line, col, msg = _position(parse_formula, "exists c. E(c,c)", sig)
+    assert (line, col) == (1, 8) and "declared constant" in msg
+    line, col, msg = _position(parse_formula, "E(x,x) & forall y,c. E(y,c)", sig)
+    assert (line, col) == (1, 19) and "universal variable c" in msg
+    # without the constant the same texts bind their variable
+    assert parse_query("exists c: R(x,c)").exist_vars == ("c",)
+    assert parse_formula("exists c. E(c,c)") == FoExists("c", Atom("E", (Var("c"), Var("c"))))
+
+
+def test_constants_may_not_share_a_relation_name():
+    cases = [
+        (parse_theory, "rel R/2. const R.\ntgd R(x,y) -> R(y,x).", (1, 16)),
+        (parse_theory, "const R.\ntgd R(x) -> U(x).", (1, 7)),  # inferred relation
+        (parse_instance, "rel R/1. const R. R(a).", (1, 16)),
+        (parse_instance, "const R. R(a).", (1, 7)),
+        (parse_datalog, "edb R/1. const R. goal G/1. G(x) :- R(x).", (1, 16)),
+        (parse_datalog, "edb R/1. idb A/1. const A. goal G/1. G(x) :- R(x).", (1, 25)),
+        (parse_datalog, "edb R/1. const G. goal G/1. G(x) :- R(x).", (1, 16)),
+    ]
+    for parse, text, position in cases:
+        line, col, msg = _position(parse, text)
+        assert (line, col) == position, text
+        assert "shares its name with a relation" in msg
+
+
+def test_formula_binder_names_are_distinct():
+    with pytest.raises(ParseError, match="duplicate universal variable x"):
+        parse_formula("forall x,x. E(x,x)")
+
+
+BENCHMARK_INPUTS = Path(__file__).resolve().parents[1] / "benchmark" / "inputs"
+
+
+@pytest.mark.parametrize("path", sorted(BENCHMARK_INPUTS.glob("theories/*"))
+                         + sorted(BENCHMARK_INPUTS.glob("cli/*")),
+                         ids=lambda path: path.name)
+def test_benchmark_inputs_roundtrip(path):
+    text = path.read_text()
+    if path.suffix == ".gnf":
+        value = parse_theory(text)
+        assert parse_theory(print_theory(*value)) == value
+    elif path.suffix == ".dl":
+        value = parse_datalog(text)
+        assert parse_datalog(print_datalog(value)) == value
+    else:
+        value = parse_instance(text)
+        assert parse_instance(print_instance(value)) == value
+
+
 def test_relation_named_like_keyword():
     # 'exists' followed by '(' is an atom, not a binder
     f = parse_formula("exists(x)")
@@ -336,3 +404,11 @@ def test_relation_named_like_keyword():
     assert rules[0].body.atoms[0].rel == "exists"
     inst = parse_instance("let(a). rel(b,b).")
     assert inst.sig.arities == {"let": 1, "rel": 2}
+    inst = parse_instance("rel rel/2. rel const/1. const c. rel(c,c). const(a).")
+    assert inst.sig.arities == {"rel": 2, "const": 1}
+    assert Fact("rel", (const("c"), const("c"))) in inst.facts
+    p = parse_datalog("edb goal/1. edb R/2. idb idb/1. goal edb/1.\n"
+                      "idb(x) :- goal(x). edb(x) :- R(x,y), idb(y).")
+    assert p.goal == "edb" and p.edb.arities == {"goal": 1, "R": 2}
+    assert [r.head.rel for r in p.rules] == ["idb", "edb"]
+    assert parse_datalog(print_datalog(p)) == p
