@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (Fact, Instance, Signature, Value, active_domain,
                     is_guarded_set, minus)
-from .query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst, cq, eval_cq,
-                    match_atoms, _ordered_for_join, query_signature)
+from .query import (ConjunctiveQuery, Cst, Var, canon_inst, eval_cq, match_atoms,
+                    _ordered_for_join)
 # unused here, but the benchmark's traced mode wraps gnfkit.chase.classify
 from .tgd import Tgd, classify, tgd_signature
 

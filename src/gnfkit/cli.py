@@ -20,12 +20,11 @@ from typing import Optional, Sequence
 from .bisim import check_guarded_bisim, check_strong_gn
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import classify_datalog, eval_datalog
-from .logic import check_gnf, free_vars, search_countermodel
+from .logic import check_gnf, search_countermodel
 from .model import (BudgetExceeded, Instance, Value, align_instance,
                     direct_product, squid_check, squid_extension)
-from .query import ConjunctiveQuery, eval_cq, query_signature, treeify
-from .rewrite import (COMPLETE_WITHIN_CAPS, RewriteConfig,
-                      certain_answers_oracle, evaluate_program,
+from .query import ConjunctiveQuery, eval_cq, treeify
+from .rewrite import (COMPLETE_WITHIN_CAPS, RewriteConfig, certain_answers_oracle,
                       rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
 from .syntax import (ParseError, parse_datalog, parse_formula, parse_instance,
                      parse_query, parse_theory, print_datalog, print_instance,
@@ -245,8 +244,6 @@ def cmd_specialize(args) -> int:
 
 def cmd_search_countermodel(args) -> int:
     f = parse_formula(args.formula)
-    if free_vars(f):
-        raise ValueError("countermodel search expects a sentence (no free variables)")
     found = search_countermodel(f, max_size=args.max_size)
     if found is None:
         print(f"countermodel: none within size {args.max_size}")

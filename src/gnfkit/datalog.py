@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import Instance, Signature, Value
-from .query import Atom, Cst, Var, match_atoms, _ordered_for_join
+from .query import Atom, Var, match_atoms, _ordered_for_join
 
 
 @dataclass(frozen=True)

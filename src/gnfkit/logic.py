@@ -2,21 +2,22 @@
 finite-structure evaluation, preservation/domain-independence sentence builders,
 and bounded countermodel search.
 
-Guardedness conventions implemented here:
-  * negation is guarded when it is conjoined with an atomic formula (relational
-    or equality) whose variables cover the negated subformula's free variables;
-  * a subformula with at most one free variable counts as guarded via the
-    trivial equality guard x=x, which we leave implicit;
-  * constants never need guarding — only free variables do;
-  * guarded quantification means an atomic guard covering the free variables of
-    the quantified kernel, with the same implicit-equality-guard convention.
+The guard test (Bárány, ten Cate and Segoufin, "Guarded Negation", JACM
+2015), implemented once by `_guarded`: a set of free variables is guarded by
+some atomic formulas (relational atoms or equalities) when it has at most one
+element (the trivial equality guard x=x, left implicit) or the variables of
+one of them cover it.  Constants never need guarding, only free variables do.
+The checks apply it to
+  * a negation, guarded by the atomic formulas conjoined with it;
+  * an existential block, guarded by the atomic conjuncts of its kernel;
+  * a universal block, guarded by the atoms its kernel's disjuncts negate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .model import Fact, Instance, Signature, Value, active_domain, elem
 from .query import Atom, ConjunctiveQuery, Cst, Term, Var
@@ -123,52 +124,69 @@ def fo_not(part: FoFormula) -> FoNot:
     return FoNot(part)
 
 
-def fo_exists(*args) -> FoFormula:
+def _quantify(node: type, args: tuple) -> FoFormula:
     *names, body = args
-    if not names:
-        raise ValueError("fo_exists needs at least one variable")
     for v in reversed(names):
-        body = FoExists(v, body)
+        body = node(v, body)
     return body
+
+
+def fo_exists(*args) -> FoFormula:
+    """`fo_exists(x, y, body)` is exists x. exists y. body; with no variables
+    it is the body itself."""
+    return _quantify(FoExists, args)
 
 
 def fo_forall(*args) -> FoFormula:
-    *names, body = args
-    if not names:
-        raise ValueError("fo_forall needs at least one variable")
-    for v in reversed(names):
-        body = FoForall(v, body)
-    return body
-
-
-def free_vars(f: FoFormula, bound: frozenset[str] = frozenset()) -> set[str]:
-    if isinstance(f, Atom):
-        return {t.name for t in f.args if isinstance(t, Var)} - bound
-    if isinstance(f, FoEq):
-        return {t.name for t in (f.left, f.right) if isinstance(t, Var)} - bound
-    if isinstance(f, (FoAnd, FoOr)):
-        out: set[str] = set()
-        for p in f.parts:
-            out |= free_vars(p, bound)
-        return out
-    if isinstance(f, FoNot):
-        return free_vars(f.sub, bound)
-    if isinstance(f, (FoExists, FoForall)):
-        return free_vars(f.sub, bound | {f.var})
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _atom_vars(a: FoFormula) -> set[str]:
-    """Variable names of an atomic formula (relational atom or equality)."""
-    if isinstance(a, Atom):
-        return {t.name for t in a.args if isinstance(t, Var)}
-    if isinstance(a, FoEq):
-        return {t.name for t in (a.left, a.right) if isinstance(t, Var)}
-    raise TypeError(f"not atomic: {a!r}")
+    """`fo_forall(x, y, body)` is forall x. forall y. body; with no variables
+    it is the body itself."""
+    return _quantify(FoForall, args)
 
 
 def _is_atomic(f: FoFormula) -> bool:
     return isinstance(f, (Atom, FoEq))
+
+
+def _terms(a: FoFormula) -> tuple[Term, ...]:
+    """The terms of an atomic formula (relational atom or equality)."""
+    if isinstance(a, Atom):
+        return a.args
+    if isinstance(a, FoEq):
+        return (a.left, a.right)
+    raise TypeError(f"not atomic: {a!r}")
+
+
+def _parts(g: FoFormula) -> tuple[FoFormula, ...]:
+    """The immediate subformulas of a node; an atomic formula has none."""
+    if isinstance(g, (FoAnd, FoOr)):
+        return g.parts
+    if isinstance(g, (FoNot, FoExists, FoForall)):
+        return (g.sub,)
+    if _is_atomic(g):
+        return ()
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def _with_parts(g: FoFormula, parts: list[FoFormula]) -> FoFormula:
+    """The node `g` rebuilt over new immediate subformulas (in `_parts` order)."""
+    if isinstance(g, (FoAnd, FoOr)):
+        return type(g)(tuple(parts))
+    if isinstance(g, FoNot):
+        return FoNot(parts[0])
+    if isinstance(g, (FoExists, FoForall)):
+        return type(g)(g.var, parts[0])
+    return g
+
+
+def free_vars(f: FoFormula, bound: frozenset[str] = frozenset()) -> set[str]:
+    if _is_atomic(f):
+        return {t.name for t in _terms(f) if isinstance(t, Var)} - bound
+    if isinstance(f, (FoExists, FoForall)):
+        bound = bound | {f.var}
+    out: set[str] = set()
+    for p in _parts(f):
+        out |= free_vars(p, bound)
+    return out
 
 
 def conjuncts(f: FoFormula) -> list[FoFormula]:
@@ -198,18 +216,16 @@ def formula_signature(f: FoFormula, base: Optional[Signature] = None) -> Signatu
         if isinstance(g, Atom):
             if rels.setdefault(g.rel, len(g.args)) != len(g.args):
                 raise ValueError(f"relation {g.rel} used with two arities")
-            consts.update(t.name for t in g.args if isinstance(t, Cst))
+            terms = g.args
         elif isinstance(g, FoEq):
-            consts.update(t.name for t in (g.left, g.right) if isinstance(t, Cst))
-        elif isinstance(g, (FoAnd, FoOr)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, FoNot):
-            walk(g.sub)
-        elif isinstance(g, (FoExists, FoForall)):
-            walk(g.sub)
+            terms = (g.left, g.right)
         else:
-            raise TypeError(f"not a formula: {g!r}")
+            for p in _parts(g):
+                walk(p)
+            return
+        for t in terms:  # a loop, not a generator: eval_fo calls this every time
+            if isinstance(t, Cst):
+                consts.add(t.name)
 
     walk(f)
     if base is None:
@@ -236,25 +252,16 @@ def substitute_free(f: FoFormula, mapping: Mapping[str, Term]) -> FoFormula:
             return Atom(g.rel, tuple(term(t, bound) for t in g.args))
         if isinstance(g, FoEq):
             return FoEq(term(g.left, bound), term(g.right, bound))
-        if isinstance(g, FoAnd):
-            return FoAnd(tuple(walk(p, bound) for p in g.parts))
-        if isinstance(g, FoOr):
-            return FoOr(tuple(walk(p, bound) for p in g.parts))
-        if isinstance(g, FoNot):
-            return FoNot(walk(g.sub, bound))
-        if isinstance(g, FoExists):
-            return FoExists(g.var, walk(g.sub, bound | {g.var}))
-        if isinstance(g, FoForall):
-            return FoForall(g.var, walk(g.sub, bound | {g.var}))
-        raise TypeError(f"not a formula: {g!r}")
+        if isinstance(g, (FoExists, FoForall)):
+            bound = bound | {g.var}
+        return _with_parts(g, [walk(p, bound) for p in _parts(g)])
 
     return walk(f, frozenset())
 
 
 def cq_to_fo(q: ConjunctiveQuery) -> FoFormula:
     """The existential closure of the query's atom conjunction (free vars stay free)."""
-    body = fo_and(*q.atoms)
-    return fo_exists(*q.exist_vars, body) if q.exist_vars else body
+    return fo_exists(*q.exist_vars, fo_and(*q.atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -275,47 +282,32 @@ class GnfCheckReport:
         return self.verdict in ("gfo", "both")
 
 
+def _guarded(fv: set[str], guards: Iterable[FoFormula]) -> bool:
+    """The guard test: at most one free variable, or an atomic guard covering them."""
+    return len(fv) <= 1 or any(fv <= free_vars(g) for g in guards)
+
+
 def _guarded_negation_violations(f: FoFormula) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
 
-    def note(node: FoFormula, reason: str) -> None:
-        out.append((str(node), reason))
-
-    def covered(sub: FoFormula, guards: Sequence[FoFormula]) -> bool:
-        fv = free_vars(sub)
-        if len(fv) <= 1:
-            return True  # implicit equality guard
-        return any(fv <= _atom_vars(g) for g in guards)
-
     def walk(g: FoFormula) -> None:
-        if _is_atomic(g):
-            return
         if isinstance(g, FoAnd):
             parts = conjuncts(g)
             guards = [p for p in parts if _is_atomic(p)]
             for p in parts:
-                if isinstance(p, FoNot):
-                    if not covered(p.sub, guards):
-                        note(p, "negated subformula has no conjoined atomic guard "
-                                "covering its free variables")
-                    walk(p.sub)
-                elif not _is_atomic(p):
-                    walk(p)
-        elif isinstance(g, FoOr):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, FoNot):
-            if not covered(g.sub, ()):
-                note(g, "negation with more than one free variable needs a "
-                        "conjoined atomic guard")
-            walk(g.sub)
-        elif isinstance(g, FoExists):
-            walk(g.sub)
+                if isinstance(p, FoNot) and not _guarded(free_vars(p.sub), guards):
+                    out.append((str(p), "negated subformula has no conjoined atomic "
+                                        "guard covering its free variables"))
+                walk(p.sub if isinstance(p, FoNot) else p)
+            return
+        if isinstance(g, FoNot) and not _guarded(free_vars(g.sub), ()):
+            out.append((str(g), "negation with more than one free variable needs a "
+                                "conjoined atomic guard"))
         elif isinstance(g, FoForall):
-            note(g, "universal quantification is outside the guarded-negation grammar")
-            walk(g.sub)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
+            out.append((str(g), "universal quantification is outside the "
+                                "guarded-negation grammar"))
+        for p in _parts(g):
+            walk(p)
 
     walk(f)
     return out
@@ -324,62 +316,28 @@ def _guarded_negation_violations(f: FoFormula) -> list[tuple[str, str]]:
 def _guarded_quantification_violations(f: FoFormula) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
 
-    def note(node: FoFormula, reason: str) -> None:
-        out.append((str(node), reason))
-
     def walk(g: FoFormula) -> None:
-        if _is_atomic(g):
+        if not isinstance(g, (FoExists, FoForall)):
+            for p in _parts(g):
+                walk(p)
             return
-        if isinstance(g, (FoAnd, FoOr)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, FoNot):
-            walk(g.sub)
-        elif isinstance(g, FoExists):
-            body = g.sub
-            while isinstance(body, FoExists):
-                body = body.sub
-            parts = conjuncts(body)
-            ok = len(free_vars(body)) <= 1
-            if not ok:
-                for j, a in enumerate(parts):
-                    if not _is_atomic(a):
-                        continue
-                    rest_free: set[str] = set()
-                    for i, p in enumerate(parts):
-                        if i != j:
-                            rest_free |= free_vars(p)
-                    if rest_free <= _atom_vars(a):
-                        ok = True
-                        break
-            if not ok:
-                note(g, "existential block has no atomic guard covering the "
-                        "kernel's free variables")
-            for p in parts:
-                walk(p)
-        elif isinstance(g, FoForall):
-            body = g.sub
-            while isinstance(body, FoForall):
-                body = body.sub
-            parts = disjuncts(body)
-            guarded = len(free_vars(body)) <= 1
-            if not guarded:
-                for j, p in enumerate(parts):
-                    if isinstance(p, FoNot) and _is_atomic(p.sub):
-                        rest_free: set[str] = set()
-                        for i, q in enumerate(parts):
-                            if i != j:
-                                rest_free |= free_vars(q)
-                        if rest_free <= _atom_vars(p.sub):
-                            guarded = True
-                            break
-            if not guarded:
-                note(g, "universal block is not of the guarded shape "
-                        "forall x. (guard -> kernel)")
-            for p in parts:
-                walk(p)
+        kernel = g.sub
+        while isinstance(kernel, type(g)):
+            kernel = kernel.sub
+        if isinstance(g, FoExists):
+            parts = conjuncts(kernel)
+            guards = [p for p in parts if _is_atomic(p)]
+            reason = ("existential block has no atomic guard covering the "
+                      "kernel's free variables")
         else:
-            raise TypeError(f"not a formula: {g!r}")
+            parts = disjuncts(kernel)
+            guards = [p.sub for p in parts if isinstance(p, FoNot) and _is_atomic(p.sub)]
+            reason = ("universal block is not of the guarded shape "
+                      "forall x. (guard -> kernel)")
+        if not _guarded(free_vars(kernel), guards):
+            out.append((str(g), reason))
+        for p in parts:
+            walk(p)
 
     walk(f)
     return out
@@ -429,6 +387,9 @@ def eval_fo(f: FoFormula, inst: Instance, domain: Optional[Iterable[Value]] = No
     for c in sig.constants:
         if c not in inst.const_interp:
             raise ValueError(f"constant {c} not interpreted in the instance")
+    unbound = free_vars(f) - set(binding or ())
+    if unbound:
+        raise ValueError(f"unbound variables: {', '.join(sorted(unbound))}")
     base = set(active_domain(inst)) | set(inst.const_interp.values())
     if domain is None:
         dom: set[Value] = base
@@ -439,8 +400,6 @@ def eval_fo(f: FoFormula, inst: Instance, domain: Optional[Iterable[Value]] = No
 
     def term(t: Term, b: dict[str, Value]) -> Value:
         if isinstance(t, Var):
-            if t.name not in b:
-                raise ValueError(f"unbound variable {t.name}")
             return b[t.name]
         return inst.const_interp[t.name]
 
@@ -474,43 +433,38 @@ def tgd_to_gnf(t: Tgd) -> FoFormula:
     if not classify(t).frontier_guarded:
         raise ValueError("only frontier-guarded dependencies translate into the "
                          "guarded-negation grammar (the inner negation needs a guard)")
-    head: FoFormula = fo_and(*t.head.atoms)
-    if t.head.exist_vars:
-        head = fo_exists(*t.head.exist_vars, head)
-    kernel = fo_and(*t.body.atoms, FoNot(head))
-    return FoNot(fo_exists(*t.body.free_vars, kernel))
+    head = fo_exists(*t.head.exist_vars, fo_and(*t.head.atoms))
+    return FoNot(fo_exists(*t.body.free_vars, fo_and(*t.body.atoms, FoNot(head))))
 
 
 def relativize(f: FoFormula, pred: str) -> FoFormula:
-    """Restrict every quantifier to the unary relation `pred`."""
-    if pred in formula_signature(f).arities:
+    """Restrict every quantifier to the unary relation `pred`, which may name
+    no relation or constant of `f`."""
+    sig = formula_signature(f)
+    if pred in sig.arities or pred in sig.constants:
         raise ValueError(f"relativization predicate {pred} already used in the formula")
 
     def walk(g: FoFormula) -> FoFormula:
-        if _is_atomic(g):
-            return g
-        if isinstance(g, FoAnd):
-            return FoAnd(tuple(walk(p) for p in g.parts))
-        if isinstance(g, FoOr):
-            return FoOr(tuple(walk(p) for p in g.parts))
-        if isinstance(g, FoNot):
-            return FoNot(walk(g.sub))
+        parts = [walk(p) for p in _parts(g)]
         if isinstance(g, FoExists):
-            return FoExists(g.var, fo_and(Atom(pred, (Var(g.var),)), walk(g.sub)))
+            return FoExists(g.var, fo_and(Atom(pred, (Var(g.var),)), parts[0]))
         if isinstance(g, FoForall):
-            return FoForall(g.var, fo_or(FoNot(Atom(pred, (Var(g.var),))), walk(g.sub)))
-        raise TypeError(f"not a formula: {g!r}")
+            return FoForall(g.var, fo_or(FoNot(Atom(pred, (Var(g.var),))), parts[0]))
+        return _with_parts(g, parts)
 
     return walk(f)
 
 
 def _fresh_name(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    i = 1
-    while f"{base}{i}" in used:
+    """`base`, or `base` with the least numeric suffix not in `used`; the
+    result is added to `used`.  Callers put relation and constant names alike
+    into `used`, since no name may be both."""
+    name, i = base, 0
+    while name in used:
         i += 1
-    return f"{base}{i}"
+        name = f"{base}{i}"
+    used.add(name)
+    return name
 
 
 def implies(a: FoFormula, b: FoFormula) -> FoFormula:
@@ -525,18 +479,11 @@ def build_extension_preservation_sentence(f: FoFormula) -> FoFormula:
     legitimate structure even for constant-free sentences.  For
     guarded-negation inputs the output stays in the grammar."""
     sig = formula_signature(f)
-    used_consts = set(sig.constants)
-    frees = sorted(free_vars(f))
-    sub: dict[str, Term] = {}
-    fresh: list[str] = []
-    for i, x in enumerate(frees):
-        d = _fresh_name(f"d{i}", used_consts)
-        used_consts.add(d)
-        fresh.append(d)
-        sub[x] = Cst(d)
-    grounded = substitute_free(f, sub) if sub else f
-    pred = _fresh_name("P", set(sig.arities))
-    all_consts = sorted(set(sig.constants) | set(fresh))
+    used = set(sig.arities) | set(sig.constants)
+    fresh = {x: _fresh_name(f"d{i}", used) for i, x in enumerate(sorted(free_vars(f)))}
+    grounded = substitute_free(f, {x: Cst(d) for x, d in fresh.items()})
+    pred = _fresh_name("P", used)
+    all_consts = sorted(set(sig.constants) | set(fresh.values()))
     parts: list[FoFormula] = [FoExists("w", Atom(pred, (Var("w"),)))]
     parts += [Atom(pred, (Cst(c),)) for c in all_consts]
     parts.append(relativize(grounded, pred))
@@ -548,9 +495,8 @@ def build_domain_independence_sentence(f: FoFormula) -> FoFormula:
     (nonempty) superset of the active domain quantifiers range over: for two
     adequate domain predicates, the relativizations agree."""
     sig = formula_signature(f)
-    used = set(sig.arities)
+    used = set(sig.arities) | set(sig.constants)
     d1 = _fresh_name("D1", used)
-    used.add(d1)
     d2 = _fresh_name("D2", used)
 
     def adequacy(pred: str) -> list[FoFormula]:
@@ -573,9 +519,8 @@ def build_domain_independence_sentence(f: FoFormula) -> FoFormula:
 
 def strip_unguarded_negatives(f: FoFormula) -> FoFormula:
     """In a disjunction of existentially quantified conjunctions of literals and
-    (in)equalities, delete every negative conjunct whose variables are covered by
-    no positive atomic conjunct (implicit equality guards keep any negative
-    conjunct with at most one variable).  The result is implied by the input."""
+    (in)equalities, delete every negative conjunct that fails the guard test
+    against the positive atomic conjuncts.  The result is implied by the input."""
     new_disjuncts: list[FoFormula] = []
     for d in disjuncts(f):
         prefix: list[str] = []
@@ -590,40 +535,15 @@ def strip_unguarded_negatives(f: FoFormula) -> FoFormula:
             raise ValueError("input is not a disjunction of existentially "
                              f"quantified literal conjunctions: offending conjunct {p}")
         guards = [p for p in parts if _is_atomic(p)]
-        kept: list[FoFormula] = []
-        for p in parts:
-            if isinstance(p, FoNot):
-                fv = free_vars(p.sub)
-                if len(fv) <= 1 or any(fv <= _atom_vars(g) for g in guards):
-                    kept.append(p)
-            else:
-                kept.append(p)
+        kept = [p for p in parts
+                if not isinstance(p, FoNot) or _guarded(free_vars(p.sub), guards)]
         if not kept:
-            # everything was stripped: the disjunct weakens to truth, written as
-            # a tautological equality on some available term
-            names = sorted(set().union(*(free_vars(p) for p in parts)))
-            if names:
-                t: Term = Var(names[0])
-            else:
-                consts = sorted({t.name for p in parts for t in _atomic_terms(p)
-                                 if isinstance(t, Cst)})
-                t = Cst(consts[0])
-            kept = [FoEq(t, t)]
-        rebuilt: FoFormula = fo_and(*kept)
-        if prefix:
-            rebuilt = fo_exists(*prefix, rebuilt)
-        new_disjuncts.append(rebuilt)
+            # every conjunct was a stripped negative, so the body has at least two
+            # free variables: the disjunct weakens to truth, written x = x
+            x = Var(min(free_vars(body)))
+            kept = [FoEq(x, x)]
+        new_disjuncts.append(fo_exists(*prefix, fo_and(*kept)))
     return fo_or(*new_disjuncts)
-
-
-def _atomic_terms(p: FoFormula) -> tuple[Term, ...]:
-    if isinstance(p, FoNot):
-        p = p.sub
-    if isinstance(p, Atom):
-        return p.args
-    if isinstance(p, FoEq):
-        return (p.left, p.right)
-    raise TypeError(f"not a literal: {p!r}")
 
 
 # ---------------------------------------------------------------------------

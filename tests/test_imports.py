@@ -1,0 +1,63 @@
+"""Every module-level import in the package is read by its module.  The one
+exception is a name the benchmark's traced mode wraps at that module: the
+callers it times look the name up there."""
+
+import ast
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "benchmark"))
+
+import tracing  # noqa: E402
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gnfkit"
+TRACED = {*tracing.WRAPPED, *tracing.WRAPPED_GENERATORS}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those inside string annotations."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in filter(None, annotations):
+        for s in ast.walk(ann):
+            if isinstance(s, ast.Constant) and isinstance(s.value, str):
+                inner = ast.parse(s.value, mode="eval")
+                read |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    return read
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = _names_read(tree)
+    return [name for name in imported if name not in read]
+
+
+def test_the_scan_flags_an_unread_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from typing import Iterable, Optional\n"
+                      "import os.path\n"
+                      "def f(x: 'Optional[int]') -> None:\n"
+                      "    return None\n")
+    assert unused_imports(module) == ["Iterable", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_reads_its_imports(path):
+    module = f"gnfkit.{path.stem}"
+    assert [n for n in unused_imports(path) if (module, n) not in TRACED] == []

@@ -37,6 +37,7 @@ from gnfkit.logic import (
 )
 from gnfkit.model import Fact, Instance, Signature, active_domain, elem, serialize_facts
 from gnfkit.query import Atom, Cst, Var, atom, cq, cst
+from gnfkit.syntax import parse_formula, parse_instance, parse_theory
 from gnfkit.tgd import holds_in, make_tgd
 
 from oracles import naive_eval_fo
@@ -67,6 +68,13 @@ def test_builders_flatten_and_shortcut():
     assert str(fo_exists("x", "y", R("x", "y"))) == "exists x. exists y. R(x,y)"
     assert conjuncts(fo_and(a, fo_and(b, c))) == [a, b, c]
     assert disjuncts(fo_or(a, fo_or(b, c))) == [a, b, c]
+
+
+def test_quantifier_builders_without_variables_return_the_body():
+    a = R("x", "y")
+    assert fo_exists(a) is a
+    assert fo_forall(a) is a
+    assert cq_to_fo(cq(["x", "y"], [atom("R", "x", "y")])) == a
 
 
 def test_free_vars():
@@ -143,6 +151,74 @@ def test_guarded_implication_is_gfo_only():
     assert check_gnf(f).verdict == "gfo"
 
 
+GN_CONJOINED = ("guarded-negation: negated subformula has no conjoined atomic guard "
+                "covering its free variables")
+GN_BARE = ("guarded-negation: negation with more than one free variable needs a "
+           "conjoined atomic guard")
+GN_FORALL = "guarded-negation: universal quantification is outside the guarded-negation grammar"
+GQ_EXISTS = ("guarded-quantification: existential block has no atomic guard covering the "
+             "kernel's free variables")
+GQ_FORALL = ("guarded-quantification: universal block is not of the guarded shape "
+             "forall x. (guard -> kernel)")
+
+# formula, verdict, violations in report order: guarded-negation ones first,
+# each list in the order a left-to-right walk meets the offending nodes
+PINNED_REPORTS = [
+    ("exists x,y. (E(x,y) & !(exists z. (E(y,z) & !E(x,z))))", "neither", [
+        ("!(E(x,z))", GN_CONJOINED),
+        ("exists z. (E(y,z) & !(E(x,z)))", GQ_EXISTS),
+    ]),
+    ("!E(x,y)", "gfo", [
+        ("!(E(x,y))", GN_BARE),
+    ]),
+    ("forall x,y. (!E(x,y) | P(x))", "gfo", [
+        ("forall x. forall y. (!(E(x,y)) | P(x))", GN_FORALL),
+        ("forall y. (!(E(x,y)) | P(x))", GN_FORALL),
+        ("!(E(x,y))", GN_BARE),
+    ]),
+    ("(P(x) & !E(x,y)) | (E(x,y) & !E(y,x))", "gfo", [
+        ("!(E(x,y))", GN_CONJOINED),
+    ]),
+    ("forall x. (!P(x) | exists y,z. (E(y,z) & E(x,y)))", "neither", [
+        ("forall x. (!(P(x)) | exists y. exists z. (E(y,z) & E(x,y)))", GN_FORALL),
+        ("exists y. exists z. (E(y,z) & E(x,y))", GQ_EXISTS),
+    ]),
+    ("exists x. forall y. (!E(x,y) | exists z. (E(y,z) & !(x = z)))", "neither", [
+        ("forall y. (!(E(x,y)) | exists z. (E(y,z) & !((x = z))))", GN_FORALL),
+        ("!(E(x,y))", GN_BARE),
+        ("!((x = z))", GN_CONJOINED),
+        ("exists z. (E(y,z) & !((x = z)))", GQ_EXISTS),
+    ]),
+    ("forall x,y. (!E(x,y) | !(P(x) & !E(y,x)))", "gfo", [
+        ("forall x. forall y. (!(E(x,y)) | !((P(x) & !(E(y,x)))))", GN_FORALL),
+        ("forall y. (!(E(x,y)) | !((P(x) & !(E(y,x)))))", GN_FORALL),
+        ("!(E(x,y))", GN_BARE),
+        ("!((P(x) & !(E(y,x))))", GN_BARE),
+        ("!(E(y,x))", GN_CONJOINED),
+    ]),
+    ("forall x,y. (P(x) | E(x,y))", "neither", [
+        ("forall x. forall y. (P(x) | E(x,y))", GN_FORALL),
+        ("forall y. (P(x) | E(x,y))", GN_FORALL),
+        ("forall x. forall y. (P(x) | E(x,y))", GQ_FORALL),
+    ]),
+    ("exists x. (P(x) & forall y,z. (!E(x,y) | E(y,z)))", "neither", [
+        ("forall y. forall z. (!(E(x,y)) | E(y,z))", GN_FORALL),
+        ("forall z. (!(E(x,y)) | E(y,z))", GN_FORALL),
+        ("!(E(x,y))", GN_BARE),
+        ("forall y. forall z. (!(E(x,y)) | E(y,z))", GQ_FORALL),
+    ]),
+    ("exists x,y. ((x = y) & !E(x,y))", "both", []),
+    ("exists x,y. (E(x,y) & P(x) & !E(y,x))", "both", []),
+]
+
+
+@pytest.mark.parametrize("text,verdict,violations", PINNED_REPORTS)
+def test_violations_are_reported_in_order(text, verdict, violations):
+    rep = check_gnf(parse_formula(text))
+    assert rep.verdict == verdict
+    assert rep.violations == tuple(violations)
+
+
 def test_single_variable_negation_needs_no_guard():
     f = fo_exists("x", FoNot(U("x")))
     assert check_gnf(f).verdict == "both"
@@ -181,6 +257,21 @@ def test_eval_validates_the_signature():
         eval_fo(fo_exists("x", bad_arity), cycle(3))
 
 
+@pytest.mark.parametrize("text", ["R(a) | S(x)", "S(a) | S(x)", "S(a) & R(x)", "R(x) & S(a)"])
+def test_eval_rejects_unbound_variables_whatever_the_evaluation_order(text):
+    i = parse_instance("rel R/1. rel S/1. const a. R(a). S(b).")
+    f = parse_formula(text, i.sig)
+    with pytest.raises(ValueError, match="unbound variables: x$"):
+        eval_fo(f, i)
+    assert eval_fo(f, i, binding={"x": elem("b")}) == ("|" in text)
+
+
+def test_eval_names_every_unbound_variable():
+    f = fo_exists("y", fo_and(R("x", "y"), R("y", "z")))
+    with pytest.raises(ValueError, match="unbound variables: x, z$"):
+        eval_fo(f, Instance(Signature([("R", 2)]), []), binding={"y": elem("n1")})
+
+
 def test_eval_agrees_with_reference_evaluator():
     rng = random.Random(79)
     for _ in range(300):
@@ -207,6 +298,14 @@ def test_tgd_translation_requires_frontier_guard():
         tgd_to_gnf(t)
 
 
+def test_tgd_translation_of_a_ground_rule():
+    sig, rules = parse_theory("const c. tgd R(c) -> S(c).")
+    c = Cst("c")
+    f = tgd_to_gnf(rules[0])
+    assert f == FoNot(FoAnd((Atom("R", (c,)), FoNot(Atom("S", (c,))))))
+    assert check_gnf(f).verdict == "both"
+
+
 def test_tgd_translation_matches_model_checking():
     rng = random.Random(83)
     for _ in range(60):
@@ -227,6 +326,11 @@ def test_relativize_structure():
     assert relativize(g, "P") == FoForall("x", FoOr((FoNot(Atom("P", (Var("x"),))), U("x"))))
     with pytest.raises(ValueError):
         relativize(fo_exists("x", Atom("P", (Var("x"),))), "P")
+
+
+def test_relativize_refuses_a_constant_name():
+    with pytest.raises(ValueError, match="already used"):
+        relativize(fo_exists("x", Atom("E", (Var("x"), Cst("P")))), "P")
 
 
 def test_relativization_semantics():
@@ -278,6 +382,18 @@ def test_extension_preservation_with_free_variables():
     cm = search_countermodel(build_extension_preservation_sentence(fragile), 3)
     assert cm is not None
     assert len(cm.domain) == 2
+
+
+@pytest.mark.parametrize("build,f,names", [
+    (build_extension_preservation_sentence, fo_exists("x", Atom("E", (Var("x"), Cst("P")))),
+     (["E", "P1"], ["P"])),
+    (build_extension_preservation_sentence, Atom("d0", (Var("x"),)), (["P", "d0"], ["d01"])),
+    (build_domain_independence_sentence, fo_exists("x", Atom("E", (Var("x"), Cst("D1")))),
+     (["D11", "D2", "E"], ["D1"])),
+], ids=["constant-P", "relation-d0", "constant-D1"])
+def test_sentence_builders_pick_names_clear_of_relations_and_constants(build, f, names):
+    sig = formula_signature(build(f))
+    assert (sig.relations(), list(sig.constants)) == names
 
 
 def test_domain_independence_sentences():
