@@ -12,7 +12,10 @@ Two equivalence checks live here, both computed as greatest fixpoints:
 On top of the second check sit ``check_directional`` (does a tuple-to-tuple
 map extend to a collection-compatible homomorphism?) and ``amalgamate``
 (glue two instances over different signatures along a witness for their
-shared part).  ``directed_cycle`` builds the standard small test structures.
+shared part).  ``is_strong_gn_bisimulation`` decides whether a given
+collection has the strong-GN property by searching one homomorphism per pair
+and direction and passing the result to ``verify_strong_gn``.
+``directed_cycle`` builds the standard small test structures.
 
 Conventions:
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .model import (
     BudgetExceeded,
@@ -90,45 +93,32 @@ def _map_key(items: MapItems) -> tuple:
     return (len(items), tuple((s.name, t.name) for s, t in items))
 
 
-def _map_items(m: Mapping[Value, Value]) -> MapItems:
-    return tuple(sorted(m.items(), key=lambda st: st[0].name))
-
-
-def _const_seed(a: Instance, b: Instance) -> Optional[dict[Value, Value]]:
-    """Map each constant's value in `a` to its value in `b`.
-
-    Returns None when the map is not a well-defined injection, i.e. when the
-    constant substructures cannot possibly correspond.
-    """
-    m: dict[Value, Value] = {}
-    for name, va in a.const_interp.items():
-        vb = b.const_interp[name]
-        if m.get(va, vb) != vb:
+def _pinned(a: Instance, b: Instance,
+            pairs: Iterable[tuple[Value, Value]] = ()) -> Optional[dict[Value, Value]]:
+    """The map sending the first value of each pair to its second, extended by
+    each constant's value in `a` to its value in `b`; None unless it is a
+    well-defined injection.  `a` and `b` must declare the same constants."""
+    fwd: dict[Value, Value] = {}
+    bwd: dict[Value, Value] = {}
+    consts = ((va, b.const_interp[name]) for name, va in a.const_interp.items())
+    for s, t in itertools.chain(pairs, consts):
+        if fwd.setdefault(s, t) != t or bwd.setdefault(t, s) != s:
             return None
-        m[va] = vb
-    if len(set(m.values())) != len(m):
-        return None
-    return m
+    return fwd
 
 
-def _is_partial_iso(a: Instance, b: Instance, m: Mapping[Value, Value]) -> bool:
-    """Is `m`, extended with constant pinning, a partial isomorphism a -> b?
+def _is_partial_iso(a: Instance, b: Instance, pairs: Iterable[tuple[Value, Value]]) -> bool:
+    """Is the map given by `pairs`, extended with constant pinning, a partial
+    isomorphism a -> b?
 
     Requires the extended map to be a well-defined injection, every a-fact
     inside its domain to have its image in b, and every b-fact inside its
     range to have its preimage in a.
     """
-    full: dict[Value, Value] = dict(m)
-    for name, va in a.const_interp.items():
-        vb = b.const_interp[name]
-        if full.get(va, vb) != vb:
-            return False
-        full[va] = vb
-    inv: dict[Value, Value] = {}
-    for s, t in full.items():
-        if t in inv:
-            return False
-        inv[t] = s
+    full = _pinned(a, b, pairs)
+    if full is None:
+        return False
+    inv = {t: s for s, t in full.items()}
     dom = set(full)
     rng = set(inv)
     for f in a.facts:
@@ -140,15 +130,16 @@ def _is_partial_iso(a: Instance, b: Instance, m: Mapping[Value, Value]) -> bool:
     return True
 
 
-def _merged_seed(base: Mapping[Value, Value], src: Sequence[Value],
-                 dst: Sequence[Value]) -> Optional[dict[Value, Value]]:
-    """Extend `base` with the positional map src -> dst; None on conflict."""
-    m = dict(base)
-    for vs, vd in zip(src, dst):
-        if m.get(vs, vd) != vd:
-            return None
-        m[vs] = vd
-    return m
+def _greatest_fixpoint(live: set, step: Callable[[set], Collection]) -> Collection:
+    """Greatest fixpoint inside `live`.  `step` returns the members that
+    survive one round, as a set or as a dict from each survivor to what
+    witnesses it; rounds repeat until no member drops out, and the last
+    round's result is returned."""
+    while True:
+        kept = step(live)
+        if len(kept) == len(live):
+            return kept
+        live = set(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +160,23 @@ class GuardedBisimWitness:
         return [dict(items) for items in sorted(self.family, key=_map_key)]
 
 
-def _family_indexes(family: Iterable[MapItems]):
+def _agrees(g: Mapping[Value, Value], sets: Iterable[frozenset[Value]],
+            index: Mapping[frozenset[Value], list[dict[Value, Value]]]) -> bool:
+    """Does every set have a map in `index` with that domain agreeing with
+    `g` on their overlap?"""
+    for xs in sets:
+        shared = [v for v in xs if v in g]
+        if not any(all(cand[v] == g[v] for v in shared) for cand in index.get(xs, ())):
+            return False
+    return True
+
+
+def _back_and_forth(family: Collection[MapItems], gs_a: Iterable[frozenset[Value]],
+                    gs_b: Iterable[frozenset[Value]]) -> set[MapItems]:
+    """The maps of `family` for which every guarded set of `a` is the domain
+    of a family member agreeing with the map on the overlap (forth), and
+    every guarded set of `b` the codomain of a member whose inverse agrees
+    with the map's inverse (back)."""
     by_dom: dict[frozenset[Value], list[dict[Value, Value]]] = {}
     by_cod: dict[frozenset[Value], list[dict[Value, Value]]] = {}
     for items in family:
@@ -177,26 +184,9 @@ def _family_indexes(family: Iterable[MapItems]):
         bwd = {t: s for s, t in items}
         by_dom.setdefault(frozenset(fwd), []).append(fwd)
         by_cod.setdefault(frozenset(bwd), []).append(bwd)
-    return by_dom, by_cod
-
-
-def _back_and_forth_holds(items: MapItems,
-                          gs_a: Iterable[frozenset[Value]],
-                          gs_b: Iterable[frozenset[Value]],
-                          by_dom, by_cod) -> bool:
-    g = dict(items)
-    ginv = {t: s for s, t in items}
-    for xs in gs_a:
-        shared = [v for v in xs if v in g]
-        if not any(all(cand[v] == g[v] for v in shared)
-                   for cand in by_dom.get(xs, ())):
-            return False
-    for ys in gs_b:
-        shared = [w for w in ys if w in ginv]
-        if not any(all(cand[w] == ginv[w] for w in shared)
-                   for cand in by_cod.get(ys, ())):
-            return False
-    return True
+    return {items for items in family
+            if _agrees(dict(items), gs_a, by_dom)
+            and _agrees({t: s for s, t in items}, gs_b, by_cod)}
 
 
 def check_guarded_bisim(a: Instance, b: Instance) -> Optional[GuardedBisimWitness]:
@@ -220,16 +210,10 @@ def check_guarded_bisim(a: Instance, b: Instance) -> Optional[GuardedBisimWitnes
             if len(ys) != len(xs):
                 continue
             for perm in itertools.permutations(sorted(ys, key=_val_key)):
-                m = dict(zip(xs_sorted, perm))
-                if _is_partial_iso(a, b, m):
-                    family.add(_map_items(m))
-    while True:
-        by_dom, by_cod = _family_indexes(family)
-        survivors = {items for items in family
-                     if _back_and_forth_holds(items, gs_a, gs_b, by_dom, by_cod)}
-        if survivors == family:
-            break
-        family = survivors
+                items = tuple(zip(xs_sorted, perm))
+                if _is_partial_iso(a, b, items):
+                    family.add(items)
+    family = _greatest_fixpoint(family, lambda live: _back_and_forth(live, gs_a, gs_b))
     if not family:
         return None
     witness = GuardedBisimWitness(frozenset(family))
@@ -247,20 +231,15 @@ def verify_guarded_bisim(a: Instance, b: Instance, witness: GuardedBisimWitness)
         return False
     gs_a = guarded_sets(a)
     gs_b = guarded_sets(b)
-    by_dom, by_cod = _family_indexes(witness.family)
     for items in witness.family:
         m = dict(items)
         if len(m) != len(items):
             return False
         if frozenset(m) not in gs_a or frozenset(m.values()) not in gs_b:
             return False
-        if len(set(m.values())) != len(m):
+        if not _is_partial_iso(a, b, items):
             return False
-        if not _is_partial_iso(a, b, m):
-            return False
-        if not _back_and_forth_holds(items, gs_a, gs_b, by_dom, by_cod):
-            return False
-    return True
+    return _back_and_forth(witness.family, gs_a, gs_b) == witness.family
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +273,16 @@ class StrongGnBisimWitness:
         return dict(self.backward)
 
 
-def _positional_map(ta: GuardedTuple, tb: GuardedTuple) -> Optional[dict[Value, Value]]:
-    """The map ta[i] -> tb[i]; None unless it is well-defined and injective
-    position-wise in both directions."""
-    fwd: dict[Value, Value] = {}
-    bwd: dict[Value, Value] = {}
-    for va, vb in zip(ta, tb):
-        if fwd.get(va, vb) != vb or bwd.get(vb, va) != va:
-            return None
-        fwd[va] = vb
-        bwd[vb] = va
-    return fwd
-
-
 def _initial_pairs(a: Instance, b: Instance) -> set[TuplePair]:
-    """All well-typed pairs: equal length, positionally bijective, and the
-    induced map (with constants pinned) is a partial isomorphism."""
+    """All well-typed pairs: equal length, and the positional map (with
+    constants pinned) is a partial isomorphism."""
     gtb_by_len: dict[int, list[GuardedTuple]] = {}
     for tb in guarded_tuples(b):
         gtb_by_len.setdefault(len(tb), []).append(tb)
     out: set[TuplePair] = set()
     for ta in guarded_tuples(a):
         for tb in gtb_by_len.get(len(ta), ()):
-            m = _positional_map(ta, tb)
-            if m is not None and _is_partial_iso(a, b, m):
+            if _is_partial_iso(a, b, zip(ta, tb)):
                 out.add((ta, tb))
     return out
 
@@ -333,61 +298,56 @@ def _image_maps(pairs: Iterable[TuplePair]) -> tuple[ImageMap, ImageMap]:
     return fwd, bwd
 
 
-def _compatible_hom(src: Instance, seed: Mapping[Value, Value],
-                    images: ImageMap) -> Optional[dict[Value, Value]]:
-    """First map extending `seed` to the active domain of `src` that sends every
-    src fact's argument tuple to one of its `images`; None when there is none.
-
-    Pair membership subsumes fact preservation: well-typed pairs only relate
-    tuples whose induced map carries facts across.
-    """
+def _extension(src: Instance, seed: Mapping[Value, Value], images: ImageMap,
+               src_t: Sequence[Value], dst_t: Sequence[Value]) -> Optional[dict[Value, Value]]:
+    """First map extending `seed` and src_t -> dst_t to the active domain of
+    `src` that sends every src fact's argument tuple to one of its `images`;
+    None when there is none or when src_t -> dst_t contradicts itself or
+    `seed`."""
+    m = dict(seed)
+    for vs, vd in zip(src_t, dst_t):
+        if m.setdefault(vs, vd) != vd:
+            return None
     constraints = [(f.args, images.get(f.args, ())) for f in sorted(src.facts, key=fact_key)]
-    found = next(_hom_search(constraints, seed), None)
-    return None if found is None else {**seed, **found}
+    found = next(_hom_search(constraints, m), None)
+    return None if found is None else {**m, **found}
 
 
-def _pair_homs(a: Instance, b: Instance, p: TuplePair,
-               seeds: tuple[dict[Value, Value], dict[Value, Value]],
-               maps: tuple[ImageMap, ImageMap]
-               ) -> Optional[PairHoms]:
-    """Compatible homomorphisms a -> b and b -> a mapping the pair's tuples onto
-    each other, given both constant seeds and both image maps; None if either
-    is missing."""
-    ta, tb = p
-    fwd_seed = _merged_seed(seeds[0], ta, tb)
-    bwd_seed = _merged_seed(seeds[1], tb, ta)
-    if fwd_seed is None or bwd_seed is None:
-        return None
-    h = _compatible_hom(a, fwd_seed, maps[0])
-    g = None if h is None else _compatible_hom(b, bwd_seed, maps[1])
-    return None if g is None else (h, g)
+def _compatible_homs(a: Instance, b: Instance,
+                     pairs: Collection[TuplePair]) -> dict[TuplePair, PairHoms]:
+    """Each pair with maps a -> b and b -> a, compatible with the collection,
+    that send its tuples onto each other; pairs lacking either are left out.
 
-
-def _refine(a: Instance, b: Instance, pairs: set[TuplePair]) -> dict[TuplePair, PairHoms]:
-    """Remove pairs lacking a compatible homomorphism in either direction,
-    until stable.  The result is the greatest fixpoint inside `pairs`, each
-    pair with the homomorphisms a -> b and b -> a found for it in the last
-    round."""
-    seeds = (_const_seed(a, b), _const_seed(b, a))
-    if seeds[0] is None or seeds[1] is None:
-        return {}
-    live = set(pairs)
-    while True:
-        maps = _image_maps(live)
-        homs = {p: _pair_homs(a, b, p, seeds, maps) for p in live}
-        stable = {p: hg for p, hg in homs.items() if hg is not None}
-        if len(stable) == len(live):
-            return stable
-        live = set(stable)
+    The constants of `a` and `b` must correspond.  When the collection
+    relates only partial isomorphisms, as the well-typed pairs do, the maps
+    are homomorphisms: each fact goes to a fact.
+    """
+    seeds = (_pinned(a, b), _pinned(b, a))
+    fwd, bwd = _image_maps(pairs)
+    out: dict[TuplePair, PairHoms] = {}
+    for ta, tb in pairs:
+        h = _extension(a, seeds[0], fwd, ta, tb)
+        g = None if h is None else _extension(b, seeds[1], bwd, tb, ta)
+        if g is not None:
+            out[(ta, tb)] = (h, g)
+    return out
 
 
 def _stable_pairs(a: Instance, b: Instance) -> dict[TuplePair, PairHoms]:
     """Greatest stable collection of guarded-tuple pairs between a and b,
-    each with its compatible homomorphisms (empty when the constant
-    substructures cannot correspond)."""
-    if not _is_partial_iso(a, b, {}):
+    each with the compatible homomorphisms found for it in the last round
+    (empty when the constant substructures cannot correspond)."""
+    if not _is_partial_iso(a, b, ()):
         return {}
-    return _refine(a, b, _initial_pairs(a, b))
+    return _greatest_fixpoint(_initial_pairs(a, b), functools.partial(_compatible_homs, a, b))
+
+
+def _witness(homs: Mapping[TuplePair, PairHoms]) -> StrongGnBisimWitness:
+    """The pairs of `homs` with their homomorphisms, in pair order."""
+    ordered = sorted(homs, key=_pair_key)
+    return StrongGnBisimWitness(frozenset(homs),
+                                tuple((p, Homomorphism.of(homs[p][0])) for p in ordered),
+                                tuple((p, Homomorphism.of(homs[p][1])) for p in ordered))
 
 
 def _check_size(inst: Instance, max_size: int, where: str) -> None:
@@ -418,10 +378,7 @@ def check_strong_gn(a: Instance, b: Instance,
     stable = _stable_pairs(a, b)
     if not stable:
         return None
-    ordered = sorted(stable, key=_pair_key)
-    forward = tuple((p, Homomorphism.of(stable[p][0])) for p in ordered)
-    backward = tuple((p, Homomorphism.of(stable[p][1])) for p in ordered)
-    witness = StrongGnBisimWitness(frozenset(stable), forward, backward)
+    witness = _witness(stable)
     if not verify_strong_gn(a, b, witness):
         raise AssertionError("internal error: strong-GN witness failed re-verification")
     return witness
@@ -432,7 +389,7 @@ def _verify_direction(src: Instance, dst: Instance, ts: GuardedTuple,
                       pairs: frozenset[TuplePair], forward: bool) -> bool:
     if not active_domain(src) <= set(hom):
         return False
-    if any(hom.get(v) != w for v, w in zip(ts, tt)):
+    if tuple(hom.get(v) for v in ts) != tt:
         return False
     for name, v in src.const_interp.items():
         if v in hom and hom[v] != dst.const_interp[name]:
@@ -456,7 +413,7 @@ def verify_strong_gn(a: Instance, b: Instance, witness: StrongGnBisimWitness) ->
     preserve facts, and send every guarded tuple to a pair of the witness.
     The constants of `a` and `b` must span isomorphic substructures, as
     `check_strong_gn` requires."""
-    if a.sig != b.sig or not witness.pairs or not _is_partial_iso(a, b, {}):
+    if a.sig != b.sig or not witness.pairs or not _is_partial_iso(a, b, ()):
         return False
     fwd = witness.forward_homs()
     bwd = witness.backward_homs()
@@ -475,39 +432,24 @@ def verify_strong_gn(a: Instance, b: Instance, witness: StrongGnBisimWitness) ->
     return True
 
 
-def _pattern_closed(pairs: set[TuplePair]) -> bool:
-    """Is the collection closed under applying one index pattern to both
-    sides of a pair (sub-tuples and reorderings, same length bound)?"""
-    for ta, tb in pairs:
-        n = len(ta)
-        for length in range(1, n + 1):
-            for pattern in itertools.product(range(n), repeat=length):
-                key = (tuple(ta[i] for i in pattern), tuple(tb[i] for i in pattern))
-                if key not in pairs:
-                    return False
-    return True
-
-
 def is_strong_gn_bisimulation(a: Instance, b: Instance,
                               pairs: Iterable[TuplePair]) -> bool:
     """Does the collection itself satisfy the defining property?  Non-empty,
-    relates guarded tuples, closed under sub-tuples/reorderings, and every
-    pair admits compatible homomorphisms in both directions with respect to
-    the collection."""
+    relates guarded tuples, and every pair admits homomorphisms in both
+    directions that map its tuples onto each other and send every guarded
+    tuple to a pair of the collection (so the collection is closed under
+    sub-tuples and reorderings).
+
+    Decided by `verify_strong_gn` on the first collection-compatible maps
+    found for each pair: a collection with the property relates only partial
+    isomorphisms, so those maps are homomorphisms, and one without it has no
+    witness that verifies.
+    """
     pset = set(pairs)
-    if not pset or a.sig != b.sig:
+    if not pset or a.sig != b.sig or not _is_partial_iso(a, b, ()):
         return False
-    gta = set(guarded_tuples(a))
-    gtb = set(guarded_tuples(b))
-    if any(ta not in gta or tb not in gtb for ta, tb in pset):
-        return False
-    if not _pattern_closed(pset):
-        return False
-    seeds = (_const_seed(a, b), _const_seed(b, a))
-    if seeds[0] is None or seeds[1] is None:
-        return False
-    maps = _image_maps(pset)
-    return all(_pair_homs(a, b, p, seeds, maps) is not None for p in pset)
+    homs = _compatible_homs(a, b, pset)
+    return len(homs) == len(pset) and verify_strong_gn(a, b, _witness(homs))
 
 
 def check_directional(a: Instance, ta: Sequence[Value], b: Instance,
@@ -528,14 +470,11 @@ def check_directional(a: Instance, ta: Sequence[Value], b: Instance,
         raise ValueError("check_directional: tuple lengths differ")
     _check_size(a, max_size, "check_directional")
     _check_size(b, max_size, "check_directional")
-    seed0 = _const_seed(a, b)
-    if seed0 is None:
-        return False
-    seed = _merged_seed(seed0, ta, tb)
+    seed = _pinned(a, b)
     if seed is None:
         return False
     fwd, _ = _image_maps(_stable_pairs(a, b))
-    return _compatible_hom(a, seed, fwd) is not None
+    return _extension(a, seed, fwd, ta, tb) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +530,14 @@ def amalgamate(a: Instance, b: Instance, z: StrongGnBisimWitness,
     _check_size(a_part, max_size, "amalgamate")
     _check_size(b_part, max_size, "amalgamate")
 
-    seed_ab = _const_seed(ra, rb)
-    seed_ba = _const_seed(rb, ra)
+    seed_ab = _pinned(ra, rb)
+    seed_ba = _pinned(rb, ra)
     by_a, by_b = _image_maps(z.pairs)
 
     @functools.cache
     def extends(src_t: GuardedTuple, dst_t: GuardedTuple, fwd: bool) -> bool:
-        src, base, images = (ra, seed_ab, by_a) if fwd else (rb, seed_ba, by_b)
-        seed = _merged_seed(base, src_t, dst_t)
-        return seed is not None and _compatible_hom(src, seed, images) is not None
+        src, seed, images = (ra, seed_ab, by_a) if fwd else (rb, seed_ba, by_b)
+        return _extension(src, seed, images, src_t, dst_t) is not None
 
     dom_a = sorted(active_domain(a_part) | a_part.const_values(), key=_val_key)
     dom_b = sorted(active_domain(b_part) | b_part.const_values(), key=_val_key)

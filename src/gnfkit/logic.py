@@ -207,8 +207,8 @@ def disjuncts(f: FoFormula) -> list[FoFormula]:
     return [f]
 
 
-def formula_signature(f: FoFormula, base: Optional[Signature] = None) -> Signature:
-    """Infer relation arities and constant names; extend `base` when given."""
+def formula_signature(f: FoFormula) -> Signature:
+    """Infer relation arities and constant names."""
     rels: dict[str, int] = {}
     consts: set[str] = set()
 
@@ -228,14 +228,7 @@ def formula_signature(f: FoFormula, base: Optional[Signature] = None) -> Signatu
                 consts.add(t.name)
 
     walk(f)
-    if base is None:
-        return Signature(sorted(rels.items()), sorted(consts))
-    new_rels = [(r, a) for r, a in sorted(rels.items()) if r not in base.arities]
-    for r, a in rels.items():
-        if r in base.arities and base.arities[r] != a:
-            raise ValueError(f"relation {r} used with arity {a}, declared {base.arities[r]}")
-    new_consts = sorted(consts - set(base.constants))
-    return base.extend(new_rels, new_consts)
+    return Signature(sorted(rels.items()), sorted(consts))
 
 
 def substitute_free(f: FoFormula, mapping: Mapping[str, Term]) -> FoFormula:
@@ -484,7 +477,8 @@ def build_extension_preservation_sentence(f: FoFormula) -> FoFormula:
     grounded = substitute_free(f, {x: Cst(d) for x, d in fresh.items()})
     pred = _fresh_name("P", used)
     all_consts = sorted(set(sig.constants) | set(fresh.values()))
-    parts: list[FoFormula] = [FoExists("w", Atom(pred, (Var("w"),)))]
+    w = _fresh_name("w", set(all_consts))
+    parts: list[FoFormula] = [FoExists(w, Atom(pred, (Var(w),)))]
     parts += [Atom(pred, (Cst(c),)) for c in all_consts]
     parts.append(relativize(grounded, pred))
     return implies(fo_and(*parts), grounded)
@@ -498,12 +492,17 @@ def build_domain_independence_sentence(f: FoFormula) -> FoFormula:
     used = set(sig.arities) | set(sig.constants)
     d1 = _fresh_name("D1", used)
     d2 = _fresh_name("D2", used)
+    # bound variables, named clear of the constants so that the printed
+    # sentence parses back
+    bound = set(sig.constants)
+    w = _fresh_name("w", bound)
+    all_xs = [_fresh_name(f"x{i + 1}", bound)
+              for i in range(max(sig.arities.values(), default=0))]
 
     def adequacy(pred: str) -> list[FoFormula]:
-        parts: list[FoFormula] = [FoExists("w", Atom(pred, (Var("w"),)))]
+        parts: list[FoFormula] = [FoExists(w, Atom(pred, (Var(w),)))]
         for r in sig.relations():
-            n = sig.arities[r]
-            xs = [f"x{i + 1}" for i in range(n)]
+            xs = all_xs[:sig.arities[r]]
             closure = implies(Atom(r, tuple(Var(x) for x in xs)),
                               fo_and(*[Atom(pred, (Var(x),)) for x in xs]))
             parts.append(fo_forall(*xs, closure))

@@ -66,12 +66,6 @@ class Signature:
         if clash:
             raise ValueError(f"names used as both relation and constant: {sorted(clash)}")
 
-    def arity(self, rel: str) -> int:
-        try:
-            return self.arities[rel]
-        except KeyError:
-            raise KeyError(f"undeclared relation {rel}") from None
-
     def relations(self) -> list[str]:
         return sorted(self.arities)
 

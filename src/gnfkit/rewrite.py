@@ -119,9 +119,6 @@ class DerivationResult:
     caps: dict[str, int]
     capped: bool
 
-    def has_unknown(self) -> bool:
-        return any(r.verdict == UNKNOWN for r in self.certification)
-
 
 @dataclass
 class QueryRulesResult:

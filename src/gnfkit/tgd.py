@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from .model import Instance, Signature
 from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_renaming, cq,
-                    eval_cq, fresh_names, query_signature, substitute, treeify)
+                    eval_cq, fresh_names, is_acyclic, query_signature, substitute, treeify)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,6 @@ def classify(t: Tgd) -> TgdClass:
     if fg:
         body_q = cq(t.frontier(), t.body.atoms)
         both_q = cq(t.frontier(), t.body.atoms + t.head.atoms)
-        from .query import is_acyclic
         acyclic_fg = is_acyclic(body_q) and is_acyclic(both_q)
     return TgdClass(full, guarded, fg, acyclic_fg, is_quasi_frontier_guarded(t))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -243,6 +244,13 @@ def test_strong_gn_size_cap():
     assert check_strong_gn(big, big, max_size=13) is not None
 
 
+def with_homs(pairs, forward, backward) -> StrongGnBisimWitness:
+    """A witness of `pairs` taking each pair's homomorphisms from the maps."""
+    ordered = sorted(pairs, key=str)
+    return StrongGnBisimWitness(frozenset(pairs), tuple((p, forward[p]) for p in ordered),
+                                tuple((p, backward[p]) for p in ordered))
+
+
 def test_verify_strong_gn_rejects_tampering():
     a, b = directed_cycle(3), double_cycle3()
     w = check_strong_gn(a, b)
@@ -252,6 +260,39 @@ def test_verify_strong_gn_rejects_tampering():
     assert not verify_strong_gn(a, b, missing)
     assert not verify_strong_gn(a, b,
                                 StrongGnBisimWitness(frozenset(), (), ()))
+
+    fwd, bwd = w.forward_homs(), w.backward_homs()
+    n1, n2, n3 = elem("n1"), elem("n2"), elem("n3")
+    p, rotated = ((n1,), (n1,)), ((n1,), (n2,))
+    assert p in w.pairs and rotated in w.pairs
+    assert verify_strong_gn(a, b, with_homs(w.pairs, fwd, bwd))
+    unguarded = ((n1, n2, n3), (n1, n2, n3))
+    uneven = ((n1,), (n1, n2))
+    tampered = {
+        "forward map not total": (w.pairs, {**fwd, p: Homomorphism.of({})}, bwd),
+        "tuple not mapped onto its partner": (w.pairs, {**fwd, p: fwd[rotated]}, bwd),
+        "tuples of different lengths": (w.pairs | {uneven}, {**fwd, uneven: fwd[p]},
+                                        {**bwd, uneven: bwd[p]}),
+        "facts not preserved": (w.pairs, {**fwd, p: Homomorphism.of(
+            {v: n1 for v in active_domain(a)})}, bwd),
+        "guarded tuple sent outside the pairs": (w.pairs - {p}, fwd, bwd),
+        "pair of an unguarded tuple": (w.pairs | {unguarded}, {**fwd, unguarded: fwd[p]},
+                                       {**bwd, unguarded: bwd[p]}),
+        "backward map not total": (w.pairs, fwd, {**bwd, p: Homomorphism.of({})}),
+    }
+    for why, (pairs, f, g) in tampered.items():
+        assert not verify_strong_gn(a, b, with_homs(pairs, f, g)), why
+
+    # a constant outside every fact: the stored maps still have to pin it
+    sig = Signature([("E", 2)], ["c"])
+    ac, bc = Instance(sig, a.facts), Instance(sig, b.facts)
+    wc = check_strong_gn(ac, bc)
+    assert wc is not None
+    fwd_c = wc.forward_homs()
+    moved = Homomorphism.of({**fwd_c[p].as_dict(), const("c"): n1})
+    assert verify_strong_gn(ac, bc, wc)
+    assert not verify_strong_gn(ac, bc, with_homs(wc.pairs, {**fwd_c, p: moved},
+                                                  wc.backward_homs()))
 
 
 ROT = {"n1": "n2", "n2": "n3", "n3": "n1"}
@@ -295,6 +336,84 @@ def test_strong_gn_hand_built_collections_and_union_closure():
     identity_only = {(t, t) for t in guarded_tuples(a)}
     assert is_strong_gn_bisimulation(a, a, identity_only)
     assert not is_strong_gn_bisimulation(a, b, identity_only)
+
+
+def sub_tuple_closure(ta, tb) -> set:
+    """Every index pattern of length at most len(ta), applied to both tuples."""
+    n = len(ta)
+    return {(tuple(ta[i] for i in pattern), tuple(tb[i] for i in pattern))
+            for length in range(1, n + 1)
+            for pattern in itertools.product(range(n), repeat=length)}
+
+
+def test_collection_relating_facts_that_differ_is_not_a_bisimulation():
+    # exists x. P(x) holds in b only, yet x -> v, y -> u maps E(x,y) to no fact
+    sig = Signature([("E", 2), ("P", 1)])
+    x, y, u, v = elem("x"), elem("y"), elem("u"), elem("v")
+    a = Instance(sig, [Fact("E", (x, y))])
+    b = Instance(sig, [Fact("E", (u, v)), Fact("P", (u,))])
+    assert check_strong_gn(a, b) is None
+    assert not is_strong_gn_bisimulation(a, b, sub_tuple_closure((x, y), (v, u)))
+
+
+def test_collection_relating_a_constant_with_different_facts_is_not_a_bisimulation():
+    sig = Signature([("E", 2), ("P", 1)], ["c"])
+    x, u, c = elem("x"), elem("u"), const("c")
+    a = Instance(sig, [Fact("E", (x, c)), Fact("P", (c,))])
+    b = Instance(sig, [Fact("E", (u, c))])
+    assert check_strong_gn(a, b) is None
+    assert not is_strong_gn_bisimulation(a, b, sub_tuple_closure((x, c), (u, c)))
+
+
+def test_collection_with_pairs_of_different_lengths_is_not_a_bisimulation():
+    a, b = directed_cycle(3), double_cycle3()
+    greatest = check_strong_gn(a, b)
+    assert greatest is not None
+    uneven = ((elem("n1"),), (elem("n1"), elem("n2")))
+    assert not is_strong_gn_bisimulation(a, b, greatest.pairs | {uneven})
+
+
+def _with_constant(rng: random.Random, inst: Instance) -> Instance:
+    """`inst` with a constant c, interpreted at one of its values or at its
+    own value used in one extra fact."""
+    sig = Signature([(r, inst.sig.arities[r]) for r in inst.sig.relations()], ["c"])
+    dom = sorted(active_domain(inst), key=lambda v: v.name)
+    if dom and rng.random() < 0.5:
+        return Instance(sig, inst.facts, {"c": rng.choice(dom)})
+    rel = rng.choice(sig.relations())
+    pool = dom + [const("c")]
+    extra = Fact(rel, tuple(rng.choice(pool) for _ in range(sig.arities[rel])))
+    return Instance(sig, inst.facts | {extra})
+
+
+def test_accepted_collections_lie_inside_the_greatest_one():
+    rng = random.Random(7)
+    accepted = greatest_found = 0
+    for i in range(400):
+        sig = random_signature(rng, max_rels=2, max_arity=2)
+        a = random_instance(rng, sig, max_elems=3, max_facts=3)
+        b = random_instance(rng, sig, max_elems=3, max_facts=3)
+        if i % 4 == 0:
+            a, b = _with_constant(rng, a), _with_constant(rng, b)
+        greatest = check_strong_gn(a, b)
+        inside = frozenset() if greatest is None else greatest.pairs
+        if greatest is not None:
+            greatest_found += 1
+            assert is_strong_gn_bisimulation(a, b, greatest.pairs)
+        gta, gtb = guarded_tuples(a), guarded_tuples(b)
+        for _ in range(5):
+            if not gta:
+                break
+            ta = rng.choice(gta)
+            partners = [tb for tb in gtb if len(tb) == len(ta)]
+            if not partners:
+                continue
+            closure = sub_tuple_closure(ta, rng.choice(partners))
+            if is_strong_gn_bisimulation(a, b, closure):
+                accepted += 1
+                assert closure <= inside, (a, b, closure)
+    # the sample exercised both verdicts, not only rejections
+    assert greatest_found > 20 and accepted > 20
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,19 @@ def test_nonterminating_theory_exhausts_the_round_budget():
     assert len(nulls) == 2  # round 3 only re-derives A on the last null
 
 
+def test_fact_budget_stops_the_chase_after_the_overshooting_trigger():
+    sig = Signature([("U", 1), ("R", 2)])
+    rules = [make_tgd([atom("U", "x")], [atom("R", "x", "y"), atom("U", "y")])]
+    i = Instance(sig, [Fact("U", (elem("a"),))])
+    for max_facts, rounds, n_facts in ((4, 2, 5), (5, 3, 7)):
+        res = chase(i, rules, ChaseConfig(max_facts=max_facts))
+        assert (res.status, res.rounds_executed, len(res.result.facts)) == \
+            (BUDGET_EXHAUSTED, rounds, n_facts), max_facts
+    config = ChaseConfig(max_facts=5)
+    assert is_fact_saturated(i, rules, config).verdict == UNKNOWN
+    assert chase_entails_cq(i, rules, cq([], [atom("R", "x", "x")]), (), config) == UNKNOWN
+
+
 def test_restricted_mode_skips_satisfied_triggers():
     sig = Signature([("U", 1), ("S", 2)])
     rules = [make_tgd([atom("U", "x")], [atom("S", "x", "z")])]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gnfkit
 from gnfkit.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 from gnfkit.syntax import parse_instance
 
@@ -316,8 +318,13 @@ def test_subprocess_determinism(tmp_path):
     inst.write_text(EX_INSTANCE)
     cmd = [sys.executable, "-m", "gnfkit.cli", "certain", "--theory", str(theory),
            "--instance", str(inst), "--query", "T(x)"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # the child imports the same gnfkit as this process, also when pytest
+    # itself put it on the path
+    src = os.path.dirname(os.path.dirname(gnfkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert "T: a, b" in first.stdout

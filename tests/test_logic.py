@@ -37,7 +37,7 @@ from gnfkit.logic import (
 )
 from gnfkit.model import Fact, Instance, Signature, active_domain, elem, serialize_facts
 from gnfkit.query import Atom, Cst, Var, atom, cq, cst
-from gnfkit.syntax import parse_formula, parse_instance, parse_theory
+from gnfkit.syntax import parse_formula, parse_instance, parse_theory, print_formula
 from gnfkit.tgd import holds_in, make_tgd
 
 from oracles import naive_eval_fo
@@ -394,6 +394,16 @@ def test_extension_preservation_with_free_variables():
 def test_sentence_builders_pick_names_clear_of_relations_and_constants(build, f, names):
     sig = formula_signature(build(f))
     assert (sig.relations(), list(sig.constants)) == names
+
+
+@pytest.mark.parametrize("build,f", [
+    (build_extension_preservation_sentence, fo_exists("x", Atom("E", (Var("x"), Cst("w"))))),
+    (build_domain_independence_sentence, fo_exists("x", Atom("E", (Var("x"), Cst("w"))))),
+    (build_domain_independence_sentence, fo_exists("y", Atom("E", (Var("y"), Cst("x1"))))),
+], ids=["preservation-constant-w", "independence-constant-w", "independence-constant-x1"])
+def test_sentence_builders_bind_names_clear_of_constants(build, f):
+    g = build(f)
+    assert parse_formula(print_formula(g), formula_signature(g)) == g
 
 
 def test_domain_independence_sentences():
