@@ -384,8 +384,8 @@ def check_strong_gn(a: Instance, b: Instance,
     return witness
 
 
-def _verify_direction(src: Instance, dst: Instance, ts: GuardedTuple,
-                      tt: GuardedTuple, hom: Mapping[Value, Value],
+def _verify_direction(src: Instance, dst: Instance, src_guarded: set[GuardedTuple],
+                      ts: GuardedTuple, tt: GuardedTuple, hom: Mapping[Value, Value],
                       pairs: frozenset[TuplePair], forward: bool) -> bool:
     if not active_domain(src) <= set(hom):
         return False
@@ -398,7 +398,7 @@ def _verify_direction(src: Instance, dst: Instance, ts: GuardedTuple,
         img = tuple(hom[v] for v in f.args)
         if Fact(f.rel, img) not in dst:
             return False
-    for t in guarded_tuples(src):
+    for t in src_guarded:
         img = tuple(hom[v] for v in t)
         key = (t, img) if forward else (img, t)
         if key not in pairs:
@@ -425,9 +425,9 @@ def verify_strong_gn(a: Instance, b: Instance, witness: StrongGnBisimWitness) ->
         ta, tb = p
         if ta not in gta or tb not in gtb:
             return False
-        if not _verify_direction(a, b, ta, tb, fwd[p].as_dict(), witness.pairs, True):
+        if not _verify_direction(a, b, gta, ta, tb, fwd[p].as_dict(), witness.pairs, True):
             return False
-        if not _verify_direction(b, a, tb, ta, bwd[p].as_dict(), witness.pairs, False):
+        if not _verify_direction(b, a, gtb, tb, ta, bwd[p].as_dict(), witness.pairs, False):
             return False
     return True
 

@@ -6,6 +6,13 @@ so runs are reproducible byte for byte.  Fresh nulls are named _n1, _n2, ... in 
 order.  For frontier-guarded rules the run also records, per generated fact, the guarded
 set of the input instance its derivation hangs from; that map is a squid decomposition
 of the result over the input.
+
+Enumeration is delta-driven: round 1 enumerates every trigger, and each later round only
+the triggers that use a fact added by the previous round.  The firing order stays the
+same.  A trigger that uses no new fact was enumerated in an earlier round, and when that
+round completed the trigger had fired or was already satisfied (a budget stop ends the
+run, so no round resumes half done).  Facts only grow, so the restricted mode would find
+it satisfied again, and the oblivious mode's fired set would skip it.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from typing import Optional, Sequence
 
 from .model import (Fact, Instance, Signature, Value, active_domain,
                     is_guarded_set, minus)
-from .query import (ConjunctiveQuery, Cst, Var, canon_inst, eval_cq, match_atoms,
-                    _ordered_for_join)
+from .query import (ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq,
+                    match_atoms, _ordered_for_join)
 # unused here, but the benchmark's traced mode wraps gnfkit.chase.classify
 from .tgd import Tgd, classify, tgd_signature
 
@@ -82,7 +89,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
             if c not in inst.const_interp:
                 raise ValueError(f"rule constant {c} not interpreted")
 
-    cur: dict[str, set[tuple[Value, ...]]] = {r: set() for r in sig.arities}
+    cur = {r: Relation() for r in sig.arities}
     for f in inst.facts:
         cur[f.rel].add(f.args)
     n_facts = len(inst.facts)
@@ -90,7 +97,10 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
 
     guards = [_guard_atom_index(t) for t in rules]
     body_order = [_ordered_for_join(t.body.atoms) for t in rules]
-    head_order = [_ordered_for_join(t.head.atoms) for t in rules]
+    # per rule and body position: that atom first, to be matched against the delta
+    delta_order = [[[a] + _ordered_for_join(t.body.atoms[:i] + t.body.atoms[i + 1:], a.vars())
+                    for i, a in enumerate(t.body.atoms)] for t in rules]
+    head_order = [_ordered_for_join(t.head.atoms, t.frontier()) for t in rules]
     origin: dict[Fact, Optional[frozenset[Value]]] = {}
     adom0 = active_domain(inst)
     consts = inst.const_values()
@@ -99,15 +109,23 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     fired: set[tuple[int, tuple[Value, ...]]] = set()
     status = BUDGET_EXHAUSTED
     rounds = 0
+    delta: Optional[dict[str, Relation]] = None  # facts added by the previous round
 
     for rnd in range(1, config.max_rounds + 1):
-        # every trigger is enumerated before any fires, so `cur` is the round's snapshot
-        triggers: list[tuple[int, tuple[Value, ...]]] = []
+        # every trigger is enumerated before any fires, so `cur` is the round's snapshot;
+        # after round 1 only triggers using a fact of the previous round's delta
+        found: set[tuple[int, tuple[Value, ...]]] = set()
         for ri, t in enumerate(rules):
-            sources = [cur[a.rel] for a in body_order[ri]]
-            for m in match_atoms(body_order[ri], sources, {}, const_of):
-                triggers.append((ri, tuple(m[x] for x in t.body.free_vars)))
-        triggers.sort(key=lambda tr: (tr[0], tuple(v.name for v in tr[1])))
+            if delta is None:
+                runs = [(body_order[ri], [cur[a.rel] for a in body_order[ri]])]
+            else:
+                runs = [(order, [delta[order[0].rel]] + [cur[a.rel] for a in order[1:]])
+                        for order in delta_order[ri] if order[0].rel in delta]
+            for order, sources in runs:
+                for m in match_atoms(order, sources, {}, const_of):
+                    found.add((ri, tuple(m[x] for x in t.body.free_vars)))
+        triggers = sorted(found, key=lambda tr: (tr[0], tuple(v.name for v in tr[1])))
+        delta = {}
 
         added_this_round = 0
         fired_this_round = 0
@@ -118,7 +136,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
             if config.mode == "restricted":
                 seed = {x: binding[x] for x in t.frontier()}
                 sources = [cur[a.rel] for a in head_order[ri]]
-                satisfied = next(match_atoms(head_order[ri], sources, dict(seed), const_of), None)
+                satisfied = next(match_atoms(head_order[ri], sources, seed, const_of), None)
                 if satisfied is not None:
                     continue
             else:
@@ -154,8 +172,8 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
                     else:
                         args.append(binding[x.name])
                 fct = Fact(a.rel, tuple(args))
-                if fct.args not in cur[fct.rel]:
-                    cur[fct.rel].add(fct.args)
+                if cur[fct.rel].add(fct.args):
+                    delta.setdefault(fct.rel, Relation()).add(fct.args)
                     n_facts += 1
                     added_this_round += 1
                     origin.setdefault(fct, org)
@@ -173,7 +191,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
             rounds = rnd - 1
             break
 
-    facts = [Fact(r, args) for r, s in cur.items() for args in s]
+    facts = [Fact(r, args) for r, s in cur.items() for args in s.tuples]
     result = Instance(sig, facts, inst.const_interp)
     new_facts = result.facts - inst.facts
     tentacle_map = {f: origin.get(f) for f in new_facts}

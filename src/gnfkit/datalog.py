@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import Instance, Signature, Value
-from .query import Atom, Var, match_atoms, _ordered_for_join
+from .query import Atom, Relation, Var, match_atoms, _ordered_for_join
 
 
 @dataclass(frozen=True)
@@ -106,53 +106,50 @@ def eval_datalog_fixpoint(p: DatalogProgram, inst: Instance) -> dict[str, set[tu
         missing = set(p.edb.arities) - set(inst.sig.arities)
         if missing or any(inst.sig.arities.get(r) != a for r, a in p.edb.arities.items()):
             raise ValueError("instance does not match the program's edb signature")
-    edb_tuples = {r: frozenset(f.args for f in inst.rel_facts(r)) for r in p.edb.arities}
-    full: dict[str, set[tuple[Value, ...]]] = {r: set() for r in p.idb.arities}
-    delta: dict[str, set[tuple[Value, ...]]] = {r: set() for r in p.idb.arities}
+    edb = {r: Relation(f.args for f in inst.rel_facts(r)) for r in p.edb.arities}
+    full = {r: Relation() for r in p.idb.arities}
     const_of = lambda c: _resolve(inst, c)
 
-    ordered = [(_ordered_for_join(r.body), r) for r in p.rules]
+    def source(a: Atom) -> Relation:
+        return edb[a.rel] if a.rel in edb else full[a.rel]
 
-    # rules write into `out`, never into `full` or `delta`, so both are matched in place
-    def run_rule(body: Sequence[Atom], rule: Rule, use_delta: Optional[int],
+    # rules write into `out`, never into `full` or the delta, so both are matched in place
+    def run_rule(body: Sequence[Atom], sources: Sequence[Relation], rule: Rule,
                  out: dict[str, set[tuple[Value, ...]]]) -> None:
-        sources = []
-        for i, a in enumerate(body):
-            if a.rel in p.edb.arities:
-                sources.append(edb_tuples[a.rel])
-            elif use_delta is not None and i == use_delta:
-                sources.append(delta[a.rel])
-            else:
-                sources.append(full[a.rel])
-        for m in match_atoms(list(body), sources, {}, const_of):
+        for m in match_atoms(body, sources, {}, const_of):
             args = tuple(m[t.name] if isinstance(t, Var) else const_of(t.name)
                          for t in rule.head.args)
             out.setdefault(rule.head.rel, set()).add(args)
 
+    def merge(new: dict[str, set[tuple[Value, ...]]]) -> dict[str, Relation]:
+        delta: dict[str, Relation] = {}
+        for r, tuples in new.items():
+            for tup in tuples:
+                if full[r].add(tup):
+                    delta.setdefault(r, Relation()).add(tup)
+        return delta
+
     # round 0: rules with edb-only bodies
     first: dict[str, set[tuple[Value, ...]]] = {}
-    for body, rule in ordered:
-        if all(a.rel in p.edb.arities for a in body):
-            run_rule(body, rule, None, first)
-    for r, tuples in first.items():
-        fresh = tuples - full[r]
-        full[r] |= fresh
-        delta[r] |= fresh
+    for rule in p.rules:
+        if all(a.rel in edb for a in rule.body):
+            body = _ordered_for_join(rule.body)
+            run_rule(body, [edb[a.rel] for a in body], rule, first)
+    delta = merge(first)
 
-    while any(delta.values()):
+    # per rule and idb body position: that atom first, to be matched against the delta
+    delta_runs = [(rule, [[a] + _ordered_for_join(rule.body[:i] + rule.body[i + 1:], a.vars())
+                          for i, a in enumerate(rule.body) if a.rel in p.idb.arities])
+                  for rule in p.rules]
+    while delta:
         new: dict[str, set[tuple[Value, ...]]] = {}
-        for body, rule in ordered:
-            idb_positions = [i for i, a in enumerate(body) if a.rel in p.idb.arities]
-            for pos in idb_positions:
-                if not delta[body[pos].rel]:
-                    continue
-                run_rule(body, rule, pos, new)
-        delta = {r: set() for r in p.idb.arities}
-        for r, tuples in new.items():
-            fresh = tuples - full[r]
-            full[r] |= fresh
-            delta[r] |= fresh
-    return full
+        for rule, orders in delta_runs:
+            for body in orders:
+                if body[0].rel in delta:
+                    run_rule(body, [delta[body[0].rel]] + [source(a) for a in body[1:]],
+                             rule, new)
+        delta = merge(new)
+    return {r: rel.tuples for r, rel in full.items()}
 
 
 def eval_datalog(p: DatalogProgram, inst: Instance) -> set[tuple[Value, ...]]:

@@ -142,50 +142,109 @@ def canon_inst(q: ConjunctiveQuery, sig: Optional[Signature] = None):
 # ---------------------------------------------------------------------------
 # joins over fact sets (shared by evaluation, the chase, and Datalog)
 
-def match_atoms(atoms: Sequence[Atom], sources: Sequence[Iterable[tuple[Value, ...]]],
+class Relation:
+    """A set of tuples with hash indexes keyed by bound positions.
+
+    An index is built the first time a probe asks for its positions; `add`
+    keeps every index built so far up to date.
+    """
+
+    __slots__ = ("tuples", "_indexes")
+
+    def __init__(self, tuples: Iterable[tuple[Value, ...]] = ()):
+        self.tuples: set[tuple[Value, ...]] = set(tuples)
+        self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple[Value, ...]]]] = {}
+
+    def add(self, tup: tuple[Value, ...]) -> bool:
+        """Insert the tuple; whether it was new."""
+        if tup in self.tuples:
+            return False
+        self.tuples.add(tup)
+        for positions, index in self._indexes.items():
+            index.setdefault(tuple([tup[i] for i in positions]), []).append(tup)
+        return True
+
+    def probe(self, positions: tuple[int, ...], key: tuple) -> Sequence[tuple[Value, ...]]:
+        """The tuples whose values at `positions` are `key`."""
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = {}
+            for tup in self.tuples:
+                index.setdefault(tuple([tup[i] for i in positions]), []).append(tup)
+        return index.get(key, ())
+
+
+def match_atoms(atoms: Sequence[Atom], sources: Sequence[Relation],
                 binding: dict[str, Value],
                 const_of) -> Iterator[dict[str, Value]]:
-    """All extensions of `binding` matching each atom against its own tuple source.
+    """All extensions of `binding` matching each atom against its own relation.
 
     `const_of(name)` resolves constant terms to values.  Atoms are matched
-    left to right; callers order them (guard first) for pruning.
+    left to right; callers order them (guard first) for pruning.  An atom's
+    bound positions are its constants and the variables that `binding` or an
+    earlier atom binds: the atom probes its relation's index on those
+    positions (a membership test when all are bound) and scans the relation
+    only when none is.
     """
-    if not atoms:
+    plan = []
+    bound = set(binding)
+    for a in atoms:
+        positions, key, binds, same = [], [], [], []
+        first: dict[str, int] = {}
+        for i, t in enumerate(a.args):
+            if isinstance(t, Cst):
+                positions.append(i)
+                key.append((None, t.name))
+            elif t.name in bound:
+                positions.append(i)
+                key.append((t.name, None))
+            elif t.name in first:
+                same.append((first[t.name], i))
+            else:
+                first[t.name] = i
+                binds.append((i, t.name))
+        bound.update(first)
+        plan.append((tuple(positions), key, len(positions) == len(a.args), binds, same))
+    yield from _join(plan, sources, 0, binding, const_of)
+
+
+def _join(plan, sources, k, binding, const_of):
+    if k == len(plan):
         yield dict(binding)
         return
-    a, rest_atoms = atoms[0], atoms[1:]
-    rest_sources = sources[1:]
-    for tup in sources[0]:
-        new = {}
-        ok = True
-        for t, v in zip(a.args, tup):
-            if isinstance(t, Cst):
-                if const_of(t.name) != v:
-                    ok = False
-                    break
-            else:
-                bound = binding.get(t.name, new.get(t.name))
-                if bound is None:
-                    new[t.name] = v
-                elif bound != v:
-                    ok = False
-                    break
-        if not ok:
+    src = sources[k]
+    if not src.tuples:
+        return
+    positions, key_terms, total, binds, same = plan[k]
+    if positions:
+        key = tuple([binding[v] if v is not None else const_of(c) for v, c in key_terms])
+        if total:
+            if key in src.tuples:
+                yield from _join(plan, sources, k + 1, binding, const_of)
+            return
+        candidates = src.probe(positions, key)
+    else:
+        candidates = src.tuples
+    for tup in candidates:
+        if same and any(tup[i] != tup[j] for i, j in same):
             continue
-        binding.update(new)
-        yield from match_atoms(rest_atoms, rest_sources, binding, const_of)
-        for k in new:
-            del binding[k]
+        for i, v in binds:
+            binding[v] = tup[i]
+        yield from _join(plan, sources, k + 1, binding, const_of)
+    for _, v in binds:
+        binding.pop(v, None)
 
 
-def _ordered_for_join(atoms: Sequence[Atom]) -> list[Atom]:
-    # start from the widest atom, then greedily prefer atoms sharing bound vars
-    if not atoms:
-        return []
+def _ordered_for_join(atoms: Sequence[Atom], bound: Iterable[str] = ()) -> list[Atom]:
+    # with nothing bound, start from the widest atom; then greedily prefer
+    # atoms sharing the most bound variables
     rest = list(atoms)
-    rest.sort(key=lambda a: (-len(set(a.vars())), str(a)))
-    out = [rest.pop(0)]
-    bound = set(out[0].vars())
+    bound = set(bound)
+    out = []
+    if rest and not bound:
+        rest.sort(key=lambda a: (-len(set(a.vars())), str(a)))
+        out.append(rest.pop(0))
+        bound |= set(out[0].vars())
     while rest:
         rest.sort(key=lambda a: (-len(set(a.vars()) & bound), str(a)))
         nxt = rest.pop(0)
@@ -210,7 +269,8 @@ def eval_cq(q: ConjunctiveQuery, inst: Instance,
         if inst.sig.arities[a.rel] != len(a.args):
             raise ValueError(f"arity mismatch on {a.rel}")
     ordered = _ordered_for_join(q.atoms)
-    sources = [instance_tuples(inst, a.rel) for a in ordered]
+    rels = {a.rel: Relation(instance_tuples(inst, a.rel)) for a in ordered}
+    sources = [rels[a.rel] for a in ordered]
     out = set()
     start = dict(binding) if binding else {}
     for m in match_atoms(ordered, sources, start, lambda c: inst.const_interp[c]):

@@ -146,6 +146,15 @@ COMPILE_QUERIES: tuple[tuple[str, tuple[str, ...], str], ...] = (
 )
 
 
+# corpus problems the benchmark leaves out for their compile time, checked
+# against the oracle by the test suite only
+ORACLE_QUERIES: tuple[tuple[str, tuple[str, ...], str], ...] = (
+    ("flip-collect", ("atomic", "cq"), "A(x)"),
+    ("double-head", ("atomic", "cq"), "U(x)"),
+    ("witness-mark", ("atomic", "cq"), "V(x)"),
+)
+
+
 def compile_problem(name: str, query_text: str) -> CertainAnswerProblem:
     """The corpus problem `name` with `query_text` as its query."""
     rules = next(p for p in PROBLEMS if p.name == name).rules

@@ -8,11 +8,14 @@ package internals — so that agreement with the package is meaningful.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Optional
+import re
+from typing import Iterator, Mapping, Optional, Sequence
 
+from gnfkit.chase import BUDGET_EXHAUSTED, TERMINATED, ChaseConfig, ChaseResult
 from gnfkit.datalog import DatalogProgram
 from gnfkit.model import Fact, Homomorphism, Instance, Value
 from gnfkit.query import Atom, ConjunctiveQuery, Cst, Var
+from gnfkit.tgd import Tgd
 from gnfkit.logic import (FoAnd, FoEq, FoExists, FoForall, FoFormula, FoNot,
                           FoOr)
 
@@ -81,6 +84,116 @@ def naive_eval_datalog(p: DatalogProgram, inst: Instance) -> dict[str, set[tuple
                     state[rule.head.rel].add(head)
                     changed = True
     return {r: state[r] for r in p.idb.arities}
+
+
+def _scan_join(atoms: Sequence[Atom], facts: dict[str, set[tuple[Value, ...]]],
+               binding: dict[str, Value], inst: Instance) -> Iterator[dict[str, Value]]:
+    """Every extension of `binding` matching the atoms left to right, each
+    against a full scan of its relation."""
+    if not atoms:
+        yield dict(binding)
+        return
+    a = atoms[0]
+    for tup in list(facts[a.rel]):
+        asg = dict(binding)
+        ok = True
+        for t, v in zip(a.args, tup):
+            if isinstance(t, Cst):
+                ok = inst.const_interp[t.name] == v
+            elif asg.setdefault(t.name, v) != v:
+                ok = False
+            if not ok:
+                break
+        if ok:
+            yield from _scan_join(atoms[1:], facts, asg, inst)
+
+
+def naive_chase(inst: Instance, rules: Sequence[Tgd],
+                config: Optional[ChaseConfig] = None) -> ChaseResult:
+    """The breadth-first chase with every trigger re-enumerated each round by
+    full scans: triggers are matched against the round's snapshot, sorted by
+    (rule index, body match names) and fired in that order, nulls are named
+    _n1, _n2, ... in firing order, and each generated fact records the
+    guarded input set its rule's frontier guard hangs from."""
+    config = config or ChaseConfig()
+    facts = {r: set() for r in inst.sig.arities}
+    for f in inst.facts:
+        facts[f.rel].add(f.args)
+    n_facts = len(inst.facts)
+    adom0 = {v for f in inst.facts for v in f.args}
+    consts = set(inst.const_interp.values())
+    null_k = 1 + max((int(m.group(1)) for v in adom0
+                      for m in [re.fullmatch(r"_n(\d+)", v.name)] if m), default=0)
+
+    guards = []
+    for t in rules:
+        frontier = set(t.frontier())
+        guards.append(next((i for i, a in enumerate(t.body.atoms)
+                            if frontier <= set(a.vars())), None))
+    origin: dict[Fact, Optional[frozenset[Value]]] = {}
+    fired: set[tuple[int, tuple[Value, ...]]] = set()
+    status = BUDGET_EXHAUSTED
+    rounds = 0
+    for rnd in range(1, config.max_rounds + 1):
+        triggers = []
+        for ri, t in enumerate(rules):
+            for m in _scan_join(t.body.atoms, facts, {}, inst):
+                triggers.append((ri, tuple(m[x] for x in t.body.free_vars)))
+        triggers.sort(key=lambda tr: (tr[0], tuple(v.name for v in tr[1])))
+
+        added = fired_now = 0
+        stop = False
+        for ri, bvals in triggers:
+            t = rules[ri]
+            binding = dict(zip(t.body.free_vars, bvals))
+            if config.mode == "restricted":
+                seed = {x: binding[x] for x in t.frontier()}
+                if next(_scan_join(t.head.atoms, facts, seed, inst), None) is not None:
+                    continue
+            else:
+                if (ri, bvals) in fired:
+                    continue
+                fired.add((ri, bvals))
+            fired_now += 1
+
+            org = None
+            if guards[ri] is not None:
+                gatom = t.body.atoms[guards[ri]]
+                gargs = tuple(binding[x.name] if isinstance(x, Var)
+                              else inst.const_interp[x.name] for x in gatom.args)
+                if set(gargs) <= adom0:
+                    org = frozenset(gargs) - consts
+                else:
+                    org = origin.get(Fact(gatom.rel, gargs))
+            for z in t.head.exist_vars:
+                binding[z] = Value("null", f"_n{null_k}")
+                null_k += 1
+            for a in t.head.atoms:
+                args = tuple(inst.const_interp[x.name] if isinstance(x, Cst)
+                             else binding[x.name] for x in a.args)
+                if args not in facts[a.rel]:
+                    facts[a.rel].add(args)
+                    n_facts += 1
+                    added += 1
+                    origin.setdefault(Fact(a.rel, args), org)
+            if n_facts > config.max_facts:
+                stop = True
+                break
+
+        if added or fired_now:
+            rounds = rnd
+        if stop:
+            break
+        if not added and not fired_now:
+            status = TERMINATED
+            rounds = rnd - 1
+            break
+
+    result = Instance(inst.sig, [Fact(r, args) for r, s in facts.items() for args in s],
+                      inst.const_interp)
+    tentacle_map = {f: origin.get(f) for f in result.facts - inst.facts}
+    return ChaseResult(result, rounds, status, tentacle_map,
+                       all(g is not None for g in guards))
 
 
 def naive_homomorphisms(src: Instance, dst: Instance,

@@ -33,7 +33,9 @@ from gnfkit.model import (
 from gnfkit.query import atom, cq
 from gnfkit.tgd import all_hold_in, classify, make_tgd
 
-from randgen import random_frontier_guarded_tgd, random_full_tgd, random_instance, random_signature
+from oracles import naive_chase
+from randgen import (random_frontier_guarded_tgd, random_full_tgd, random_guarded_tgd,
+                     random_instance, random_signature)
 
 SIG_EX = Signature([("R", 2), ("U", 1), ("S", 2), ("T", 1)])
 
@@ -118,6 +120,17 @@ def test_restricted_mode_skips_satisfied_triggers():
     res = chase(i, rules)
     assert res.status == TERMINATED
     assert res.result.facts == i.facts  # S(a,b) already witnesses the head
+
+
+def test_a_trigger_fired_earlier_in_the_round_satisfies_a_later_one():
+    sig = Signature([("R", 2), ("S", 2)])
+    rules = [make_tgd([atom("R", "x", "y")], [atom("S", "x", "z")])]
+    i = Instance(sig, [Fact("R", (elem("a"), elem("b"))), Fact("R", (elem("a"), elem("c"))),
+                       Fact("S", (elem("d"), elem("e")))])
+    res = chase(i, rules)
+    assert (res.status, res.rounds_executed) == (TERMINATED, 1)
+    # R(a,b) fires first; its S(a,_n1) witnesses the head of the R(a,c) trigger
+    assert serialize_facts(res.result) == "R(a,b). R(a,c). S(a,_n1). S(d,e)."
 
 
 def test_oblivious_mode_fires_every_trigger_once():
@@ -288,3 +301,31 @@ def test_chase_contracts_on_random_inputs():
             assert squid_check(i, res.result, tentacles)
             fg_checked += 1
     assert fg_checked >= 20
+
+
+def test_chase_agrees_with_the_naive_chase():
+    # the naive chase re-enumerates every trigger of every round by full scans
+    rng = random.Random(4242)
+    makers = (random_guarded_tgd, random_frontier_guarded_tgd, random_full_tgd)
+    stops = {"terminated": 0, "rounds": 0, "facts": 0}
+    for _ in range(90):
+        sig = random_signature(rng, max_rels=3, max_arity=3)
+        rules = [rng.choice(makers)(rng, sig) for _ in range(rng.randint(1, 3))]
+        inst = random_instance(rng, sig, max_elems=4, max_facts=8)
+        for mode in ("restricted", "oblivious_dedup"):
+            for config in (ChaseConfig(mode, max_rounds=rng.randint(1, 3), max_facts=300),
+                           ChaseConfig(mode, max_facts=len(inst.facts) + rng.randint(1, 4))):
+                want = naive_chase(inst, rules, config)
+                got = chase(inst, rules, config)
+                assert serialize_facts(got.result) == serialize_facts(want.result), \
+                    (rules, inst, config)
+                assert (got.rounds_executed, got.status, got.rules_frontier_guarded) == \
+                    (want.rounds_executed, want.status, want.rules_frontier_guarded)
+                assert got.tentacle_map == want.tentacle_map
+                if got.status == TERMINATED:
+                    stops["terminated"] += 1
+                elif len(got.result.facts) > config.max_facts:
+                    stops["facts"] += 1
+                else:
+                    stops["rounds"] += 1
+    assert min(stops.values()) >= 20, stops

@@ -13,6 +13,7 @@ from gnfkit.query import (
     Atom,
     ConjunctiveQuery,
     Cst,
+    Relation,
     UnionOfCQs,
     Var,
     atom,
@@ -25,8 +26,10 @@ from gnfkit.query import (
     core_cq,
     cst,
     eval_cq,
+    instance_tuples,
     is_acyclic,
     is_answer_guarded,
+    match_atoms,
     query_signature,
     treeify,
 )
@@ -129,6 +132,50 @@ def test_eval_cq_agrees_with_exhaustive_evaluation():
         q = random_cq(rng, sig, max_atoms=3, max_vars=4)
         i = random_instance(rng, sig, max_elems=4, max_facts=8)
         assert eval_cq(q, i) == naive_eval_cq(q, i)
+
+
+def test_relation_add_updates_an_index_built_by_an_earlier_probe():
+    a, b, c = elem("a"), elem("b"), elem("c")
+    rel = Relation([(a, b)])
+    assert list(rel.probe((0,), (a,))) == [(a, b)]
+    assert not list(rel.probe((0,), (c,)))
+    assert rel.add((a, c)) and rel.add((c, a))
+    assert not rel.add((a, c))
+    assert sorted(rel.probe((0,), (a,)), key=str) == [(a, b), (a, c)]
+    assert list(rel.probe((0,), (c,))) == [(c, a)]
+    assert sorted(rel.probe((1,), (a,)), key=str) == [(c, a)]  # built after the adds
+
+
+def test_match_atoms_agrees_with_exhaustive_evaluation():
+    # constants, repeated variables and a pre-bound binding decide which
+    # positions each atom probes on
+    rng = random.Random(23)
+    sig = Signature([("E", 2), ("T", 3), ("U", 1)], ("c", "d"))
+    values = [elem("a"), elem("b"), elem("e"), const("c"), const("d")]
+    terms = [Var("x"), Var("y"), Var("z"), cst("c"), cst("d")]
+    answered = {"constant": 0, "repeated": 0, "bound": 0}
+    for _ in range(600):
+        facts = {Fact(rel, tuple(rng.choice(values) for _ in range(sig.arities[rel])))
+                 for rel in rng.choices(sig.relations(), k=rng.randint(4, 20))}
+        inst = Instance(sig, facts)
+        atoms = [Atom(rel, tuple(rng.choice(terms) for _ in range(sig.arities[rel])))
+                 for rel in rng.choices(sig.relations(), k=rng.randint(1, 3))]
+        names = sorted({v for a in atoms for v in a.vars()})
+        binding = {v: rng.choice(values) for v in names if rng.random() < 0.3}
+        q = cq(names, atoms)
+        want = naive_eval_cq(q, inst, binding)
+        sources = [Relation(instance_tuples(inst, a.rel)) for a in atoms]
+        got = {tuple(m[v] for v in names)
+               for m in match_atoms(atoms, sources, dict(binding),
+                                    lambda c: inst.const_interp[c])}
+        assert got == want, (atoms, binding, inst)
+        assert eval_cq(q, inst, binding) == want
+        if want:
+            answered["constant"] += bool(q.constants())
+            answered["repeated"] += any(len(a.vars()) < sum(isinstance(t, Var) for t in a.args)
+                                        for a in atoms)
+            answered["bound"] += bool(binding)
+    assert min(answered.values()) >= 10, answered
 
 
 # ---------------------------------------------------------------- containment

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from corpus import COMPILE_QUERIES, PROBLEMS, compile_problem
+from corpus import COMPILE_QUERIES, ORACLE_QUERIES, PROBLEMS, compile_problem
 from randgen import random_instance
 from shapes import cycle
 from gnfkit.chase import ChaseConfig
@@ -466,12 +466,12 @@ def test_fg_rewrite_agrees_with_oracle_on_guarded_example():
 
 SCHEMES = {"atomic": rewrite_atomic_guarded, "cq": rewrite_cq_guarded, "fg": rewrite_fg}
 COMPILES = [(i, name, scheme, text)
-            for i, (name, schemes, text) in enumerate(COMPILE_QUERIES)
+            for i, (name, schemes, text) in enumerate(COMPILE_QUERIES + ORACLE_QUERIES)
             for scheme in schemes]
 
 
 def test_compile_queries_parse_over_the_corpus_rules():
-    assert len(COMPILES) == 23
+    assert sum(len(schemes) for _, schemes, _ in COMPILE_QUERIES) == 23
     for _, name, _, text in COMPILES:
         problem = compile_problem(name, text)
         if len(problem.query.atoms) == 1:
