@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Collection, Container, Iterable, Mapping, Optional, Union
 
 from .model import Fact, Instance, Signature, Value, active_domain, elem
 from .query import Atom, ConjunctiveQuery, Cst, Term, Var
@@ -390,15 +390,22 @@ def eval_fo(f: FoFormula, inst: Instance, domain: Optional[Iterable[Value]] = No
         dom = set(domain)
         if not base <= dom:
             raise ValueError("domain must contain the active domain and all constants")
+    return _holds(f, inst.facts, inst.const_interp, dom, dict(binding or {}))
+
+
+def _holds(f: FoFormula, facts: Container[Fact], const_interp: Mapping[str, Value],
+           dom: Collection[Value], binding: dict[str, Value]) -> bool:
+    """Truth of `f` over the facts, with quantifiers ranging over `dom`; the
+    structure is taken to interpret `f` (``eval_fo`` checks that it does)."""
 
     def term(t: Term, b: dict[str, Value]) -> Value:
         if isinstance(t, Var):
             return b[t.name]
-        return inst.const_interp[t.name]
+        return const_interp[t.name]
 
     def ev(g: FoFormula, b: dict[str, Value]) -> bool:
         if isinstance(g, Atom):
-            return Fact(g.rel, tuple(term(t, b) for t in g.args)) in inst
+            return Fact(g.rel, tuple(term(t, b) for t in g.args)) in facts
         if isinstance(g, FoEq):
             return term(g.left, b) == term(g.right, b)
         if isinstance(g, FoAnd):
@@ -413,7 +420,7 @@ def eval_fo(f: FoFormula, inst: Instance, domain: Optional[Iterable[Value]] = No
             return all(ev(g.sub, {**b, g.var: v}) for v in dom)
         raise TypeError(f"not a formula: {g!r}")
 
-    return ev(f, dict(binding or {}))
+    return ev(f, binding)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +563,9 @@ class Countermodel:
 
 
 def _search_at_size(f: FoFormula, sig: Signature, k: int) -> Optional[Countermodel]:
+    """A structure over `k` elements that falsifies the sentence `f`, or None.
+    `sig` is the sentence's own signature, so every candidate interprets `f`
+    and is evaluated without ``eval_fo``'s checks."""
     elements = [elem(f"e{i + 1}") for i in range(k)]
     all_facts: list[Fact] = []
     for r in sig.relations():
@@ -593,10 +603,9 @@ def _search_at_size(f: FoFormula, sig: Signature, k: int) -> Optional[Countermod
         for mask in range(1 << n_facts):
             if not canonical(cvec, mask):
                 continue
-            facts = [all_facts[i] for i in range(n_facts) if mask >> i & 1]
-            inst = Instance(sig, facts, const_interp)
-            if not eval_fo(f, inst, domain=dom):
-                return Countermodel(inst, dom)
+            facts = frozenset(all_facts[i] for i in range(n_facts) if mask >> i & 1)
+            if not _holds(f, facts, const_interp, dom, {}):
+                return Countermodel(Instance(sig, facts, const_interp), dom)
     return None
 
 

@@ -368,6 +368,10 @@ def is_acyclic(q: ConjunctiveQuery) -> bool:
 # most variables whose names are chosen by trying every permutation
 RENAMING_CAP = 7
 
+# a body's distinct atoms, its renamed variables, and per renaming (their new
+# names, the renamed atoms' texts sorted)
+BodyRenamings = tuple[list[Atom], list[str], list[tuple[list[str], list[str]]]]
+
 
 def substitute(a: Atom, sub: Mapping[str, Term]) -> Atom:
     """The atom with every variable named in `sub` replaced by its image."""
@@ -397,56 +401,66 @@ def _templates(atoms: Sequence[Atom], order: Sequence[str]) -> list[str]:
     return out
 
 
-def canonical_renaming(atoms: Iterable[Atom], groups: Sequence[tuple[str, Sequence[str]]],
-                       head: Optional[Atom] = None, kept: Iterable[str] = ()
-                       ) -> tuple[tuple[Atom, ...], Optional[Atom], dict[str, str]]:
-    """Canonical names for the variables of each group ``(prefix, variables)``.
-
-    A group's variables are renamed onto prefix0, prefix1, ..., skipping the
-    `kept` names, the constants, every variable outside the groups and the
-    names of earlier groups.  The renaming chosen is the one whose serialized
-    head, then sorted serialized atoms, is least; ties go to the first in the
-    order of the permutations of each group's variables as listed, the first
-    group varying slowest.  Past ``RENAMING_CAP`` renamed variables, each
-    group is named in order of first occurrence in the head, then in the
-    atoms sorted by text.  Returns the distinct renamed atoms sorted by text,
-    the renamed head and the renaming.
-    """
+def body_renamings(atoms: Iterable[Atom], groups: Sequence[tuple[str, Sequence[str]]],
+                   kept: Iterable[str] = (), lead: Sequence[Atom] = ()) -> BodyRenamings:
+    """The first half of ``canonical_renaming``: the distinct atoms, the
+    renamed variables in order, and every renaming of them (with the renamed
+    atoms' texts, sorted) in the order of the permutations of each group's
+    variables, the first group varying slowest.  A group's
+    variables are renamed onto prefix0, prefix1, ..., skipping the `kept`
+    names, the constants, every variable outside the groups and the names of
+    earlier groups.  Past ``RENAMING_CAP`` renamed variables there is one
+    renaming, naming each group in order of first occurrence in `lead`, then
+    in the atoms sorted by text."""
     atoms = list(dict.fromkeys(atoms))
-    lead = [] if head is None else [head]
     order = [v for _, vs in groups for v in vs]
     if len(order) > RENAMING_CAP:
-        occ = [v for a in lead + sorted(atoms, key=str) for v in a.vars()] + order
+        occ = [v for a in [*lead, *sorted(atoms, key=str)] for v in a.vars()] + order
         groups = [(prefix, sorted(vs, key=occ.index)) for prefix, vs in groups]
         order = [v for _, vs in groups for v in vs]
     renamed = set(order)
-    taken = set(kept).union(t.name for a in lead + atoms for t in a.args
+    taken = set(kept).union(t.name for a in atoms for t in a.args
                             if isinstance(t, Cst) or t.name not in renamed)
     pools = []
     for prefix, vs in groups:
         pools.append(fresh_names(prefix, len(vs), taken))
         taken.update(pools[-1])
-    texts = None  # the renamed atoms' texts, when the search computed them
-    choices = ([pools] if len(order) > RENAMING_CAP
-               else list(itertools.product(*map(itertools.permutations, pools))))
-    best = choices[0]
-    if len(choices) > 1:
-        tmpls = _templates(atoms + lead, order)
-        least = None
-        for choice in choices:
-            ns = [n for names in choice for n in names]
-            ts = [t.format(*ns) for t in tmpls]
-            key = (ts[len(atoms):], sorted(ts[:len(atoms)]))
-            if least is None or key < least:
-                least, best, texts = key, choice, ts
-    ren = dict(zip(order, (n for names in best for n in names)))
+    tmpls = _templates(atoms, order)
+    out = []
+    for choice in ([pools] if len(order) > RENAMING_CAP
+                   else itertools.product(*map(itertools.permutations, pools))):
+        ns = [n for names in choice for n in names]
+        out.append((ns, sorted(t.format(*ns) for t in tmpls)))
+    return atoms, order, out
+
+
+def pick_renaming(renamings: BodyRenamings, head: Optional[Atom] = None
+                  ) -> tuple[tuple[Atom, ...], Optional[Atom], dict[str, str], list[str]]:
+    """The second half of ``canonical_renaming``: of a body's renamings, the
+    one whose serialized head, then sorted serialized atoms, is least, the
+    first on ties.  Returns the renamed atoms and head, the renaming and the
+    atoms' texts.  No name in the head may be one of the new names."""
+    atoms, order, choices = renamings
+    tmpl = "" if head is None else _templates([head], order)[0]
+    ns, texts = min(choices, key=lambda c: (tmpl.format(*c[0]), c[1]))
+    ren = dict(zip(order, ns))
     sub = {v: Var(n) for v, n in ren.items()}
-    out = [substitute(a, sub) for a in atoms]
-    if texts is None:
-        out.sort(key=str)
-    else:
-        out = [out[i] for i in sorted(range(len(out)), key=texts.__getitem__)]
-    return tuple(out), None if head is None else substitute(head, sub), ren
+    return (tuple(sorted((substitute(a, sub) for a in atoms), key=str)),
+            None if head is None else substitute(head, sub), ren, texts)
+
+
+def canonical_renaming(atoms: Iterable[Atom], groups: Sequence[tuple[str, Sequence[str]]],
+                       head: Optional[Atom] = None, kept: Iterable[str] = ()
+                       ) -> tuple[tuple[Atom, ...], Optional[Atom], dict[str, str]]:
+    """Canonical names for the variables of each group ``(prefix, variables)``:
+    ``pick_renaming`` for the head among the atoms' ``body_renamings``, led by
+    the head and keeping its other names.  Returns the distinct renamed atoms
+    sorted by text, the renamed head and the renaming."""
+    lead = [] if head is None else [head]
+    renamed = {v for _, vs in groups for v in vs}
+    kept = set(kept).union(t.name for a in lead for t in a.args
+                           if isinstance(t, Cst) or t.name not in renamed)
+    return pick_renaming(body_renamings(atoms, groups, kept, lead), head)[:3]
 
 
 def canonical_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:

@@ -33,9 +33,10 @@ from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
 from .model import Fact, Instance, Signature, active_domain, align_instance, elem
 # canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
-from .query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst,
-                    canonical_cq, canonical_renaming, core_cq, cq, cq_contained,
-                    eval_cq, is_answer_guarded, query_signature, substitute)
+from .query import (RENAMING_CAP, Atom, BodyRenamings, ConjunctiveQuery, Cst, Var,
+                    body_renamings, canon_inst, canonical_cq, canonical_renaming, core_cq,
+                    cq, cq_contained, eval_cq, is_answer_guarded, pick_renaming,
+                    query_signature, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
 
 ENTAILED = "entailed"
@@ -237,24 +238,16 @@ def _family_head(name: str, frees: Sequence[str]) -> Atom:
 # ---------------------------------------------------------------------------
 # canonical forms
 
+def _vars(atoms: Iterable[Atom]) -> list[str]:
+    return sorted({v for a in atoms for v in a.vars()})
+
+
 @lru_cache(maxsize=None)
 def _cored_body(atoms: tuple[Atom, ...], kept_vars: frozenset[str]) -> tuple[Atom, ...]:
     """Core of a body, fixing the given variables (a rule's head variables)."""
     order = [v for a in atoms for v in a.vars()]
     frees = tuple(v for v in dict.fromkeys(order) if v in kept_vars)
     return tuple(core_cq(cq(frees, atoms)).atoms)
-
-
-def _canonical_full_rule(body_atoms: Sequence[Atom], head: Atom,
-                         core_body: bool = True) -> Tgd:
-    """Canonical form of a full single-head rule: optionally core the body
-    around the head variables, then canonicalize the naming."""
-    atoms = tuple(sorted(set(body_atoms), key=str))
-    if core_body:
-        atoms = tuple(sorted(set(_cored_body(atoms, frozenset(head.vars()))), key=str))
-    names = sorted({v for a in atoms for v in a.vars()})
-    body, head, _ = canonical_renaming(atoms, [("v", names)], head)
-    return make_tgd(list(body), [head])
 
 
 def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, list[str]]:
@@ -332,21 +325,38 @@ def _rule_candidates(bodies: Iterable[_Body],
     """Every body with every head ``(relation, n, query)``, whose arguments
     are each n-tuple of the body's guard variables (``_unit`` when n is 0).
     A head standing for a query is judged by that query, and its body is
-    kept uncored."""
+    kept uncored.  Each body is cored once per set of head variables, each
+    cored body's renamings are listed once, and each head picks its own
+    among them."""
     cands: dict[str, _Candidate] = {}
+    prepared: dict[tuple[Atom, ...], BodyRenamings] = {}
     for body, gvars in bodies:
+        atoms = tuple(sorted(set(body), key=str))
+        cored: dict[Optional[frozenset[str]], tuple[tuple[Atom, ...], BodyRenamings]] = {}
         for rel, n, q in heads:
             for combo in itertools.product(gvars, repeat=n):
-                cand = _canonical_full_rule(body, _family_head(rel, combo),
-                                            core_body=q is None)
-                kind = "rule" if q is None else "query-rule"
-                cands.setdefault(str(cand), _Candidate(cand, kind, q))
+                head = _family_head(rel, combo)
+                hvars = None if q is not None else frozenset(combo)
+                if hvars not in cored:
+                    b = atoms if hvars is None else _cored_body(atoms, hvars)
+                    if b not in prepared:
+                        prepared[b] = body_renamings(b, [("v", _vars(b))])
+                    cored[hvars] = b, prepared[b]
+                b, renamings = cored[hvars]
+                if len(renamings[1]) > RENAMING_CAP:  # then the head orders the naming
+                    renamings = body_renamings(b, [("v", renamings[1])], lead=[head])
+                renamed, new_head, _, texts = pick_renaming(renamings, head)
+                key = f"{', '.join(texts)} -> {new_head}"
+                if key not in cands:
+                    cands[key] = _Candidate(make_tgd(list(renamed), [new_head]),
+                                            "rule" if q is None else "query-rule", q)
     return cands
 
 
 def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd]:
     """Input rules that already have the shape of program rules: full, and
-    (when required) guarded.  Multi-atom heads split into one rule per atom."""
+    (when required) guarded.  Multi-atom heads split into one rule per atom,
+    whose body is cored around the head variables and then named."""
     out = []
     for t in rules:
         if t.head.exist_vars:
@@ -354,7 +364,9 @@ def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd
         if require_guarded and not classify(t).guarded:
             continue
         for ha in t.head.atoms:
-            out.append(_canonical_full_rule(t.body.atoms, ha))
+            atoms = _cored_body(tuple(sorted(set(t.body.atoms), key=str)), frozenset(ha.vars()))
+            body, head, _ = canonical_renaming(atoms, [("v", _vars(atoms))], ha)
+            out.append(make_tgd(list(body), [head]))
     return out
 
 
@@ -391,8 +403,7 @@ def _closure_request(atoms: tuple[Atom, ...]
                      ) -> tuple[str, tuple[Atom, ...], tuple[tuple[str, str], ...]]:
     """The closure that certifies a body: its key, its canonical atoms, and
     the renaming of the body's variables into them."""
-    names = sorted({v for a in atoms for v in a.vars()})
-    canon, _, ren = canonical_renaming(atoms, [("v", names)])
+    canon, _, ren = canonical_renaming(atoms, [("v", _vars(atoms))])
     return " & ".join(str(a) for a in canon), canon, tuple(sorted(ren.items()))
 
 

@@ -1,19 +1,23 @@
 """Tests for compiling certain-answer problems into Datalog."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from corpus import COMPILE_QUERIES, ORACLE_QUERIES, PROBLEMS, compile_problem
+from oracles import naive_rule_candidates
 from randgen import random_instance
 from shapes import cycle
 from gnfkit.chase import ChaseConfig
 from gnfkit.datalog import classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import Atom, Var, atom, cq, cq_equivalent, query_signature
+from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, cq, cq_equivalent,
+                          query_signature)
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED,
                             RewriteConfig, _canonical_family_form, _default_k,
+                            _inject_input_rules, _rule_candidates,
                             certain_answers_oracle,
                             derive_full_guarded,
                             enumerate_full_guarded_candidates,
@@ -21,6 +25,7 @@ from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED,
                             guard_extension_axioms, query_generation_rules,
                             rewrite_atomic_guarded, rewrite_cq_guarded,
                             rewrite_fg)
+from gnfkit.syntax import print_datalog
 from gnfkit.tgd import make_tgd, tgd_signature
 
 SIG = Signature([("R", 2), ("U", 1), ("S", 2), ("T", 1)])
@@ -89,6 +94,61 @@ def test_enumeration_relation_cap_flags_capped():
     assert space.capped
     used = {a.rel for t in space.candidates for a in (*t.body.atoms, *t.head.atoms)}
     assert used <= {"R", "U"}
+
+
+def _random_body(rng: random.Random) -> tuple[tuple[Atom, ...], tuple[str, ...]]:
+    # a guard atom plus up to two atoms over variables and constants, some of
+    # either named like the fresh names v0, v1 (never both in one body)
+    names = rng.sample(("x", "y", "z", "v0", "v1", "c"), 4)
+    var_names, cst_names = names[:3], names[3:]
+
+    def term(guard: bool):
+        if guard or rng.random() < 0.8:
+            return Var(rng.choice(var_names))
+        return Cst(rng.choice(cst_names))
+
+    rels = (("E", 2), ("U", 1), ("T", 3))
+    guard_rel, guard_arity = rng.choice(rels)
+    guard = Atom(guard_rel, tuple(term(True) for _ in range(guard_arity)))
+    extra = []
+    for _ in range(rng.randint(0, 2)):
+        rel, arity = rng.choice(rels)
+        extra.append(Atom(rel, tuple(term(False) for _ in range(arity))))
+    return (guard, *extra), guard.vars()
+
+
+def test_rule_candidates_agree_with_naming_each_candidate_whole():
+    rng = random.Random(59)
+    bodies = [_random_body(rng) for _ in range(150)]
+    # bodies whose renamings tie, and one past the renaming cap
+    bodies += [((atom("E", "x", "y"), atom("E", "y", "x")), ("x", "y")),
+               ((atom("E", "v1", "v0"), atom("E", "v0", "v1"), atom("U", "v0")), ("v1", "v0"))]
+    wide = [f"y{i}" for i in range(RENAMING_CAP + 1)]
+    bodies.append(((Atom("W", tuple(Var(v) for v in wide)), atom("E", wide[3], wide[1])),
+                   tuple(wide)))
+    heads = [("E", 2, None), ("U", 1, None), ("H", 0, None),
+             ("Q0", 1, cq(["f0"], [atom("E", "f0", "v0")])),
+             ("Q1", 0, cq([], [atom("U", "v0")]))]
+    got = _rule_candidates(bodies, heads)
+    want = naive_rule_candidates(bodies, heads)
+    assert list(got) == list(want)
+    for key, cand in got.items():
+        assert (cand.rule, cand.kind, cand.query) == want[key], key
+    assert any(len(c.rule.body.free_vars) > RENAMING_CAP for c in got.values())
+    assert any(isinstance(t, Cst) and t.name in ("v0", "v1")
+               for c in got.values() for a in c.rule.body.atoms for t in a.args)
+
+
+def test_full_rule_naming_keeps_head_constants_and_first_occurrence():
+    # a head constant named like a fresh name is skipped by the renaming
+    rule = make_tgd([atom("E", "x", "y")], [Atom("H", (Var("y"), Cst("v0")))])
+    assert [str(t) for t in _inject_input_rules([rule], require_guarded=False)] \
+        == ["E(v2,v1) -> H(v1,v0)"]
+    # past the cap, variables are named by first occurrence in the head first
+    wide = [f"y{i}" for i in range(RENAMING_CAP + 1)]
+    rule = make_tgd([Atom("W", tuple(Var(v) for v in wide))], [atom("U", wide[5])])
+    assert [str(t) for t in _inject_input_rules([rule], require_guarded=True)] \
+        == ["W(v1,v2,v3,v4,v5,v0,v6,v7) -> U(v0)"]
 
 
 def test_enumerated_candidates_are_guarded_and_full():
@@ -497,6 +557,71 @@ def test_compiled_answers_agree_with_the_oracle(index, name, scheme, text):
             if art.completeness == COMPLETE_WITHIN_CAPS:
                 assert compiled == oracle, inst
     assert decided >= 3
+
+
+# SHA-256 of each compile's printed program, completeness and certification
+# records, as computed by the compilers before rule candidates were named per
+# body; any change to the naming or enumeration shows up here
+COMPILE_DIGESTS = {
+    ("u-propagation", "atomic", "T(x)"):
+        "fc57de8b37f29c7d2ad686cfadcd37b295a5d306cd9768b8e8629a453789a4fe",
+    ("u-propagation", "cq", "T(x)"):
+        "349ba991d7889313318ebae29db9f72c45ff4e7d363e5dc1aa486660b0a744f4",
+    ("edge-endpoint", "atomic", "P(x)"):
+        "d390ec15fc14734194609098a8efbc36f1efd062c6a7fd22104a90d742fc56ea",
+    ("edge-endpoint", "cq", "P(x)"):
+        "330eda271327a6388cf149b871ea8ef3fd98456dac656f72ce83b2513bd426cb",
+    ("unary-cycle", "atomic", "C(x)"):
+        "3cb5d153c96cd46f265a4ae35705a162a76e22dc5eee8a2c47bae947151fbb9e",
+    ("unary-cycle", "cq", "C(x)"):
+        "7206d9187ad07e436e04cea80f5169032c6b828e7b0008162de81c997d9604e0",
+    ("unary-cycle", "fg", "C(x)"):
+        "340984a97cd6bf0f35eb3e40fd1d38b493d5dd051382065e4bfc9168ce0272df",
+    ("null-producer", "atomic", "V(x)"):
+        "4578e994040495cae26c895ff70febd03981ce61a6615b08f743f961b2969ac3",
+    ("null-producer", "cq", "V(x)"):
+        "c11cff295be9a5b9e8cf1582833b35259457f45ec3144f2a345fe3ea20423abf",
+    ("pair-marker", "atomic", "S(x,y)"):
+        "cb13ff77eec0422048a141bbeac1d32a8f836b9f4a33da50ab1ed92c291a6c31",
+    ("pair-marker", "cq", "S(x,y)"):
+        "1ca37b3680c970f3946caf0df8f302c70fb0a68c46f24e4b92b7357d8fd85b84",
+    ("symmetric-loop", "atomic", "L(x)"):
+        "04111f94db3740694292a9ce0ded9cee013cf671d19964cb3176e8f705e4fe21",
+    ("symmetric-loop", "cq", "L(x)"):
+        "0de880d07c4784d3a8a740f25c66cd90046c0b592e5b47f2726750be0d51492e",
+    ("symmetric-loop", "fg", "L(x)"):
+        "f9b21ac488b80b8c0276b7a29a3c430f18cb633427fe7683043bd8521057f50c",
+    ("mutual-unary", "atomic", "P(x)"):
+        "35398f46b037ea1169afdfbcea0783efd27d290e0afc3241142edcd52d37b22a",
+    ("mutual-unary", "cq", "P(x)"):
+        "ff62c33bc58e7482ea90f44c061266413241cd91571d43ee6e7e9eec3b97c572",
+    ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
+        "46dd87078331a8ba2a61351b576fa57a92dd6dc96b6beb7bb4dea467ecbc9e6e",
+    ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
+        "dbad9e18294b8959205b274bfdbee44da49465dce7a937157522a9734f2e2aef",
+    ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
+        "a8fda714407c7786f83d37c0918a5c935bc163e62ef0f52ae3a0ed9d5788cb8d",
+    ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
+        "a133cfb0c0f05c4067d6033bad2add1522f923c64608b29e6a9bc33c2a7c2511",
+    ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
+        "c44482c37b793e32b3770d5b2ef2c5df4f454aa70ae65a211ef8bf692c923a46",
+    ("unary-cycle", "cq", "A(x), C(x)"):
+        "9b2f99f67f979886a635b7b14f692b6258b6655c8eb02714dff3668a366d88b2",
+    ("unary-cycle", "fg", "A(x), C(x)"):
+        "417ebb18b7d81e6b5d73af2276910a2cdd2b63cac672e3224ec2d7b318f6f01a",
+}
+
+
+def test_compiled_programs_and_records_are_unchanged():
+    assert sorted(COMPILE_DIGESTS) == sorted((name, scheme, text)
+                                             for name, schemes, text in COMPILE_QUERIES
+                                             for scheme in schemes)
+    for (name, scheme, text), digest in COMPILE_DIGESTS.items():
+        problem = compile_problem(name, text)
+        art = SCHEMES[scheme](problem.rules, problem.query)
+        blob = "\n".join([print_datalog(art.program), art.completeness,
+                          *(f"{r.candidate} | {r.verdict} | {r.kind}" for r in art.certification)])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (name, scheme, text)
 
 
 # ---------------------------------------------------------------------------
