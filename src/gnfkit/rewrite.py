@@ -3,9 +3,11 @@
 All three compilation schemes run one pipeline: enumerate a capped space of
 candidate rules, chase each distinct canonical candidate body once to certify
 every candidate as a consequence of the input rules, keep exactly the
-certified ones, and assemble them into a program.  The emitted program
-therefore carries a certificate for every rule, and the returned artifacts
-record the enumeration caps together with the verdict for every candidate.
+certified ones, assemble them into a program, and drop each program rule
+that a kept rule subsumes.  The emitted program therefore carries a
+certificate for every rule and is subsumption-minimal, and the returned
+artifacts record the enumeration caps together with the verdict for every
+candidate and every dropped rule.
 
 The schemes, one per guardedness tier:
 
@@ -33,13 +35,15 @@ from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
 from .model import Fact, Instance, Signature, active_domain, align_instance, elem
 # canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
-from .query import (RENAMING_CAP, Atom, BodyRenamings, ConjunctiveQuery, Cst, Var,
-                    body_renamings, canon_inst, canonical_cq, canonical_renaming, core_cq,
-                    cq, cq_contained, eval_cq, is_answer_guarded, pick_renaming,
-                    query_signature, substitute)
+from .query import (RENAMING_CAP, Atom, BodyRenamings, ConjunctiveQuery, Cst, Relation, Term, Var,
+                    _ordered_for_join, body_renamings, canon_inst, canonical_cq,
+                    canonical_renaming, core_cq, cq, cq_contained, eval_cq,
+                    is_answer_guarded, match_atoms, pick_renaming, query_signature,
+                    substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
 
 ENTAILED = "entailed"
+SUBSUMED = "subsumed"
 REJECTED = "rejected"
 UNKNOWN = "unknown"
 
@@ -100,7 +104,9 @@ class CertificationRecord:
     """One candidate rule and the verdict the certifying oracle reached."""
 
     candidate: str
-    verdict: str  # entailed | rejected | unknown
+    # entailed | rejected | unknown | subsumed (a program rule that a kept one
+    # subsumes, under its program text; its kind is rule, goal-rule or import)
+    verdict: str
     kind: str     # rule | query-rule | goal-rule | axiom | import
 
 
@@ -273,9 +279,18 @@ _Body = tuple[tuple[Atom, ...], tuple[str, ...]]
 
 
 class _Candidate(NamedTuple):
-    rule: Tgd
+    body: tuple[Atom, ...]  # named, sorted by text
+    head: Atom
     kind: str = "rule"  # rule | query-rule | axiom (entailed without a chase)
     query: Optional[ConjunctiveQuery] = None  # a query-rule's head stands for it
+
+    @property
+    def rule(self) -> Tgd:
+        return make_tgd(list(self.body), [self.head])
+
+    @staticmethod
+    def of(t: Tgd, kind: str = "rule") -> "_Candidate":
+        return _Candidate(t.body.atoms, t.head.atoms[0], kind)
 
 
 def _enumeration_relations(sig: Signature, config: RewriteConfig) -> tuple[list[tuple[str, int]], bool]:
@@ -348,7 +363,7 @@ def _rule_candidates(bodies: Iterable[_Body],
                 renamed, new_head, _, texts = pick_renaming(renamings, head)
                 key = f"{', '.join(texts)} -> {new_head}"
                 if key not in cands:
-                    cands[key] = _Candidate(make_tgd(list(renamed), [new_head]),
+                    cands[key] = _Candidate(renamed, new_head,
                                             "rule" if q is None else "query-rule", q)
     return cands
 
@@ -377,7 +392,7 @@ def _derivation_candidates(rules: Sequence[Tgd], sig: Signature, config: Rewrite
     rels, bodies, capped = _guarded_space(sig, config)
     cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels])
     for c in _inject_input_rules(rules, require_guarded=True):
-        cands.setdefault(str(c), _Candidate(c))
+        cands.setdefault(str(c), _Candidate.of(c))
     return bodies, cands, capped
 
 
@@ -418,7 +433,7 @@ def _closure_chunk(arg):
 
 
 def _verdict(cand: _Candidate, status: str, closure: Instance, ren: dict[str, str]) -> str:
-    head = cand.rule.head.atoms[0]
+    head = cand.head
     if cand.query is None:
         args = tuple(closure.const_interp[t.name] if isinstance(t, Cst)
                      else elem(ren.get(t.name, t.name)) for t in head.args)
@@ -437,7 +452,7 @@ def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _C
     candidate against its closure; axioms are entailed without a chase.
     Returns the verdicts, group by group and each group in text order, and
     the entailed rules in the same order."""
-    requests = {s: _closure_request(c.rule.body.atoms)
+    requests = {s: _closure_request(c.body)
                 for group in groups for s, c in group.items() if c.kind != "axiom"}
     items = sorted({key: canon for key, canon, _ in requests.values()}.items())
     if config.jobs > 1 and len(items) > 1:
@@ -630,6 +645,58 @@ def _completeness(capped: bool, records: Iterable[CertificationRecord]) -> str:
     return COMPLETE_WITHIN_CAPS
 
 
+class _Subsumable(NamedTuple):
+    """A program rule with its body as a join order (head variables bound
+    first) and as its argument tuples by relation."""
+    rule: Rule
+    order: list[Atom]
+    sources: dict[str, Relation]
+
+    @staticmethod
+    def of(r: Rule) -> "_Subsumable":
+        sources: dict[str, Relation] = {}
+        for a in r.body:
+            sources.setdefault(a.rel, Relation()).add(a.args)
+        return _Subsumable(r, _ordered_for_join(r.body, r.head.vars()), sources)
+
+
+def _subsumes(general: _Subsumable, specific: _Subsumable) -> bool:
+    """Whether the general rule's body maps into the specific rule's body by
+    a homomorphism sending the general head exactly onto the specific one.
+    Terms stand for themselves, so constants map only to themselves."""
+    binding: dict[str, Term] = {}
+    for s, t in zip(general.rule.head.args, specific.rule.head.args):
+        if isinstance(s, Cst):
+            if s != t:
+                return False
+        elif binding.setdefault(s.name, t) != t:
+            return False
+    rels = [specific.sources.get(a.rel) for a in general.order]
+    if None in rels:
+        return False
+    return next(match_atoms(general.order, rels, binding, Cst), None) is not None
+
+
+def _prune_subsumed(rules: dict[str, Rule]) -> set[str]:
+    """Of rules by text, the texts to keep.  Taken in order of (body size,
+    text), a rule is dropped when a kept rule with its head relation
+    subsumes it, and is otherwise kept in place of every kept rule it
+    subsumes; a later rule can subsume an earlier one of the same size, as
+    ``H(x) :- E(x,y)`` does ``H(x) :- E(x,x)``.  No kept rule then subsumes
+    another, each dropped rule is subsumed by a kept one (subsumption
+    composes), and of rules subsuming each other the least stays."""
+    kept: dict[str, dict[str, _Subsumable]] = {}
+    for s, r in sorted(rules.items(), key=lambda item: (len(item[1].body), item[0])):
+        new = _Subsumable.of(r)
+        same_head = kept.setdefault(r.head.rel, {})
+        if any(_subsumes(k, new) for k in same_head.values()):
+            continue
+        for other in [other for other, k in same_head.items() if _subsumes(new, k)]:
+            del same_head[other]
+        same_head[s] = new
+    return {s for same_head in kept.values() for s in same_head}
+
+
 def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, goal: str,
               derived: Iterable[Tgd], records: Iterable[CertificationRecord],
               caps: dict[str, int], capped: bool, *, goal_list: Iterable[Rule] = (),
@@ -639,27 +706,29 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
               projection: Optional[tuple[int, ...]] = None) -> RewriteArtifacts:
     """The program over relation copies: each certified rule that is not a
     tautology, moved onto the copies, the goal rules, and one import rule per
-    input relation.  The idb declares the copies, then the relations of
-    ``idb_if_used`` that some rule mentions, then ``idb``."""
+    input relation, less the rules a kept rule subsumes; each of those gets
+    a ``subsumed`` record after the import records.  The idb declares the
+    copies, then the relations of ``idb_if_used`` that some rule before the
+    prune mentions, then ``idb``."""
     def onto_copies(a: Atom) -> Atom:
         return Atom(copies.get(a.rel, a.rel), a.args)
 
-    prog_rules: dict[str, Rule] = {}
+    prog_rules: dict[str, tuple[Rule, str]] = {}
     for t in derived:
         if t.head.atoms[0] not in t.body.atoms:
             r = Rule(onto_copies(t.head.atoms[0]), tuple(onto_copies(a) for a in t.body.atoms))
-            prog_rules[str(r)] = r
+            prog_rules[str(r)] = r, "rule"
     for r in goal_list:
-        prog_rules[str(r)] = r
+        prog_rules[str(r)] = r, "goal-rule"
     records = list(records)
     for rel, arity in sig.arities.items():
         args = tuple(Var(f"x{i}") for i in range(arity))
         r = Rule(Atom(copies[rel], args), (Atom(rel, args),))
-        prog_rules[str(r)] = r
+        prog_rules[str(r)] = r, "import"
         records.append(CertificationRecord(str(r), ENTAILED, "import"))
 
-    ordered = tuple(prog_rules[s] for s in sorted(prog_rules))
-    atoms = [a for r in ordered for a in (r.head, *r.body)]
+    ordered = {s: prog_rules[s] for s in sorted(prog_rules)}
+    atoms = [a for r, _ in ordered.values() for a in (r.head, *r.body)]
     referenced = {a.rel for a in atoms}
     idb_rels = ([(copies[rel], arity) for rel, arity in sig.arities.items()]
                 + [(r, a) for r, a in idb_if_used if r in referenced] + list(idb))
@@ -667,8 +736,12 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
     if UNIT_CONST not in sig.constants and any(
             isinstance(t, Cst) and t.name == UNIT_CONST for a in atoms for t in a.args):
         edb = sig.extend(constants=(UNIT_CONST,))
+    kept = _prune_subsumed({s: r for s, (r, _) in ordered.items()})
+    records += [CertificationRecord(s, SUBSUMED, kind)
+                for s, (_, kind) in ordered.items() if s not in kept]
     return RewriteArtifacts(
-        program=DatalogProgram(edb, Signature(idb_rels), ordered, goal),
+        program=DatalogProgram(edb, Signature(idb_rels),
+                               tuple(r for s, (r, _) in ordered.items() if s in kept), goal),
         certification=tuple(records),
         caps=caps,
         capped=capped,
@@ -835,7 +908,7 @@ def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
     cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels]
                              + [(r, 0, None) for r, a in rels if a == 1])
     for c in _inject_input_rules(theory, require_guarded=False):
-        cands[str(c)] = _Candidate(c, "axiom")
+        cands[str(c)] = _Candidate.of(c, "axiom")
     records, kept = _certify(theory, ext.signature.extend(relations=extension_rels),
                              [cands], config)
 

@@ -12,8 +12,12 @@ the problems' own single-atom queries, and multi-atom and Boolean queries
 that are answer-guarded wherever the fg scheme is listed.
 """
 
+import functools
+from typing import Optional
+
 from gnfkit.query import atom, cq
-from gnfkit.rewrite import CertainAnswerProblem
+from gnfkit.rewrite import (CertainAnswerProblem, RewriteArtifacts, rewrite_atomic_guarded,
+                            rewrite_cq_guarded, rewrite_fg)
 from gnfkit.syntax import parse_query
 from gnfkit.tgd import make_tgd, tgd_signature
 
@@ -159,3 +163,18 @@ def compile_problem(name: str, query_text: str) -> CertainAnswerProblem:
     """The corpus problem `name` with `query_text` as its query."""
     rules = next(p for p in PROBLEMS if p.name == name).rules
     return _problem(name, rules, parse_query(query_text, tgd_signature(rules)))
+
+
+SCHEMES = {"atomic": rewrite_atomic_guarded, "cq": rewrite_cq_guarded, "fg": rewrite_fg}
+
+
+@functools.lru_cache(maxsize=None)
+def compiled_problem(name: str, scheme: str, query_text: Optional[str]
+                     ) -> tuple[CertainAnswerProblem, RewriteArtifacts]:
+    """The corpus problem `name`, with `query_text` as its query (None: its
+    own), and its compile under `scheme`; compiled once per process, since
+    several tests read the same compiles.  `query_text` has no default, so
+    that every call names the same cache key."""
+    problem = (next(p for p in PROBLEMS if p.name == name) if query_text is None
+               else compile_problem(name, query_text))
+    return problem, SCHEMES[scheme](problem.rules, problem.query)

@@ -7,14 +7,16 @@ package internals — so that agreement with the package is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Iterator, Mapping, Optional, Sequence
 
 from gnfkit.chase import BUDGET_EXHAUSTED, TERMINATED, ChaseConfig, ChaseResult
-from gnfkit.datalog import DatalogProgram
-from gnfkit.model import Fact, Homomorphism, Instance, Value
-from gnfkit.query import Atom, ConjunctiveQuery, Cst, Var, canonical_renaming, core_cq, cq
+from gnfkit.datalog import DatalogProgram, Rule
+from gnfkit.model import Fact, Homomorphism, Instance, Value, const, elem, find_homomorphism
+from gnfkit.query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_renaming,
+                          core_cq, cq)
 from gnfkit.tgd import Tgd, make_tgd
 from gnfkit.logic import (FoAnd, FoEq, FoExists, FoForall, FoFormula, FoNot,
                           FoOr)
@@ -349,3 +351,27 @@ def naive_rule_candidates(bodies: Sequence[tuple[Sequence[Atom], Sequence[str]]]
                 rule = make_tgd(list(renamed), [new_head])
                 out.setdefault(str(rule), (rule, "rule" if q is None else "query-rule", q))
     return out
+
+
+def naive_subsumes(general: Rule, specific: Rule) -> bool:
+    """Whether the general rule subsumes the specific one: a homomorphism from
+    the canonical instance of its body into that of the specific body, seeded
+    to send its head arguments onto the specific head's, with constants fixed."""
+    if general.head.rel != specific.head.rel:
+        return False
+    seed: dict[Value, Value] = {}
+    for s, t in zip(general.head.args, specific.head.args):
+        if isinstance(s, Cst):
+            if s != t:
+                return False
+            continue
+        image = elem(t.name) if isinstance(t, Var) else const(t.name)
+        if seed.setdefault(elem(s.name), image) != image:
+            return False
+    return find_homomorphism(_body_instance(general.body), _body_instance(specific.body),
+                             seed) is not None
+
+
+@functools.lru_cache(maxsize=None)
+def _body_instance(body: tuple[Atom, ...]) -> Instance:
+    return canon_inst(cq([], body))[0]

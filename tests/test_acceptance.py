@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from corpus import PROBLEMS
+from corpus import PROBLEMS, compiled_problem
 from oracles import (naive_eval_cq, naive_eval_datalog, naive_eval_fo,
                      naive_find_homomorphism)
 from randgen import (
@@ -75,9 +75,7 @@ from gnfkit.query import (
 from gnfkit.rewrite import (
     certain_answers_oracle,
     evaluate_program,
-    rewrite_atomic_guarded,
     rewrite_cq_guarded,
-    rewrite_fg,
 )
 from gnfkit.tgd import classify, make_tgd
 
@@ -187,9 +185,11 @@ def test_criterion_02_rewriting_guardedness_classes():
     with criterion(2, "rewriting guardedness classes"):
         assert len(PROBLEMS) >= 10
         for p in PROBLEMS:
-            assert classify_datalog(rewrite_atomic_guarded(p.rules, p.query).program).guarded, p.name
-            assert classify_datalog(rewrite_cq_guarded(p.rules, p.query).program).internally_guarded, p.name
-            assert classify_datalog(rewrite_fg(p.rules, p.query).program).frontier_guarded, p.name
+            classes = {scheme: classify_datalog(compiled_problem(p.name, scheme, None)[1].program)
+                       for scheme in ("atomic", "cq", "fg")}
+            assert classes["atomic"].guarded, p.name
+            assert classes["cq"].internally_guarded, p.name
+            assert classes["fg"].frontier_guarded, p.name
 
 
 def test_criterion_03_cycle_family_bisimilarity():

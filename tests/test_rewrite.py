@@ -1,21 +1,23 @@
 """Tests for compiling certain-answer problems into Datalog."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
 
 import pytest
 
-from corpus import COMPILE_QUERIES, ORACLE_QUERIES, PROBLEMS, compile_problem
-from oracles import naive_rule_candidates
+from corpus import (COMPILE_QUERIES, ORACLE_QUERIES, PROBLEMS, SCHEMES, compile_problem,
+                    compiled_problem)
+from oracles import naive_rule_candidates, naive_subsumes
 from randgen import random_instance
 from shapes import cycle
 from gnfkit.chase import ChaseConfig
-from gnfkit.datalog import classify_datalog
+from gnfkit.datalog import DatalogProgram, classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
 from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, cq, cq_equivalent,
                           query_signature)
-from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED,
+from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED,
                             RewriteConfig, _canonical_family_form, _default_k,
                             _inject_input_rules, _rule_candidates,
                             certain_answers_oracle,
@@ -25,7 +27,7 @@ from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED,
                             guard_extension_axioms, query_generation_rules,
                             rewrite_atomic_guarded, rewrite_cq_guarded,
                             rewrite_fg)
-from gnfkit.syntax import print_datalog
+from gnfkit.syntax import parse_datalog, print_datalog
 from gnfkit.tgd import make_tgd, tgd_signature
 
 SIG = Signature([("R", 2), ("U", 1), ("S", 2), ("T", 1)])
@@ -434,11 +436,13 @@ def test_schemes_are_compositions_of_their_public_steps():
         query_rules = query_generation_rules(rules, q, k, cfg)
         goals = goal_rules(q, k, cfg, goal_name=art.program.goal)
         steps = derived.certification + query_rules.certification + goals.certification
-        assert tuple(r for r in art.certification if r.kind != "import") == steps
+        assert tuple(r for r in art.certification
+                     if r.kind != "import" and r.verdict != SUBSUMED) == steps
         assert list(art.query_predicates.items()) == list(query_rules.query_predicates.items())
     atomic = rewrite_atomic_guarded(RULES, Q_T, cfg)
     derived = derive_full_guarded(RULES, cfg, tgd_signature(RULES, query_signature(Q_T)))
-    assert tuple(r for r in atomic.certification if r.kind != "import") == derived.certification
+    assert tuple(r for r in atomic.certification
+                 if r.kind != "import" and r.verdict != SUBSUMED) == derived.certification
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +528,6 @@ def test_fg_rewrite_agrees_with_oracle_on_guarded_example():
 # ---------------------------------------------------------------------------
 # differential check against the oracle
 
-SCHEMES = {"atomic": rewrite_atomic_guarded, "cq": rewrite_cq_guarded, "fg": rewrite_fg}
 COMPILES = [(i, name, scheme, text)
             for i, (name, schemes, text) in enumerate(COMPILE_QUERIES + ORACLE_QUERIES)
             for scheme in schemes]
@@ -561,7 +564,8 @@ def test_compiled_answers_agree_with_the_oracle(index, name, scheme, text):
 
 # SHA-256 of each compile's printed program, completeness and certification
 # records, as computed by the compilers before rule candidates were named per
-# body; any change to the naming or enumeration shows up here
+# body and before subsumed rules were dropped; any change to the naming or
+# enumeration shows up here
 COMPILE_DIGESTS = {
     ("u-propagation", "atomic", "T(x)"):
         "fc57de8b37f29c7d2ad686cfadcd37b295a5d306cd9768b8e8629a453789a4fe",
@@ -612,16 +616,126 @@ COMPILE_DIGESTS = {
 }
 
 
+# the same digest over the emitted, subsumption-minimal programs and the full
+# certification trail, subsumed records included
+PRUNED_DIGESTS = {
+    ("u-propagation", "atomic", "T(x)"):
+        "d99d97dc9da5d70f6cfa4e45c856d6119bc3136dbe7e390764eacf777c4fd653",
+    ("u-propagation", "cq", "T(x)"):
+        "590e5fc9dc073451e8ba1bc46973283d49b64ba89306b6e6dc7b7fbdd1c0efa9",
+    ("edge-endpoint", "atomic", "P(x)"):
+        "35ed9769d4aebbf1daf7f533afdfe1a43f73732aa59f3df29ec90a8433fbef44",
+    ("edge-endpoint", "cq", "P(x)"):
+        "7a33419f654045626e57ac59aac6b3a2881adec30978d49470005fb72a21f206",
+    ("unary-cycle", "atomic", "C(x)"):
+        "a430d7fd295050567e20df639f2bf8b8c8baee5dd4c87402795df0fa5c9a9582",
+    ("unary-cycle", "cq", "C(x)"):
+        "ed2abcc6bbe2b3927711cb78daf0a5e245d393b24ac287667c04cbfb137a7492",
+    ("unary-cycle", "fg", "C(x)"):
+        "ef5fc3c114e1daf601369b89bc6510d6e14315f1158acfc61590f7295bdd4053",
+    ("null-producer", "atomic", "V(x)"):
+        "035b7b18dd5c0d0a3cd6de7d2f4756362e8129de77935ce92b89ecd2d4b73f6d",
+    ("null-producer", "cq", "V(x)"):
+        "32a49e4ceef04d7d6e32db22bfbfcda757c3433cf066ffd31d4f382e1504e8fe",
+    ("pair-marker", "atomic", "S(x,y)"):
+        "56e4f0792ca1c2dd932150e77ee7de46168f4a8a5054c313dd9bb31e888e18d3",
+    ("pair-marker", "cq", "S(x,y)"):
+        "5eb91b92fd4e488cb30af8a3b3f843cc6c5cdd45613cc89e3b90ae2bb3baf660",
+    ("symmetric-loop", "atomic", "L(x)"):
+        "11930b09aa9ac2da49fa7a17d4ebf56420a1989aabc636b4e73046ae766337e9",
+    ("symmetric-loop", "cq", "L(x)"):
+        "6ffe60837b001ca095521480873e6811eea4d7fdb6143f1123f238e82d055eea",
+    ("symmetric-loop", "fg", "L(x)"):
+        "8d785fe5eb2823351feb70148721fae322f06598e21d462224814da4557a6dad",
+    ("mutual-unary", "atomic", "P(x)"):
+        "a3eb5544e88a3e381a97bf7c38a6631a8076d492c34665e458f07f3f1353c5c2",
+    ("mutual-unary", "cq", "P(x)"):
+        "8c926b12af4c1e1ce72d100aad2b92dd8af03b8864fd0012f784cfde0198011c",
+    ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
+        "2c8a1df3496787b49d41586eabd86b239913206585ceb90eac11d17b86d14ec4",
+    ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
+        "9f93374eeab012f1b892ca12e1320e75daac85a389e7441e2d362fa625aae127",
+    ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
+        "0af8059488bf2c18662591636047ae7ed4a724c37d83fef3ab214ca475415264",
+    ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
+        "602168925c6e8b5144b651da7b15fe317bc8d02e864acf511eb57784e0439e00",
+    ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
+        "deff131253a72cf2f3a251758727144000ebeb0322a38bd744f79fc51c09ce27",
+    ("unary-cycle", "cq", "A(x), C(x)"):
+        "781a2ace13a598a14401617f5bd983cc6a48042f6cc48b1647337ee8383e76bf",
+    ("unary-cycle", "fg", "A(x), C(x)"):
+        "da1dbfa4f96256ea7c14bc8c871e2aa856127599b4e2fa449ea78d706122623e",
+}
+
+
+def _compile_blob(program_text: str, completeness: str, records) -> str:
+    return "\n".join([program_text, completeness,
+                      *(f"{r.candidate} | {r.verdict} | {r.kind}" for r in records)])
+
+
+def _unpruned_blob(art) -> str:
+    """The digested text as it was before subsumed rules were dropped: the
+    declarations, the kept and the subsumed rules in text order, the
+    completeness and every record but the subsumed ones."""
+    lines = print_datalog(art.program).splitlines()
+    subsumed = [r for r in art.certification if r.verdict == SUBSUMED]
+    rules = sorted([line for line in lines if ":-" in line] + [r.candidate for r in subsumed])
+    program = "\n".join([line for line in lines if ":-" not in line] + rules) + "\n"
+    return _compile_blob(program, art.completeness,
+                         [r for r in art.certification if r.verdict != SUBSUMED])
+
+
 def test_compiled_programs_and_records_are_unchanged():
     assert sorted(COMPILE_DIGESTS) == sorted((name, scheme, text)
                                              for name, schemes, text in COMPILE_QUERIES
                                              for scheme in schemes)
+    assert sorted(PRUNED_DIGESTS) == sorted(COMPILE_DIGESTS)
     for (name, scheme, text), digest in COMPILE_DIGESTS.items():
-        problem = compile_problem(name, text)
-        art = SCHEMES[scheme](problem.rules, problem.query)
-        blob = "\n".join([print_datalog(art.program), art.completeness,
-                          *(f"{r.candidate} | {r.verdict} | {r.kind}" for r in art.certification)])
-        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (name, scheme, text)
+        _, art = compiled_problem(name, scheme, text)
+        unpruned = _unpruned_blob(art)
+        assert hashlib.sha256(unpruned.encode()).hexdigest() == digest, (name, scheme, text)
+        pruned = _compile_blob(print_datalog(art.program), art.completeness, art.certification)
+        assert (hashlib.sha256(pruned.encode()).hexdigest()
+                == PRUNED_DIGESTS[name, scheme, text]), (name, scheme, text)
+
+
+# ---------------------------------------------------------------------------
+# subsumption-minimal programs: the benchmark's compiles and the whole corpus
+
+PRUNE_COMPILES = ([(name, scheme, text) for name, schemes, text in COMPILE_QUERIES
+                   for scheme in schemes]
+                  + [(p.name, scheme, None) for p in PROBLEMS for scheme in SCHEMES])
+PRUNE_IDS = [f"{name}-{scheme}-{i}" for i, (name, scheme, _) in enumerate(PRUNE_COMPILES)]
+
+
+def _with_subsumed(art) -> DatalogProgram:
+    """The emitted program with its subsumed rules put back, parsed from text."""
+    subsumed = [r.candidate for r in art.certification if r.verdict == SUBSUMED]
+    program = parse_datalog(print_datalog(art.program) + "".join(s + "\n" for s in subsumed))
+    assert sorted(map(str, program.rules)) == sorted([*map(str, art.program.rules), *subsumed])
+    return program
+
+
+@pytest.mark.parametrize("name, scheme, text", PRUNE_COMPILES, ids=PRUNE_IDS)
+def test_emitted_programs_are_subsumption_minimal(name, scheme, text):
+    _, art = compiled_problem(name, scheme, text)
+    kept = art.program.rules
+    dropped = [r for r in _with_subsumed(art).rules if r not in kept]
+    for r in dropped:
+        assert any(naive_subsumes(k, r) for k in kept), r
+    for g, r in itertools.permutations(kept, 2):
+        assert not naive_subsumes(g, r), (g, r)
+
+
+@pytest.mark.parametrize("name, scheme, text", PRUNE_COMPILES, ids=PRUNE_IDS)
+def test_dropping_subsumed_rules_keeps_the_answers(name, scheme, text):
+    problem, art = compiled_problem(name, scheme, text)
+    unpruned = dataclasses.replace(art, program=_with_subsumed(art))
+    sig = tgd_signature(problem.rules)
+    rng = random.Random(PRUNE_COMPILES.index((name, scheme, text)))
+    for _ in range(3):
+        inst = random_instance(rng, sig, max_facts=12)
+        assert evaluate_program(art, inst) == evaluate_program(unpruned, inst), inst
 
 
 # ---------------------------------------------------------------------------
