@@ -7,12 +7,13 @@ order.  For frontier-guarded rules the run also records, per generated fact, the
 set of the input instance its derivation hangs from; that map is a squid decomposition
 of the result over the input.
 
-Enumeration is delta-driven: round 1 enumerates every trigger, and each later round only
-the triggers that use a fact added by the previous round.  The firing order stays the
-same.  A trigger that uses no new fact was enumerated in an earlier round, and when that
-round completed the trigger had fired or was already satisfied (a budget stop ends the
-run, so no round resumes half done).  Facts only grow, so the restricted mode would find
-it satisfied again, and the oblivious mode's fired set would skip it.
+Triggers are enumerated by `query.round_joins`, the round planner Datalog evaluation
+shares: round 1 enumerates every trigger, and each later round only the triggers that use
+a fact added by the previous round.  The firing order stays the same.  A trigger that uses
+no new fact was enumerated in an earlier round, and when that round completed the trigger
+had fired or was already satisfied (a budget stop ends the run, so no round resumes half
+done).  Facts only grow, so the restricted mode would find it satisfied again, and the
+oblivious mode's fired set would skip it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 from .model import (Fact, Instance, Signature, Value, active_domain,
                     is_guarded_set, minus)
 from .query import (ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq,
-                    match_atoms, _ordered_for_join)
+                    match_atoms, round_joins, _ordered_for_join)
 # unused here, but the benchmark's traced mode wraps gnfkit.chase.classify
 from .tgd import Tgd, classify, tgd_signature
 
@@ -96,10 +97,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     const_of = lambda c: inst.const_interp[c]
 
     guards = [_guard_atom_index(t) for t in rules]
-    body_order = [_ordered_for_join(t.body.atoms) for t in rules]
-    # per rule and body position: that atom first, to be matched against the delta
-    delta_order = [[[a] + _ordered_for_join(t.body.atoms[:i] + t.body.atoms[i + 1:], a.vars())
-                    for i, a in enumerate(t.body.atoms)] for t in rules]
+    bodies = [t.body.atoms for t in rules]
     head_order = [_ordered_for_join(t.head.atoms, t.frontier()) for t in rules]
     origin: dict[Fact, Optional[frozenset[Value]]] = {}
     adom0 = active_domain(inst)
@@ -112,18 +110,12 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     delta: Optional[dict[str, Relation]] = None  # facts added by the previous round
 
     for rnd in range(1, config.max_rounds + 1):
-        # every trigger is enumerated before any fires, so `cur` is the round's snapshot;
-        # after round 1 only triggers using a fact of the previous round's delta
+        # every trigger is enumerated before any fires, so `cur` is the round's snapshot
         found: set[tuple[int, tuple[Value, ...]]] = set()
-        for ri, t in enumerate(rules):
-            if delta is None:
-                runs = [(body_order[ri], [cur[a.rel] for a in body_order[ri]])]
-            else:
-                runs = [(order, [delta[order[0].rel]] + [cur[a.rel] for a in order[1:]])
-                        for order in delta_order[ri] if order[0].rel in delta]
-            for order, sources in runs:
-                for m in match_atoms(order, sources, {}, const_of):
-                    found.add((ri, tuple(m[x] for x in t.body.free_vars)))
+        for ri, order, sources in round_joins(bodies, cur, delta):
+            free = rules[ri].body.free_vars
+            for m in match_atoms(order, sources, {}, const_of):
+                found.add((ri, tuple(m[x] for x in free)))
         triggers = sorted(found, key=lambda tr: (tr[0], tuple(v.name for v in tr[1])))
         delta = {}
 

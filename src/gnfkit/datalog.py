@@ -1,12 +1,15 @@
-"""Datalog programs over an input signature: least-fixpoint evaluation and guard classes."""
+"""Datalog programs over an input signature: least-fixpoint evaluation and guard classes.
+
+Evaluation is semi-naive, with its rounds planned by `query.round_joins`, the planner
+the chase shares: a full rule under the chase is a Datalog rule.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .model import Instance, Signature, Value
-from .query import Atom, Relation, Var, match_atoms, _ordered_for_join
+from .query import Atom, Cst, Relation, Var, match_atoms, round_joins
 
 
 @dataclass(frozen=True)
@@ -94,62 +97,37 @@ def classify_datalog(p: DatalogProgram) -> DatalogClass:
     return DatalogClass(guarded, internally, frontier)
 
 
-def _resolve(inst: Instance, name: str) -> Value:
-    if name not in inst.const_interp:
-        raise ValueError(f"constant {name} not interpreted in the input instance")
-    return inst.const_interp[name]
-
-
 def eval_datalog_fixpoint(p: DatalogProgram, inst: Instance) -> dict[str, set[tuple[Value, ...]]]:
     """Semi-naive least fixpoint; returns every idb relation's content."""
     if inst.sig != p.edb:
         missing = set(p.edb.arities) - set(inst.sig.arities)
         if missing or any(inst.sig.arities.get(r) != a for r, a in p.edb.arities.items()):
             raise ValueError("instance does not match the program's edb signature")
-    edb = {r: Relation(f.args for f in inst.rel_facts(r)) for r in p.edb.arities}
-    full = {r: Relation() for r in p.idb.arities}
-    const_of = lambda c: _resolve(inst, c)
-
-    def source(a: Atom) -> Relation:
-        return edb[a.rel] if a.rel in edb else full[a.rel]
-
-    # rules write into `out`, never into `full` or the delta, so both are matched in place
-    def run_rule(body: Sequence[Atom], sources: Sequence[Relation], rule: Rule,
-                 out: dict[str, set[tuple[Value, ...]]]) -> None:
-        for m in match_atoms(body, sources, {}, const_of):
-            args = tuple(m[t.name] if isinstance(t, Var) else const_of(t.name)
-                         for t in rule.head.args)
-            out.setdefault(rule.head.rel, set()).add(args)
-
-    def merge(new: dict[str, set[tuple[Value, ...]]]) -> dict[str, Relation]:
-        delta: dict[str, Relation] = {}
-        for r, tuples in new.items():
-            for tup in tuples:
-                if full[r].add(tup):
-                    delta.setdefault(r, Relation()).add(tup)
-        return delta
-
-    # round 0: rules with edb-only bodies
-    first: dict[str, set[tuple[Value, ...]]] = {}
     for rule in p.rules:
-        if all(a.rel in edb for a in rule.body):
-            body = _ordered_for_join(rule.body)
-            run_rule(body, [edb[a.rel] for a in body], rule, first)
-    delta = merge(first)
+        for a in (rule.head, *rule.body):
+            for t in a.args:
+                if isinstance(t, Cst) and t.name not in inst.const_interp:
+                    raise ValueError(f"constant {t.name} not interpreted in the input instance")
+    idb = {r: Relation() for r in p.idb.arities}
+    relations = {r: Relation(f.args for f in inst.rel_facts(r)) for r in p.edb.arities} | idb
+    bodies = [rule.body for rule in p.rules]
+    const_of = inst.const_interp.__getitem__
 
-    # per rule and idb body position: that atom first, to be matched against the delta
-    delta_runs = [(rule, [[a] + _ordered_for_join(rule.body[:i] + rule.body[i + 1:], a.vars())
-                          for i, a in enumerate(rule.body) if a.rel in p.idb.arities])
-                  for rule in p.rules]
-    while delta:
-        new: dict[str, set[tuple[Value, ...]]] = {}
-        for rule, orders in delta_runs:
-            for body in orders:
-                if body[0].rel in delta:
-                    run_rule(body, [delta[body[0].rel]] + [source(a) for a in body[1:]],
-                             rule, new)
-        delta = merge(new)
-    return {r: rel.tuples for r, rel in full.items()}
+    delta = None  # idb tuples added by the previous round
+    while delta is None or delta:
+        # every head tuple is collected before any is added, so the round's joins see
+        # the relations and the delta as they were when it began
+        heads: set[tuple[str, tuple[Value, ...]]] = set()
+        for ri, order, sources in round_joins(bodies, relations, delta):
+            head = p.rules[ri].head
+            for m in match_atoms(order, sources, {}, const_of):
+                heads.add((head.rel, tuple(m[t.name] if isinstance(t, Var) else const_of(t.name)
+                                           for t in head.args)))
+        delta = {}
+        for rel, tup in heads:
+            if idb[rel].add(tup):
+                delta.setdefault(rel, Relation()).add(tup)
+    return {r: rel.tuples for r, rel in idb.items()}
 
 
 def eval_datalog(p: DatalogProgram, inst: Instance) -> set[tuple[Value, ...]]:

@@ -1,4 +1,5 @@
-"""Conjunctive queries: evaluation, containment, cores, acyclicity, treeification."""
+"""Conjunctive queries: the join kernel and semi-naive round planner, evaluation,
+containment, cores, acyclicity, treeification."""
 
 from __future__ import annotations
 
@@ -251,6 +252,38 @@ def _ordered_for_join(atoms: Sequence[Atom], bound: Iterable[str] = ()) -> list[
         out.append(nxt)
         bound |= set(nxt.vars())
     return out
+
+
+def round_joins(bodies: Sequence[Sequence[Atom]], relations: Mapping[str, Relation],
+                delta: Optional[Mapping[str, Relation]]
+                ) -> Iterator[tuple[int, list[Atom], list[Relation]]]:
+    """The joins of one semi-naive round, as (body index, atom order, sources).
+
+    The chase and Datalog evaluation both plan their rounds here; each matches
+    the yielded joins with `match_atoms` and adds what they derive only after
+    the round, so `relations` and `delta` do not change while it runs.
+
+    Enumeration is delta-driven.  The first round (`delta` is None) joins every
+    body in full.  Each later round joins a body once per position whose
+    relation is in the delta, that atom first and matched against the delta,
+    the rest against `relations`, so it finds exactly the matches that use a
+    fact added by the previous round (a match with new facts at several
+    positions is found once per such position).  Relations only grow, so a
+    match that uses no new fact was found in an earlier round.  A join with an empty source matches nothing
+    and is skipped.  Joins come in body order, then position order.
+    """
+    for bi, body in enumerate(bodies):
+        if delta is None:
+            orders = [_ordered_for_join(body)]
+        else:
+            orders = [[a] + _ordered_for_join(body[:i] + body[i + 1:], a.vars())
+                      for i, a in enumerate(body) if a.rel in delta]
+        for order in orders:
+            sources = [relations[a.rel] for a in order]
+            if delta is not None:
+                sources[0] = delta[order[0].rel]
+            if all(s.tuples for s in sources):
+                yield bi, order, sources
 
 
 def instance_tuples(inst: Instance, rel: str) -> set[tuple[Value, ...]]:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gnfkit.chase import TERMINATED, ChaseConfig, chase
 from gnfkit.datalog import (
     DatalogProgram,
     Rule,
@@ -15,6 +16,7 @@ from gnfkit.datalog import (
 )
 from gnfkit.model import Fact, Instance, Signature, const, elem
 from gnfkit.query import Atom, Cst, Var, atom
+from gnfkit.tgd import make_tgd
 
 from oracles import naive_eval_datalog
 from randgen import random_datalog_program, random_instance
@@ -184,6 +186,16 @@ def test_constants_in_heads_and_bodies():
     assert eval_datalog(p, empty) == set()
 
 
+def test_uninterpreted_rule_constants_fail_whatever_the_data():
+    edb = Signature([("F", 1)], ("c",))
+    p = DatalogProgram(edb, Signature([("G", 1)]),
+                       (Rule(Atom("G", (Cst("c"),)), (atom("F", "x"),)),), "G")
+    without_c = Signature([("F", 1)])
+    for facts in ([], [Fact("F", (elem("a"),))]):
+        with pytest.raises(ValueError, match="constant c not interpreted"):
+            eval_datalog_fixpoint(p, Instance(without_c, facts))
+
+
 def test_ruleless_program_derives_nothing():
     p = DatalogProgram(Signature([("E", 2)]), Signature([("G", 1)]), (), "G")
     i = Instance(Signature([("E", 2)]), [Fact("E", (elem("a"), elem("b")))])
@@ -206,6 +218,21 @@ def test_semi_naive_agrees_with_naive_on_random_programs():
     for _ in range(200):
         p, i = random_datalog_program(rng)
         assert eval_datalog_fixpoint(p, i) == naive_eval_datalog(p, i)
+
+
+def test_full_rules_chase_to_the_datalog_fixpoint():
+    # a Datalog rule is a full TGD: both chase modes must reach the same idb facts
+    rng = random.Random(79)
+    for _ in range(200):
+        p, i = random_datalog_program(rng)
+        sig = Signature([*p.edb.arities.items(), *p.idb.arities.items()], p.edb.constants)
+        rules = [make_tgd(r.body, [r.head]) for r in p.rules]
+        want = eval_datalog_fixpoint(p, i)
+        for mode in ("restricted", "oblivious_dedup"):
+            res = chase(Instance(sig, i.facts), rules, ChaseConfig(mode=mode))
+            assert res.status == TERMINATED, (p, i, mode)
+            got = {r: {f.args for f in res.result.rel_facts(r)} for r in p.idb.arities}
+            assert got == want, (p, i, mode)
 
 
 def test_evaluation_is_monotone_in_the_input():

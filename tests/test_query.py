@@ -31,7 +31,9 @@ from gnfkit.query import (
     is_answer_guarded,
     match_atoms,
     query_signature,
+    round_joins,
     treeify,
+    _ordered_for_join,
 )
 
 from oracles import join_tree_exists, naive_eval_cq
@@ -176,6 +178,68 @@ def test_match_atoms_agrees_with_exhaustive_evaluation():
                                         for a in atoms)
             answered["bound"] += bool(binding)
     assert min(answered.values()) >= 10, answered
+
+
+def test_round_joins_plans_full_bodies_then_one_join_per_delta_position():
+    a, b, c = elem("a"), elem("b"), elem("c")
+    rels = {"E": Relation({(a, b), (b, c)}), "U": Relation({(a,)}), "T": Relation()}
+    exy, eyz, ux, ty = atom("E", "x", "y"), atom("E", "y", "z"), atom("U", "x"), atom("T", "y")
+    bodies = [(ux, exy), (ux,), (exy, eyz), (exy, ty)]
+
+    # first round: each body in full, in join order; the body over empty T is skipped
+    first = list(round_joins(bodies, rels, None))
+    assert [(bi, order) for bi, order, _ in first] == \
+        [(bi, _ordered_for_join(body)) for bi, body in enumerate(bodies[:3])]
+    for _, order, sources in first:
+        assert all(s is rels[x.rel] for x, s in zip(order, sources))
+
+    # later rounds: the delta atom first, against the delta; E twice gives two joins
+    delta = {"E": Relation({(b, c)})}
+    later = list(round_joins(bodies, rels, delta))
+    assert [(bi, order) for bi, order, _ in later] == [
+        (0, [exy, ux]), (2, [exy] + _ordered_for_join([eyz], ["x", "y"])),
+        (2, [eyz] + _ordered_for_join([exy], ["y", "z"]))]
+    for _, order, sources in later:
+        assert sources[0] is delta["E"]
+        assert all(s is rels[x.rel] for x, s in zip(order[1:], sources[1:]))
+
+
+def test_round_joins_find_exactly_the_matches_that_use_the_delta():
+    rng = random.Random(29)
+    sig = Signature([("E", 2), ("T", 3), ("U", 1)])
+    values = [elem("a"), elem("b"), elem("c")]
+    terms = [Var("x"), Var("y"), Var("z")]
+
+    def some_facts(k):
+        return {Fact(rel, tuple(rng.choice(values) for _ in range(sig.arities[rel])))
+                for rel in rng.choices(sig.relations(), k=k)}
+
+    skipped = 0
+    for _ in range(300):
+        old = some_facts(rng.randint(0, 8))
+        new = some_facts(rng.randint(0, 3)) - old
+        rels = {r: Relation(f.args for f in old | new if f.rel == r) for r in sig.arities}
+        delta = {r: Relation(f.args for f in new if f.rel == r) for r in {f.rel for f in new}}
+        bodies = [[Atom(rel, tuple(rng.choice(terms) for _ in range(sig.arities[rel])))
+                   for rel in rng.choices(sig.relations(), k=rng.randint(1, 3))]
+                  for _ in range(rng.randint(1, 3))]
+        queries = [cq(sorted({v for x in body for v in x.vars()}), body) for body in bodies]
+
+        def matches(facts):
+            inst = Instance(sig, facts)
+            return {(bi, ans) for bi, q in enumerate(queries) for ans in naive_eval_cq(q, inst)}
+
+        for d, want in ((None, matches(old | new)), (delta, matches(old | new) - matches(old))):
+            got = set()
+            for bi, order, sources in round_joins(bodies, rels, d):
+                assert all(s.tuples for s in sources)
+                names = queries[bi].free_vars
+                got |= {(bi, tuple(m[v] for v in names))
+                        for m in match_atoms(order, sources, {}, None)}
+            assert got == want, (bodies, old, new)
+            planned = len(bodies) if d is None else sum(x.rel in d for b in bodies for x in b)
+            skipped += planned - len(list(round_joins(bodies, rels, d)))
+    assert skipped >= 20, skipped
 
 
 # ---------------------------------------------------------------- containment
