@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .model import (Fact, Instance, Signature, Value, active_domain,
-                    is_guarded_set, minus)
+                    is_guarded_set, minus, null)
 from .query import (ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq,
                     match_atoms, round_joins, _ordered_for_join)
 # unused here, but the benchmark's traced mode wraps gnfkit.chase.classify
@@ -152,7 +152,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
 
             fresh = {}
             for z in t.head.exist_vars:
-                fresh[z] = Value("null", f"_n{null_k}", provenance=(rnd, ri, z))
+                fresh[z] = null(f"_n{null_k}")
                 null_k += 1
             for a in t.head.atoms:
                 args = []

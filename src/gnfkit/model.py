@@ -8,7 +8,7 @@ instance is the set of values occurring in its facts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
 ELEMENT = "element"
@@ -24,8 +24,6 @@ class BudgetExceeded(Exception):
 class Value:
     kind: str
     name: str
-    # bookkeeping only (chase round, rule index, origin); never part of identity
-    provenance: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (ELEMENT, CONSTANT, NULL):
@@ -46,8 +44,8 @@ def const(name: str) -> Value:
     return Value(CONSTANT, name)
 
 
-def null(name: str, provenance: Optional[tuple] = None) -> Value:
-    return Value(NULL, name, provenance)
+def null(name: str) -> Value:
+    return Value(NULL, name)
 
 
 class Signature:
@@ -261,7 +259,9 @@ def _hom_search(constraints: Iterable[tuple[tuple[Value, ...], Iterable[tuple[Va
     with the fewest images consistent with the assignment so far and tries those
     images in name order.  An image is consistent when it agrees with the values
     already assigned and with itself, so E(x,x) never maps to (a,b).  One budget
-    node is one tentative image tuple for one constraint.
+    node is one tentative image tuple for one constraint.  Anything hashable
+    with a ``name`` serves as a value: ``query.atom_homomorphisms`` searches
+    over terms.
     """
     # agreeing with itself does not depend on the assignment, so it is checked once
     cons = [(args, sorted((t for t in images if len(set(zip(args, t))) == len(set(args))),

@@ -1,5 +1,9 @@
 """Conjunctive queries: the join kernel and semi-naive round planner, evaluation,
-containment, cores, acyclicity, treeification."""
+homomorphisms between atom sets (containment, cores), acyclicity, treeification.
+
+``match_atoms`` joins relations (evaluation, the chase, Datalog); every
+homomorphism test between sets of atoms runs ``model._hom_search`` through
+``atom_homomorphisms``."""
 
 from __future__ import annotations
 
@@ -7,8 +11,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .model import (Fact, Instance, Signature, Value, active_domain, elem,
-                    find_homomorphism)
+from .model import Fact, Instance, Signature, Value, _hom_search, elem
+# unused here, but the benchmark's traced mode wraps gnfkit.query.find_homomorphism
+from .model import find_homomorphism
 
 
 @dataclass(frozen=True)
@@ -311,15 +316,33 @@ def eval_cq(q: ConjunctiveQuery, inst: Instance,
     return out
 
 
+def atom_homomorphisms(src: Iterable[Atom], dst: Iterable[Atom],
+                       seed: Mapping[Term, Term]) -> Iterator[dict[Term, Term]]:
+    """Every map of the terms of `src` that extends `seed`, fixes each
+    constant and sends every `src` atom onto a `dst` atom, each once.
+
+    The atoms of `src` become the search's constraints in order of relation,
+    then argument names (ties keep input order), and each one's images are
+    the argument tuples of the `dst` atoms over its relation.
+    """
+    atoms = sorted(dict.fromkeys(src), key=lambda a: (a.rel, tuple(t.name for t in a.args)))
+    fixed = {t: t for a in atoms for t in a.args if isinstance(t, Cst)}
+    if any(seed.get(c, c) != c for c in fixed):
+        return
+    images: dict[str, list[tuple[Term, ...]]] = {}
+    for a in dict.fromkeys(dst):
+        images.setdefault(a.rel, []).append(a.args)
+    yield from _hom_search([(a.args, images.get(a.rel, ())) for a in atoms], {**seed, **fixed})
+
+
 def cq_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
-    """Whether every answer of q1 is an answer of q2, by canonical-instance homomorphism."""
+    """Whether every answer of q1 is an answer of q2: a homomorphism from q2's
+    atoms into q1's sending q2's free variables onto q1's."""
     if len(q1.free_vars) != len(q2.free_vars):
         raise ValueError("containment needs equal free arity")
-    sig = query_signature(q2, query_signature(q1))
-    inst1, free1 = canon_inst(q1, sig)
-    inst2, free2 = canon_inst(q2, sig)
-    seed = dict(zip(free2, free1))
-    return find_homomorphism(inst2, inst1, seed=seed) is not None
+    query_signature(q2, query_signature(q1))  # a relation used with two arities raises
+    seed = {Var(x2): Var(x1) for x2, x1 in zip(q2.free_vars, q1.free_vars)}
+    return next(atom_homomorphisms(q2.atoms, q1.atoms, seed), None) is not None
 
 
 def cq_equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
@@ -327,30 +350,22 @@ def cq_equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
 
 
 def core_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Minimize q by endomorphic retracts that fix the free variables."""
+    """Minimize q by endomorphic retracts that fix the free variables: while
+    some existential variable, in name order, can be dropped by mapping the
+    atoms into those without it, take the first such map."""
+    query_signature(q)  # a relation used with two arities raises
     atoms = list(dict.fromkeys(q.atoms))
-    free = q.free_vars
+    seed = {Var(x): Var(x) for x in q.free_vars}
     while True:
-        cur = cq(free, atoms)
-        inst, free_vals = canon_inst(cur)
-        seed = {v: v for v in free_vals}
-        shrunk = False
-        for drop in sorted(active_domain(inst), key=lambda v: v.name):
-            if drop in set(free_vals) or drop.kind == "constant":
-                continue
-            target = Instance(inst.sig,
-                              (f for f in inst.facts if drop not in f.args),
-                              inst.const_interp)
-            h = find_homomorphism(inst, target, seed=seed)
-            if h is None:
-                continue
-            sub = {x.name: Cst(v.name) if v.kind == "constant" else Var(v.name)
-                   for x, v in h.as_dict().items() if x.kind != "constant"}
-            atoms = list(dict.fromkeys(substitute(a, sub) for a in atoms))
-            shrunk = True
-            break
-        if not shrunk:
-            return cq(free, atoms)
+        for drop in sorted({v for a in atoms for v in a.vars()} - set(q.free_vars)):
+            target = [a for a in atoms if Var(drop) not in a.args]
+            h = next(atom_homomorphisms(atoms, target, seed), None)
+            if h is not None:
+                atoms = list(dict.fromkeys(Atom(a.rel, tuple(h[t] for t in a.args))
+                                           for a in atoms))
+                break
+        else:
+            return cq(q.free_vars, atoms)
 
 
 def is_answer_guarded(q: ConjunctiveQuery) -> bool:

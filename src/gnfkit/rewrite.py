@@ -26,7 +26,6 @@ holding the reserved constant ``_unit``.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -35,11 +34,10 @@ from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
 from .model import Fact, Instance, Signature, active_domain, align_instance, elem
 # canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
-from .query import (RENAMING_CAP, Atom, BodyRenamings, ConjunctiveQuery, Cst, Relation, Term, Var,
-                    _ordered_for_join, body_renamings, canon_inst, canonical_cq,
+from .query import (RENAMING_CAP, Atom, BodyRenamings, ConjunctiveQuery, Cst, Term, Var,
+                    atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
                     canonical_renaming, core_cq, cq, cq_contained, eval_cq,
-                    is_answer_guarded, match_atoms, pick_renaming, query_signature,
-                    substitute)
+                    is_answer_guarded, pick_renaming, query_signature, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
 
 ENTAILED = "entailed"
@@ -74,7 +72,8 @@ class RewriteConfig:
     - ``rewrite_atomic_guarded`` does not use ``k``.
 
     The remaining caps bound the enumeration space itself; every produced
-    artifact records the caps it was built under.
+    artifact records the caps it was built under.  ``jobs`` (at least 1) is
+    the number of processes that certify candidates.
     """
 
     k: Optional[int] = None
@@ -88,6 +87,10 @@ class RewriteConfig:
     max_quotient_vars: int = 6
     oracle: ChaseConfig = ChaseConfig()
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -456,10 +459,13 @@ def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _C
                 for group in groups for s, c in group.items() if c.kind != "axiom"}
     items = sorted({key: canon for key, canon, _ in requests.values()}.items())
     if config.jobs > 1 and len(items) > 1:
+        # imported here: only this branch needs multiprocessing, and loading
+        # it would slow every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         chunks = [items[i::config.jobs] for i in range(config.jobs)]
         args = [(tuple(rules), sig, chunk, config.oracle) for chunk in chunks if chunk]
         closures: dict[str, tuple[str, Instance]] = {}
-        with ProcessPoolExecutor(max_workers=config.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=len(args)) as ex:
             for part in ex.map(_closure_chunk, args):
                 closures.update(part)
     else:
@@ -645,36 +651,17 @@ def _completeness(capped: bool, records: Iterable[CertificationRecord]) -> str:
     return COMPLETE_WITHIN_CAPS
 
 
-class _Subsumable(NamedTuple):
-    """A program rule with its body as a join order (head variables bound
-    first) and as its argument tuples by relation."""
-    rule: Rule
-    order: list[Atom]
-    sources: dict[str, Relation]
-
-    @staticmethod
-    def of(r: Rule) -> "_Subsumable":
-        sources: dict[str, Relation] = {}
-        for a in r.body:
-            sources.setdefault(a.rel, Relation()).add(a.args)
-        return _Subsumable(r, _ordered_for_join(r.body, r.head.vars()), sources)
-
-
-def _subsumes(general: _Subsumable, specific: _Subsumable) -> bool:
+def _subsumes(general: Rule, specific: Rule) -> bool:
     """Whether the general rule's body maps into the specific rule's body by
     a homomorphism sending the general head exactly onto the specific one.
     Terms stand for themselves, so constants map only to themselves."""
-    binding: dict[str, Term] = {}
-    for s, t in zip(general.rule.head.args, specific.rule.head.args):
-        if isinstance(s, Cst):
-            if s != t:
-                return False
-        elif binding.setdefault(s.name, t) != t:
+    seed: dict[Term, Term] = {}
+    for s, t in zip(general.head.args, specific.head.args):
+        if (isinstance(s, Cst) and s != t) or seed.setdefault(s, t) != t:
             return False
-    rels = [specific.sources.get(a.rel) for a in general.order]
-    if None in rels:
+    if not {a.rel for a in general.body} <= {a.rel for a in specific.body}:
         return False
-    return next(match_atoms(general.order, rels, binding, Cst), None) is not None
+    return next(atom_homomorphisms(general.body, specific.body, seed), None) is not None
 
 
 def _prune_subsumed(rules: dict[str, Rule]) -> set[str]:
@@ -685,15 +672,14 @@ def _prune_subsumed(rules: dict[str, Rule]) -> set[str]:
     ``H(x) :- E(x,y)`` does ``H(x) :- E(x,x)``.  No kept rule then subsumes
     another, each dropped rule is subsumed by a kept one (subsumption
     composes), and of rules subsuming each other the least stays."""
-    kept: dict[str, dict[str, _Subsumable]] = {}
+    kept: dict[str, dict[str, Rule]] = {}
     for s, r in sorted(rules.items(), key=lambda item: (len(item[1].body), item[0])):
-        new = _Subsumable.of(r)
         same_head = kept.setdefault(r.head.rel, {})
-        if any(_subsumes(k, new) for k in same_head.values()):
+        if any(_subsumes(k, r) for k in same_head.values()):
             continue
-        for other in [other for other, k in same_head.items() if _subsumes(new, k)]:
+        for other in [other for other, k in same_head.items() if _subsumes(r, k)]:
             del same_head[other]
-        same_head[s] = new
+        same_head[s] = r
     return {s for same_head in kept.values() for s in same_head}
 
 

@@ -86,6 +86,25 @@ def test_rewrite_then_eval_datalog(capsys, ex_files, tmp_path):
     assert f"{goal}: a, b" in out2
 
 
+def test_rewrite_rejects_zero_jobs(capsys, ex_files):
+    theory, _ = ex_files
+    rc, out = run_cli(capsys, "rewrite", "--mode", "atomic", "--jobs", "0",
+                      "--theory", theory, "--query", "T(x)")
+    assert rc == EXIT_PRECONDITION
+    assert out == ""
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(gnfkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, gnfkit.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_rewrite_atomic_rejects_non_atomic_query(capsys, ex_files):
     theory, _ = ex_files
     rc, _ = run_cli(capsys, "rewrite", "--mode", "atomic",

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gnfkit
 from gnfkit.model import Fact, Instance, Signature, active_domain, const, elem
 from gnfkit.query import (
     RENAMING_CAP,
@@ -17,6 +22,7 @@ from gnfkit.query import (
     UnionOfCQs,
     Var,
     atom,
+    atom_homomorphisms,
     canon_inst,
     canonical_cq,
     canonical_renaming,
@@ -36,7 +42,7 @@ from gnfkit.query import (
     _ordered_for_join,
 )
 
-from oracles import join_tree_exists, naive_eval_cq
+from oracles import join_tree_exists, naive_eval_cq, naive_homomorphisms
 from randgen import random_cq, random_instance, random_signature
 from shapes import cycle, path
 
@@ -311,6 +317,149 @@ def test_core_is_equivalent_and_no_larger_on_random_queries():
         c = core_cq(q)
         assert len(c.atoms) <= len(q.atoms)
         assert cq_equivalent(c, q)
+
+
+RELS = (("E", 2), ("F", 2), ("U", 1))
+
+
+def _random_atoms(rng, terms, max_atoms, rels=RELS):
+    atoms = []
+    for _ in range(rng.randint(1, max_atoms)):
+        rel, arity = rng.choice(rels)
+        atoms.append(Atom(rel, tuple(rng.choice(terms) for _ in range(arity))))
+    return atoms
+
+
+def _random_query(rng, terms, max_atoms, n_free):
+    """A CQ over E/2, F/2 and U/1 whose first n_free variables (fewer when it
+    has fewer) are free."""
+    atoms = _random_atoms(rng, terms, max_atoms)
+    used = list(dict.fromkeys(v for a in atoms for v in a.vars()))
+    return cq(used[:n_free], atoms)
+
+
+def _value(t):
+    return elem(t.name) if isinstance(t, Var) else const(t.name)
+
+
+def _naive_atom_homomorphisms(src, dst, seed):
+    """`naive_homomorphisms` between the canonical instances of the two atom
+    sets, with constants seeded to themselves, as maps of src's terms."""
+    sig = query_signature(cq([], dst), query_signature(cq([], src)))
+    src_inst, _ = canon_inst(cq([], src), sig)
+    dst_inst, _ = canon_inst(cq([], dst), sig)
+    pinned = {const(c): const(c) for c in sig.constants}
+    pinned.update((_value(s), _value(t)) for s, t in seed.items())
+    terms = {t for a in src for t in a.args}
+    term_of = {const(c): Cst(c) for c in sig.constants}
+    term_of.update((_value(t), t) for a in dst for t in a.args)
+    return {frozenset((t, term_of[h[_value(t)]]) for t in terms)
+            for h in naive_homomorphisms(src_inst, dst_inst, pinned)}
+
+
+def _atom_set_pairs(seed, n):
+    """Seeded (src, dst, seed map) triples with constants, repeated
+    variables, and a variable named like a constant."""
+    rng = random.Random(seed)
+    src_terms = [Var("x"), Var("y"), Var("c"), Cst("c"), Cst("d")]
+    dst_terms = [Var("x"), Var("u"), Var("c"), Cst("c"), Cst("d")]
+    for _ in range(n):
+        src = _random_atoms(rng, src_terms, 2, RELS[::2])
+        dst = _random_atoms(rng, dst_terms, 5, RELS[::2])
+        variables = sorted({Var(v) for a in src for v in a.vars()}, key=str)
+        hom_seed = {}
+        if variables and rng.random() < 0.4:
+            hom_seed[rng.choice(variables)] = rng.choice(dst_terms)
+        yield src, dst, hom_seed
+
+
+def test_atom_homomorphisms_agree_with_exhaustive_search():
+    found = 0
+    for src, dst, seed in _atom_set_pairs(53, 300):
+        got = [frozenset(h.items()) for h in atom_homomorphisms(src, dst, seed)]
+        assert len(got) == len(set(got)), (src, dst, seed)
+        assert set(got) == _naive_atom_homomorphisms(src, dst, seed), (src, dst, seed)
+        found += bool(got)
+    assert found >= 60, found
+
+
+def test_atom_homomorphisms_fix_constants_and_extend_the_seed():
+    src = [Atom("E", (Var("x"), Cst("c")))]
+    dst = [Atom("E", (Var("u"), Cst("c"))), Atom("E", (Var("u"), Var("c"))),
+           Atom("E", (Cst("d"), Cst("c")))]
+    assert [h[Var("x")] for h in atom_homomorphisms(src, dst, {})] == [Cst("d"), Var("u")]
+    assert list(atom_homomorphisms(src, dst, {Var("x"): Var("u")})) == [
+        {Var("x"): Var("u"), Cst("c"): Cst("c")}]
+    assert list(atom_homomorphisms(src, dst, {Cst("c"): Var("c")})) == []
+
+
+def test_containment_agrees_with_evaluation_on_the_canonical_instance():
+    """Chandra–Merlin: q1 is contained in q2 iff q2 returns q1's free tuple on
+    q1's canonical instance."""
+    contained = 0
+    for src, dst, seed in _atom_set_pairs(53, 300):
+        # a seeded pair frees its seeded variable and the first one of dst
+        q2 = cq([v.name for v in seed], src)
+        q1 = cq(dst[0].vars()[:len(seed)], dst)
+        if len(q1.free_vars) != len(q2.free_vars):
+            continue
+        sig = query_signature(q2, query_signature(q1))
+        inst1, free1 = canon_inst(q1, sig)
+        assert cq_contained(q1, q2) == (free1 in naive_eval_cq(q2, inst1)), (q1, q2)
+        contained += cq_contained(q1, q2)
+    assert contained >= 60, contained
+
+
+def test_cores_and_containment_need_one_arity_per_relation():
+    mixed = cq([], [atom("R", "x"), atom("R", "x", "y")])
+    with pytest.raises(ValueError, match="two arities"):
+        core_cq(mixed)
+    with pytest.raises(ValueError, match="two arities"):
+        cq_contained(mixed, mixed)
+    with pytest.raises(ValueError):
+        cq_contained(cq([], [atom("R", "x")]), cq([], [atom("R", "x", "y")]))
+
+
+def test_core_is_the_same_under_every_hash_seed():
+    """A variable and a constant share the name c, so the two F images of
+    F(c,c) tie on names; the core must not depend on set iteration order."""
+    code = ("from gnfkit.query import Atom, Cst, Var, cq, core_cq\n"
+            "k, c, x, y = Cst('c'), Var('c'), Var('x'), Var('y')\n"
+            "print(core_cq(cq([], [Atom('F', (k, k)), Atom('F', (x, k)),"
+            " Atom('E', (y, c)), Atom('F', (c, k))])))")
+    src = os.path.dirname(os.path.dirname(gnfkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = set()
+    for hash_seed in ("0", "1", "3"):  # 0 and 3 gave different cores before
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        outs.add(run.stdout)
+    assert len(outs) == 1, outs
+
+
+# SHA-256 of core_cq and cq_contained over seeded random CQs, half of them
+# with constants; unchanged since cores and containment were computed through
+# canonical instances
+CORE_CONTAINMENT_DIGEST = "e520584a1f0caefe912c56637679e968745f97be167771f38c5017ea77c780eb"
+
+
+def test_cores_and_containment_are_unchanged():
+    rng = random.Random(131)
+    xs = [Var(f"x{i}") for i in range(4)]
+    lines = []
+    for _ in range(400):
+        terms = xs + [Cst("c0"), Cst("c1")] if rng.random() < 0.5 else xs
+        n_free = rng.randint(0, 2)
+        q1 = _random_query(rng, terms, 4, n_free)
+        q2 = _random_query(rng, terms, 3, n_free)
+        line = f"{q1!r} {core_cq(q1)!r} {q2!r} {core_cq(q2)!r} "
+        if len(q1.free_vars) == len(q2.free_vars):
+            line += f"{cq_contained(q1, q2):d}{cq_contained(q2, q1):d}"
+        else:
+            line += "-"
+        lines.append(line)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CORE_CONTAINMENT_DIGEST
 
 
 # ---------------------------------------------------------------- shape tests

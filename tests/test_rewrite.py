@@ -1,5 +1,6 @@
 """Tests for compiling certain-answer problems into Datalog."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -224,6 +225,45 @@ def test_derive_matches_between_sequential_and_parallel():
         par = scheme(rules, q, RewriteConfig(jobs=2))
         assert str(seq.program) == str(par.program)
         assert seq.certification == par.certification
+
+
+def test_certification_starts_one_worker_per_chunk(monkeypatch):
+    """The pool is sized by the chunks it gets, never by ``jobs`` alone; a
+    stand-in pool maps in this process, so no process starts."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            self.chunks = list(args)
+            return map(fn, self.chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    small = RewriteConfig(max_extra_body_atoms=0)
+    seq = derive_full_guarded(RULES, small, SIG)
+    assert pools == []
+    for jobs in (2, 8):
+        par = derive_full_guarded(RULES, dataclasses.replace(small, jobs=jobs), SIG)
+        assert par == seq
+        pool = pools.pop()
+        closures = sum(len(chunk) for _, _, chunk, _ in pool.chunks)
+        assert pool.max_workers == len(pool.chunks) == min(jobs, closures)
+    assert 2 < closures < 8
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_must_be_positive(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        RewriteConfig(jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
