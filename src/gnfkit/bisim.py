@@ -10,11 +10,13 @@ Two equivalence checks live here, both computed as greatest fixpoints:
   whose guarded-tuple images stay inside the collection.
 
 On top of the second check sit ``check_directional`` (does a tuple-to-tuple
-map extend to a collection-compatible homomorphism?) and ``amalgamate``
-(glue two instances over different signatures along a witness for their
-shared part).  ``is_strong_gn_bisimulation`` decides whether a given
-collection has the strong-GN property by searching one homomorphism per pair
-and direction and passing the result to ``verify_strong_gn``.
+map extend to a collection-compatible homomorphism?), ``directional_checker``
+(the same question for many tuple pairs of one instance pair, refining once)
+and ``amalgamate`` (glue two instances over different signatures along a
+witness for their shared part).  ``is_strong_gn_bisimulation`` decides
+whether a given collection has the strong-GN property by searching one
+homomorphism per pair and direction and passing the result to
+``verify_strong_gn``.
 ``directed_cycle`` builds the standard small test structures.
 
 Conventions:
@@ -29,6 +31,17 @@ Conventions:
   witnesses can be validated the same way.
 * Both fixpoint computations are exponential in the worst case, so instances
   are capped at ``max_size`` active-domain values (default 12).
+
+How the rounds are computed:
+
+* A guarded-bisimulation round (``_back_and_forth``) checks a map only
+  against the guarded sets that share an element with its domain or
+  codomain, each by one set lookup in the projections of the members with
+  that domain; a guarded set that is no member's domain empties the family.
+* Every homomorphism search runs on ``model._hom_search``.  Its constraints
+  are prepared once per fact set and image map (``_fact_constraints``), so
+  a strong-GN round prepares each direction once for all of its pairs and
+  ``amalgamate`` once for all of its extension tests.
 """
 
 from __future__ import annotations
@@ -41,10 +54,12 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 from .model import (
     BudgetExceeded,
     Fact,
+    HomConstraints,
     Homomorphism,
     Instance,
     Signature,
     Value,
+    _hom_constraints,
     _hom_search,
     active_domain,
     elem,
@@ -160,33 +175,50 @@ class GuardedBisimWitness:
         return [dict(items) for items in sorted(self.family, key=_map_key)]
 
 
-def _agrees(g: Mapping[Value, Value], sets: Iterable[frozenset[Value]],
-            index: Mapping[frozenset[Value], list[dict[Value, Value]]]) -> bool:
-    """Does every set have a map in `index` with that domain agreeing with
-    `g` on their overlap?"""
+def _agreeing(maps: Mapping[MapItems, Mapping[Value, Value]],
+              sets: Collection[frozenset[Value]], keys: Iterable[MapItems]) -> set[MapItems]:
+    """The `keys` whose map in `maps` agrees, for every set in `sets`, with
+    some map in `maps` that has that set as its domain, on their overlap.
+
+    No key passes when some set is the domain of no map.  Otherwise a map is
+    checked only against the sets that share an element with its domain, by
+    looking its values on the shared elements up in the projections onto
+    those elements of the maps with that domain; each projection is built on
+    first use."""
+    by_dom: dict[frozenset[Value], list[Mapping[Value, Value]]] = {}
+    for m in maps.values():
+        by_dom.setdefault(frozenset(m), []).append(m)
+    if any(xs not in by_dom for xs in sets):
+        return set()
+    touching: dict[Value, list[frozenset[Value]]] = {}
     for xs in sets:
-        shared = [v for v in xs if v in g]
-        if not any(all(cand[v] == g[v] for v in shared) for cand in index.get(xs, ())):
-            return False
-    return True
+        for v in xs:
+            touching.setdefault(v, []).append(xs)
+    projections: dict[tuple, set[tuple[Value, ...]]] = {}
+
+    def agrees(g: Mapping[Value, Value]) -> bool:
+        for xs in {xs for v in g for xs in touching.get(v, ())}:
+            shared = tuple(v for v in xs if v in g)
+            proj = projections.get((xs, shared))
+            if proj is None:
+                proj = projections[xs, shared] = {tuple(m[v] for v in shared)
+                                                  for m in by_dom[xs]}
+            if tuple(g[v] for v in shared) not in proj:
+                return False
+        return True
+
+    return {key for key in keys if agrees(maps[key])}
 
 
-def _back_and_forth(family: Collection[MapItems], gs_a: Iterable[frozenset[Value]],
-                    gs_b: Iterable[frozenset[Value]]) -> set[MapItems]:
+def _back_and_forth(family: Collection[MapItems], gs_a: Collection[frozenset[Value]],
+                    gs_b: Collection[frozenset[Value]]) -> set[MapItems]:
     """The maps of `family` for which every guarded set of `a` is the domain
     of a family member agreeing with the map on the overlap (forth), and
     every guarded set of `b` the codomain of a member whose inverse agrees
-    with the map's inverse (back)."""
-    by_dom: dict[frozenset[Value], list[dict[Value, Value]]] = {}
-    by_cod: dict[frozenset[Value], list[dict[Value, Value]]] = {}
-    for items in family:
-        fwd = dict(items)
-        bwd = {t: s for s, t in items}
-        by_dom.setdefault(frozenset(fwd), []).append(fwd)
-        by_cod.setdefault(frozenset(bwd), []).append(bwd)
-    return {items for items in family
-            if _agrees(dict(items), gs_a, by_dom)
-            and _agrees({t: s for s, t in items}, gs_b, by_cod)}
+    with the map's inverse (back).  Both conditions are decided by
+    `_agreeing`, the back one only for the maps that pass forth."""
+    forth = _agreeing({items: dict(items) for items in family}, gs_a, family)
+    return _agreeing({items: {t: s for s, t in items} for items in family}, gs_b, forth)
 
 
 def check_guarded_bisim(a: Instance, b: Instance) -> Optional[GuardedBisimWitness]:
@@ -298,17 +330,22 @@ def _image_maps(pairs: Iterable[TuplePair]) -> tuple[ImageMap, ImageMap]:
     return fwd, bwd
 
 
-def _extension(src: Instance, seed: Mapping[Value, Value], images: ImageMap,
+def _fact_constraints(src: Instance, images: ImageMap) -> HomConstraints:
+    """The search constraints sending each fact's argument tuple of `src`
+    to one of its `images`, prepared once for any number of seeds."""
+    return _hom_constraints((f.args, images.get(f.args, ()))
+                            for f in sorted(src.facts, key=fact_key))
+
+
+def _extension(constraints: HomConstraints, seed: Mapping[Value, Value],
                src_t: Sequence[Value], dst_t: Sequence[Value]) -> Optional[dict[Value, Value]]:
-    """First map extending `seed` and src_t -> dst_t to the active domain of
-    `src` that sends every src fact's argument tuple to one of its `images`;
-    None when there is none or when src_t -> dst_t contradicts itself or
-    `seed`."""
+    """First map extending `seed` and src_t -> dst_t that meets the
+    `_fact_constraints` of a source instance; None when there is none or
+    when src_t -> dst_t contradicts itself or `seed`."""
     m = dict(seed)
     for vs, vd in zip(src_t, dst_t):
         if m.setdefault(vs, vd) != vd:
             return None
-    constraints = [(f.args, images.get(f.args, ())) for f in sorted(src.facts, key=fact_key)]
     found = next(_hom_search(constraints, m), None)
     return None if found is None else {**m, **found}
 
@@ -320,14 +357,16 @@ def _compatible_homs(a: Instance, b: Instance,
 
     The constants of `a` and `b` must correspond.  When the collection
     relates only partial isomorphisms, as the well-typed pairs do, the maps
-    are homomorphisms: each fact goes to a fact.
+    are homomorphisms: each fact goes to a fact.  Each direction's
+    constraints are prepared once for all pairs.
     """
-    seeds = (_pinned(a, b), _pinned(b, a))
+    seed_ab, seed_ba = _pinned(a, b), _pinned(b, a)
     fwd, bwd = _image_maps(pairs)
+    cons_ab, cons_ba = _fact_constraints(a, fwd), _fact_constraints(b, bwd)
     out: dict[TuplePair, PairHoms] = {}
     for ta, tb in pairs:
-        h = _extension(a, seeds[0], fwd, ta, tb)
-        g = None if h is None else _extension(b, seeds[1], bwd, tb, ta)
+        h = _extension(cons_ab, seed_ab, ta, tb)
+        g = None if h is None else _extension(cons_ba, seed_ba, tb, ta)
         if g is not None:
             out[(ta, tb)] = (h, g)
     return out
@@ -452,6 +491,37 @@ def is_strong_gn_bisimulation(a: Instance, b: Instance,
     return len(homs) == len(pset) and verify_strong_gn(a, b, _witness(homs))
 
 
+def directional_checker(a: Instance, b: Instance,
+                        max_size: int = 12) -> Callable[[Sequence[Value], Sequence[Value]], bool]:
+    """`check_directional` for one instance pair: the greatest stable
+    collection is computed once, here, and the returned callable answers
+    any number of tuple pairs (ta, tb) against it.
+
+    Raises as `check_directional` does: ValueError when the signatures
+    differ, BudgetExceeded when an instance has more than `max_size`
+    active-domain values, and, from the callable, ValueError when the
+    tuple lengths differ.
+    """
+    if a.sig != b.sig:
+        raise ValueError("check_directional: signatures differ")
+    _check_size(a, max_size, "check_directional")
+    _check_size(b, max_size, "check_directional")
+    seed = _pinned(a, b)
+    cons = None if seed is None else _fact_constraints(a, _image_maps(_stable_pairs(a, b))[0])
+
+    def check(ta: Sequence[Value], tb: Sequence[Value]) -> bool:
+        ta, tb = tuple(ta), tuple(tb)
+        _check_lengths(ta, tb)
+        return cons is not None and _extension(cons, seed, ta, tb) is not None
+
+    return check
+
+
+def _check_lengths(ta: GuardedTuple, tb: GuardedTuple) -> None:
+    if len(ta) != len(tb):
+        raise ValueError("check_directional: tuple lengths differ")
+
+
 def check_directional(a: Instance, ta: Sequence[Value], b: Instance,
                       tb: Sequence[Value], max_size: int = 12) -> bool:
     """Does ta -> tb extend to a homomorphism a -> b compatible with the
@@ -460,21 +530,14 @@ def check_directional(a: Instance, ta: Sequence[Value], b: Instance,
     Any collection-compatible homomorphism is compatible with the greatest
     stable collection, so checking against the greatest one is complete.
     The tuples need not be guarded.  When `a` has no facts the answer is
-    vacuously true provided the constants can be mapped.
+    vacuously true provided the constants can be mapped.  To ask about many
+    tuple pairs of one instance pair, use `directional_checker`, which
+    refines once.
     """
-    if a.sig != b.sig:
-        raise ValueError("check_directional: signatures differ")
-    ta = tuple(ta)
-    tb = tuple(tb)
-    if len(ta) != len(tb):
-        raise ValueError("check_directional: tuple lengths differ")
-    _check_size(a, max_size, "check_directional")
-    _check_size(b, max_size, "check_directional")
-    seed = _pinned(a, b)
-    if seed is None:
-        return False
-    fwd, _ = _image_maps(_stable_pairs(a, b))
-    return _extension(a, seed, fwd, ta, tb) is not None
+    ta, tb = tuple(ta), tuple(tb)
+    if a.sig == b.sig:  # a length mismatch is reported before a size cap
+        _check_lengths(ta, tb)
+    return directional_checker(a, b, max_size)(ta, tb)
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +593,13 @@ def amalgamate(a: Instance, b: Instance, z: StrongGnBisimWitness,
     _check_size(a_part, max_size, "amalgamate")
     _check_size(b_part, max_size, "amalgamate")
 
-    seed_ab = _pinned(ra, rb)
-    seed_ba = _pinned(rb, ra)
     by_a, by_b = _image_maps(z.pairs)
+    searches = {True: (_fact_constraints(ra, by_a), _pinned(ra, rb)),
+                False: (_fact_constraints(rb, by_b), _pinned(rb, ra))}
 
     @functools.cache
     def extends(src_t: GuardedTuple, dst_t: GuardedTuple, fwd: bool) -> bool:
-        src, seed, images = (ra, seed_ab, by_a) if fwd else (rb, seed_ba, by_b)
-        return _extension(src, seed, images, src_t, dst_t) is not None
+        return _extension(*searches[fwd], src_t, dst_t) is not None
 
     dom_a = sorted(active_domain(a_part) | a_part.const_values(), key=_val_key)
     dom_b = sorted(active_domain(b_part) | b_part.const_values(), key=_val_key)

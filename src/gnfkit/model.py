@@ -249,53 +249,83 @@ def verify_homomorphism(h: Homomorphism, src: Instance, dst: Instance) -> bool:
     return True
 
 
-def _hom_search(constraints: Iterable[tuple[tuple[Value, ...], Iterable[tuple[Value, ...]]]],
-                seed: Mapping[Value, Value],
-                budget: Optional[int] = None) -> Iterator[dict[Value, Value]]:
-    """Every extension of `seed` sending each constraint's argument tuple to one
-    of that constraint's allowed image tuples, restricted to the argument values.
+HomConstraints = tuple[list[tuple[tuple[Value, ...], list[tuple[Value, ...]]]],
+                       dict[Value, list[tuple[int, int]]]]
 
-    Constraint-first backtracking: each step takes the first remaining constraint
-    with the fewest images consistent with the assignment so far and tries those
-    images in name order.  An image is consistent when it agrees with the values
-    already assigned and with itself, so E(x,x) never maps to (a,b).  One budget
+
+def _hom_constraints(constraints: Iterable[tuple[tuple[Value, ...], Iterable[tuple[Value, ...]]]]
+                     ) -> HomConstraints:
+    """The constraints as `_hom_search` takes them.  Each image list keeps
+    the tuples that agree with themselves (so E(x,x) never maps to (a,b)),
+    in name order; each value is listed with the constraints that mention
+    it and its first position there, which is enough, since a kept image
+    repeats a value wherever its argument tuple does.  None of this depends
+    on the seed, so one preparation serves any number of searches."""
+    cons = [(args, sorted((t for t in images if len(set(zip(args, t))) == len(set(args))),
+                          key=lambda t: tuple(v.name for v in t)))
+            for args, images in constraints]
+    mentions: dict[Value, list[tuple[int, int]]] = {}
+    for i, (args, _) in enumerate(cons):
+        for v in dict.fromkeys(args):
+            mentions.setdefault(v, []).append((i, args.index(v)))
+    return cons, mentions
+
+
+def _hom_search(constraints: HomConstraints, seed: Mapping[Value, Value],
+                budget: Optional[int] = None) -> Iterator[dict[Value, Value]]:
+    """Every extension of `seed` sending each prepared constraint's argument
+    tuple to one of its image tuples, restricted to the argument values.
+
+    Constraint-first backtracking with forward checking: each constraint
+    keeps the list of its images that agree with the assignment so far, and
+    binding a value narrows only the lists of the remaining constraints that
+    mention it, keeping their order.  Each step takes the first remaining
+    constraint with the fewest live images and tries them in name order; a
+    binding that empties a list is abandoned at once, where a rescan would
+    have found no image to try.  So the maps, their order and the nodes
+    spent are those of re-filtering every list at every step.  One budget
     node is one tentative image tuple for one constraint.  Anything hashable
     with a ``name`` serves as a value: ``query.atom_homomorphisms`` searches
     over terms.
     """
-    # agreeing with itself does not depend on the assignment, so it is checked once
-    cons = [(args, sorted((t for t in images if len(set(zip(args, t))) == len(set(args))),
-                          key=lambda t: tuple(v.name for v in t)))
-            for args, images in constraints]
-    dom = {v for args, _ in cons for v in args}
+    cons, mentions = constraints
+    live = [images for _, images in cons]
+    for v, w in seed.items():
+        for j, p in mentions.get(v, ()):
+            live[j] = [t for t in live[j] if t[p] == w]
     assign = dict(seed)
+    done = [False] * len(cons)
     nodes = 0
 
-    def extend(remaining: list) -> Iterator[dict[Value, Value]]:
+    def extend(remaining: list[int]) -> Iterator[dict[Value, Value]]:
         nonlocal nodes
         if not remaining:
-            yield {v: assign[v] for v in dom}
+            yield {v: assign[v] for v in mentions}
             return
-        best, options = 0, None
-        for i, (args, images) in enumerate(remaining):
-            live = [t for t in images if all(assign.get(v, w) == w for v, w in zip(args, t))]
-            if options is None or len(live) < len(options):
-                best, options = i, live
-                if not live:
-                    break
-        args = remaining[best][0]
-        rest = remaining[:best] + remaining[best + 1:]
-        for t in options:
+        i = min(remaining, key=lambda j: len(live[j]))
+        rest = [j for j in remaining if j != i]
+        done[i] = True
+        for t in live[i]:
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(f"homomorphism search exceeded {budget} nodes")
-            newly = {v: w for v, w in zip(args, t) if v not in assign}
+            newly = {v: w for v, w in zip(cons[i][0], t) if v not in assign}
             assign.update(newly)
-            yield from extend(rest)
+            saved = []
+            for v, w in newly.items():
+                for j, p in mentions[v]:
+                    if not done[j]:
+                        saved.append((j, live[j]))
+                        live[j] = [u for u in live[j] if u[p] == w]
+            if all(live[j] for j, _ in saved):
+                yield from extend(rest)
+            for j, old in reversed(saved):
+                live[j] = old
             for v in newly:
                 del assign[v]
+        done[i] = False
 
-    yield from extend(cons)
+    yield from extend(list(range(len(cons))))
 
 
 def all_homomorphisms(src: Instance, dst: Instance,
@@ -320,7 +350,7 @@ def all_homomorphisms(src: Instance, dst: Instance,
         pinned[s] = t
     constraints = [(f.args, [g.args for g in dst.rel_facts(f.rel)])
                    for f in sorted(src.facts, key=fact_key)]
-    for m in _hom_search(constraints, pinned, budget):
+    for m in _hom_search(_hom_constraints(constraints), pinned, budget):
         yield Homomorphism.of(m)
 
 

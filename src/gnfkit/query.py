@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .model import Fact, Instance, Signature, Value, _hom_search, elem
+from .model import Fact, Instance, Signature, Value, _hom_constraints, _hom_search, elem
 # unused here, but the benchmark's traced mode wraps gnfkit.query.find_homomorphism
 from .model import find_homomorphism
 
@@ -332,7 +332,8 @@ def atom_homomorphisms(src: Iterable[Atom], dst: Iterable[Atom],
     images: dict[str, list[tuple[Term, ...]]] = {}
     for a in dict.fromkeys(dst):
         images.setdefault(a.rel, []).append(a.args)
-    yield from _hom_search([(a.args, images.get(a.rel, ())) for a in atoms], {**seed, **fixed})
+    cons = _hom_constraints([(a.args, images.get(a.rel, ())) for a in atoms])
+    yield from _hom_search(cons, {**seed, **fixed})
 
 
 def cq_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:

@@ -14,7 +14,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from gnfkit.chase import BUDGET_EXHAUSTED, TERMINATED, ChaseConfig, ChaseResult
 from gnfkit.datalog import DatalogProgram, Rule
-from gnfkit.model import Fact, Homomorphism, Instance, Value, const, elem, find_homomorphism
+from gnfkit.model import (BudgetExceeded, Fact, Homomorphism, Instance, Value, const, elem,
+                          find_homomorphism)
 from gnfkit.query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_renaming,
                           core_cq, cq)
 from gnfkit.tgd import Tgd, make_tgd
@@ -375,3 +376,61 @@ def naive_subsumes(general: Rule, specific: Rule) -> bool:
 @functools.lru_cache(maxsize=None)
 def _body_instance(body: tuple[Atom, ...]) -> Instance:
     return canon_inst(cq([], body))[0]
+
+
+def naive_hom_search(constraints, seed: Mapping, budget: Optional[int] = None) -> Iterator[dict]:
+    """Constraint-first backtracking that filters every remaining
+    constraint's images against the whole assignment at every node: the
+    first constraint with the fewest consistent images is tried next, its
+    images in name order, and one budget node is one tentative image."""
+    cons = [(args, sorted((t for t in images if len(set(zip(args, t))) == len(set(args))),
+                          key=lambda t: tuple(v.name for v in t)))
+            for args, images in constraints]
+    dom = {v for args, _ in cons for v in args}
+    assign = dict(seed)
+    nodes = 0
+
+    def extend(remaining: list) -> Iterator[dict]:
+        nonlocal nodes
+        if not remaining:
+            yield {v: assign[v] for v in dom}
+            return
+        best, options = 0, None
+        for i, (args, images) in enumerate(remaining):
+            live = [t for t in images if all(assign.get(v, w) == w for v, w in zip(args, t))]
+            if options is None or len(live) < len(options):
+                best, options = i, live
+                if not live:
+                    break
+        args = remaining[best][0]
+        rest = remaining[:best] + remaining[best + 1:]
+        for t in options:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"homomorphism search exceeded {budget} nodes")
+            newly = {v: w for v, w in zip(args, t) if v not in assign}
+            assign.update(newly)
+            yield from extend(rest)
+            for v in newly:
+                del assign[v]
+
+    yield from extend(cons)
+
+
+def naive_back_and_forth(family, gs_a, gs_b) -> set:
+    """The maps of `family` (tuples of pairs) that pass forth and back:
+    for every guarded set of `a`, some member with that domain agrees with
+    the map on the overlap, found by scanning all such members; likewise
+    for `b` with codomains and inverses."""
+    def agrees(g: dict, sets, members: list[dict]) -> bool:
+        for xs in sets:
+            shared = [v for v in xs if v in g]
+            if not any(set(m) == set(xs) and all(m[v] == g[v] for v in shared)
+                       for m in members):
+                return False
+        return True
+
+    fwd = [dict(items) for items in family]
+    bwd = [{t: s for s, t in items} for items in family]
+    return {items for items in family
+            if agrees(dict(items), gs_a, fwd) and agrees({t: s for s, t in items}, gs_b, bwd)}

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+import gnfkit.bisim as bisim
 from gnfkit.bisim import (
     GuardedBisimWitness,
     StrongGnBisimWitness,
@@ -15,6 +17,7 @@ from gnfkit.bisim import (
     check_guarded_bisim,
     check_strong_gn,
     directed_cycle,
+    directional_checker,
     guarded_tuples,
     is_strong_gn_bisimulation,
     verify_guarded_bisim,
@@ -36,6 +39,7 @@ from gnfkit.model import (
     verify_homomorphism,
 )
 from gnfkit.query import Atom, Var
+from oracles import naive_back_and_forth
 from randgen import random_gfo_sentence, random_gnf_sentence, random_instance, random_signature
 from shapes import EDGE_SIG, cycle
 
@@ -174,6 +178,31 @@ def test_guarded_bisimilar_cycles_agree_on_gfo_sentences():
     for _ in range(25):
         sentence = random_gfo_sentence(rng, EDGE_SIG, depth=3)
         assert eval_fo(sentence, a) == eval_fo(sentence, b)
+
+
+def test_back_and_forth_matches_the_scan():
+    # random families, mostly not closed, with guarded sets taken from the
+    # members' domains and codomains plus now and then a set that is none
+    rng = random.Random(61)
+    xs = [elem(f"a{i}") for i in range(4)]
+    ys = [elem(f"b{i}") for i in range(4)]
+    kept = emptied = 0
+    for _ in range(400):
+        family = set()
+        for _ in range(rng.randint(0, 14)):
+            size = rng.randint(0, 3)
+            dom = sorted(rng.sample(xs, size), key=str)
+            family.add(tuple(zip(dom, (rng.choice(ys) for _ in dom))))
+        gs_a = {frozenset(s for s, _ in items) for items in family}
+        gs_b = {frozenset(t for _, t in items) for items in family}
+        for gs, pool in ((gs_a, xs), (gs_b, ys)):
+            if rng.random() < 0.2:
+                gs.add(frozenset(rng.sample(pool, rng.randint(0, 3))))
+        want = naive_back_and_forth(family, gs_a, gs_b)
+        assert bisim._back_and_forth(family, gs_a, gs_b) == want, (family, gs_a, gs_b)
+        kept += bool(want)
+        emptied += bool(family) and not want
+    assert kept > 100 and emptied > 50
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +499,39 @@ def _with_disjoint_copy(inst: Instance) -> Instance:
     return Instance(inst.sig, inst.facts | copy_facts)
 
 
+def _tuple_pairs(a: Instance, b: Instance):
+    """Pairs of equal-length tuples: each guarded tuple of `a`, the empty
+    tuple and each value of `a` as a 1-tuple, against every tuple of that
+    length over the values of `b`."""
+    va = sorted(active_domain(a) | a.const_values(), key=str)
+    vb = sorted(active_domain(b) | b.const_values(), key=str)
+    for ta in dict.fromkeys([(), *((v,) for v in va), *guarded_tuples(a)]):
+        for tb in itertools.product(vb, repeat=len(ta)):
+            yield ta, tb
+
+
+def test_directional_checker_agrees_with_check_directional_and_refines_once(monkeypatch):
+    calls = []
+    stable_pairs = bisim._stable_pairs
+    monkeypatch.setattr(bisim, "_stable_pairs", lambda a, b: calls.append(1) or stable_pairs(a, b))
+    verdicts = set()
+    for a, b in _directional_pairs(random.Random(7)):
+        pairs = list(_tuple_pairs(a, b))
+        want = [check_directional(a, ta, b, tb) for ta, tb in pairs]
+        calls.clear()
+        check = directional_checker(a, b)
+        assert [check(ta, tb) for ta, tb in pairs] == want
+        assert len(calls) == 1
+        verdicts.update(want)
+    assert verdicts == {True, False}
+    # lengths are checked per tuple pair, and before the size cap
+    a = directed_cycle(3)
+    with pytest.raises(ValueError, match="tuple lengths differ"):
+        directional_checker(a, a)((elem("n1"),), ())
+    with pytest.raises(ValueError, match="tuple lengths differ"):
+        check_directional(a, (elem("n1"),), a, (), max_size=2)
+
+
 def test_directional_witnesses_preserve_gnf_sample():
     rng = random.Random(90211)
     checked = 0
@@ -585,3 +647,99 @@ def test_amalgamate_budget():
     sig = Signature([("E", 2)])
     with pytest.raises(BudgetExceeded):
         amalgamate(a, a, identity_witness(a), sig, sig, max_size=2)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+# SHA-256 of the guarded families, strong-GN witnesses, one amalgam and the
+# directional verdicts below; unchanged since the back-and-forth test scanned
+# every family member and the homomorphism search re-filtered every image list
+# at each node
+BISIM_DIGEST = "04cdfd91ed0c470f9556f9a53a1811e7105faa0e0f81d65b03f967411c6d3ca7"
+
+
+def _renamed(inst: Instance, rng: random.Random, prefix: str) -> tuple[Instance, dict]:
+    """A copy of `inst` under a seeded bijective renaming of its elements."""
+    dom = sorted(active_domain(inst), key=lambda v: v.name)
+    targets = [f"{prefix}{i}" for i in range(len(dom))]
+    rng.shuffle(targets)
+    table = {v.name: t for v, t in zip(dom, targets)}
+    facts = {Fact(f.rel, rename_tuple(f.args, table)) for f in inst.facts}
+    return Instance(inst.sig, facts), table
+
+
+def _random_structure(rng: random.Random) -> Instance:
+    """24 distinct E- and P-facts over 12 elements."""
+    sig = Signature([("E", 2), ("P", 1)])
+    elems = [elem(f"e{i}") for i in range(12)]
+    facts: set[Fact] = set()
+    while len(facts) < 24:
+        rel = rng.choice(("E", "E", "P"))
+        facts.add(Fact(rel, tuple(rng.choice(elems) for _ in range(sig.arities[rel]))))
+    return Instance(sig, facts)
+
+
+def _directional_pairs(rng: random.Random) -> list[tuple[Instance, Instance]]:
+    """Small seeded instance pairs with facts: a random instance against
+    another, against itself with a constant, against its union with another,
+    and against itself plus a disjoint copy."""
+    def nonempty(sig: Signature) -> Instance:
+        while True:
+            inst = random_instance(rng, sig, max_elems=4, max_facts=6)
+            if inst.facts:
+                return inst
+
+    out = []
+    for i in range(6):
+        sig = random_signature(rng, max_rels=2, max_arity=2)
+        a, b = nonempty(sig), nonempty(sig)
+        out.append((a, _with_disjoint_copy(a)))
+        if i % 3 == 1:
+            a, b = _with_constant(rng, a), _with_constant(rng, b)
+        elif i % 3 == 2:
+            b = union(a, b)
+        out.append((a, b))
+    return out
+
+
+def _strong_line(w) -> str:
+    return "None" if w is None else f"{len(w.pairs)} {w.forward!r} {w.backward!r}"
+
+
+def test_bisimulation_outputs_are_unchanged():
+    rng = random.Random(1)
+    lines = []
+    structures = [(directed_cycle(k), directed_cycle(l))
+                  for k in range(3, 9) for l in range(3, 9)]
+    structures += [(s, _renamed(s, rng, "r")[0])
+                   for s in (_random_structure(rng), _random_structure(rng))]
+    for a, b in structures:
+        w = check_guarded_bisim(a, b)
+        lines.append("None" if w is None else repr(w.maps()))
+    doubled = {k: union(directed_cycle(k), _renamed(directed_cycle(k), rng, "m")[0])
+               for k in (4, 5)}
+    for a, b, cap in [(directed_cycle(4), directed_cycle(6), 12),
+                      (directed_cycle(5), directed_cycle(7), 12),
+                      (directed_cycle(4), doubled[4], 8), (directed_cycle(5), doubled[5], 10)]:
+        lines.append(_strong_line(check_strong_gn(a, b, max_size=cap)))
+
+    sigma = Signature([("E", 2), ("P", 1)])
+    tau = Signature([("E", 2), ("Q", 1)])
+    base = directed_cycle(4)
+    copy, _ = _renamed(base, rng, "q")
+    a = Instance(sigma, base.facts | {Fact("P", (rng.choice(sorted(active_domain(base),
+                                                                    key=str)),))})
+    b = Instance(tau, copy.facts | {Fact("Q", (rng.choice(sorted(active_domain(copy),
+                                                                  key=str)),))})
+    z = check_strong_gn(reduct(a, ["E"]), reduct(b, ["E"]))
+    assert z is not None
+    u = amalgamate(a, b, z, sigma, tau, max_size=16)
+    lines.append(f"{sorted(map(str, u.facts))} {sorted(u.const_interp.items())}")
+
+    for a, b in _directional_pairs(rng):
+        lines.append(_strong_line(check_strong_gn(a, b)))
+        gtb = guarded_tuples(b)
+        lines.append("".join(f"{check_directional(a, ta, b, tb):d}"
+                             for ta in guarded_tuples(a) for tb in gtb if len(ta) == len(tb)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BISIM_DIGEST

@@ -34,9 +34,10 @@ from gnfkit.model import (
     verify_homomorphism,
     weak_substructure,
 )
+from gnfkit.model import _hom_constraints, _hom_search
 from gnfkit.tgd import holds_in
 
-from oracles import naive_find_homomorphism, naive_homomorphisms
+from oracles import naive_find_homomorphism, naive_hom_search, naive_homomorphisms
 from randgen import random_guarded_tgd, random_instance, random_signature
 from shapes import cycle
 
@@ -311,6 +312,45 @@ def test_find_homomorphism_agrees_with_exhaustive_search():
                  for h in naive_homomorphisms(src, dst)}
         assert {h.mapping for h in all_homomorphisms(src, dst)} == every
     assert repeated >= 10 and pinned >= 10
+
+
+def _run_search(search) -> tuple[list[dict], bool]:
+    """The maps a search yields, and whether it then ran out of budget."""
+    out = []
+    try:
+        for m in search:
+            out.append(m)
+    except BudgetExceeded:
+        return out, True
+    return out, False
+
+
+def test_hom_search_matches_the_rescanning_search():
+    # same maps in the same order, and the budget runs out after the same
+    # number of maps, over seeded constraint sets with repeated variables,
+    # seeds and small budgets; one preparation serves several seeds
+    rng = random.Random(23)
+    xs = [elem(f"x{i}") for i in range(5)]
+    ys = [elem(f"y{i}") for i in range(4)]
+    several = exhausted = repeated = 0
+    for trial in range(400):
+        pool, targets = xs[:rng.randint(2, 5)], ys[:rng.randint(2, 4)]
+        constraints = []
+        for _ in range(rng.randint(1, 5)):
+            args = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+            repeated += len(set(args)) < len(args)
+            images = [tuple(rng.choice(targets) for _ in args)
+                      for _ in range(rng.randint(0, 9))]
+            constraints.append((args, images))
+        prepared = _hom_constraints(constraints)
+        for _ in range(3):
+            seed = {v: rng.choice(targets) for v in rng.sample(xs, rng.randint(0, 2))}
+            budget = rng.choice([None, rng.randint(0, 4), rng.randint(5, 40)])
+            want = _run_search(naive_hom_search(constraints, seed, budget))
+            assert _run_search(_hom_search(prepared, seed, budget)) == want, (trial, seed)
+            several += len(want[0]) > 1
+            exhausted += want[1]
+    assert several > 200 and exhausted > 100 and repeated > 100
 
 
 # ---------------------------------------------------------------- products
