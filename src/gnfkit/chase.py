@@ -173,14 +173,11 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
                 stop = True
                 break
 
-        if added_this_round or fired_this_round:
-            rounds = rnd
-        if stop:
-            status = BUDGET_EXHAUSTED
-            break
         if not added_this_round and not fired_this_round:
             status = TERMINATED
-            rounds = rnd - 1
+            break
+        rounds = rnd
+        if stop:
             break
 
     facts = [Fact(r, args) for r, s in cur.items() for args in s.tuples]

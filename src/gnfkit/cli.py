@@ -21,7 +21,7 @@ from .bisim import check_guarded_bisim, check_strong_gn
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import classify_datalog, eval_datalog
 from .logic import check_gnf, search_countermodel
-from .model import (BudgetExceeded, Instance, Value, align_instance,
+from .model import (BudgetExceeded, Value, align_instance,
                     direct_product, squid_check, squid_extension)
 from .query import ConjunctiveQuery, eval_cq, treeify
 from .rewrite import (COMPLETE_WITHIN_CAPS, RewriteConfig, certain_answers_oracle,
@@ -44,14 +44,6 @@ EXIT_PARSE = 3
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
-
-
-def _load_theory(path: str):
-    return parse_theory(_read(path))
-
-
-def _load_instance(path: str) -> Instance:
-    return parse_instance(_read(path))
 
 
 def _serialize_tuple(t: tuple[Value, ...]) -> str:
@@ -91,8 +83,8 @@ def _rewrite_config(args) -> RewriteConfig:
 
 
 def cmd_chase(args) -> int:
-    sig, rules = _load_theory(args.theory)
-    inst = align_instance(_load_instance(args.instance), sig)
+    sig, rules = parse_theory(_read(args.theory))
+    inst = align_instance(parse_instance(_read(args.instance)), sig)
     res = chase(inst, list(rules), _chase_config(args))
     print(f"status: {res.status}")
     print(f"rounds: {res.rounds_executed}")
@@ -103,8 +95,8 @@ def cmd_chase(args) -> int:
 
 
 def cmd_certain(args) -> int:
-    sig, rules = _load_theory(args.theory)
-    inst = align_instance(_load_instance(args.instance), sig)
+    sig, rules = parse_theory(_read(args.theory))
+    inst = align_instance(parse_instance(_read(args.instance)), sig)
     q = parse_query(args.query, inst.sig)
     config = RewriteConfig(oracle=_chase_config(args))
     answers, complete = certain_answers_oracle(rules, q, inst, config)
@@ -118,7 +110,7 @@ _REWRITERS = {"atomic": rewrite_atomic_guarded, "cq": rewrite_cq_guarded,
 
 
 def cmd_rewrite(args) -> int:
-    sig, rules = _load_theory(args.theory)
+    sig, rules = parse_theory(_read(args.theory))
     q = parse_query(args.query, sig)
     artifacts = _REWRITERS[args.mode](rules, q, _rewrite_config(args))
     print(f"completeness: {artifacts.completeness}")
@@ -131,14 +123,14 @@ def cmd_rewrite(args) -> int:
 
 def cmd_eval_datalog(args) -> int:
     prog = parse_datalog(_read(args.program))
-    inst = align_instance(_load_instance(args.instance), prog.edb)
+    inst = align_instance(parse_instance(_read(args.instance)), prog.edb)
     answers = eval_datalog(prog, inst)
     print(answer_line(prog.goal, answers, boolean=False))
     return EXIT_OK
 
 
 def cmd_eval_cq(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     q = parse_query(args.query, inst.sig)
     answers = eval_cq(q, inst)
     print(answer_line(_query_label(q), answers, boolean=not q.free_vars))
@@ -154,7 +146,7 @@ def cmd_classify(args) -> int:
     if len(chosen) != 1:
         raise ValueError("classify needs exactly one of --theory/--program/--formula")
     if args.theory:
-        _, rules = _load_theory(args.theory)
+        _, rules = parse_theory(_read(args.theory))
         if not rules:
             raise ValueError("theory has no rules to classify")
         classes = [classify(t) for t in rules]
@@ -179,8 +171,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    left = _load_instance(args.left)
-    right = _load_instance(args.right)
+    left = parse_instance(_read(args.left))
+    right = parse_instance(_read(args.right))
     if args.kind == "guarded":
         witness = check_guarded_bisim(left, right)
         size = len(witness.family) if witness else 0
@@ -198,8 +190,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_product(args) -> int:
-    left = _load_instance(args.left)
-    right = _load_instance(args.right)
+    left = parse_instance(_read(args.left))
+    right = parse_instance(_read(args.right))
     prod = direct_product(left, right)
     print(f"facts: {len(prod)}")
     print()
@@ -208,8 +200,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_squid(args) -> int:
-    base = _load_instance(args.base)
-    extension = align_instance(_load_instance(args.extension), base.sig)
+    base = parse_instance(_read(args.base))
+    extension = align_instance(parse_instance(_read(args.extension)), base.sig)
     base = align_instance(base, extension.sig)
     b_prime, _, tentacles = squid_extension(base, extension)
     ok = squid_check(base, b_prime, tentacles)
@@ -222,7 +214,7 @@ def cmd_squid(args) -> int:
 
 
 def cmd_treeify(args) -> int:
-    sig = _load_theory(args.theory)[0] if args.theory else None
+    sig = parse_theory(_read(args.theory))[0] if args.theory else None
     q = parse_query(args.query, sig)
     members = treeify(q, args.max_atoms, args.max_vars, sig)
     print(f"members: {len(members)}")
@@ -232,7 +224,7 @@ def cmd_treeify(args) -> int:
 
 
 def cmd_specialize(args) -> int:
-    sig, rules = _load_theory(args.theory)
+    sig, rules = parse_theory(_read(args.theory))
     result = specialize_to_fg(rules, sig.constants,
                               oracle_config=_chase_config(args))
     print(f"specialized: {len(result.rules)}")

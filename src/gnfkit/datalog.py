@@ -66,17 +66,6 @@ class DatalogProgram:
                 if known[a.rel] != len(a.args):
                     raise ValueError(f"arity mismatch on {a.rel}")
 
-    def goal_arity(self) -> int:
-        return self.idb.arities[self.goal]
-
-    def __str__(self):
-        lines = [f"edb {r}/{self.edb.arities[r]}." for r in self.edb.relations()]
-        lines += [f"idb {r}/{self.idb.arities[r]}." for r in self.idb.relations()
-                  if r != self.goal]
-        lines.append(f"goal {self.goal}/{self.idb.arities[self.goal]}.")
-        lines += sorted(str(r) for r in self.rules)
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class DatalogClass:

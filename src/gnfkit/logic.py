@@ -189,22 +189,19 @@ def free_vars(f: FoFormula, bound: frozenset[str] = frozenset()) -> set[str]:
     return out
 
 
-def conjuncts(f: FoFormula) -> list[FoFormula]:
-    if isinstance(f, FoAnd):
-        out: list[FoFormula] = []
-        for p in f.parts:
-            out.extend(conjuncts(p))
-        return out
+def _flatten(f: FoFormula, node: type) -> list[FoFormula]:
+    """The parts of ``f`` under nested ``node`` formulas (FoAnd or FoOr), left to right."""
+    if isinstance(f, node):
+        return [q for p in f.parts for q in _flatten(p, node)]
     return [f]
+
+
+def conjuncts(f: FoFormula) -> list[FoFormula]:
+    return _flatten(f, FoAnd)
 
 
 def disjuncts(f: FoFormula) -> list[FoFormula]:
-    if isinstance(f, FoOr):
-        out: list[FoFormula] = []
-        for p in f.parts:
-            out.extend(disjuncts(p))
-        return out
-    return [f]
+    return _flatten(f, FoOr)
 
 
 def formula_signature(f: FoFormula) -> Signature:
@@ -336,7 +333,9 @@ def _guarded_quantification_violations(f: FoFormula) -> list[tuple[str, str]]:
     return out
 
 
-def _analyze(f: FoFormula) -> GnfCheckReport:
+def check_gnf(f: FoFormula) -> GnfCheckReport:
+    """Membership report for both grammars, guarded negation and guarded
+    quantification: ``is_gnf`` and ``is_gfo`` on the result."""
     gn = _guarded_negation_violations(f)
     gq = _guarded_quantification_violations(f)
     if not gn and not gq:
@@ -352,14 +351,7 @@ def _analyze(f: FoFormula) -> GnfCheckReport:
     return GnfCheckReport(verdict, tagged)
 
 
-def check_gnf(f: FoFormula) -> GnfCheckReport:
-    """Membership report for the guarded-negation grammar (is_gnf on the result)."""
-    return _analyze(f)
-
-
-def check_gfo(f: FoFormula) -> GnfCheckReport:
-    """Membership report for the guarded-quantification grammar (is_gfo on the result)."""
-    return _analyze(f)
+check_gfo = check_gnf
 
 
 # ---------------------------------------------------------------------------

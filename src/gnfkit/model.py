@@ -229,10 +229,7 @@ class Homomorphism:
         return dict(self.mapping)
 
     def apply(self, v: Value) -> Value:
-        for s, t in self.mapping:
-            if s == v:
-                return t
-        raise KeyError(f"{v} not in homomorphism domain")
+        return self.as_dict()[v]
 
 
 def verify_homomorphism(h: Homomorphism, src: Instance, dst: Instance) -> bool:

@@ -97,15 +97,16 @@ class ConjunctiveQuery:
         return f"CQ({','.join(self.free_vars)} | {self})"
 
 
+def first_occurrence_vars(atoms: Iterable[Atom]) -> list[str]:
+    """The atoms' variables, each once, in order of first occurrence."""
+    return list({t.name: None for a in atoms for t in a.args if isinstance(t, Var)})
+
+
 def cq(free: Sequence[str], atoms: Sequence[Atom]) -> ConjunctiveQuery:
     """Build a CQ; variables not listed free are existential (first-occurrence order)."""
     free = tuple(free)
-    exist = []
-    for a in atoms:
-        for v in a.vars():
-            if v not in free and v not in exist:
-                exist.append(v)
-    return ConjunctiveQuery(free, tuple(exist), tuple(atoms))
+    exist = tuple(v for v in first_occurrence_vars(atoms) if v not in free)
+    return ConjunctiveQuery(free, exist, tuple(atoms))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,13 @@ The schemes, one per guardedness tier:
 - ``rewrite_fg``: answer-guarded query + frontier-guarded rules -> frontier
   guarded program, via guard-extension and query-extension predicates.
 
+The cq scheme is the composition of three public stages, each returning a
+``StageResult``: ``derive_full_guarded`` (full guarded consequences),
+``query_generation_rules`` (rules deriving query-extension predicates) and
+``goal_rules`` (conjunctions of those predicates entailing the query).  Any
+cap that drops a candidate body, a query quotient or a goal-premise partition
+marks the result ``capped``.
+
 Programs run over copies of the input relations (one import rule per input
 relation), so derived facts never touch input relation names.  Boolean goals
 and other zero-argument derived predicates are represented as unary relations
@@ -26,9 +33,9 @@ holding the reserved constant ``_unit``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
@@ -37,7 +44,8 @@ from .model import Fact, Instance, Signature, active_domain, align_instance, ele
 from .query import (RENAMING_CAP, Atom, BodyRenamings, ConjunctiveQuery, Cst, Term, Var,
                     atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
                     canonical_renaming, core_cq, cq, cq_contained, eval_cq,
-                    is_answer_guarded, pick_renaming, query_signature, substitute)
+                    first_occurrence_vars, is_answer_guarded, pick_renaming,
+                    query_signature, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
 
 ENTAILED = "entailed"
@@ -121,34 +129,18 @@ class CandidateSpace:
 
 
 @dataclass
-class DerivationResult:
-    """Certified full guarded consequences of a rule set."""
+class StageResult:
+    """What one compile stage certified: full guarded consequences
+    (``derive_full_guarded``), rules deriving query-extension predicates
+    (``query_generation_rules``) or goal rules (``goal_rules``), with a record
+    per candidate, the caps enumerated under, and each query-extension
+    predicate's canonical query text (empty for the first stage)."""
 
-    rules: tuple[Tgd, ...]
+    rules: tuple[Union[Tgd, Rule], ...]
     certification: tuple[CertificationRecord, ...]
     caps: dict[str, int]
     capped: bool
-
-
-@dataclass
-class QueryRulesResult:
-    """Guarded rules deriving query-extension predicates, with certificates."""
-
-    rules: tuple[Tgd, ...]
-    certification: tuple[CertificationRecord, ...]
-    query_predicates: dict[str, str]  # predicate name -> canonical query text
-    caps: dict[str, int]
-    capped: bool
-
-
-@dataclass
-class GoalRulesResult:
-    """Goal rules assembling query-extension premises into answers."""
-
-    rules: tuple[Rule, ...]
-    certification: tuple[CertificationRecord, ...]
-    query_predicates: dict[str, str]
-    capped: bool
+    query_predicates: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -254,8 +246,7 @@ def _vars(atoms: Iterable[Atom]) -> list[str]:
 @lru_cache(maxsize=None)
 def _cored_body(atoms: tuple[Atom, ...], kept_vars: frozenset[str]) -> tuple[Atom, ...]:
     """Core of a body, fixing the given variables (a rule's head variables)."""
-    order = [v for a in atoms for v in a.vars()]
-    frees = tuple(v for v in dict.fromkeys(order) if v in kept_vars)
+    frees = tuple(v for v in first_occurrence_vars(atoms) if v in kept_vars)
     return tuple(core_cq(cq(frees, atoms)).atoms)
 
 
@@ -486,13 +477,13 @@ def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _C
 
 
 def derive_full_guarded(rules: Sequence[Tgd], config: Optional[RewriteConfig] = None,
-                        sig: Optional[Signature] = None) -> DerivationResult:
+                        sig: Optional[Signature] = None) -> StageResult:
     """Chase-certified full guarded consequences of the rule set, within caps."""
     config = config or RewriteConfig()
     base = tgd_signature(list(rules), sig)
     _, cands, capped = _derivation_candidates(rules, base, config)
     records, kept = _certify(rules, base, [cands], config)
-    return DerivationResult(tuple(kept), tuple(records), _caps(config), capped)
+    return StageResult(tuple(kept), tuple(records), _caps(config), capped)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +509,7 @@ def _subquery(atoms: list[Atom], free: list[str], group: Sequence[int]) -> Conju
     the other atoms or with the answer."""
     sub = [atoms[i] for i in group]
     outside = {v for i, a in enumerate(atoms) if i not in group for v in a.vars()} | set(free)
-    return cq([v for v in dict.fromkeys(v for a in sub for v in a.vars()) if v in outside], sub)
+    return cq([v for v in first_occurrence_vars(sub) if v in outside], sub)
 
 
 def _query_family(query: ConjunctiveQuery, k: int, config: RewriteConfig, used: set[str],
@@ -560,7 +551,7 @@ def _query_heads(family: dict[str, ConjunctiveQuery],
 
 def query_generation_rules(rules: Sequence[Tgd], query: ConjunctiveQuery,
                            k: Optional[int] = None,
-                           config: Optional[RewriteConfig] = None) -> QueryRulesResult:
+                           config: Optional[RewriteConfig] = None) -> StageResult:
     """Guarded full rules deriving query-extension predicates: body B entails
     the predicate's query with the head arguments, certified by the chase."""
     config = config or RewriteConfig()
@@ -571,8 +562,8 @@ def query_generation_rules(rules: Sequence[Tgd], query: ConjunctiveQuery,
     _, bodies, capped = _guarded_space(sig, config)
     records, kept = _certify(rules, sig, [_rule_candidates(bodies, _query_heads(family, names))],
                              config)
-    return QueryRulesResult(tuple(kept), tuple(records), {names[key]: key for key in family},
-                            _caps(config, k), fam_capped or capped)
+    return StageResult(tuple(kept), tuple(records), _caps(config, k), fam_capped or capped,
+                       {names[key]: key for key in family})
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +579,7 @@ def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goa
             continue
         for atom_part in _set_partitions(list(range(len(atoms)))):
             if len(atom_part) > config.max_goal_premises:
+                capped = True  # a skipped partition may be the only one deriving an answer
                 continue
             premises = []
             for group in atom_part:
@@ -610,7 +602,7 @@ def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goa
 
 def goal_rules(query: ConjunctiveQuery, k: Optional[int] = None,
                config: Optional[RewriteConfig] = None,
-               goal_name: str = "Goal") -> GoalRulesResult:
+               goal_name: str = "Goal") -> StageResult:
     """All goal rules over query-extension predicates whose premise conjunction
     is contained in the query (checked by the containment test)."""
     config = config or RewriteConfig()
@@ -620,8 +612,9 @@ def goal_rules(query: ConjunctiveQuery, k: Optional[int] = None,
     family, names, fam_capped = _query_family(
         query, k, config, set(sig.arities) | set(sig.constants) | {goal_name})
     rules, records, capped = _goal_rules_impl(query, k, names, goal_name, config)
-    return GoalRulesResult(tuple(rules), tuple(records), {names[key]: key for key in family},
-                           capped or fam_capped)
+    return StageResult(tuple(rules), tuple(records),
+                       {"k": k, "max_goal_premises": config.max_goal_premises},
+                       capped or fam_capped, {names[key]: key for key in family})
 
 
 # ---------------------------------------------------------------------------

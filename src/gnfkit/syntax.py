@@ -71,7 +71,7 @@ from typing import Optional, Sequence
 from .datalog import DatalogProgram, Rule
 from .logic import FoAnd, FoEq, FoExists, FoForall, FoFormula, FoNot, FoOr
 from .model import Fact, Instance, Signature, Value, const, elem, fact_key
-from .query import Atom, ConjunctiveQuery, Cst, Term, Var
+from .query import Atom, ConjunctiveQuery, Cst, Term, Var, first_occurrence_vars
 from .tgd import Tgd
 
 
@@ -377,7 +377,7 @@ def _parse_tgd(cur: _Cursor, consts: set[str], table: _ArityTable) -> Tgd:
     head_atoms = _atom_list(cur, consts, table)
     cur.expect("eof", "'.'")
 
-    body_vars = _first_occurrence_vars(body_atoms)
+    body_vars = first_occurrence_vars(body_atoms)
     for v in exist:
         if v in body_vars:
             raise ParseError(f"existential variable {v} also occurs in the body",
@@ -524,7 +524,7 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> ConjunctiveQuery:
         cur.expect(")", "')'")
         cur.expect(":-", "':-'")
         atoms = _atom_list(cur, consts, table)
-        body_vars = _first_occurrence_vars(atoms)
+        body_vars = first_occurrence_vars(atoms)
         for v in free:
             if v not in body_vars:
                 cur.fail(f"answer variable {v} occurs in no atom")
@@ -532,20 +532,11 @@ def parse_query(text: str, sig: Optional[Signature] = None) -> ConjunctiveQuery:
     else:
         exist = _binder(cur, consts, ":") or []
         atoms = _atom_list(cur, consts, table)
-        free = [v for v in _first_occurrence_vars(atoms) if v not in exist]
+        free = [v for v in first_occurrence_vars(atoms) if v not in exist]
     if cur.at("."):
         cur.advance()
     cur.expect("eof", "end of query")
     return ConjunctiveQuery(tuple(free), tuple(exist), tuple(atoms))
-
-
-def _first_occurrence_vars(atoms: Sequence[Atom]) -> list[str]:
-    out: list[str] = []
-    for a in atoms:
-        for v in a.vars():
-            if v not in out:
-                out.append(v)
-    return out
 
 
 def print_query(q: ConjunctiveQuery) -> str:

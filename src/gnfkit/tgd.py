@@ -1,4 +1,10 @@
-"""Tuple-generating dependencies: syntactic classes, head decomposition, specialization."""
+"""Tuple-generating dependencies: syntactic classes, model checks, head
+decomposition, specialization and rewriting into tighter classes.
+
+``disjunctive_holds_in`` is the one model check (``holds_in`` checks a TGD as a
+disjunctive TGD with one head), and both rewritings into a tighter class,
+``specialize_to_fg`` and ``to_acyclic_fg``, return a ``RuleRewriteResult``.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .model import Instance, Signature
-from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_renaming, cq,
-                    eval_cq, fresh_names, is_acyclic, query_signature, substitute, treeify)
+from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_renaming, cq, eval_cq,
+                    first_occurrence_vars, fresh_names, is_acyclic, query_signature,
+                    substitute, treeify)
 
 
 @dataclass(frozen=True)
@@ -58,11 +65,7 @@ class DisjunctiveTgd:
 
 def make_tgd(body_atoms: Sequence[Atom], head_atoms: Sequence[Atom]) -> Tgd:
     """Build a TGD; frontier = body variables occurring in the head, in body order."""
-    body_vars = []
-    for a in body_atoms:
-        for v in a.vars():
-            if v not in body_vars:
-                body_vars.append(v)
+    body_vars = first_occurrence_vars(body_atoms)
     body = ConjunctiveQuery(tuple(body_vars), (), tuple(body_atoms))
     head_used = {v for a in head_atoms for v in a.vars()}
     frontier = tuple(v for v in body_vars if v in head_used)
@@ -154,12 +157,7 @@ def is_quasi_frontier_guarded(t: Tgd) -> bool:
 
 def holds_in(t: Tgd, inst: Instance) -> bool:
     """Model check: every body match extends to a head match."""
-    for ans in eval_cq(t.body, inst):
-        binding = dict(zip(t.body.free_vars, ans))
-        seed = {x: binding[x] for x in t.frontier()}
-        if not eval_cq(t.head, inst, binding=seed):
-            return False
-    return True
+    return disjunctive_holds_in(DisjunctiveTgd(t.body, (t.head,)), inst)
 
 
 def all_hold_in(rules: Iterable[Tgd], inst: Instance) -> bool:
@@ -167,6 +165,7 @@ def all_hold_in(rules: Iterable[Tgd], inst: Instance) -> bool:
 
 
 def disjunctive_holds_in(d: DisjunctiveTgd, inst: Instance) -> bool:
+    """Model check: every body match extends to a match of some head."""
     for ans in eval_cq(d.body, inst):
         binding = dict(zip(d.body.free_vars, ans))
         ok = False
@@ -232,9 +231,13 @@ def select_disjunct(rules: Sequence[Tgd], d: DisjunctiveTgd, oracle_config=None)
 
 
 @dataclass
-class FgSpecializationResult:
+class RuleRewriteResult:
+    """Rules rewritten into a tighter class, the input rules that could not be,
+    and whether a treeification cap decided a failure."""
+
     rules: list[Tgd]
     failed: list[Tgd]
+    capped: bool = False
 
     @property
     def ok(self) -> bool:
@@ -242,7 +245,7 @@ class FgSpecializationResult:
 
 
 def specialize_to_fg(rules: Sequence[Tgd], constants: Iterable[str] = (),
-                     oracle_config=None) -> FgSpecializationResult:
+                     oracle_config=None) -> RuleRewriteResult:
     """For each rule, find a quasi-frontier-guarded specialization entailed by the rule
     set, and return the union of the frontier-guarded component decompositions."""
     from .chase import entails_tgd
@@ -266,22 +269,11 @@ def specialize_to_fg(rules: Sequence[Tgd], constants: Iterable[str] = (),
     seen: dict[str, Tgd] = {}
     for t in out:
         seen.setdefault(str(canonical_tgd(t)), canonical_tgd(t))
-    return FgSpecializationResult([seen[k] for k in sorted(seen)], failed)
-
-
-@dataclass
-class AcyclicFgResult:
-    rules: list[Tgd]
-    failed: list[Tgd]
-    capped: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
+    return RuleRewriteResult([seen[k] for k in sorted(seen)], failed)
 
 
 def to_acyclic_fg(rules: Sequence[Tgd], max_atoms: int, max_vars: int,
-                  oracle_config=None) -> AcyclicFgResult:
+                  oracle_config=None) -> RuleRewriteResult:
     """Rewrite frontier-guarded rules into acyclic frontier-guarded rules when possible.
 
     Bodies and heads are replaced by members of their treeifications; body disjunction is
@@ -317,7 +309,7 @@ def to_acyclic_fg(rules: Sequence[Tgd], max_atoms: int, max_vars: int,
             out.append(Tgd(bt, _head_for_body(bt, head_members[i])))
         if not ok:
             failed.append(t)
-    return AcyclicFgResult(out, failed, capped)
+    return RuleRewriteResult(out, failed, capped)
 
 
 def _cq_as_body(q: ConjunctiveQuery) -> ConjunctiveQuery:

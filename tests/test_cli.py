@@ -200,6 +200,16 @@ def test_bisim_guarded_cycles(capsys, tmp_path):
     assert rc == EXIT_BUDGET
 
 
+def test_rewrite_reports_a_skipped_goal_premise_partition(capsys, tmp_path):
+    theory = tmp_path / "e.gdt"
+    theory.write_text("rel E/2.\n")
+    rc, out = run_cli(capsys, "rewrite", "--mode", "cq", "--theory", str(theory),
+                      "--max-vars", "4",
+                      "--query", "exists x,y,z,w: E(x,y), E(y,z), E(z,w), E(w,x)")
+    assert rc == EXIT_BUDGET
+    assert out.splitlines()[0] == "completeness: capped"
+
+
 def test_bisim_signature_mismatch(capsys, tmp_path):
     a = tmp_path / "a.gdi"
     b = tmp_path / "b.gdi"

@@ -48,6 +48,50 @@ def unused_imports(path: Path) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_name`` functions, classes and assigned constants."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in out if n.startswith("_") and not n.startswith("__")]
+
+
+def names_loaded(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names (string annotations included),
+    attribute names, and names it imports from other modules."""
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    loaded = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+    loaded |= _names_read(tree) - {n.id for n in names}  # only in string annotations
+    loaded |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    loaded |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return loaded
+
+
+def unread_private_names(paths: list[Path]) -> list[str]:
+    """Module-level private names that no module among the paths reads; a
+    second copy of a helper left behind unreferenced shows up here."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in paths}
+    loaded = set().union(*map(names_loaded, trees.values()))
+    return [f"{stem}.{name}" for stem, tree in trees.items()
+            for name in private_definitions(tree) if name not in loaded]
+
+
+def test_the_scan_flags_an_unread_private_name(tmp_path):
+    (tmp_path / "a.py").write_text("_USED = 1\n_UNUSED: int = 2\n"
+                                   "def _helper():\n    return _USED\n"
+                                   "class _Kept:\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import _Kept\n")
+    assert unread_private_names(sorted(tmp_path.glob("*.py"))) == ["a._UNUSED", "a._helper"]
+
+
+def test_package_reads_its_private_names():
+    assert unread_private_names(sorted(PACKAGE.glob("*.py"))) == []
+
+
 def test_the_scan_flags_an_unread_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("from typing import Iterable, Optional\n"

@@ -32,6 +32,7 @@ from gnfkit.query import (
     core_cq,
     cst,
     eval_cq,
+    first_occurrence_vars,
     instance_tuples,
     is_acyclic,
     is_answer_guarded,
@@ -328,6 +329,18 @@ def _random_atoms(rng, terms, max_atoms, rels=RELS):
         rel, arity = rng.choice(rels)
         atoms.append(Atom(rel, tuple(rng.choice(terms) for _ in range(arity))))
     return atoms
+
+
+def test_first_occurrence_vars_agree_with_concatenated_atom_vars():
+    rng = random.Random(61)
+    terms = [Var("x"), Var("y"), Var("z"), Var("c"), Cst("c"), Cst("d")]
+    for _ in range(300):
+        atoms = _random_atoms(rng, terms, 4, RELS + (("T", 3),))
+        expected = []
+        for a in atoms:
+            expected += [v for v in a.vars() if v not in expected]
+        assert first_occurrence_vars(atoms) == expected, atoms
+    assert first_occurrence_vars([]) == []
 
 
 def _random_query(rng, terms, max_atoms, n_free):

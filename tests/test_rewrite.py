@@ -223,7 +223,7 @@ def test_derive_matches_between_sequential_and_parallel():
                              (rewrite_fg, FG_RULES, FG_Q)):
         seq = scheme(rules, q, RewriteConfig(jobs=1))
         par = scheme(rules, q, RewriteConfig(jobs=2))
-        assert str(seq.program) == str(par.program)
+        assert print_datalog(seq.program) == print_datalog(par.program)
         assert seq.certification == par.certification
 
 
@@ -463,6 +463,25 @@ def test_query_and_goal_rules_read_k_from_the_config():
     assert len(goals.rules) == 12 and len(goal_rules(Q_TRI, k=3).rules) == 17
     # an explicit k still overrides the config
     assert query_generation_rules([], Q_TRI, k=3, config=cfg).caps["k"] == 3
+    assert goals.caps["k"] == 2 and goal_rules(Q_TRI, k=3, config=cfg).caps["k"] == 3
+
+
+def test_skipped_goal_premise_partitions_mark_the_compile_capped():
+    """The 4-cycle query needs a goal rule with four premises; past
+    ``max_goal_premises`` (3) that partition is skipped, so the program misses
+    the oracle's answer on the 4-cycle and the compile must say so."""
+    q = cq([], [atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "w"),
+                atom("E", "w", "x")])
+    c4 = cycle(4)
+    assert certain_answers_oracle([], q, c4) == (frozenset({()}), True)
+    art = rewrite_cq_guarded([], q, RewriteConfig(k=4))
+    assert art.capped and art.completeness == CAPPED
+    assert evaluate_program(art, c4) == set()
+    assert goal_rules(q, config=RewriteConfig(k=4)).capped
+    wide = RewriteConfig(k=4, max_goal_premises=4)
+    art = rewrite_cq_guarded([], q, wide)
+    assert art.completeness == COMPLETE_WITHIN_CAPS and evaluate_program(art, c4) == {()}
+    assert not goal_rules(q, config=wide).capped
 
 
 def test_schemes_are_compositions_of_their_public_steps():
