@@ -15,14 +15,17 @@ The schemes, one per guardedness tier:
 - ``rewrite_cq_guarded``: conjunctive query + guarded rules -> internally
   guarded program (only goal rules may lack a guard);
 - ``rewrite_fg``: answer-guarded query + frontier-guarded rules -> frontier
-  guarded program, via guard-extension and query-extension predicates.
+  guarded program.  On guarded rules it is the cq scheme; only a rule set
+  with an unguarded rule goes through fg's own construction, with
+  guard-extension and query-extension predicates.
 
 The cq scheme is the composition of three public stages, each returning a
 ``StageResult``: ``derive_full_guarded`` (full guarded consequences),
 ``query_generation_rules`` (rules deriving query-extension predicates) and
 ``goal_rules`` (conjunctions of those predicates entailing the query).  Any
-cap that drops a candidate body, a query quotient or a goal-premise partition
-marks the result ``capped``.
+cap that drops a candidate body, a query quotient, a subquery past ``k``
+variables or a goal-premise partition marks the result ``capped``, in each
+stage and in each scheme.
 
 Programs run over copies of the input relations (one import rule per input
 relation), so derived facts never touch input relation names.  Boolean goals
@@ -33,7 +36,7 @@ holding the reserved constant ``_unit``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -58,6 +61,14 @@ CAPPED = "capped"
 
 UNIT_CONST = "_unit"
 
+# Enumeration caps that no caller varies.  Artifacts record the first, third
+# and fourth under their lower-cased names, next to the ``RewriteConfig`` caps.
+MAX_ARITY = 3                # relations of higher arity are left out
+MAX_K = 3                    # caps the default k (see ``RewriteConfig``)
+FG_MAX_EXTRA_BODY_ATOMS = 1  # extra body atoms in fg's extension construction
+EXTRA_ATOM_POOL_LIMIT = 12   # extra atoms a guard may draw from
+MAX_QUOTIENT_VARS = 6        # past this many query variables, no quotients
+
 
 # ---------------------------------------------------------------------------
 # configuration and result types
@@ -68,31 +79,32 @@ class RewriteConfig:
 
     ``k`` bounds the number of variables in derived queries and goal rules.
     Every step that uses it reads it from here; ``query_generation_rules`` and
-    ``goal_rules`` also take a ``k`` argument, which overrides it.
-    When neither is set, with ``body vars`` the largest variable count of a
-    rule body (1 without rules) and ``query vars`` the query's variable count:
+    ``goal_rules`` also take a ``k`` argument, which overrides it.  A ``k``
+    below the query's variable count marks every result that uses it
+    ``capped``.  When neither is set, with ``body vars`` the largest variable
+    count of a rule body (1 without rules) and ``query vars`` the query's
+    variable count:
 
     - ``rewrite_cq_guarded`` and ``query_generation_rules`` use
-      ``min(max(body vars, query vars, 1), max_k)``;
-    - ``rewrite_fg`` uses ``max(min(max(body vars, 1), max_k), query vars)``,
-      so the query's count is never clamped;
+      ``min(max(body vars, query vars, 1), MAX_K)``;
+    - ``rewrite_fg`` uses ``max(min(max(body vars, 1), MAX_K), query vars)``,
+      so the query's count is never clamped; on guarded rules it passes that
+      ``k`` to ``rewrite_cq_guarded``;
     - ``goal_rules`` uses ``max(query vars, 1)``;
     - ``rewrite_atomic_guarded`` does not use ``k``.
 
-    The remaining caps bound the enumeration space itself; every produced
-    artifact records the caps it was built under.  ``jobs`` (at least 1) is
-    the number of processes that certify candidates.
+    ``max_relations``, ``max_extra_body_atoms`` and ``max_goal_premises``
+    bound the enumeration space, together with the module constants
+    ``MAX_ARITY``, ``FG_MAX_EXTRA_BODY_ATOMS``, ``EXTRA_ATOM_POOL_LIMIT`` and
+    ``MAX_QUOTIENT_VARS``; every produced artifact records the caps it was
+    built under.  ``jobs`` (at least 1) is the number of processes that
+    certify candidates.
     """
 
     k: Optional[int] = None
     max_relations: int = 4
-    max_arity: int = 3
-    max_k: int = 3
     max_extra_body_atoms: int = 2
-    fg_max_extra_body_atoms: int = 1
-    extra_atom_pool_limit: int = 12
     max_goal_premises: int = 3
-    max_quotient_vars: int = 6
     oracle: ChaseConfig = ChaseConfig()
     jobs: int = 1
 
@@ -289,7 +301,7 @@ class _Candidate(NamedTuple):
 
 def _enumeration_relations(sig: Signature, config: RewriteConfig) -> tuple[list[tuple[str, int]], bool]:
     rels = [(r, a) for r, a in sig.arities.items()]
-    kept = [(r, a) for r, a in rels if a <= config.max_arity]
+    kept = [(r, a) for r, a in rels if a <= MAX_ARITY]
     capped = len(kept) < len(rels)
     if len(kept) > config.max_relations:
         kept = kept[:config.max_relations]
@@ -298,7 +310,7 @@ def _enumeration_relations(sig: Signature, config: RewriteConfig) -> tuple[list[
 
 
 def _guarded_bodies(rels: Sequence[tuple[str, int]], max_extra: int,
-                    config: RewriteConfig, k: int = 0) -> tuple[list[_Body], bool]:
+                    k: int = 0) -> tuple[list[_Body], bool]:
     """All bodies consisting of a guard atom plus at most ``max_extra`` atoms
     over its variables and fresh ones w0, w1, ... up to ``k`` variables; each
     with the guard's variables."""
@@ -310,8 +322,8 @@ def _guarded_bodies(rels: Sequence[tuple[str, int]], max_extra: int,
             gvars = tuple(dict.fromkeys(pattern))
             fresh = tuple(f"w{i}" for i in range(k - len(gvars)))
             pool = [a for a in _atoms_over(rels, gvars + fresh) if a != guard]
-            if len(pool) > config.extra_atom_pool_limit:
-                pool = pool[:config.extra_atom_pool_limit]
+            if len(pool) > EXTRA_ATOM_POOL_LIMIT:
+                pool = pool[:EXTRA_ATOM_POOL_LIMIT]
                 capped = True
             top = min(max_extra, len(pool))
             for n in range(top + 1):
@@ -324,7 +336,7 @@ def _guarded_space(sig: Signature,
                    config: RewriteConfig) -> tuple[list[tuple[str, int]], list[_Body], bool]:
     """The relations and guarded bodies the guarded schemes enumerate over."""
     rels, capped = _enumeration_relations(sig, config)
-    bodies, pool_capped = _guarded_bodies(rels, config.max_extra_body_atoms, config)
+    bodies, pool_capped = _guarded_bodies(rels, config.max_extra_body_atoms)
     return rels, bodies, capped or pool_capped
 
 
@@ -489,13 +501,12 @@ def derive_full_guarded(rules: Sequence[Tgd], config: Optional[RewriteConfig] = 
 # ---------------------------------------------------------------------------
 # query families: quotients of subqueries, canonicalized
 
-def _quotients(query: ConjunctiveQuery,
-               config: RewriteConfig) -> tuple[list[tuple[list[Atom], list[str]]], bool]:
+def _quotients(query: ConjunctiveQuery) -> tuple[list[tuple[list[Atom], list[str]]], bool]:
     """Each variable quotient of the query as its distinct atoms and its
-    answer variables.  Past ``max_quotient_vars`` only the identity quotient
+    answer variables.  Past ``MAX_QUOTIENT_VARS`` only the identity quotient
     is taken, and the result is flagged as capped."""
     allvars = list(query.all_vars())
-    capped = len(allvars) > config.max_quotient_vars
+    capped = len(allvars) > MAX_QUOTIENT_VARS
     out = []
     for part in [[[v] for v in allvars]] if capped else _set_partitions(allvars):
         rep = {v: Var(cls[0]) for cls in part for v in cls}
@@ -512,15 +523,18 @@ def _subquery(atoms: list[Atom], free: list[str], group: Sequence[int]) -> Conju
     return cq([v for v in first_occurrence_vars(sub) if v in outside], sub)
 
 
-def _query_family(query: ConjunctiveQuery, k: int, config: RewriteConfig, used: set[str],
+def _query_family(query: ConjunctiveQuery, k: int, used: set[str],
                   answer_guarded_only: bool = False
                   ) -> tuple[dict[str, ConjunctiveQuery], dict[str, str], bool]:
     """Queries relevant to answering the input query: take a variable quotient,
     keep a subset of its atoms, and expose the variables shared with the rest
     (plus answer variables).  Canonicalized and capped at k variables.
     Returns the family by canonical key, a predicate name per key (Q0, Q1,
-    ... in key order, avoiding the used names) and whether it was capped."""
-    quotients, capped = _quotients(query, config)
+    ... in key order, avoiding the used names) and whether it was capped:
+    by the quotient cap, or by a k below the query's variable count, which
+    drops the subqueries and goal rules that need more variables."""
+    quotients, capped = _quotients(query)
+    capped = capped or k < len(query.all_vars())
     family: dict[str, ConjunctiveQuery] = {}
     for atoms, free in quotients:
         for mask in range(1, 1 << len(atoms)):
@@ -557,8 +571,7 @@ def query_generation_rules(rules: Sequence[Tgd], query: ConjunctiveQuery,
     config = config or RewriteConfig()
     sig = tgd_signature(list(rules), query_signature(query))
     k = k if k is not None else _default_k(rules, query, config)
-    family, names, fam_capped = _query_family(query, k, config,
-                                              set(sig.arities) | set(sig.constants))
+    family, names, fam_capped = _query_family(query, k, set(sig.arities) | set(sig.constants))
     _, bodies, capped = _guarded_space(sig, config)
     records, kept = _certify(rules, sig, [_rule_candidates(bodies, _query_heads(family, names))],
                              config)
@@ -571,7 +584,7 @@ def query_generation_rules(rules: Sequence[Tgd], query: ConjunctiveQuery,
 
 def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goal_name: str,
                      config: RewriteConfig) -> tuple[list[Rule], list[CertificationRecord], bool]:
-    quotients, capped = _quotients(query, config)
+    quotients, capped = _quotients(query)
     rules_out: dict[str, Rule] = {}
     records: dict[str, CertificationRecord] = {}
     for atoms, free in quotients:
@@ -610,7 +623,7 @@ def goal_rules(query: ConjunctiveQuery, k: Optional[int] = None,
         k = config.k if config.k is not None else max(len(query.all_vars()), 1)
     sig = query_signature(query)
     family, names, fam_capped = _query_family(
-        query, k, config, set(sig.arities) | set(sig.constants) | {goal_name})
+        query, k, set(sig.arities) | set(sig.constants) | {goal_name})
     rules, records, capped = _goal_rules_impl(query, k, names, goal_name, config)
     return StageResult(tuple(rules), tuple(records),
                        {"k": k, "max_goal_premises": config.max_goal_premises},
@@ -626,16 +639,17 @@ def _default_k(rules: Sequence[Tgd], query: ConjunctiveQuery,
     if config.k is not None:
         return config.k
     maxbody = max((len(t.body.free_vars) for t in rules), default=1)
-    return min(max(maxbody, len(query.all_vars()), 1), config.max_k)
+    return min(max(maxbody, len(query.all_vars()), 1), MAX_K)
 
 
 def _caps(config: RewriteConfig, k: Optional[int] = None,
-          max_extra: str = "max_extra_body_atoms") -> dict[str, int]:
-    """The enumeration caps a result was built under, led by k where used."""
-    caps = {} if k is None else {"k": k}
-    for name in ("max_relations", "max_arity", max_extra, "extra_atom_pool_limit"):
-        caps[name] = getattr(config, name)
-    return caps
+          max_extra: Optional[tuple[str, int]] = None) -> dict[str, int]:
+    """The enumeration caps a result was built under, led by k where used;
+    ``max_extra`` names the extra-body-atom cap when it is not the config's."""
+    name, value = max_extra or ("max_extra_body_atoms", config.max_extra_body_atoms)
+    return {**({} if k is None else {"k": k}), "max_relations": config.max_relations,
+            "max_arity": MAX_ARITY, name: value,
+            "extra_atom_pool_limit": EXTRA_ATOM_POOL_LIMIT}
 
 
 def _completeness(capped: bool, records: Iterable[CertificationRecord]) -> str:
@@ -784,14 +798,14 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     copies = _copy_map(sig)
     used = set(sig.arities) | set(sig.constants) | set(copies.values())
     goal_name = _fresh_name("Goal", used)
-    family, names, fam_capped = _query_family(query, k, config, used | {goal_name})
+    family, names, fam_capped = _query_family(query, k, used | {goal_name})
 
     bodies, full_cands, body_capped = _derivation_candidates(rules, sig, config)
     query_cands = _rule_candidates(bodies, _query_heads(family, names))
     records, kept = _certify(rules, sig, [full_cands, query_cands], config)
     goal_list, goal_records, goal_capped = _goal_rules_impl(query, k, names, goal_name, config)
 
-    capped = (k < len(query.all_vars()) or fam_capped or body_capped or goal_capped)
+    capped = fam_capped or body_capped or goal_capped
     art = _assemble(sig, copies, query, goal_name, kept, records + goal_records,
                     {**_caps(config, k), "max_goal_premises": config.max_goal_premises},
                     capped, goal_list=goal_list,
@@ -846,25 +860,40 @@ def guard_extension_axioms(sig: Signature) -> GuardExtensionResult:
 def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
                config: Optional[RewriteConfig] = None) -> RewriteArtifacts:
     """Compile certain answers of an answer-guarded query under frontier-guarded
-    rules into a frontier-guarded program, using guard-extension and
-    query-extension predicates to carry derived information."""
+    rules into a frontier-guarded program.
+
+    When every rule is guarded, this is ``rewrite_cq_guarded`` at fg's ``k``:
+    its internally guarded program is frontier-guarded for an answer-guarded
+    query.  Otherwise guard-extension and query-extension predicates carry
+    the derived information through rules that need only a frontier guard."""
     config = config or RewriteConfig()
-    for t in rules:
-        if not classify(t).frontier_guarded:
+    classes = [classify(t) for t in rules]
+    for t, c in zip(rules, classes):
+        if not c.frontier_guarded:
             raise ValueError(f"rule is not frontier-guarded: {t}")
     if not is_answer_guarded(query):
         raise ValueError("query must be answer-guarded")
-    base_sig = tgd_signature(list(rules), query_signature(query))
     maxbody = max((len(t.body.free_vars) for t in rules), default=1)
-    if config.k is not None:
-        k = config.k
+    k = config.k if config.k is not None else max(min(max(maxbody, 1), MAX_K),
+                                                  len(query.all_vars()))
+    if all(c.guarded for c in classes):
+        art = rewrite_cq_guarded(rules, query, replace(config, k=k))
     else:
-        k = max(min(max(maxbody, 1), config.max_k), len(query.all_vars()))
+        art = _rewrite_fg_extended(rules, query, k, config)
+    assert classify_datalog(art.program).frontier_guarded
+    return art
 
+
+def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery, k: int,
+                         config: RewriteConfig) -> RewriteArtifacts:
+    """fg's own construction: candidate rules over the input relations,
+    guard-extension predicates and the query's answer-guarded family,
+    certified under a theory that defines each of them."""
+    base_sig = tgd_signature(list(rules), query_signature(query))
     ext = guard_extension_axioms(base_sig)
     used = set(ext.signature.arities) | set(ext.signature.constants)
     ans_name = _fresh_name("Ans", used)
-    family, names, fam_capped = _query_family(query, k, config, used | {ans_name},
+    family, names, fam_capped = _query_family(query, k, used | {ans_name},
                                               answer_guarded_only=True)
 
     # the theory: input rules, the answer rule, and axioms defining every
@@ -882,8 +911,8 @@ def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
                          for name in sorted(set(ext.signature.arities) - set(base_sig.arities))])
 
     base_rels, rel_capped = _enumeration_relations(base_sig, config)
-    rels = base_rels + [(r, a) for r, a in extension_rels if a <= config.max_arity]
-    bodies, pool_capped = _guarded_bodies(rels, config.fg_max_extra_body_atoms, config, k)
+    rels = base_rels + [(r, a) for r, a in extension_rels if a <= MAX_ARITY]
+    bodies, pool_capped = _guarded_bodies(rels, FG_MAX_EXTRA_BODY_ATOMS, k)
     cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels]
                              + [(r, 0, None) for r, a in rels if a == 1])
     for c in _inject_input_rules(theory, require_guarded=False):
@@ -891,13 +920,10 @@ def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
     records, kept = _certify(theory, ext.signature.extend(relations=extension_rels),
                              [cands], config)
 
-    capped = k < len(query.all_vars()) or fam_capped or rel_capped or pool_capped
-    art = _assemble(base_sig, _copy_map(base_sig), query, ans_name, kept, records,
-                    _caps(config, k, "fg_max_extra_body_atoms"), capped,
-                    idb=extension_rels,
-                    query_predicates={names[key]: key for key in family})
-    assert classify_datalog(art.program).frontier_guarded
-    return art
+    return _assemble(base_sig, _copy_map(base_sig), query, ans_name, kept, records,
+                     _caps(config, k, ("fg_max_extra_body_atoms", FG_MAX_EXTRA_BODY_ATOMS)),
+                     fam_capped or rel_capped or pool_capped, idb=extension_rels,
+                     query_predicates={names[key]: key for key in family})
 
 
 # ---------------------------------------------------------------------------

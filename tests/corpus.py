@@ -1,10 +1,16 @@
 """A fixed corpus of certain-answer problems used across the test suite.
 
-Every problem pairs a guarded rule set with a single-atom query whose
-variables are pairwise distinct and all free, so each of the three rewriting
-schemes (atomic, conjunctive-query, frontier-guarded) is applicable to every
-entry.  Problems are small by design: the suite re-runs the full rewriting
-pipeline on each of them.
+Every problem of ``PROBLEMS`` pairs a guarded rule set with a single-atom
+query whose variables are pairwise distinct and all free, so each of the
+three rewriting schemes (atomic, conjunctive-query, frontier-guarded) is
+applicable to every entry; on guarded rules the frontier-guarded scheme
+compiles through the conjunctive-query one.  Problems are small by design:
+the suite re-runs the full rewriting pipeline on each of them.
+
+``FG_PROBLEMS`` holds frontier-guarded rule sets with an unguarded rule and
+existential heads, which only the frontier-guarded scheme accepts and which
+it compiles with its own guard-extension construction; ``FG_QUERIES`` lists
+the answer-guarded queries they are compiled with.
 
 ``COMPILE_QUERIES`` pairs seven of these rule sets with queries and the
 schemes to compile them under, as the benchmark's ``compile`` workload does:
@@ -132,6 +138,26 @@ PROBLEMS: tuple[CertainAnswerProblem, ...] = (
     ),
 )
 
+# frontier-guarded, not guarded: each has a rule whose body no atom guards
+FG_PROBLEMS: tuple[CertainAnswerProblem, ...] = (
+    _problem(
+        "join-witness",
+        [
+            make_tgd([atom("R", "x", "y"), atom("S", "y", "z")], [atom("T", "x", "w")]),
+            make_tgd([atom("T", "x", "y")], [atom("P", "x")]),
+        ],
+        cq(["x"], [atom("P", "x")]),
+    ),
+    _problem(
+        "two-step-witness",
+        [
+            make_tgd([atom("E", "x", "y"), atom("E", "y", "z")], [atom("F", "x", "w")]),
+            make_tgd([atom("F", "x", "y"), atom("A", "y")], [atom("A", "x")]),
+        ],
+        cq(["x"], [atom("A", "x")]),
+    ),
+)
+
 # (corpus problem, schemes, query text)
 COMPILE_QUERIES: tuple[tuple[str, tuple[str, ...], str], ...] = (
     ("u-propagation", ("atomic", "cq"), "T(x)"),
@@ -159,9 +185,23 @@ ORACLE_QUERIES: tuple[tuple[str, tuple[str, ...], str], ...] = (
 )
 
 
+# the frontier-guarded problems under their own and an existential query
+FG_QUERIES: tuple[tuple[str, tuple[str, ...], str], ...] = (
+    ("join-witness", ("fg",), "P(x)"),
+    ("join-witness", ("fg",), "exists w: T(x,w)"),
+    ("two-step-witness", ("fg",), "A(x)"),
+    ("two-step-witness", ("fg",), "exists w: F(x,w)"),
+)
+
+
+def corpus_problem(name: str) -> CertainAnswerProblem:
+    """The problem `name` of `PROBLEMS` or `FG_PROBLEMS`."""
+    return next(p for p in PROBLEMS + FG_PROBLEMS if p.name == name)
+
+
 def compile_problem(name: str, query_text: str) -> CertainAnswerProblem:
     """The corpus problem `name` with `query_text` as its query."""
-    rules = next(p for p in PROBLEMS if p.name == name).rules
+    rules = corpus_problem(name).rules
     return _problem(name, rules, parse_query(query_text, tgd_signature(rules)))
 
 
@@ -175,6 +215,6 @@ def compiled_problem(name: str, scheme: str, query_text: Optional[str]
     own), and its compile under `scheme`; compiled once per process, since
     several tests read the same compiles.  `query_text` has no default, so
     that every call names the same cache key."""
-    problem = (next(p for p in PROBLEMS if p.name == name) if query_text is None
+    problem = (corpus_problem(name) if query_text is None
                else compile_problem(name, query_text))
     return problem, SCHEMES[scheme](problem.rules, problem.query)

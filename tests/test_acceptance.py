@@ -11,7 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from corpus import PROBLEMS, compiled_problem
+from corpus import FG_QUERIES, PROBLEMS, compiled_problem, corpus_problem
 from oracles import (naive_eval_cq, naive_eval_datalog, naive_eval_fo,
                      naive_find_homomorphism)
 from randgen import (
@@ -190,6 +190,12 @@ def test_criterion_02_rewriting_guardedness_classes():
             assert classes["atomic"].guarded, p.name
             assert classes["cq"].internally_guarded, p.name
             assert classes["fg"].frontier_guarded, p.name
+        # frontier-guarded rule sets with an unguarded rule: fg's own construction
+        for name, schemes, text in FG_QUERIES:
+            assert not all(classify(t).guarded for t in corpus_problem(name).rules), name
+            for scheme in schemes:
+                program = compiled_problem(name, scheme, text)[1].program
+                assert classify_datalog(program).frontier_guarded, (name, text)
 
 
 def test_criterion_03_cycle_family_bisimilarity():

@@ -86,6 +86,14 @@ def test_rewrite_then_eval_datalog(capsys, ex_files, tmp_path):
     assert f"{goal}: a, b" in out2
 
 
+def test_rewrite_fg_on_a_guarded_theory_prints_the_cq_program(capsys, ex_files):
+    theory, _ = ex_files
+    outs = [run_cli(capsys, "rewrite", "--mode", mode, "--theory", theory, "--query", "T(x)")
+            for mode in ("cq", "fg")]
+    assert outs[0] == outs[1]
+    assert "goal: Goal\n" in outs[1][1]
+
+
 def test_rewrite_rejects_zero_jobs(capsys, ex_files):
     theory, _ = ex_files
     rc, out = run_cli(capsys, "rewrite", "--mode", "atomic", "--jobs", "0",

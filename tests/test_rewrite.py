@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from corpus import (COMPILE_QUERIES, ORACLE_QUERIES, PROBLEMS, SCHEMES, compile_problem,
-                    compiled_problem)
+from corpus import (COMPILE_QUERIES, FG_QUERIES, ORACLE_QUERIES, PROBLEMS, SCHEMES,
+                    compile_problem, compiled_problem, corpus_problem)
 from oracles import naive_rule_candidates, naive_subsumes
 from randgen import random_instance
 from shapes import cycle
+from gnfkit import rewrite
 from gnfkit.chase import ChaseConfig
 from gnfkit.datalog import DatalogProgram, classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
@@ -466,6 +467,14 @@ def test_query_and_goal_rules_read_k_from_the_config():
     assert goals.caps["k"] == 2 and goal_rules(Q_TRI, k=3, config=cfg).caps["k"] == 3
 
 
+def test_a_k_below_the_query_variables_marks_each_stage_capped():
+    # both stages drop the triangle's three-variable quotients and subqueries
+    assert goal_rules(Q_TRI, k=2).capped
+    assert query_generation_rules([], Q_TRI, k=2).capped
+    assert not goal_rules(Q_TRI, k=3).capped
+    assert not query_generation_rules([], Q_TRI, k=3).capped
+
+
 def test_skipped_goal_premise_partitions_mark_the_compile_capped():
     """The 4-cycle query needs a goal rule with four premises; past
     ``max_goal_premises`` (3) that partition is skipped, so the program misses
@@ -567,8 +576,11 @@ def test_fg_rewrite_handles_boolean_queries():
 
 def test_fg_rewrite_rejects_non_answer_guarded_query():
     q = cq(["x", "z"], [atom("R", "x", "y"), atom("R", "y", "z")])
-    with pytest.raises(ValueError):
-        rewrite_fg(FG_RULES, q)
+    # the query is checked before guarded rules go to the cq scheme, which
+    # would accept it
+    for rules in (FG_RULES, RULES):
+        with pytest.raises(ValueError, match="answer-guarded"):
+            rewrite_fg(rules, q)
 
 
 def test_fg_rewrite_rejects_non_frontier_guarded_rules():
@@ -584,11 +596,42 @@ def test_fg_rewrite_agrees_with_oracle_on_guarded_example():
     assert evaluate_program(art, INST) == AB
 
 
+def _compile_record(art) -> tuple:
+    return print_datalog(art.program), art.completeness, art.certification
+
+
+@pytest.mark.parametrize("name", [p.name for p in PROBLEMS])
+def test_fg_rewrite_is_the_cq_scheme_on_guarded_rules(name):
+    assert (_compile_record(compiled_problem(name, "fg", None)[1])
+            == _compile_record(compiled_problem(name, "cq", None)[1]))
+
+
+def test_fg_rewrite_passes_its_unclamped_k_to_the_cq_scheme():
+    # four query variables: fg's k is 4, where the cq scheme's default is 3
+    q = cq([], [atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "w"),
+                atom("E", "w", "x")])
+    art = rewrite_fg([], q)
+    assert art.caps["k"] == 4 and rewrite_cq_guarded([], q).caps["k"] == 3
+    assert _compile_record(art) == _compile_record(rewrite_cq_guarded([], q, RewriteConfig(k=4)))
+
+
+def test_fg_extension_construction_runs_only_on_unguarded_rules(monkeypatch):
+    calls = []
+    real = rewrite.guard_extension_axioms
+    monkeypatch.setattr(rewrite, "guard_extension_axioms",
+                        lambda sig: calls.append(sig) or real(sig))
+    art = rewrite_fg(RULES, Q_T)
+    assert calls == [] and art.program.goal == "Goal"
+    art = rewrite_fg(FG_RULES, FG_Q)
+    assert len(calls) == 1 and art.program.goal == "Ans"
+
+
 # ---------------------------------------------------------------------------
 # differential check against the oracle
 
 COMPILES = [(i, name, scheme, text)
-            for i, (name, schemes, text) in enumerate(COMPILE_QUERIES + ORACLE_QUERIES)
+            for i, (name, schemes, text) in enumerate(COMPILE_QUERIES + ORACLE_QUERIES
+                                                      + FG_QUERIES)
             for scheme in schemes]
 
 
@@ -596,8 +639,8 @@ def test_compile_queries_parse_over_the_corpus_rules():
     assert sum(len(schemes) for _, schemes, _ in COMPILE_QUERIES) == 23
     for _, name, _, text in COMPILES:
         problem = compile_problem(name, text)
-        if len(problem.query.atoms) == 1:
-            assert problem.query == next(p.query for p in PROBLEMS if p.name == name)
+        if len(problem.query.atoms) == 1 and not problem.query.exist_vars:
+            assert problem.query == corpus_problem(name).query
 
 
 @pytest.mark.parametrize("index, name, scheme, text", COMPILES,
@@ -624,7 +667,10 @@ def test_compiled_answers_agree_with_the_oracle(index, name, scheme, text):
 # SHA-256 of each compile's printed program, completeness and certification
 # records, as computed by the compilers before rule candidates were named per
 # body and before subsumed rules were dropped; any change to the naming or
-# enumeration shows up here
+# enumeration shows up here.  The fg entries of guarded problems equal the cq
+# entries of the same problem and query, since fg compiles guarded rules
+# through the cq scheme; the frontier-guarded problems' entries pin fg's own
+# construction.
 COMPILE_DIGESTS = {
     ("u-propagation", "atomic", "T(x)"):
         "fc57de8b37f29c7d2ad686cfadcd37b295a5d306cd9768b8e8629a453789a4fe",
@@ -639,7 +685,7 @@ COMPILE_DIGESTS = {
     ("unary-cycle", "cq", "C(x)"):
         "7206d9187ad07e436e04cea80f5169032c6b828e7b0008162de81c997d9604e0",
     ("unary-cycle", "fg", "C(x)"):
-        "340984a97cd6bf0f35eb3e40fd1d38b493d5dd051382065e4bfc9168ce0272df",
+        "7206d9187ad07e436e04cea80f5169032c6b828e7b0008162de81c997d9604e0",
     ("null-producer", "atomic", "V(x)"):
         "4578e994040495cae26c895ff70febd03981ce61a6615b08f743f961b2969ac3",
     ("null-producer", "cq", "V(x)"):
@@ -653,7 +699,7 @@ COMPILE_DIGESTS = {
     ("symmetric-loop", "cq", "L(x)"):
         "0de880d07c4784d3a8a740f25c66cd90046c0b592e5b47f2726750be0d51492e",
     ("symmetric-loop", "fg", "L(x)"):
-        "f9b21ac488b80b8c0276b7a29a3c430f18cb633427fe7683043bd8521057f50c",
+        "0de880d07c4784d3a8a740f25c66cd90046c0b592e5b47f2726750be0d51492e",
     ("mutual-unary", "atomic", "P(x)"):
         "35398f46b037ea1169afdfbcea0783efd27d290e0afc3241142edcd52d37b22a",
     ("mutual-unary", "cq", "P(x)"):
@@ -671,7 +717,15 @@ COMPILE_DIGESTS = {
     ("unary-cycle", "cq", "A(x), C(x)"):
         "9b2f99f67f979886a635b7b14f692b6258b6655c8eb02714dff3668a366d88b2",
     ("unary-cycle", "fg", "A(x), C(x)"):
-        "417ebb18b7d81e6b5d73af2276910a2cdd2b63cac672e3224ec2d7b318f6f01a",
+        "9b2f99f67f979886a635b7b14f692b6258b6655c8eb02714dff3668a366d88b2",
+    ("join-witness", "fg", "P(x)"):
+        "2fa310cd4087b465603b49f55cc60d7f1c106c7fe79c5ab2cc3c9aff99cee81d",
+    ("join-witness", "fg", "exists w: T(x,w)"):
+        "1b8e06c43c6b8c10fb919865b7a8f9b86cbeeb42a5e2d3ce058199f486b6b678",
+    ("two-step-witness", "fg", "A(x)"):
+        "020911c3bb4acfd09c2e6c402fb30465552c72b05ee2e27d5970c224e05c967f",
+    ("two-step-witness", "fg", "exists w: F(x,w)"):
+        "fa780982fdb95fa0877acc4b29a6c956f344e8b0464029a2351fe444401533f8",
 }
 
 
@@ -691,7 +745,7 @@ PRUNED_DIGESTS = {
     ("unary-cycle", "cq", "C(x)"):
         "ed2abcc6bbe2b3927711cb78daf0a5e245d393b24ac287667c04cbfb137a7492",
     ("unary-cycle", "fg", "C(x)"):
-        "ef5fc3c114e1daf601369b89bc6510d6e14315f1158acfc61590f7295bdd4053",
+        "ed2abcc6bbe2b3927711cb78daf0a5e245d393b24ac287667c04cbfb137a7492",
     ("null-producer", "atomic", "V(x)"):
         "035b7b18dd5c0d0a3cd6de7d2f4756362e8129de77935ce92b89ecd2d4b73f6d",
     ("null-producer", "cq", "V(x)"):
@@ -705,7 +759,7 @@ PRUNED_DIGESTS = {
     ("symmetric-loop", "cq", "L(x)"):
         "6ffe60837b001ca095521480873e6811eea4d7fdb6143f1123f238e82d055eea",
     ("symmetric-loop", "fg", "L(x)"):
-        "8d785fe5eb2823351feb70148721fae322f06598e21d462224814da4557a6dad",
+        "6ffe60837b001ca095521480873e6811eea4d7fdb6143f1123f238e82d055eea",
     ("mutual-unary", "atomic", "P(x)"):
         "a3eb5544e88a3e381a97bf7c38a6631a8076d492c34665e458f07f3f1353c5c2",
     ("mutual-unary", "cq", "P(x)"):
@@ -723,7 +777,15 @@ PRUNED_DIGESTS = {
     ("unary-cycle", "cq", "A(x), C(x)"):
         "781a2ace13a598a14401617f5bd983cc6a48042f6cc48b1647337ee8383e76bf",
     ("unary-cycle", "fg", "A(x), C(x)"):
-        "da1dbfa4f96256ea7c14bc8c871e2aa856127599b4e2fa449ea78d706122623e",
+        "781a2ace13a598a14401617f5bd983cc6a48042f6cc48b1647337ee8383e76bf",
+    ("join-witness", "fg", "P(x)"):
+        "56867100d4565588830367b5e36fabea43d5b03ef3589e8e0187d00b3a9bf559",
+    ("join-witness", "fg", "exists w: T(x,w)"):
+        "820b156471a1732a9fc5c8f0382ad02f15518352df9e16c0aef24e8b5c26dd8b",
+    ("two-step-witness", "fg", "A(x)"):
+        "a6de3dcbcfa8157beca9050d7a5cd3031bf313a20c1f04dc8d0132cd69c139d1",
+    ("two-step-witness", "fg", "exists w: F(x,w)"):
+        "ffe266c7ce96da73b90eaa174e4f14e4637bb7f4a022a33ba916f062c0283bfc",
 }
 
 
@@ -745,8 +807,8 @@ def _unpruned_blob(art) -> str:
 
 
 def test_compiled_programs_and_records_are_unchanged():
-    assert sorted(COMPILE_DIGESTS) == sorted((name, scheme, text)
-                                             for name, schemes, text in COMPILE_QUERIES
+    assert sorted(COMPILE_DIGESTS) == sorted((name, scheme, text) for name, schemes, text
+                                             in COMPILE_QUERIES + FG_QUERIES
                                              for scheme in schemes)
     assert sorted(PRUNED_DIGESTS) == sorted(COMPILE_DIGESTS)
     for (name, scheme, text), digest in COMPILE_DIGESTS.items():
@@ -763,7 +825,9 @@ def test_compiled_programs_and_records_are_unchanged():
 
 PRUNE_COMPILES = ([(name, scheme, text) for name, schemes, text in COMPILE_QUERIES
                    for scheme in schemes]
-                  + [(p.name, scheme, None) for p in PROBLEMS for scheme in SCHEMES])
+                  + [(p.name, scheme, None) for p in PROBLEMS for scheme in SCHEMES]
+                  + [(name, scheme, text) for name, schemes, text in FG_QUERIES
+                     for scheme in schemes])
 PRUNE_IDS = [f"{name}-{scheme}-{i}" for i, (name, scheme, _) in enumerate(PRUNE_COMPILES)]
 
 
