@@ -12,8 +12,9 @@ shares: round 1 enumerates every trigger, and each later round only the triggers
 a fact added by the previous round.  The firing order stays the same.  A trigger that uses
 no new fact was enumerated in an earlier round, and when that round completed the trigger
 had fired or was already satisfied (a budget stop ends the run, so no round resumes half
-done).  Facts only grow, so the restricted mode would find it satisfied again, and the
-oblivious mode's fired set would skip it.
+done).  Facts only grow, so the restricted mode would find it satisfied again.  Each
+trigger is thus enumerated exactly once, and the oblivious mode fires every trigger it
+enumerates.
 """
 
 from __future__ import annotations
@@ -99,12 +100,12 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     guards = [_guard_atom_index(t) for t in rules]
     bodies = [t.body.atoms for t in rules]
     head_order = [_ordered_for_join(t.head.atoms, t.frontier()) for t in rules]
+    # each fact the chase adds -> the guarded set of the input it hangs from
     origin: dict[Fact, Optional[frozenset[Value]]] = {}
     adom0 = active_domain(inst)
     consts = inst.const_values()
 
     null_k = _next_null_start(inst)
-    fired: set[tuple[int, tuple[Value, ...]]] = set()
     status = BUDGET_EXHAUSTED
     rounds = 0
     delta: Optional[dict[str, Relation]] = None  # facts added by the previous round
@@ -131,11 +132,6 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
                 satisfied = next(match_atoms(head_order[ri], sources, seed, const_of), None)
                 if satisfied is not None:
                     continue
-            else:
-                key = (ri, bvals)
-                if key in fired:
-                    continue
-                fired.add(key)
             fired_this_round += 1
 
             gi = guards[ri]
@@ -168,7 +164,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
                     delta.setdefault(fct.rel, Relation()).add(fct.args)
                     n_facts += 1
                     added_this_round += 1
-                    origin.setdefault(fct, org)
+                    origin[fct] = org
             if n_facts > config.max_facts:
                 stop = True
                 break
@@ -182,10 +178,8 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
 
     facts = [Fact(r, args) for r, s in cur.items() for args in s.tuples]
     result = Instance(sig, facts, inst.const_interp)
-    new_facts = result.facts - inst.facts
-    tentacle_map = {f: origin.get(f) for f in new_facts}
     fg = all(g is not None for g in guards)
-    return ChaseResult(result, rounds, status, tentacle_map, fg)
+    return ChaseResult(result, rounds, status, origin, fg)
 
 
 def chase_entails_cq(inst: Instance, rules: Sequence[Tgd], q: ConjunctiveQuery,

@@ -1,13 +1,16 @@
 """Compiling certain-answer problems over guarded rule sets into Datalog.
 
 All three compilation schemes run one pipeline: enumerate a capped space of
-candidate rules, chase each distinct canonical candidate body once to certify
-every candidate as a consequence of the input rules, keep exactly the
-certified ones, assemble them into a program, and drop each program rule
-that a kept rule subsumes.  The emitted program therefore carries a
-certificate for every rule and is subsumption-minimal, and the returned
-artifacts record the enumeration caps together with the verdict for every
-candidate and every dropped rule.
+candidate rules, chase each distinct candidate body once, in canonical form,
+to certify every candidate over it as a consequence of the input rules, keep
+exactly the certified ones, assemble them into a program, and drop each
+program rule that a kept rule subsumes.  Bodies are named as enumerated, not
+cored: a rule and the rule over its body's core subsume each other, and the
+prune keeps the one over the core, which has fewer atoms, whenever both are
+enumerated.  The emitted program therefore carries a certificate for every
+rule and is subsumption-minimal, and the returned artifacts record the
+enumeration caps together with the verdict for every candidate and every
+dropped rule.
 
 The schemes, one per guardedness tier:
 
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .chase import TERMINATED, ChaseConfig, chase
@@ -199,7 +201,6 @@ def _set_partitions(items: list) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
-@lru_cache(maxsize=None)
 def _position_patterns(arity: int) -> tuple[tuple[str, ...], ...]:
     """Variable patterns for an atom: every way to repeat variables across
     positions, named v0, v1, ... in first-occurrence order."""
@@ -255,13 +256,6 @@ def _vars(atoms: Iterable[Atom]) -> list[str]:
     return sorted({v for a in atoms for v in a.vars()})
 
 
-@lru_cache(maxsize=None)
-def _cored_body(atoms: tuple[Atom, ...], kept_vars: frozenset[str]) -> tuple[Atom, ...]:
-    """Core of a body, fixing the given variables (a rule's head variables)."""
-    frees = tuple(v for v in first_occurrence_vars(atoms) if v in kept_vars)
-    return tuple(core_cq(cq(frees, atoms)).atoms)
-
-
 def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, list[str]]:
     """Canonicalize a query up to renaming: core it, rename its answer
     variables to f0, f1, ... and the others to v0, v1, ...  Returns the
@@ -284,11 +278,21 @@ def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, 
 _Body = tuple[tuple[Atom, ...], tuple[str, ...]]
 
 
+class _Closure(NamedTuple):
+    """The chase that certifies a body: its key, the body's canonical atoms,
+    and the renaming of the body's variables into them."""
+    key: str
+    atoms: tuple[Atom, ...]
+    ren: dict[str, str]
+
+
 class _Candidate(NamedTuple):
     body: tuple[Atom, ...]  # named, sorted by text
     head: Atom
-    kind: str = "rule"  # rule | query-rule | axiom (entailed without a chase)
+    kind: str = "rule"  # rule | query-rule | axiom
     query: Optional[ConjunctiveQuery] = None  # a query-rule's head stands for it
+    closure: Optional[_Closure] = None  # None: entailed without a chase
+    body_head: Optional[Atom] = None  # the head over the enumerated body's variables
 
     @property
     def rule(self) -> Tgd:
@@ -296,6 +300,7 @@ class _Candidate(NamedTuple):
 
     @staticmethod
     def of(t: Tgd, kind: str = "rule") -> "_Candidate":
+        """An input rule or axiom, which entails itself."""
         return _Candidate(t.body.atoms, t.head.atoms[0], kind)
 
 
@@ -345,32 +350,31 @@ def _rule_candidates(bodies: Iterable[_Body],
                      ) -> dict[str, _Candidate]:
     """Every body with every head ``(relation, n, query)``, whose arguments
     are each n-tuple of the body's guard variables (``_unit`` when n is 0).
-    A head standing for a query is judged by that query, and its body is
-    kept uncored.  Each body is cored once per set of head variables, each
-    cored body's renamings are listed once, and each head picks its own
-    among them."""
+    A head standing for a query is judged by that query.  Bodies are taken as
+    enumerated, not cored: the prune drops a candidate that the one over the
+    body's core subsumes.  Each distinct body's renamings are listed once,
+    each head picks its own among them, and the body's canonical form, the
+    closure that judges all its heads, is shared by its candidates."""
     cands: dict[str, _Candidate] = {}
-    prepared: dict[tuple[Atom, ...], BodyRenamings] = {}
+    prepared: dict[tuple[Atom, ...], tuple[BodyRenamings, _Closure]] = {}
     for body, gvars in bodies:
         atoms = tuple(sorted(set(body), key=str))
-        cored: dict[Optional[frozenset[str]], tuple[tuple[Atom, ...], BodyRenamings]] = {}
+        if atoms not in prepared:
+            renamings = body_renamings(atoms, [("v", _vars(atoms))])
+            canon, _, ren, texts = pick_renaming(renamings)
+            prepared[atoms] = renamings, _Closure(" & ".join(texts), canon, ren)
+        renamings, closure = prepared[atoms]
         for rel, n, q in heads:
             for combo in itertools.product(gvars, repeat=n):
                 head = _family_head(rel, combo)
-                hvars = None if q is not None else frozenset(combo)
-                if hvars not in cored:
-                    b = atoms if hvars is None else _cored_body(atoms, hvars)
-                    if b not in prepared:
-                        prepared[b] = body_renamings(b, [("v", _vars(b))])
-                    cored[hvars] = b, prepared[b]
-                b, renamings = cored[hvars]
+                picked = renamings
                 if len(renamings[1]) > RENAMING_CAP:  # then the head orders the naming
-                    renamings = body_renamings(b, [("v", renamings[1])], lead=[head])
-                renamed, new_head, _, texts = pick_renaming(renamings, head)
+                    picked = body_renamings(atoms, [("v", renamings[1])], lead=[head])
+                renamed, new_head, _, texts = pick_renaming(picked, head)
                 key = f"{', '.join(texts)} -> {new_head}"
                 if key not in cands:
-                    cands[key] = _Candidate(renamed, new_head,
-                                            "rule" if q is None else "query-rule", q)
+                    kind = "rule" if q is None else "query-rule"
+                    cands[key] = _Candidate(renamed, new_head, kind, q, closure, head)
     return cands
 
 
@@ -384,9 +388,11 @@ def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd
             continue
         if require_guarded and not classify(t).guarded:
             continue
+        atoms = sorted(set(t.body.atoms), key=str)
         for ha in t.head.atoms:
-            atoms = _cored_body(tuple(sorted(set(t.body.atoms), key=str)), frozenset(ha.vars()))
-            body, head, _ = canonical_renaming(atoms, [("v", _vars(atoms))], ha)
+            frees = [v for v in first_occurrence_vars(atoms) if v in ha.vars()]
+            cored = core_cq(cq(frees, atoms)).atoms
+            body, head, _ = canonical_renaming(cored, [("v", _vars(cored))], ha)
             out.append(make_tgd(list(body), [head]))
     return out
 
@@ -405,7 +411,7 @@ def _derivation_candidates(rules: Sequence[Tgd], sig: Signature, config: Rewrite
 def enumerate_full_guarded_candidates(sig: Signature, head_rel: Optional[str] = None,
                                       config: Optional[RewriteConfig] = None) -> CandidateSpace:
     """Every full guarded single-head rule over the signature, up to renaming,
-    with cored bodies, within the configured enumeration caps."""
+    with its body as enumerated, within the configured enumeration caps."""
     config = config or RewriteConfig()
     if head_rel is not None and head_rel not in sig.arities:
         raise ValueError(f"undeclared head relation {head_rel}")
@@ -419,15 +425,6 @@ def enumerate_full_guarded_candidates(sig: Signature, head_rel: Optional[str] = 
 # ---------------------------------------------------------------------------
 # certification: chase each candidate body once, judge all heads against it
 
-@lru_cache(maxsize=None)
-def _closure_request(atoms: tuple[Atom, ...]
-                     ) -> tuple[str, tuple[Atom, ...], tuple[tuple[str, str], ...]]:
-    """The closure that certifies a body: its key, its canonical atoms, and
-    the renaming of the body's variables into them."""
-    canon, _, ren = canonical_renaming(atoms, [("v", _vars(atoms))])
-    return " & ".join(str(a) for a in canon), canon, tuple(sorted(ren.items()))
-
-
 def _closure_chunk(arg):
     rules, sig, items, oracle = arg
     out = []
@@ -438,11 +435,11 @@ def _closure_chunk(arg):
     return out
 
 
-def _verdict(cand: _Candidate, status: str, closure: Instance, ren: dict[str, str]) -> str:
-    head = cand.head
+def _verdict(cand: _Candidate, status: str, closure: Instance) -> str:
+    head, ren = cand.body_head, cand.closure.ren
     if cand.query is None:
-        args = tuple(closure.const_interp[t.name] if isinstance(t, Cst)
-                     else elem(ren.get(t.name, t.name)) for t in head.args)
+        args = tuple(closure.const_interp[t.name] if isinstance(t, Cst) else elem(ren[t.name])
+                     for t in head.args)
         holds = Fact(head.rel, args) in closure
     else:
         binding = {f: elem(ren[t.name]) for f, t in zip(cand.query.free_vars, head.args)}
@@ -455,12 +452,11 @@ def _verdict(cand: _Candidate, status: str, closure: Instance, ren: dict[str, st
 def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _Candidate]],
              config: RewriteConfig) -> tuple[list[CertificationRecord], list[Tgd]]:
     """Chase each distinct canonical body once under the rules and judge every
-    candidate against its closure; axioms are entailed without a chase.
-    Returns the verdicts, group by group and each group in text order, and
-    the entailed rules in the same order."""
-    requests = {s: _closure_request(c.body)
-                for group in groups for s, c in group.items() if c.kind != "axiom"}
-    items = sorted({key: canon for key, canon, _ in requests.values()}.items())
+    candidate against its body's closure; input rules and axioms are
+    entailed without a chase.  Returns the verdicts, group by group and each
+    group in text order, and the entailed rules in the same order."""
+    items = sorted({c.closure.key: c.closure.atoms for group in groups
+                    for c in group.values() if c.closure is not None}.items())
     if config.jobs > 1 and len(items) > 1:
         # imported here: only this branch needs multiprocessing, and loading
         # it would slow every import of the package
@@ -477,11 +473,7 @@ def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _C
     for group in groups:
         for s in sorted(group):
             c = group[s]
-            if c.kind == "axiom":
-                verdict = ENTAILED
-            else:
-                key, _, ren = requests[s]
-                verdict = _verdict(c, *closures[key], dict(ren))
+            verdict = ENTAILED if c.closure is None else _verdict(c, *closures[c.closure.key])
             records.append(CertificationRecord(s, verdict, c.kind))
             if verdict == ENTAILED:
                 kept.append(c.rule)
@@ -594,21 +586,20 @@ def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goa
             if len(atom_part) > config.max_goal_premises:
                 capped = True  # a skipped partition may be the only one deriving an answer
                 continue
+            # each group's subquery has at most the quotient's k variables,
+            # so the family holds it
             premises = []
             for group in atom_part:
                 key, _, args = _canonical_family_form(_subquery(atoms, free, group))
-                if key not in names:
-                    break
                 premises.append(_family_head(names[key], args))
-            else:
-                rule = Rule(_family_head(goal_name, free), tuple(sorted(premises, key=str)))
-                s = str(rule)
-                if s in records:
-                    continue
-                verdict = ENTAILED if cq_contained(cq(tuple(free), atoms), query) else REJECTED
-                records[s] = CertificationRecord(s, verdict, "goal-rule")
-                if verdict == ENTAILED:
-                    rules_out[s] = rule
+            rule = Rule(_family_head(goal_name, free), tuple(sorted(premises, key=str)))
+            s = str(rule)
+            if s in records:
+                continue
+            verdict = ENTAILED if cq_contained(cq(tuple(free), atoms), query) else REJECTED
+            records[s] = CertificationRecord(s, verdict, "goal-rule")
+            if verdict == ENTAILED:
+                rules_out[s] = rule
     return ([rules_out[s] for s in sorted(rules_out)],
             [records[s] for s in sorted(records)], capped)
 

@@ -16,8 +16,7 @@ from gnfkit.chase import BUDGET_EXHAUSTED, TERMINATED, ChaseConfig, ChaseResult
 from gnfkit.datalog import DatalogProgram, Rule
 from gnfkit.model import (BudgetExceeded, Fact, Homomorphism, Instance, Value, const, elem,
                           find_homomorphism)
-from gnfkit.query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_renaming,
-                          core_cq, cq)
+from gnfkit.query import Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_renaming, cq
 from gnfkit.tgd import Tgd, make_tgd
 from gnfkit.logic import (FoAnd, FoEq, FoExists, FoForall, FoFormula, FoNot,
                           FoOr)
@@ -333,20 +332,16 @@ def naive_rule_candidates(bodies: Sequence[tuple[Sequence[Atom], Sequence[str]]]
                           ) -> dict[str, tuple[Tgd, str, Optional[ConjunctiveQuery]]]:
     """Rule candidates named one at a time: every body with every head
     ``(relation, n, query)`` over each n-tuple of the body's guard variables
-    (the constant ``_unit`` when n is 0).  The body's distinct atoms, cored
-    around the head variables unless the head stands for a query, are renamed
-    together with the head by ``canonical_renaming``.  Maps each rule text,
-    in order of first appearance, to the first (rule, kind, query) with it."""
+    (the constant ``_unit`` when n is 0).  The body's distinct atoms are
+    renamed together with the head by ``canonical_renaming``.  Maps each rule
+    text, in order of first appearance, to the first (rule, kind, query) with
+    it."""
     out: dict[str, tuple[Tgd, str, Optional[ConjunctiveQuery]]] = {}
     for body, gvars in bodies:
         for rel, n, q in heads:
             for combo in itertools.product(gvars, repeat=n):
                 head = Atom(rel, tuple(Var(v) for v in combo) or (Cst("_unit"),))
                 atoms = sorted(set(body), key=str)
-                if q is None:
-                    order = [v for a in atoms for v in a.vars()]
-                    frees = [v for v in dict.fromkeys(order) if v in combo]
-                    atoms = sorted(set(core_cq(cq(frees, atoms)).atoms), key=str)
                 names = sorted({v for a in atoms for v in a.vars()})
                 renamed, new_head, _ = canonical_renaming(atoms, [("v", names)], head)
                 rule = make_tgd(list(renamed), [new_head])

@@ -26,6 +26,7 @@ from gnfkit.model import (
     Signature,
     active_domain,
     elem,
+    null,
     serialize_facts,
     squid_check,
     weak_substructure,
@@ -140,6 +141,14 @@ def test_oblivious_mode_fires_every_trigger_once():
     res = chase(i, rules, ChaseConfig(mode="oblivious_dedup"))
     assert res.status == TERMINATED
     assert len(res.result.facts) == 3  # a fresh S fact despite the existing witness
+
+
+def test_fresh_nulls_follow_the_input_nulls():
+    # the input already holds _n3, so the first fresh null is _n4
+    inst = Instance(Signature([("U", 1), ("R", 2)]),
+                    [Fact("U", (null("_n3"),)), Fact("U", (elem("a"),))])
+    res = chase(inst, [make_tgd([atom("U", "x")], [atom("R", "x", "z")])])
+    assert serialize_facts(res.result) == "R(_n3,_n4). R(a,_n5). U(_n3). U(a)."
 
 
 def test_chase_rejects_undeclared_relations():

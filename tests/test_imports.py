@@ -1,6 +1,7 @@
 """Every module-level import in the package is read by its module.  The one
 exception is a name the benchmark's traced mode wraps at that module: the
-callers it times look the name up there."""
+callers it times look the name up there.  No module-level function keeps an
+unbounded cache."""
 
 import ast
 import os
@@ -105,3 +106,43 @@ def test_the_scan_flags_an_unread_import(tmp_path):
 def test_module_reads_its_imports(path):
     module = f"gnfkit.{path.stem}"
     assert [n for n in unused_imports(path) if (module, n) not in TRACED] == []
+
+
+def _unbounded_cache(decorator: ast.expr) -> bool:
+    """``functools.cache``, or ``lru_cache`` with a ``maxsize`` of None."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False  # a bare lru_cache keeps 128 entries
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+
+
+def unbounded_caches(path: Path) -> list[str]:
+    """Module-level functions whose cache lives as long as the process and
+    grows with every new argument; a cache local to a call is freed with it."""
+    tree = ast.parse(path.read_text())
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(_unbounded_cache, node.decorator_list))]
+
+
+def test_the_scan_flags_an_unbounded_cache(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import functools\n"
+                      "from functools import cache, lru_cache\n"
+                      "@functools.cache\ndef a(): pass\n"
+                      "@cache\ndef b(): pass\n"
+                      "@lru_cache(maxsize=None)\ndef c(): pass\n"
+                      "@functools.lru_cache(None)\ndef d(): pass\n"
+                      "@lru_cache\ndef e(): pass\n"
+                      "@lru_cache(maxsize=64)\ndef f(): pass\n"
+                      "def g():\n    @cache\n    def h(): pass\n")
+    assert unbounded_caches(module) == ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_keeps_no_unbounded_cache(path):
+    assert unbounded_caches(path) == []

@@ -17,11 +17,11 @@ from gnfkit import rewrite
 from gnfkit.chase import ChaseConfig
 from gnfkit.datalog import DatalogProgram, classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, cq, cq_equivalent,
-                          query_signature)
+from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, core_cq, cq, cq_equivalent,
+                          first_occurrence_vars, is_answer_guarded, query_signature)
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED,
-                            RewriteConfig, _canonical_family_form, _default_k,
-                            _inject_input_rules, _rule_candidates,
+                            RewriteConfig, _canonical_family_form, _copy_map, _default_k,
+                            _inject_input_rules, _query_family, _rule_candidates,
                             certain_answers_oracle,
                             derive_full_guarded,
                             enumerate_full_guarded_candidates,
@@ -69,6 +69,22 @@ def test_family_forms_agree_on_renamed_queries():
                                   for a in body])
                     assert _canonical_family_form(renamed) == (key, canonq,
                                                                [ren[x] for x in order])
+
+
+def test_answer_guarded_families_drop_the_other_subqueries():
+    q = cq(["x"], [atom("E", "x", "y"), atom("E", "y", "z"), atom("F", "x", "z")])
+    family, _, _ = _query_family(q, 3, set())
+    guarded, _, _ = _query_family(q, 3, set(), answer_guarded_only=True)
+    assert sorted(set(family) - set(guarded)) == ["(f0,f1) exists v0: E(f0,v0), E(v0,f1)",
+                                                  "(f0,f1) exists v0: E(f0,v0), F(f1,v0)",
+                                                  "(f0,f1,f2) E(f0,f1), F(f0,f2)"]
+    assert set(guarded) < set(family)
+    assert all(map(is_answer_guarded, guarded.values()))
+
+
+def test_query_predicates_skip_a_relation_named_like_them():
+    art = rewrite_cq_guarded([], cq(["x"], [atom("Q0", "x")]))
+    assert art.query_predicates == {"Q1": "(f0) Q0(f0)"}
 
 
 # ---------------------------------------------------------------------------
@@ -664,22 +680,22 @@ def test_compiled_answers_agree_with_the_oracle(index, name, scheme, text):
     assert decided >= 3
 
 
-# SHA-256 of each compile's printed program, completeness and certification
-# records, as computed by the compilers before rule candidates were named per
-# body and before subsumed rules were dropped; any change to the naming or
-# enumeration shows up here.  The fg entries of guarded problems equal the cq
-# entries of the same problem and query, since fg compiles guarded rules
-# through the cq scheme; the frontier-guarded problems' entries pin fg's own
-# construction.
+# SHA-256 of each compile's printed program with its subsumed rules put back,
+# completeness and certification records less the subsumed ones, with every
+# candidate named over its body as enumerated; any change to the naming, the
+# enumeration or the trail shows up here.  The fg entries of guarded problems
+# equal the cq entries of the same problem and query, since fg compiles
+# guarded rules through the cq scheme; the frontier-guarded problems' entries
+# pin fg's own construction.
 COMPILE_DIGESTS = {
     ("u-propagation", "atomic", "T(x)"):
-        "fc57de8b37f29c7d2ad686cfadcd37b295a5d306cd9768b8e8629a453789a4fe",
+        "233bbbbf74fa4c1310a8fc10e2f353aacbcaee1333357ee99105ddc768abc268",
     ("u-propagation", "cq", "T(x)"):
-        "349ba991d7889313318ebae29db9f72c45ff4e7d363e5dc1aa486660b0a744f4",
+        "efc72abc8f56ddf87bb5408dcd48ec7ca9a2912b10da51ba57dab824766c4169",
     ("edge-endpoint", "atomic", "P(x)"):
-        "d390ec15fc14734194609098a8efbc36f1efd062c6a7fd22104a90d742fc56ea",
+        "ce4e89942a554183eb7fcb0247656dab9b6fd03af4fb82e971cd0eeb818680f2",
     ("edge-endpoint", "cq", "P(x)"):
-        "330eda271327a6388cf149b871ea8ef3fd98456dac656f72ce83b2513bd426cb",
+        "fa0c57ee2ceed7c3dc23f95335ab6d1696be49e97ff2d85c9957980f78b937d4",
     ("unary-cycle", "atomic", "C(x)"):
         "3cb5d153c96cd46f265a4ae35705a162a76e22dc5eee8a2c47bae947151fbb9e",
     ("unary-cycle", "cq", "C(x)"):
@@ -687,45 +703,45 @@ COMPILE_DIGESTS = {
     ("unary-cycle", "fg", "C(x)"):
         "7206d9187ad07e436e04cea80f5169032c6b828e7b0008162de81c997d9604e0",
     ("null-producer", "atomic", "V(x)"):
-        "4578e994040495cae26c895ff70febd03981ce61a6615b08f743f961b2969ac3",
+        "24158b504a68cdf9894f3626605a8547f181f17c1c7f3a36245f042156f6640e",
     ("null-producer", "cq", "V(x)"):
-        "c11cff295be9a5b9e8cf1582833b35259457f45ec3144f2a345fe3ea20423abf",
+        "35a1205e0c95c1cc8cc236d0f5e59cb8daa09b71c4f9104642a1b73482e2fe69",
     ("pair-marker", "atomic", "S(x,y)"):
-        "cb13ff77eec0422048a141bbeac1d32a8f836b9f4a33da50ab1ed92c291a6c31",
+        "d774949c1e19b70727c2bd2feb04de46e32786e2667e652846284acaa25b149c",
     ("pair-marker", "cq", "S(x,y)"):
-        "1ca37b3680c970f3946caf0df8f302c70fb0a68c46f24e4b92b7357d8fd85b84",
+        "0524f66553cacaec7f42169e232b7b4857bbba26f58d3d7316291bed8fd8362e",
     ("symmetric-loop", "atomic", "L(x)"):
-        "04111f94db3740694292a9ce0ded9cee013cf671d19964cb3176e8f705e4fe21",
+        "84ba046dcee0ea613a3bd259ca6980b821103d1a7cbfe1ba617cd1e37ea6c405",
     ("symmetric-loop", "cq", "L(x)"):
-        "0de880d07c4784d3a8a740f25c66cd90046c0b592e5b47f2726750be0d51492e",
+        "8c28819cc09f6f80e5079ea180db2493b9e0c21f2940fe24be15161d67200e9c",
     ("symmetric-loop", "fg", "L(x)"):
-        "0de880d07c4784d3a8a740f25c66cd90046c0b592e5b47f2726750be0d51492e",
+        "8c28819cc09f6f80e5079ea180db2493b9e0c21f2940fe24be15161d67200e9c",
     ("mutual-unary", "atomic", "P(x)"):
-        "35398f46b037ea1169afdfbcea0783efd27d290e0afc3241142edcd52d37b22a",
+        "c023f0101914864d6d6ce08aa0cb4c6592f2b9de32c366b52f246beb7f2f2c94",
     ("mutual-unary", "cq", "P(x)"):
-        "ff62c33bc58e7482ea90f44c061266413241cd91571d43ee6e7e9eec3b97c572",
+        "4129185f268dc12eee4ea386d7a4c460fb2200df3604a121a4e036c2b5f4e7c2",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "46dd87078331a8ba2a61351b576fa57a92dd6dc96b6beb7bb4dea467ecbc9e6e",
+        "b55884771acf10281c12c45596e8611c1ac78096bebd41d1bcd99f2b9975eeb1",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
-        "dbad9e18294b8959205b274bfdbee44da49465dce7a937157522a9734f2e2aef",
+        "a60224043cc20a1cd504e9be3ad17a531f305737d57a1a2d263d24996957a693",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
-        "a8fda714407c7786f83d37c0918a5c935bc163e62ef0f52ae3a0ed9d5788cb8d",
+        "e831c520abbb98ab6f1c18db61b79f56ceca3f41c7e40f76b3743097b09a0c48",
     ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
-        "a133cfb0c0f05c4067d6033bad2add1522f923c64608b29e6a9bc33c2a7c2511",
+        "d7c7a7b9bc436b5424ef7bc0c586ba535a1a3fdeea7a5f02613477ba4add5b14",
     ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
-        "c44482c37b793e32b3770d5b2ef2c5df4f454aa70ae65a211ef8bf692c923a46",
+        "444ef3cf3f7a12987fa008b480ef1523325be1fb1ea0e76b77c2bb683c7cd336",
     ("unary-cycle", "cq", "A(x), C(x)"):
         "9b2f99f67f979886a635b7b14f692b6258b6655c8eb02714dff3668a366d88b2",
     ("unary-cycle", "fg", "A(x), C(x)"):
         "9b2f99f67f979886a635b7b14f692b6258b6655c8eb02714dff3668a366d88b2",
     ("join-witness", "fg", "P(x)"):
-        "2fa310cd4087b465603b49f55cc60d7f1c106c7fe79c5ab2cc3c9aff99cee81d",
+        "a14ef61dcb0cb9c4f079684bb31f054099205fa7dbcfdb97c9d76af1604ef2c3",
     ("join-witness", "fg", "exists w: T(x,w)"):
-        "1b8e06c43c6b8c10fb919865b7a8f9b86cbeeb42a5e2d3ce058199f486b6b678",
+        "4a2d790dc7f469b39b7f36e1b9d6e1352187835f78b1f6c2a314f1a9046de386",
     ("two-step-witness", "fg", "A(x)"):
-        "020911c3bb4acfd09c2e6c402fb30465552c72b05ee2e27d5970c224e05c967f",
+        "a8143a2e011bda18aad5e256265253efce1dc23d230241460d05fb39315af5ff",
     ("two-step-witness", "fg", "exists w: F(x,w)"):
-        "fa780982fdb95fa0877acc4b29a6c956f344e8b0464029a2351fe444401533f8",
+        "75a0d48331a681a803a584f19a48610d9408323899c5d99bc0907df450bfcb17",
 }
 
 
@@ -733,13 +749,13 @@ COMPILE_DIGESTS = {
 # certification trail, subsumed records included
 PRUNED_DIGESTS = {
     ("u-propagation", "atomic", "T(x)"):
-        "d99d97dc9da5d70f6cfa4e45c856d6119bc3136dbe7e390764eacf777c4fd653",
+        "532a1a288dde237ad1bef1545dc6534cdc0a2da3c30c852cf32230b2d9a20ec0",
     ("u-propagation", "cq", "T(x)"):
-        "590e5fc9dc073451e8ba1bc46973283d49b64ba89306b6e6dc7b7fbdd1c0efa9",
+        "b320b2299c64e49f6d9e591cc5efda981bf0a132fe3fc1f4f58d0a3fe91a048e",
     ("edge-endpoint", "atomic", "P(x)"):
-        "35ed9769d4aebbf1daf7f533afdfe1a43f73732aa59f3df29ec90a8433fbef44",
+        "32a92bbc15b7cc149aa2da7d2ca64c623c8e1bafb70725d5839543a312a0b436",
     ("edge-endpoint", "cq", "P(x)"):
-        "7a33419f654045626e57ac59aac6b3a2881adec30978d49470005fb72a21f206",
+        "c10bd46a834edf7f6bc92477211774c0e5a32395ae0cbdf9633555bca4ad866b",
     ("unary-cycle", "atomic", "C(x)"):
         "a430d7fd295050567e20df639f2bf8b8c8baee5dd4c87402795df0fa5c9a9582",
     ("unary-cycle", "cq", "C(x)"):
@@ -747,45 +763,45 @@ PRUNED_DIGESTS = {
     ("unary-cycle", "fg", "C(x)"):
         "ed2abcc6bbe2b3927711cb78daf0a5e245d393b24ac287667c04cbfb137a7492",
     ("null-producer", "atomic", "V(x)"):
-        "035b7b18dd5c0d0a3cd6de7d2f4756362e8129de77935ce92b89ecd2d4b73f6d",
+        "fae12a4457e998309017c2d8565222bfa53fbf26006ae39ce64585e79bca5ae7",
     ("null-producer", "cq", "V(x)"):
-        "32a49e4ceef04d7d6e32db22bfbfcda757c3433cf066ffd31d4f382e1504e8fe",
+        "fbbeac9909dbc144dd76698e6d6ecc2c7a44e1a09a6beee88c3ba24df607019b",
     ("pair-marker", "atomic", "S(x,y)"):
-        "56e4f0792ca1c2dd932150e77ee7de46168f4a8a5054c313dd9bb31e888e18d3",
+        "1889993fb6c6f0b6c9f6bf2eb4c020fce226e581fab8819b35791d36b8b2f9d7",
     ("pair-marker", "cq", "S(x,y)"):
-        "5eb91b92fd4e488cb30af8a3b3f843cc6c5cdd45613cc89e3b90ae2bb3baf660",
+        "fb0808729bd06058c73f4d3a3cce1b18e677c0a97250df87c260adfcfcea5297",
     ("symmetric-loop", "atomic", "L(x)"):
-        "11930b09aa9ac2da49fa7a17d4ebf56420a1989aabc636b4e73046ae766337e9",
+        "149cb03c734339e1965f765540c29e579274a2628e1c08e6b12eedf09812921c",
     ("symmetric-loop", "cq", "L(x)"):
-        "6ffe60837b001ca095521480873e6811eea4d7fdb6143f1123f238e82d055eea",
+        "8eb761845c7d3c0a682ca154c29e81b092af35494ed14bf6ce564abd1f17a103",
     ("symmetric-loop", "fg", "L(x)"):
-        "6ffe60837b001ca095521480873e6811eea4d7fdb6143f1123f238e82d055eea",
+        "8eb761845c7d3c0a682ca154c29e81b092af35494ed14bf6ce564abd1f17a103",
     ("mutual-unary", "atomic", "P(x)"):
-        "a3eb5544e88a3e381a97bf7c38a6631a8076d492c34665e458f07f3f1353c5c2",
+        "570627bdf55ecdcfee71e8e97ee5bd72963799ba82b4a31af3c96c787e6265ab",
     ("mutual-unary", "cq", "P(x)"):
-        "8c926b12af4c1e1ce72d100aad2b92dd8af03b8864fd0012f784cfde0198011c",
+        "63d0832ea7ddcfb4c456b11f83fce1c6326cff076a4097e01948371d5dfa9eb1",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "2c8a1df3496787b49d41586eabd86b239913206585ceb90eac11d17b86d14ec4",
+        "ea55723c5d815ccddf3ea401923396ed41cee75afaca73a446056be2364d62be",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
-        "9f93374eeab012f1b892ca12e1320e75daac85a389e7441e2d362fa625aae127",
+        "1e4b261d6003f0497f347d155f23e1f83ce3789ad09f93116d0bcaf377d3fa50",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
-        "0af8059488bf2c18662591636047ae7ed4a724c37d83fef3ab214ca475415264",
+        "6561f4e8e8111a341c78a0af26824b8abb4aef4413f8a9204439addf4a2ce30d",
     ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
-        "602168925c6e8b5144b651da7b15fe317bc8d02e864acf511eb57784e0439e00",
+        "3db9468dede011f20b7cbb53ffe115fb9a10e8aa922b3ec3c2f1f825282b886c",
     ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
-        "deff131253a72cf2f3a251758727144000ebeb0322a38bd744f79fc51c09ce27",
+        "9d22d153e8c5e46687f15728ecaab2db341b637abee0f94fb957d2631550791e",
     ("unary-cycle", "cq", "A(x), C(x)"):
         "781a2ace13a598a14401617f5bd983cc6a48042f6cc48b1647337ee8383e76bf",
     ("unary-cycle", "fg", "A(x), C(x)"):
         "781a2ace13a598a14401617f5bd983cc6a48042f6cc48b1647337ee8383e76bf",
     ("join-witness", "fg", "P(x)"):
-        "56867100d4565588830367b5e36fabea43d5b03ef3589e8e0187d00b3a9bf559",
+        "49953a7761da2acf5329b34d851546132c7c68afa3cc8806d343051e757e7aec",
     ("join-witness", "fg", "exists w: T(x,w)"):
-        "820b156471a1732a9fc5c8f0382ad02f15518352df9e16c0aef24e8b5c26dd8b",
+        "26e6e121ecacd245195d05d9ac47c9febec024c8eca5e7eeb199bac3d1444970",
     ("two-step-witness", "fg", "A(x)"):
-        "a6de3dcbcfa8157beca9050d7a5cd3031bf313a20c1f04dc8d0132cd69c139d1",
+        "1577df823b8688b488f37650fe2efcfd7d10c89ab657dd564860b4fd1193d4d1",
     ("two-step-witness", "fg", "exists w: F(x,w)"):
-        "ffe266c7ce96da73b90eaa174e4f14e4637bb7f4a022a33ba916f062c0283bfc",
+        "b7253f3abe5596b962fcab65712548ca1f2487094cf8d2de35fa93e7d5f31aba",
 }
 
 
@@ -830,6 +846,146 @@ PRUNE_COMPILES = ([(name, scheme, text) for name, schemes, text in COMPILE_QUERI
                      for scheme in schemes])
 PRUNE_IDS = [f"{name}-{scheme}-{i}" for i, (name, scheme, _) in enumerate(PRUNE_COMPILES)]
 
+# SHA-256 of each compile's printed program and completeness alone, without
+# the certification trail: the candidates and records may change while the
+# emitted programs stay the same
+PROGRAM_DIGESTS = {
+    ("u-propagation", "atomic", "T(x)"):
+        "f3dc26772a4dda2045e9f6a51e4838ecf3ad3c945750eb86fc911583c70985af",
+    ("u-propagation", "cq", "T(x)"):
+        "8ccca4e805dd7bc4e0a3bd6ea3b0ed9167e3a7e219c1d14855f433ee48ca3c7e",
+    ("edge-endpoint", "atomic", "P(x)"):
+        "cd4401b29964a9d844fc96cc463093aefd9516417de824a58866e48e34dc6422",
+    ("edge-endpoint", "cq", "P(x)"):
+        "98166d46302da915aa19315d6106650bc3f2bd6043ce2f10b6a13662aef217a4",
+    ("unary-cycle", "atomic", "C(x)"):
+        "7f6e4e8ef0011412da8c471c6cdfeee4b48dc7162af38d133518e61285c4725b",
+    ("unary-cycle", "cq", "C(x)"):
+        "356b378e861ba5f016d38b813d1148e317eeba93704e09269c6f861cf80108dd",
+    ("unary-cycle", "fg", "C(x)"):
+        "356b378e861ba5f016d38b813d1148e317eeba93704e09269c6f861cf80108dd",
+    ("null-producer", "atomic", "V(x)"):
+        "9430a0d8baef6b59f9e23b0999e267ffe8ebda928168ccfa3dbab141deb2e120",
+    ("null-producer", "cq", "V(x)"):
+        "27c3461f2754c175d14704d8fdea7ce82f568c651b802c60c5820ed63bd7e1e3",
+    ("pair-marker", "atomic", "S(x,y)"):
+        "88aabc2cd2741e8954da1939b09dd5343df39b71a5ed332eefd6c9c2e0c92177",
+    ("pair-marker", "cq", "S(x,y)"):
+        "969339ca7c59e214c10428ab58ad43ccf3109dd615ba4639c73297a06c1da139",
+    ("symmetric-loop", "atomic", "L(x)"):
+        "28ddeed375f064b017525535674bf077fb4fa41d52caaee3f5a2ad9b8b23497c",
+    ("symmetric-loop", "cq", "L(x)"):
+        "0b4b5bb20bbb1836db455f3c53b9d389a3ed081797d9ebfdb75b5e93065ba984",
+    ("symmetric-loop", "fg", "L(x)"):
+        "0b4b5bb20bbb1836db455f3c53b9d389a3ed081797d9ebfdb75b5e93065ba984",
+    ("mutual-unary", "atomic", "P(x)"):
+        "6f8305fd32456b19a4bfe3e887b8057bc5ec5a2c994e2ec5dce360ce8b38e233",
+    ("mutual-unary", "cq", "P(x)"):
+        "59a3680ed0a915809239c911f7d1477ac7eaa9682344ceacddf917913d2f7628",
+    ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
+        "1376145dd6e9e1a1659308e9eceff875b0a9b6554bf71649cc4b18a82bf594e8",
+    ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
+        "210eab513f2603f17543568db8e19cef8661eb1ab90ed4666107e9acee8ad384",
+    ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
+        "600b78f9b8fc789a9b9d985dc87bcf94e90318a24cde7de502f61c880dbb0fee",
+    ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
+        "1967bed9dd71f6134f683fb2794769ba3fe5d3089251892d136bb6f899c620fc",
+    ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
+        "8c29ff256d2cd7585a9ae77d399736b56a9c69c08459decacd7d8e660cec89b4",
+    ("unary-cycle", "cq", "A(x), C(x)"):
+        "8a103f51984ce0461f878cd53a8a6a00c43b4989d1d7788eacf518fb7d00a3e3",
+    ("unary-cycle", "fg", "A(x), C(x)"):
+        "8a103f51984ce0461f878cd53a8a6a00c43b4989d1d7788eacf518fb7d00a3e3",
+    ("u-propagation", "atomic", None):
+        "f3dc26772a4dda2045e9f6a51e4838ecf3ad3c945750eb86fc911583c70985af",
+    ("u-propagation", "cq", None):
+        "8ccca4e805dd7bc4e0a3bd6ea3b0ed9167e3a7e219c1d14855f433ee48ca3c7e",
+    ("u-propagation", "fg", None):
+        "8ccca4e805dd7bc4e0a3bd6ea3b0ed9167e3a7e219c1d14855f433ee48ca3c7e",
+    ("edge-endpoint", "atomic", None):
+        "cd4401b29964a9d844fc96cc463093aefd9516417de824a58866e48e34dc6422",
+    ("edge-endpoint", "cq", None):
+        "98166d46302da915aa19315d6106650bc3f2bd6043ce2f10b6a13662aef217a4",
+    ("edge-endpoint", "fg", None):
+        "98166d46302da915aa19315d6106650bc3f2bd6043ce2f10b6a13662aef217a4",
+    ("unary-cycle", "atomic", None):
+        "7f6e4e8ef0011412da8c471c6cdfeee4b48dc7162af38d133518e61285c4725b",
+    ("unary-cycle", "cq", None):
+        "356b378e861ba5f016d38b813d1148e317eeba93704e09269c6f861cf80108dd",
+    ("unary-cycle", "fg", None):
+        "356b378e861ba5f016d38b813d1148e317eeba93704e09269c6f861cf80108dd",
+    ("flip-collect", "atomic", None):
+        "6591e70e835f7e57c300f811f4618c9a9ca969926e6c852e2359712ef4188d1e",
+    ("flip-collect", "cq", None):
+        "a74298d2317dd0338a8135f2446109a403a5e6442537d17d288aec043c102bc3",
+    ("flip-collect", "fg", None):
+        "a74298d2317dd0338a8135f2446109a403a5e6442537d17d288aec043c102bc3",
+    ("null-producer", "atomic", None):
+        "9430a0d8baef6b59f9e23b0999e267ffe8ebda928168ccfa3dbab141deb2e120",
+    ("null-producer", "cq", None):
+        "27c3461f2754c175d14704d8fdea7ce82f568c651b802c60c5820ed63bd7e1e3",
+    ("null-producer", "fg", None):
+        "27c3461f2754c175d14704d8fdea7ce82f568c651b802c60c5820ed63bd7e1e3",
+    ("pair-marker", "atomic", None):
+        "88aabc2cd2741e8954da1939b09dd5343df39b71a5ed332eefd6c9c2e0c92177",
+    ("pair-marker", "cq", None):
+        "969339ca7c59e214c10428ab58ad43ccf3109dd615ba4639c73297a06c1da139",
+    ("pair-marker", "fg", None):
+        "969339ca7c59e214c10428ab58ad43ccf3109dd615ba4639c73297a06c1da139",
+    ("symmetric-loop", "atomic", None):
+        "28ddeed375f064b017525535674bf077fb4fa41d52caaee3f5a2ad9b8b23497c",
+    ("symmetric-loop", "cq", None):
+        "0b4b5bb20bbb1836db455f3c53b9d389a3ed081797d9ebfdb75b5e93065ba984",
+    ("symmetric-loop", "fg", None):
+        "0b4b5bb20bbb1836db455f3c53b9d389a3ed081797d9ebfdb75b5e93065ba984",
+    ("triple-guard", "atomic", None):
+        "784eb770ef5e48926bb00ae298b6165741a9ae97e9abc707ee1ae0bce3e84171",
+    ("triple-guard", "cq", None):
+        "15da8f12ccefce2394295387057a8bbbd28813f4c4f0f35d082b70735c0fada9",
+    ("triple-guard", "fg", None):
+        "15da8f12ccefce2394295387057a8bbbd28813f4c4f0f35d082b70735c0fada9",
+    ("mutual-unary", "atomic", None):
+        "6f8305fd32456b19a4bfe3e887b8057bc5ec5a2c994e2ec5dce360ce8b38e233",
+    ("mutual-unary", "cq", None):
+        "59a3680ed0a915809239c911f7d1477ac7eaa9682344ceacddf917913d2f7628",
+    ("mutual-unary", "fg", None):
+        "59a3680ed0a915809239c911f7d1477ac7eaa9682344ceacddf917913d2f7628",
+    ("two-hop", "atomic", None):
+        "98a19ed27a74335ef8143c4d0a5a1b105c2c90b3410477a499eb4d2e21999490",
+    ("two-hop", "cq", None):
+        "d94fd737ad2f7bc8d7b56590818fdf231f065071c2d5690def75bce39fd45454",
+    ("two-hop", "fg", None):
+        "d94fd737ad2f7bc8d7b56590818fdf231f065071c2d5690def75bce39fd45454",
+    ("double-head", "atomic", None):
+        "4a9a1821ce7353a96575215b13d5da945d56d6dcec36e4d970fac90a748c93ab",
+    ("double-head", "cq", None):
+        "1c8eebfcde0e2ed68ef63b9c9d4d013d439c82cf9e54903d5ffe78447ceaff19",
+    ("double-head", "fg", None):
+        "1c8eebfcde0e2ed68ef63b9c9d4d013d439c82cf9e54903d5ffe78447ceaff19",
+    ("witness-mark", "atomic", None):
+        "0284190f6b100c1403f6024788e3664e92c7a0473dfec1e5e7de86ef48de5590",
+    ("witness-mark", "cq", None):
+        "8fc428f7af6432ee03a8d110297a4f45a9826369f7a9d8f61f768b73087b3c08",
+    ("witness-mark", "fg", None):
+        "8fc428f7af6432ee03a8d110297a4f45a9826369f7a9d8f61f768b73087b3c08",
+    ("join-witness", "fg", "P(x)"):
+        "4d270af76bd00034235552f0f3ad5b7b0361ab6b011676f8a5eafb9e38a34976",
+    ("join-witness", "fg", "exists w: T(x,w)"):
+        "7fa8f52a7ba0ae37e91507e78a04904ff6877743da12efe41c4e982d61a98ba3",
+    ("two-step-witness", "fg", "A(x)"):
+        "b0a394e114e3b81bbecb8b49f0e10e2f807c677befd97a5f0ec15666b1283d40",
+    ("two-step-witness", "fg", "exists w: F(x,w)"):
+        "c2a7b2fec9cc75d415d3adb0fe1039e629821c5e89cbf83d101acb697c66e79f",
+}
+
+
+def test_emitted_programs_are_unchanged():
+    assert list(PROGRAM_DIGESTS) == PRUNE_COMPILES
+    for (name, scheme, text), digest in PROGRAM_DIGESTS.items():
+        _, art = compiled_problem(name, scheme, text)
+        blob = _compile_blob(print_datalog(art.program), art.completeness, [])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (name, scheme, text)
+
 
 def _with_subsumed(art) -> DatalogProgram:
     """The emitted program with its subsumed rules put back, parsed from text."""
@@ -859,6 +1015,18 @@ def test_dropping_subsumed_rules_keeps_the_answers(name, scheme, text):
     for _ in range(3):
         inst = random_instance(rng, sig, max_facts=12)
         assert evaluate_program(art, inst) == evaluate_program(unpruned, inst), inst
+
+
+@pytest.mark.parametrize("name, scheme, text", PRUNE_COMPILES, ids=PRUNE_IDS)
+def test_emitted_rule_bodies_are_cores_around_their_heads(name, scheme, text):
+    # candidates are named over bodies as enumerated; the prune keeps, of a
+    # body and its core, the rule over the core
+    _, art = compiled_problem(name, scheme, text)
+    heads = {*_copy_map(art.program.edb).values(), *art.query_predicates}
+    for r in art.program.rules:
+        if r.head.rel in heads:
+            frees = [v for v in first_occurrence_vars(r.body) if v in r.head.vars()]
+            assert len(core_cq(cq(frees, r.body)).atoms) == len(set(r.body)), r
 
 
 # ---------------------------------------------------------------------------
