@@ -22,13 +22,15 @@ The schemes, one per guardedness tier:
   with an unguarded rule goes through fg's own construction, with
   guard-extension and query-extension predicates.
 
-The cq scheme is the composition of three public stages, each returning a
-``StageResult``: ``derive_full_guarded`` (full guarded consequences),
-``query_generation_rules`` (rules deriving query-extension predicates) and
-``goal_rules`` (conjunctions of those predicates entailing the query).  Any
-cap that drops a candidate body, a query quotient, a subquery past ``k``
-variables or a goal-premise partition marks the result ``capped``, in each
-stage and in each scheme.
+``derive_full_guarded`` is the atomic scheme's one stage and returns a
+``StageResult``.  The cq scheme certifies, in one pass over the guarded
+bodies, the full guarded candidates and the rules deriving query-extension
+predicates, so each body is prepared and chased once; its trail lists the
+full-rule records first, exactly ``derive_full_guarded``'s, then the
+query-rule records, then the goal rules (conjunctions of query-extension
+predicates entailing the query).  Any cap that drops a candidate body, a
+query quotient, a subquery past ``k`` variables or a goal-premise partition
+marks the result ``capped``, in each scheme.
 
 Programs run over copies of the input relations (one import rule per input
 relation), so derived facts never touch input relation names.  Boolean goals
@@ -39,8 +41,8 @@ holding the reserved constant ``_unit``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
@@ -63,13 +65,17 @@ CAPPED = "capped"
 
 UNIT_CONST = "_unit"
 
-# Enumeration caps that no caller varies.  Artifacts record the first, third
-# and fourth under their lower-cased names, next to the ``RewriteConfig`` caps.
+# Enumeration caps that no caller varies.  Artifacts record each cap they
+# were built under by its lower-cased name; MAX_K and MAX_QUOTIENT_VARS are
+# recorded through k and the capped flag instead.
+MAX_RELATIONS = 4            # relations past this many are left out
 MAX_ARITY = 3                # relations of higher arity are left out
 MAX_K = 3                    # caps the default k (see ``RewriteConfig``)
+MAX_EXTRA_BODY_ATOMS = 2     # extra body atoms beside a guard
 FG_MAX_EXTRA_BODY_ATOMS = 1  # extra body atoms in fg's extension construction
 EXTRA_ATOM_POOL_LIMIT = 12   # extra atoms a guard may draw from
 MAX_QUOTIENT_VARS = 6        # past this many query variables, no quotients
+MAX_GOAL_PREMISES = 3        # premises of a goal rule
 
 
 # ---------------------------------------------------------------------------
@@ -77,36 +83,30 @@ MAX_QUOTIENT_VARS = 6        # past this many query variables, no quotients
 
 @dataclass(frozen=True)
 class RewriteConfig:
-    """Caps for candidate enumeration plus the chase budget used to certify.
+    """The variable bound ``k``, the chase budget used to certify, and the
+    number of certifying processes.
 
     ``k`` bounds the number of variables in derived queries and goal rules.
-    Every step that uses it reads it from here; ``query_generation_rules`` and
-    ``goal_rules`` also take a ``k`` argument, which overrides it.  A ``k``
-    below the query's variable count marks every result that uses it
-    ``capped``.  When neither is set, with ``body vars`` the largest variable
-    count of a rule body (1 without rules) and ``query vars`` the query's
-    variable count:
+    A ``k`` below the query's variable count marks the compile ``capped``.
+    When it is not set, with ``body vars`` the largest variable count of a
+    rule body (1 without rules) and ``query vars`` the query's variable
+    count:
 
-    - ``rewrite_cq_guarded`` and ``query_generation_rules`` use
-      ``min(max(body vars, query vars, 1), MAX_K)``;
+    - ``rewrite_cq_guarded`` uses ``min(max(body vars, query vars, 1), MAX_K)``;
     - ``rewrite_fg`` uses ``max(min(max(body vars, 1), MAX_K), query vars)``,
       so the query's count is never clamped; on guarded rules it passes that
       ``k`` to ``rewrite_cq_guarded``;
-    - ``goal_rules`` uses ``max(query vars, 1)``;
     - ``rewrite_atomic_guarded`` does not use ``k``.
 
-    ``max_relations``, ``max_extra_body_atoms`` and ``max_goal_premises``
-    bound the enumeration space, together with the module constants
-    ``MAX_ARITY``, ``FG_MAX_EXTRA_BODY_ATOMS``, ``EXTRA_ATOM_POOL_LIMIT`` and
-    ``MAX_QUOTIENT_VARS``; every produced artifact records the caps it was
-    built under.  ``jobs`` (at least 1) is the number of processes that
+    The module constants ``MAX_RELATIONS``, ``MAX_ARITY``,
+    ``MAX_EXTRA_BODY_ATOMS``, ``FG_MAX_EXTRA_BODY_ATOMS``,
+    ``EXTRA_ATOM_POOL_LIMIT``, ``MAX_QUOTIENT_VARS`` and ``MAX_GOAL_PREMISES``
+    bound the enumeration space; every produced artifact records the caps it
+    was built under.  ``jobs`` (at least 1) is the number of processes that
     certify candidates.
     """
 
     k: Optional[int] = None
-    max_relations: int = 4
-    max_extra_body_atoms: int = 2
-    max_goal_premises: int = 3
     oracle: ChaseConfig = ChaseConfig()
     jobs: int = 1
 
@@ -136,25 +136,14 @@ class CertificationRecord:
 
 
 @dataclass
-class CandidateSpace:
-    candidates: tuple[Tgd, ...]
-    caps: dict[str, int]
-    capped: bool
-
-
-@dataclass
 class StageResult:
-    """What one compile stage certified: full guarded consequences
-    (``derive_full_guarded``), rules deriving query-extension predicates
-    (``query_generation_rules``) or goal rules (``goal_rules``), with a record
-    per candidate, the caps enumerated under, and each query-extension
-    predicate's canonical query text (empty for the first stage)."""
+    """The full guarded consequences ``derive_full_guarded`` certified, with
+    a record per candidate and the caps enumerated under."""
 
-    rules: tuple[Union[Tgd, Rule], ...]
+    rules: tuple[Tgd, ...]
     certification: tuple[CertificationRecord, ...]
     caps: dict[str, int]
     capped: bool
-    query_predicates: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -304,12 +293,12 @@ class _Candidate(NamedTuple):
         return _Candidate(t.body.atoms, t.head.atoms[0], kind)
 
 
-def _enumeration_relations(sig: Signature, config: RewriteConfig) -> tuple[list[tuple[str, int]], bool]:
+def _enumeration_relations(sig: Signature) -> tuple[list[tuple[str, int]], bool]:
     rels = [(r, a) for r, a in sig.arities.items()]
     kept = [(r, a) for r, a in rels if a <= MAX_ARITY]
     capped = len(kept) < len(rels)
-    if len(kept) > config.max_relations:
-        kept = kept[:config.max_relations]
+    if len(kept) > MAX_RELATIONS:
+        kept = kept[:MAX_RELATIONS]
         capped = True
     return kept, capped
 
@@ -335,14 +324,6 @@ def _guarded_bodies(rels: Sequence[tuple[str, int]], max_extra: int,
                 for extra in itertools.combinations(pool, n):
                     bodies.append(((guard,) + extra, gvars))
     return bodies, capped
-
-
-def _guarded_space(sig: Signature,
-                   config: RewriteConfig) -> tuple[list[tuple[str, int]], list[_Body], bool]:
-    """The relations and guarded bodies the guarded schemes enumerate over."""
-    rels, capped = _enumeration_relations(sig, config)
-    bodies, pool_capped = _guarded_bodies(rels, config.max_extra_body_atoms)
-    return rels, bodies, capped or pool_capped
 
 
 def _rule_candidates(bodies: Iterable[_Body],
@@ -397,29 +378,18 @@ def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd
     return out
 
 
-def _derivation_candidates(rules: Sequence[Tgd], sig: Signature, config: RewriteConfig
-                           ) -> tuple[list[_Body], dict[str, _Candidate], bool]:
-    """Guarded bodies, and full guarded candidates plus the input rules of
-    that shape."""
-    rels, bodies, capped = _guarded_space(sig, config)
-    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels])
+def _derivation_candidates(rules: Sequence[Tgd], sig: Signature,
+                           query_heads: Sequence[tuple[str, int, ConjunctiveQuery]] = ()
+                           ) -> tuple[dict[str, _Candidate], bool]:
+    """Over the guarded bodies, in one pass: every full guarded candidate, a
+    candidate per query head, and the input rules of full guarded shape;
+    and whether a cap dropped a body."""
+    rels, capped = _enumeration_relations(sig)
+    bodies, pool_capped = _guarded_bodies(rels, MAX_EXTRA_BODY_ATOMS)
+    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels] + list(query_heads))
     for c in _inject_input_rules(rules, require_guarded=True):
         cands.setdefault(str(c), _Candidate.of(c))
-    return bodies, cands, capped
-
-
-def enumerate_full_guarded_candidates(sig: Signature, head_rel: Optional[str] = None,
-                                      config: Optional[RewriteConfig] = None) -> CandidateSpace:
-    """Every full guarded single-head rule over the signature, up to renaming,
-    with its body as enumerated, within the configured enumeration caps."""
-    config = config or RewriteConfig()
-    if head_rel is not None and head_rel not in sig.arities:
-        raise ValueError(f"undeclared head relation {head_rel}")
-    rels, bodies, capped = _guarded_space(sig, config)
-    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels
-                                      if head_rel in (None, r)])
-    return CandidateSpace(tuple(cands[s].rule for s in sorted(cands)),
-                          _caps(config), capped)
+    return cands, capped or pool_capped
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +419,15 @@ def _verdict(cand: _Candidate, status: str, closure: Instance) -> str:
     return REJECTED if status == TERMINATED else UNKNOWN
 
 
-def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _Candidate]],
+def _certify(rules: Sequence[Tgd], sig: Signature, cands: dict[str, _Candidate],
              config: RewriteConfig) -> tuple[list[CertificationRecord], list[Tgd]]:
     """Chase each distinct canonical body once under the rules and judge every
     candidate against its body's closure; input rules and axioms are
-    entailed without a chase.  Returns the verdicts, group by group and each
-    group in text order, and the entailed rules in the same order."""
-    items = sorted({c.closure.key: c.closure.atoms for group in groups
-                    for c in group.values() if c.closure is not None}.items())
+    entailed without a chase.  Returns the verdicts, the query rules after
+    the others and each part in text order, and the entailed rules in the
+    same order."""
+    items = sorted({c.closure.key: c.closure.atoms for c in cands.values()
+                    if c.closure is not None}.items())
     if config.jobs > 1 and len(items) > 1:
         # imported here: only this branch needs multiprocessing, and loading
         # it would slow every import of the package
@@ -470,13 +441,12 @@ def _certify(rules: Sequence[Tgd], sig: Signature, groups: Sequence[dict[str, _C
     else:
         closures = dict(_closure_chunk((tuple(rules), sig, items, config.oracle)))
     records, kept = [], []
-    for group in groups:
-        for s in sorted(group):
-            c = group[s]
-            verdict = ENTAILED if c.closure is None else _verdict(c, *closures[c.closure.key])
-            records.append(CertificationRecord(s, verdict, c.kind))
-            if verdict == ENTAILED:
-                kept.append(c.rule)
+    for s in sorted(cands, key=lambda s: (cands[s].kind == "query-rule", s)):
+        c = cands[s]
+        verdict = ENTAILED if c.closure is None else _verdict(c, *closures[c.closure.key])
+        records.append(CertificationRecord(s, verdict, c.kind))
+        if verdict == ENTAILED:
+            kept.append(c.rule)
     return records, kept
 
 
@@ -485,9 +455,9 @@ def derive_full_guarded(rules: Sequence[Tgd], config: Optional[RewriteConfig] = 
     """Chase-certified full guarded consequences of the rule set, within caps."""
     config = config or RewriteConfig()
     base = tgd_signature(list(rules), sig)
-    _, cands, capped = _derivation_candidates(rules, base, config)
-    records, kept = _certify(rules, base, [cands], config)
-    return StageResult(tuple(kept), tuple(records), _caps(config), capped)
+    cands, capped = _derivation_candidates(rules, base)
+    records, kept = _certify(rules, base, cands, config)
+    return StageResult(tuple(kept), tuple(records), _caps(), capped)
 
 
 # ---------------------------------------------------------------------------
@@ -547,35 +517,13 @@ def _query_family(query: ConjunctiveQuery, k: int, used: set[str],
     return family, names, capped
 
 
-def _query_heads(family: dict[str, ConjunctiveQuery],
-                 names: dict[str, str]) -> list[tuple[str, int, ConjunctiveQuery]]:
-    return [(names[key], len(q.free_vars), q) for key, q in family.items()]
-
-
-# ---------------------------------------------------------------------------
-# query generation rules (guarded bodies deriving query-extension predicates)
-
-def query_generation_rules(rules: Sequence[Tgd], query: ConjunctiveQuery,
-                           k: Optional[int] = None,
-                           config: Optional[RewriteConfig] = None) -> StageResult:
-    """Guarded full rules deriving query-extension predicates: body B entails
-    the predicate's query with the head arguments, certified by the chase."""
-    config = config or RewriteConfig()
-    sig = tgd_signature(list(rules), query_signature(query))
-    k = k if k is not None else _default_k(rules, query, config)
-    family, names, fam_capped = _query_family(query, k, set(sig.arities) | set(sig.constants))
-    _, bodies, capped = _guarded_space(sig, config)
-    records, kept = _certify(rules, sig, [_rule_candidates(bodies, _query_heads(family, names))],
-                             config)
-    return StageResult(tuple(kept), tuple(records), _caps(config, k), fam_capped or capped,
-                       {names[key]: key for key in family})
-
-
 # ---------------------------------------------------------------------------
 # goal rules (conjunctions of query-extension predicates entailing the query)
 
-def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goal_name: str,
-                     config: RewriteConfig) -> tuple[list[Rule], list[CertificationRecord], bool]:
+def _goal_rules(query: ConjunctiveQuery, k: int, names: dict[str, str],
+                goal_name: str) -> tuple[list[Rule], list[CertificationRecord], bool]:
+    """Every goal rule over query-extension predicates whose premise
+    conjunction is contained in the query, by the containment test."""
     quotients, capped = _quotients(query)
     rules_out: dict[str, Rule] = {}
     records: dict[str, CertificationRecord] = {}
@@ -583,7 +531,7 @@ def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goa
         if len({v for a in atoms for v in a.vars()}) > k:
             continue
         for atom_part in _set_partitions(list(range(len(atoms)))):
-            if len(atom_part) > config.max_goal_premises:
+            if len(atom_part) > MAX_GOAL_PREMISES:
                 capped = True  # a skipped partition may be the only one deriving an answer
                 continue
             # each group's subquery has at most the quotient's k variables,
@@ -604,23 +552,6 @@ def _goal_rules_impl(query: ConjunctiveQuery, k: int, names: dict[str, str], goa
             [records[s] for s in sorted(records)], capped)
 
 
-def goal_rules(query: ConjunctiveQuery, k: Optional[int] = None,
-               config: Optional[RewriteConfig] = None,
-               goal_name: str = "Goal") -> StageResult:
-    """All goal rules over query-extension predicates whose premise conjunction
-    is contained in the query (checked by the containment test)."""
-    config = config or RewriteConfig()
-    if k is None:
-        k = config.k if config.k is not None else max(len(query.all_vars()), 1)
-    sig = query_signature(query)
-    family, names, fam_capped = _query_family(
-        query, k, set(sig.arities) | set(sig.constants) | {goal_name})
-    rules, records, capped = _goal_rules_impl(query, k, names, goal_name, config)
-    return StageResult(tuple(rules), tuple(records),
-                       {"k": k, "max_goal_premises": config.max_goal_premises},
-                       capped or fam_capped, {names[key]: key for key in family})
-
-
 # ---------------------------------------------------------------------------
 # program assembly
 
@@ -633,12 +564,13 @@ def _default_k(rules: Sequence[Tgd], query: ConjunctiveQuery,
     return min(max(maxbody, len(query.all_vars()), 1), MAX_K)
 
 
-def _caps(config: RewriteConfig, k: Optional[int] = None,
+def _caps(k: Optional[int] = None,
           max_extra: Optional[tuple[str, int]] = None) -> dict[str, int]:
     """The enumeration caps a result was built under, led by k where used;
-    ``max_extra`` names the extra-body-atom cap when it is not the config's."""
-    name, value = max_extra or ("max_extra_body_atoms", config.max_extra_body_atoms)
-    return {**({} if k is None else {"k": k}), "max_relations": config.max_relations,
+    ``max_extra`` names the extra-body-atom cap when it is not
+    ``MAX_EXTRA_BODY_ATOMS``."""
+    name, value = max_extra or ("max_extra_body_atoms", MAX_EXTRA_BODY_ATOMS)
+    return {**({} if k is None else {"k": k}), "max_relations": MAX_RELATIONS,
             "max_arity": MAX_ARITY, name: value,
             "extra_atom_pool_limit": EXTRA_ATOM_POOL_LIMIT}
 
@@ -791,14 +723,14 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     goal_name = _fresh_name("Goal", used)
     family, names, fam_capped = _query_family(query, k, used | {goal_name})
 
-    bodies, full_cands, body_capped = _derivation_candidates(rules, sig, config)
-    query_cands = _rule_candidates(bodies, _query_heads(family, names))
-    records, kept = _certify(rules, sig, [full_cands, query_cands], config)
-    goal_list, goal_records, goal_capped = _goal_rules_impl(query, k, names, goal_name, config)
+    cands, body_capped = _derivation_candidates(
+        rules, sig, [(names[key], len(q.free_vars), q) for key, q in family.items()])
+    records, kept = _certify(rules, sig, cands, config)
+    goal_list, goal_records, goal_capped = _goal_rules(query, k, names, goal_name)
 
     capped = fam_capped or body_capped or goal_capped
     art = _assemble(sig, copies, query, goal_name, kept, records + goal_records,
-                    {**_caps(config, k), "max_goal_premises": config.max_goal_premises},
+                    {**_caps(k), "max_goal_premises": MAX_GOAL_PREMISES},
                     capped, goal_list=goal_list,
                     idb=[(goal_name, max(1, len(query.free_vars)))],
                     idb_if_used=[(names[key], max(1, len(family[key].free_vars)))
@@ -901,7 +833,7 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery, k: int,
                       + [(name, ext.signature.arities[name])
                          for name in sorted(set(ext.signature.arities) - set(base_sig.arities))])
 
-    base_rels, rel_capped = _enumeration_relations(base_sig, config)
+    base_rels, rel_capped = _enumeration_relations(base_sig)
     rels = base_rels + [(r, a) for r, a in extension_rels if a <= MAX_ARITY]
     bodies, pool_capped = _guarded_bodies(rels, FG_MAX_EXTRA_BODY_ATOMS, k)
     cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels]
@@ -909,10 +841,10 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery, k: int,
     for c in _inject_input_rules(theory, require_guarded=False):
         cands[str(c)] = _Candidate.of(c, "axiom")
     records, kept = _certify(theory, ext.signature.extend(relations=extension_rels),
-                             [cands], config)
+                             cands, config)
 
     return _assemble(base_sig, _copy_map(base_sig), query, ans_name, kept, records,
-                     _caps(config, k, ("fg_max_extra_body_atoms", FG_MAX_EXTRA_BODY_ATOMS)),
+                     _caps(k, ("fg_max_extra_body_atoms", FG_MAX_EXTRA_BODY_ATOMS)),
                      fam_capped or rel_capped or pool_capped, idb=extension_rels,
                      query_predicates={names[key]: key for key in family})
 

@@ -20,17 +20,13 @@ from gnfkit.model import Fact, Instance, Signature, elem
 from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, core_cq, cq, cq_equivalent,
                           first_occurrence_vars, is_answer_guarded, query_signature)
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED,
-                            RewriteConfig, _canonical_family_form, _copy_map, _default_k,
-                            _inject_input_rules, _query_family, _rule_candidates,
-                            certain_answers_oracle,
-                            derive_full_guarded,
-                            enumerate_full_guarded_candidates,
-                            evaluate_program, goal_rules,
-                            guard_extension_axioms, query_generation_rules,
-                            rewrite_atomic_guarded, rewrite_cq_guarded,
-                            rewrite_fg)
-from gnfkit.syntax import parse_datalog, print_datalog
-from gnfkit.tgd import make_tgd, tgd_signature
+                            RewriteConfig, _canonical_family_form, _copy_map,
+                            _derivation_candidates, _inject_input_rules, _query_family,
+                            _rule_candidates, certain_answers_oracle, derive_full_guarded,
+                            evaluate_program, guard_extension_axioms,
+                            rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
+from gnfkit.syntax import parse_datalog, parse_instance, print_datalog
+from gnfkit.tgd import classify, make_tgd, tgd_signature
 
 SIG = Signature([("R", 2), ("U", 1), ("S", 2), ("T", 1)])
 RULES = [
@@ -91,29 +87,24 @@ def test_query_predicates_skip_a_relation_named_like_them():
 # candidate enumeration
 
 def test_enumeration_is_deterministic_and_canonical():
-    s1 = enumerate_full_guarded_candidates(SIG)
-    s2 = enumerate_full_guarded_candidates(SIG)
-    assert [str(t) for t in s1.candidates] == [str(t) for t in s2.candidates]
-    assert len({str(t) for t in s1.candidates}) == len(s1.candidates)
-    assert not s1.capped
+    cands, capped = _derivation_candidates([], SIG)
+    assert list(cands) == list(_derivation_candidates([], SIG)[0])
+    # each candidate is keyed by its own text, so no two share a text
+    assert [str(c.rule) for c in cands.values()] == list(cands)
+    assert not capped
+    d = derive_full_guarded([], sig=SIG)
+    assert d.certification == derive_full_guarded([], sig=SIG).certification
+    assert [r.candidate for r in d.certification] == sorted(cands)
 
 
-def test_enumeration_head_relation_filter():
-    space = enumerate_full_guarded_candidates(SIG, head_rel="T")
-    assert space.candidates
-    assert all(t.head.atoms[0].rel == "T" for t in space.candidates)
-
-
-def test_enumeration_rejects_unknown_head_relation():
-    with pytest.raises(ValueError):
-        enumerate_full_guarded_candidates(SIG, head_rel="Z")
-
-
-def test_enumeration_relation_cap_flags_capped():
-    space = enumerate_full_guarded_candidates(SIG, config=RewriteConfig(max_relations=2))
-    assert space.capped
-    used = {a.rel for t in space.candidates for a in (*t.body.atoms, *t.head.atoms)}
+def test_enumeration_relation_cap_flags_capped(monkeypatch):
+    monkeypatch.setattr(rewrite, "MAX_RELATIONS", 2)
+    cands, capped = _derivation_candidates([], SIG)
+    assert capped
+    used = {a.rel for c in cands.values() for a in (*c.rule.body.atoms, *c.rule.head.atoms)}
     assert used <= {"R", "U"}
+    d = derive_full_guarded([], sig=SIG)
+    assert d.capped and d.caps["max_relations"] == 2
 
 
 def _random_body(rng: random.Random) -> tuple[tuple[Atom, ...], tuple[str, ...]]:
@@ -172,11 +163,26 @@ def test_full_rule_naming_keeps_head_constants_and_first_occurrence():
 
 
 def test_enumerated_candidates_are_guarded_and_full():
-    from gnfkit.tgd import classify
-    space = enumerate_full_guarded_candidates(SIG)
-    for t in space.candidates:
-        c = classify(t)
+    cands, _ = _derivation_candidates([], SIG)
+    for cand in cands.values():
+        c = classify(cand.rule)
         assert c.full and c.guarded
+
+
+def test_cq_compile_prepares_each_guarded_body_once(monkeypatch):
+    # the full heads and the query heads are named in one pass over the bodies
+    problem = compile_problem("mutual-unary", "exists y: E(x,y), Q(y)")
+    sig = tgd_signature(problem.rules, query_signature(problem.query))
+    rels, _ = rewrite._enumeration_relations(sig)
+    bodies, _ = rewrite._guarded_bodies(rels, rewrite.MAX_EXTRA_BODY_ATOMS)
+    distinct = {frozenset(body) for body, _ in bodies}
+    calls = []
+    real = rewrite.body_renamings
+    monkeypatch.setattr(rewrite, "body_renamings",
+                        lambda atoms, *args, **kw: calls.append(atoms) or real(atoms, *args, **kw))
+    rewrite_cq_guarded(problem.rules, problem.query)
+    assert {frozenset(atoms) for atoms in calls} == distinct
+    assert len(calls) == len(distinct) == 36
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +225,12 @@ def test_derive_certifies_every_kept_rule():
     assert all(str(t) in entailed for t in d.rules)
 
 
-def test_derive_is_monotone_in_caps():
+def test_derive_is_monotone_in_caps(monkeypatch):
     prev = set()
     sizes = []
     for extra in (0, 1, 2):
-        cfg = RewriteConfig(max_extra_body_atoms=extra)
-        got = {str(t) for t in derive_full_guarded(RULES, cfg, SIG).rules}
+        monkeypatch.setattr(rewrite, "MAX_EXTRA_BODY_ATOMS", extra)
+        got = {str(t) for t in derive_full_guarded(RULES, sig=SIG).rules}
         assert prev <= got
         sizes.append(len(got))
         prev = got
@@ -265,11 +271,11 @@ def test_certification_starts_one_worker_per_chunk(monkeypatch):
             return map(fn, self.chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    small = RewriteConfig(max_extra_body_atoms=0)
-    seq = derive_full_guarded(RULES, small, SIG)
+    monkeypatch.setattr(rewrite, "MAX_EXTRA_BODY_ATOMS", 0)
+    seq = derive_full_guarded(RULES, RewriteConfig(), SIG)
     assert pools == []
     for jobs in (2, 8):
-        par = derive_full_guarded(RULES, dataclasses.replace(small, jobs=jobs), SIG)
+        par = derive_full_guarded(RULES, RewriteConfig(jobs=jobs), SIG)
         assert par == seq
         pool = pools.pop()
         closures = sum(len(chunk) for _, _, chunk, _ in pool.chunks)
@@ -428,72 +434,75 @@ def test_cq_rewrite_flags_small_k_as_capped():
     assert art.completeness == CAPPED
     # with too few variables the triangle cannot be recognized
     assert evaluate_program(art, cycle(3)) == set()
+    # at k=3 the triangle's quotients and subqueries all fit
+    art = rewrite_cq_guarded([], Q_TRI, RewriteConfig(k=3))
+    assert not art.capped and art.completeness == COMPLETE_WITHIN_CAPS
+    assert evaluate_program(art, cycle(3)) == {()}
 
 
 # ---------------------------------------------------------------------------
 # query generation and goal rules
 
+def _records(art, kind: str) -> dict[str, str]:
+    """The verdict of each certified candidate of the kind, by its text."""
+    return {r.candidate: r.verdict for r in art.certification
+            if r.kind == kind and r.verdict != SUBSUMED}
+
+
+def _goal_rules(art) -> list:
+    """The compile's entailed goal rules, those the prune dropped included."""
+    return [r for r in _with_subsumed(art).rules if r.head.rel == art.program.goal]
+
+
 def test_query_rules_include_guard_and_derived_bodies():
-    res = query_generation_rules(RULES, Q_T)
-    assert res.query_predicates == {"Q0": "(f0) T(f0)"}
-    have = {str(t) for t in res.rules}
-    assert "T(v0) -> Q0(v0)" in have  # the query is its own guard
-    assert "U(v0) -> Q0(v0)" in have  # derived via the rules
-    entailed = {r.candidate for r in res.certification if r.verdict == ENTAILED}
-    assert all(str(t) in entailed for t in res.rules)
+    art = rewrite_cq_guarded(RULES, Q_T)
+    assert art.query_predicates == {"Q0": "(f0) T(f0)"}
+    query_rules = _records(art, "query-rule")
+    assert query_rules["T(v0) -> Q0(v0)"] == ENTAILED  # the query is its own guard
+    assert query_rules["U(v0) -> Q0(v0)"] == ENTAILED  # derived via the rules
 
 
 def test_query_rules_reject_unsupported_bodies():
-    res = query_generation_rules(RULES, Q_T)
-    rejected = {r.candidate for r in res.certification if r.verdict == REJECTED}
-    assert "R(v0,v1) -> Q0(v0)" in rejected
+    art = rewrite_cq_guarded(RULES, Q_T)
+    assert _records(art, "query-rule")["R(v0,v1) -> Q0(v0)"] == REJECTED
 
 
 def test_goal_rules_for_atomic_query():
-    res = goal_rules(Q_T)
-    texts = {str(r) for r in res.rules}
-    (qname,) = [n for n in res.query_predicates]
-    assert f"Goal(x) :- {qname}(x)." in texts
+    art = rewrite_cq_guarded(RULES, Q_T)
+    (qname,) = art.query_predicates
+    assert _records(art, "goal-rule") == {f"Goal(x) :- {qname}(x).": ENTAILED}
 
 
 def test_goal_rules_split_triangle_into_edges():
-    res = goal_rules(Q_TRI, k=3)
+    art = rewrite_cq_guarded([], Q_TRI)
+    goals = _goal_rules(art)
     # some rule joins three premises, one per edge of the quotiented triangle
-    assert any(len(r.body) == 3 for r in res.rules)
-    # every emitted rule passed the containment check
-    entailed = {r.candidate for r in res.certification if r.verdict == ENTAILED}
-    assert all(str(r) in entailed for r in res.rules)
+    assert any(len(r.body) == 3 for r in goals)
+    # every goal rule passed the containment check
+    entailed = {s for s, v in _records(art, "goal-rule").items() if v == ENTAILED}
+    assert {str(r) for r in goals} == entailed
 
 
-def test_goal_rules_respect_premise_cap():
-    cfg = RewriteConfig(max_goal_premises=1)
-    res = goal_rules(Q_TRI, k=3, config=cfg)
-    assert all(len(r.body) <= 1 for r in res.rules)
+def test_goal_rules_respect_premise_cap(monkeypatch):
+    monkeypatch.setattr(rewrite, "MAX_GOAL_PREMISES", 1)
+    art = rewrite_cq_guarded([], Q_TRI)
+    goals = _goal_rules(art)
+    assert goals and all(len(r.body) <= 1 for r in goals)
+    assert art.caps["max_goal_premises"] == 1 and art.completeness == CAPPED
 
 
 def test_query_and_goal_rules_read_k_from_the_config():
-    cfg = RewriteConfig(k=2)
-    assert rewrite_cq_guarded([], Q_TRI, cfg).caps["k"] == 2
-    assert query_generation_rules([], Q_TRI, config=cfg).caps["k"] == 2
-    goals = goal_rules(Q_TRI, config=cfg)
-    assert goals.rules == goal_rules(Q_TRI, k=2).rules
-    assert len(goals.rules) == 12 and len(goal_rules(Q_TRI, k=3).rules) == 17
-    # an explicit k still overrides the config
-    assert query_generation_rules([], Q_TRI, k=3, config=cfg).caps["k"] == 3
-    assert goals.caps["k"] == 2 and goal_rules(Q_TRI, k=3, config=cfg).caps["k"] == 3
+    def entailed_goal_rules(k: int) -> int:
+        art = rewrite_cq_guarded([], Q_TRI, RewriteConfig(k=k))
+        assert art.caps["k"] == k
+        return sum(v == ENTAILED for v in _records(art, "goal-rule").values())
+
+    assert entailed_goal_rules(2) == 12 and entailed_goal_rules(3) == 17
 
 
-def test_a_k_below_the_query_variables_marks_each_stage_capped():
-    # both stages drop the triangle's three-variable quotients and subqueries
-    assert goal_rules(Q_TRI, k=2).capped
-    assert query_generation_rules([], Q_TRI, k=2).capped
-    assert not goal_rules(Q_TRI, k=3).capped
-    assert not query_generation_rules([], Q_TRI, k=3).capped
-
-
-def test_skipped_goal_premise_partitions_mark_the_compile_capped():
+def test_skipped_goal_premise_partitions_mark_the_compile_capped(monkeypatch):
     """The 4-cycle query needs a goal rule with four premises; past
-    ``max_goal_premises`` (3) that partition is skipped, so the program misses
+    ``MAX_GOAL_PREMISES`` (3) that partition is skipped, so the program misses
     the oracle's answer on the 4-cycle and the compile must say so."""
     q = cq([], [atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "w"),
                 atom("E", "w", "x")])
@@ -502,31 +511,29 @@ def test_skipped_goal_premise_partitions_mark_the_compile_capped():
     art = rewrite_cq_guarded([], q, RewriteConfig(k=4))
     assert art.capped and art.completeness == CAPPED
     assert evaluate_program(art, c4) == set()
-    assert goal_rules(q, config=RewriteConfig(k=4)).capped
-    wide = RewriteConfig(k=4, max_goal_premises=4)
-    art = rewrite_cq_guarded([], q, wide)
+    monkeypatch.setattr(rewrite, "MAX_GOAL_PREMISES", 4)
+    art = rewrite_cq_guarded([], q, RewriteConfig(k=4))
     assert art.completeness == COMPLETE_WITHIN_CAPS and evaluate_program(art, c4) == {()}
-    assert not goal_rules(q, config=wide).capped
+    assert art.caps["max_goal_premises"] == 4
 
 
-def test_schemes_are_compositions_of_their_public_steps():
-    cfg = RewriteConfig()
+def test_scheme_trails_extend_the_full_rule_stage():
+    """Both guarded schemes certify the full guarded candidates record for
+    record as ``derive_full_guarded`` does; the cq scheme's trail goes on with
+    all its query rules, then all its goal rules."""
     q_join = cq(["x"], [atom("R", "x", "y"), atom("T", "y")])
     for rules, q in ((RULES, Q_T), (RULES, q_join), ([], Q_TRI)):
-        sig = tgd_signature(rules, query_signature(q))
-        k = _default_k(rules, q, cfg)
-        art = rewrite_cq_guarded(rules, q, cfg)
-        derived = derive_full_guarded(rules, cfg, sig)
-        query_rules = query_generation_rules(rules, q, k, cfg)
-        goals = goal_rules(q, k, cfg, goal_name=art.program.goal)
-        steps = derived.certification + query_rules.certification + goals.certification
-        assert tuple(r for r in art.certification
-                     if r.kind != "import" and r.verdict != SUBSUMED) == steps
-        assert list(art.query_predicates.items()) == list(query_rules.query_predicates.items())
-    atomic = rewrite_atomic_guarded(RULES, Q_T, cfg)
-    derived = derive_full_guarded(RULES, cfg, tgd_signature(RULES, query_signature(Q_T)))
-    assert tuple(r for r in atomic.certification
-                 if r.kind != "import" and r.verdict != SUBSUMED) == derived.certification
+        derived = derive_full_guarded(rules, sig=tgd_signature(rules, query_signature(q)))
+        n = len(derived.certification)
+        schemes = {rewrite_cq_guarded: ["query-rule", "goal-rule"]}
+        if q is Q_T:
+            schemes[rewrite_atomic_guarded] = []
+        for scheme, rest in schemes.items():
+            trail = [r for r in scheme(rules, q).certification
+                     if r.kind != "import" and r.verdict != SUBSUMED]
+            assert tuple(r for r in trail if r.kind == "rule") == derived.certification
+            assert tuple(trail[:n]) == derived.certification
+            assert [kind for kind, _ in itertools.groupby(r.kind for r in trail[n:])] == rest
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +636,19 @@ def test_fg_rewrite_passes_its_unclamped_k_to_the_cq_scheme():
     art = rewrite_fg([], q)
     assert art.caps["k"] == 4 and rewrite_cq_guarded([], q).caps["k"] == 3
     assert _compile_record(art) == _compile_record(rewrite_cq_guarded([], q, RewriteConfig(k=4)))
+
+
+def test_fg_compile_reports_its_known_miss_as_capped():
+    """The pool cap drops the body fg needs on join-witness: the oracle
+    answers P(e1) on this input, and the compiled program misses it.  The
+    answers stay sound, and a miss is allowed only with the compile capped."""
+    problem, art = compiled_problem("join-witness", "fg", "P(x)")
+    inst = parse_instance("R(e1,e0). S(e0,e4).")
+    oracle, terminated = certain_answers_oracle(problem.rules, problem.query, inst)
+    assert terminated and oracle == {(elem("e1"),)}
+    compiled = evaluate_program(art, inst)
+    assert compiled <= oracle
+    assert compiled == oracle or art.completeness == CAPPED
 
 
 def test_fg_extension_construction_runs_only_on_unguarded_rules(monkeypatch):

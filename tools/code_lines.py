@@ -51,8 +51,12 @@ def python_files(paths: list[str]) -> list[Path]:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    if not argv or any(a.startswith("-") for a in argv):
         print("usage: python tools/code_lines.py PATH [PATH ...]", file=sys.stderr)
+        return 2
+    missing = [a for a in argv if not Path(a).exists()]
+    if missing:
+        print("\n".join(f"no such file: {a}" for a in missing), file=sys.stderr)
         return 2
     total = 0
     for path in python_files(argv):
