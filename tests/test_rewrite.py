@@ -440,6 +440,19 @@ def test_cq_rewrite_flags_small_k_as_capped():
     assert evaluate_program(art, cycle(3)) == {()}
 
 
+def test_a_k_below_the_query_variables_marks_each_stage_capped():
+    # the query family drops the triangle's three-variable subqueries and says so
+    assert _query_family(Q_TRI, 2, set())[2]
+    assert not _query_family(Q_TRI, 3, set())[2]
+    # the goal rules drop the three-variable quotient, so no goal rule joins
+    # premises over three variables, and the compile says so
+    for k in (2, 3):
+        art = rewrite_cq_guarded([], Q_TRI, RewriteConfig(k=k))
+        assert art.capped == (k == 2)
+        widths = {len({v for a in r.body for v in a.vars()}) for r in _goal_rules(art)}
+        assert (3 in widths) == (k == 3)
+
+
 # ---------------------------------------------------------------------------
 # query generation and goal rules
 
