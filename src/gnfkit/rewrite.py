@@ -48,7 +48,7 @@ from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
 from .model import Fact, Instance, Signature, active_domain, align_instance, elem
 # canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
-from .query import (RENAMING_CAP, Atom, BodyRenamings, ConjunctiveQuery, Cst, Term, Var,
+from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Term, Var,
                     atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
                     canonical_renaming, core_cq, cq, cq_contained, eval_cq,
                     first_occurrence_vars, is_answer_guarded, pick_renaming,
@@ -276,16 +276,24 @@ class _Closure(NamedTuple):
 
 
 class _Candidate(NamedTuple):
-    body: tuple[Atom, ...]  # named, sorted by text
+    """A candidate rule: a body, sorted by text, and a head over its
+    variables.  An enumerated candidate keeps its body as enumerated and the
+    renaming that names it; ``rule`` applies that renaming when it is read,
+    so only the candidates kept as entailed build their named atoms."""
+    body: tuple[Atom, ...]
     head: Atom
     kind: str = "rule"  # rule | query-rule | axiom
     query: Optional[ConjunctiveQuery] = None  # a query-rule's head stands for it
     closure: Optional[_Closure] = None  # None: entailed without a chase
-    body_head: Optional[Atom] = None  # the head over the enumerated body's variables
+    ren: Optional[dict[str, str]] = None  # None: body and head are named already
 
     @property
     def rule(self) -> Tgd:
-        return make_tgd(list(self.body), [self.head])
+        if self.ren is None:
+            return make_tgd(list(self.body), [self.head])
+        sub = {v: Var(n) for v, n in self.ren.items()}
+        return make_tgd(sorted((substitute(a, sub) for a in self.body), key=str),
+                        [substitute(self.head, sub)])
 
     @staticmethod
     def of(t: Tgd, kind: str = "rule") -> "_Candidate":
@@ -333,29 +341,43 @@ def _rule_candidates(bodies: Iterable[_Body],
     are each n-tuple of the body's guard variables (``_unit`` when n is 0).
     A head standing for a query is judged by that query.  Bodies are taken as
     enumerated, not cored: the prune drops a candidate that the one over the
-    body's core subsumes.  Each distinct body's renamings are listed once,
-    each head picks its own among them, and the body's canonical form, the
-    closure that judges all its heads, is shared by its candidates."""
+    body's core subsumes.  Each distinct body is prepared once: its
+    renamings, listed and sorted by their atom texts, a format slot per
+    renamed variable, and its canonical form, the closure that judges all its
+    heads.  A head is then named on text alone: of the sorted renamings, the
+    first with the least head text, which is ``pick_renaming``'s choice.  A
+    candidate keeps the body as enumerated and its renaming, so no atom is
+    renamed until its rule is read.  Past ``RENAMING_CAP`` the head orders
+    the body's one renaming, through ``body_renamings`` and
+    ``pick_renaming``."""
     cands: dict[str, _Candidate] = {}
-    prepared: dict[tuple[Atom, ...], tuple[BodyRenamings, _Closure]] = {}
+    prepared: dict[tuple[Atom, ...], tuple[list[str], list, dict[str, str], _Closure]] = {}
     for body, gvars in bodies:
         atoms = tuple(sorted(set(body), key=str))
         if atoms not in prepared:
-            renamings = body_renamings(atoms, [("v", _vars(atoms))])
+            _, order, choices = renamings = body_renamings(atoms, [("v", _vars(atoms))])
             canon, _, ren, texts = pick_renaming(renamings)
-            prepared[atoms] = renamings, _Closure(" & ".join(texts), canon, ren)
-        renamings, closure = prepared[atoms]
+            ranked = [(ns, ", ".join(t)) for ns, t in sorted(choices, key=lambda c: c[1])]
+            slots = {v: f"{{{i}}}" for i, v in enumerate(order)}
+            prepared[atoms] = order, ranked, slots, _Closure(" & ".join(texts), canon, ren)
+        order, ranked, slots, closure = prepared[atoms]
         for rel, n, q in heads:
+            name = rel.replace("{", "{{").replace("}", "}}")  # escaped as query._templates does
             for combo in itertools.product(gvars, repeat=n):
-                head = _family_head(rel, combo)
-                picked = renamings
-                if len(renamings[1]) > RENAMING_CAP:  # then the head orders the naming
-                    picked = body_renamings(atoms, [("v", renamings[1])], lead=[head])
-                renamed, new_head, _, texts = pick_renaming(picked, head)
-                key = f"{', '.join(texts)} -> {new_head}"
+                if len(order) > RENAMING_CAP:  # then the head orders the naming
+                    head = _family_head(rel, combo)
+                    picked = body_renamings(atoms, [("v", order)], lead=[head])
+                    _, new_head, ren, texts = pick_renaming(picked, head)
+                    key = f"{', '.join(texts)} -> {new_head}"
+                else:
+                    tmpl = f"{name}({','.join(slots[v] for v in combo) or UNIT_CONST})"
+                    ns, body_text = min(ranked, key=lambda c: tmpl.format(*c[0]))
+                    key = f"{body_text} -> {tmpl.format(*ns)}"
+                    ren = None  # built from ns below, for a new key only
                 if key not in cands:
                     kind = "rule" if q is None else "query-rule"
-                    cands[key] = _Candidate(renamed, new_head, kind, q, closure, head)
+                    cands[key] = _Candidate(atoms, _family_head(rel, combo), kind, q, closure,
+                                            ren or dict(zip(order, ns)))
     return cands
 
 
@@ -406,7 +428,7 @@ def _closure_chunk(arg):
 
 
 def _verdict(cand: _Candidate, status: str, closure: Instance) -> str:
-    head, ren = cand.body_head, cand.closure.ren
+    head, ren = cand.head, cand.closure.ren
     if cand.query is None:
         args = tuple(closure.const_interp[t.name] if isinstance(t, Cst) else elem(ren[t.name])
                      for t in head.args)

@@ -185,6 +185,37 @@ def test_cq_compile_prepares_each_guarded_body_once(monkeypatch):
     assert len(calls) == len(distinct) == 36
 
 
+def test_rule_candidates_pick_one_renaming_per_body(monkeypatch):
+    # under the renaming cap a head is named on text alone: pick_renaming
+    # names each distinct body's closure once and no (body, head) pair
+    rels, _ = rewrite._enumeration_relations(SIG)
+    bodies, _ = rewrite._guarded_bodies(rels, rewrite.MAX_EXTRA_BODY_ATOMS)
+    assert all(len({v for a in body for v in a.vars()}) <= RENAMING_CAP for body, _ in bodies)
+    distinct = {frozenset(body) for body, _ in bodies}
+    calls = []
+    real = rewrite.pick_renaming
+    monkeypatch.setattr(rewrite, "pick_renaming",
+                        lambda renamings, *args: calls.append(renamings[0]) or real(renamings, *args))
+    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels])
+    assert len(cands) > len(distinct)
+    assert {frozenset(atoms) for atoms in calls} == distinct
+    assert len(calls) == len(distinct)
+
+
+def test_rule_candidates_escape_braces_in_relation_names():
+    # relation names are literal text in the head and body templates
+    bodies = [((Atom("R{x}", (Var("x"), Var("y"))), atom("U}", "y")), ("x", "y")),
+              ((Atom("R{x}", (Var("y"), Var("x"))), atom("H{0}", "x", "x")), ("y", "x")),
+              ((atom("U}", "x"), Atom("R{x}", (Var("x"), Cst("{0}")))), ("x",))]
+    heads = [("H{0}", 2, None), ("U}", 1, None), ("{}", 0, None),
+             ("Q{1}", 1, cq(["f0"], [atom("U}", "f0")]))]
+    got = _rule_candidates(bodies, heads)
+    want = naive_rule_candidates(bodies, heads)
+    assert list(got) == list(want)
+    for key, cand in got.items():
+        assert (cand.rule, cand.kind, cand.query) == want[key], key
+
+
 # ---------------------------------------------------------------------------
 # derived full guarded rules
 

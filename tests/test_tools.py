@@ -7,6 +7,7 @@ import pytest
 
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
+import bench_pairs  # noqa: E402
 import code_lines  # noqa: E402
 
 
@@ -29,3 +30,60 @@ def test_code_lines_counts_code_only(tmp_path, capsys):
     path.write_text('"""doc"""\n\n# comment\nx = 1\n')
     assert code_lines.main([str(path)]) == 0
     assert capsys.readouterr().out == f"     1  {path}\n     1  total\n"
+
+
+def _result(run_s, correct=True, failed=0):
+    return {"correct": correct, "attempted": 4, "failed": failed,
+            "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                        "peak_rss_mb": {"value": 20.0, "unit": "MB"}}}
+
+
+def test_bench_pairs_summarizes_result_lines():
+    pairs = [(_result(1.0), _result(0.8)), (_result(1.2), _result(0.9)),
+             (_result(1.1), _result(1.3, failed=1)), (_result(1.4), None)]
+    metrics = [{"name": "setup_s", "unit": "s"}, {"name": "run_s", "unit": "s"},
+               {"name": "peak_rss_mb", "unit": "MB"}]
+    assert bench_pairs.summarize(pairs, metrics) == {
+        "run_s": {"unit": "s",
+                  "parent": {"median": 1.15, "q1": 1.075, "q3": 1.25, "runs": 4},
+                  "change": {"median": 0.9, "q1": 0.85, "q3": 1.1, "runs": 3},
+                  "change_lower_in_pairs": "2/3"},
+        "peak_rss_mb": {"unit": "MB",
+                        "parent": {"median": 20.0, "q1": 20.0, "q3": 20.0, "runs": 4},
+                        "change": {"median": 20.0, "q1": 20.0, "q3": 20.0, "runs": 3},
+                        "change_lower_in_pairs": "0/3"},
+        "all_runs_correct": False,
+        "bad_runs": [{"pair": 3, "side": "change", "correct": True, "attempted": 4,
+                      "failed": 1},
+                     {"pair": 4, "side": "change", "result": None}],
+    }
+
+
+def test_bench_pairs_summarizes_one_correct_pair():
+    summary = bench_pairs.summarize([(_result(1.0), _result(0.5))],
+                                    [{"name": "run_s", "unit": "s"}])
+    assert summary == {"run_s": {"unit": "s",
+                                 "parent": {"median": 1.0, "q1": 1.0, "q3": 1.0, "runs": 1},
+                                 "change": {"median": 0.5, "q1": 0.5, "q3": 0.5, "runs": 1},
+                                 "change_lower_in_pairs": "1/1"},
+                       "all_runs_correct": True}
+
+
+def test_bench_pairs_names_a_missing_checkout(tmp_path, capsys):
+    repo = os.path.join(os.path.dirname(__file__), os.pardir)
+    missing = tmp_path / "absent"
+    argv = ["--parent", str(missing), "--change", repo, "--workload", "compile",
+            "--seed", "1", "--pairs", "1", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [bench_pairs.USAGE, f"no benchmark/run.py under: {missing}"]
+    assert err.startswith("usage: python tools/bench_pairs.py")
+
+
+def test_bench_pairs_prints_usage_on_a_missing_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "."])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: python tools/bench_pairs.py")
