@@ -1,9 +1,9 @@
 """Compiling certain-answer problems over guarded rule sets into Datalog.
 
 All three compilation schemes run one pipeline: enumerate a capped space of
-candidate rules, chase each distinct candidate body once, in canonical form,
-to certify every candidate over it as a consequence of the input rules, keep
-exactly the certified ones, assemble them into a program, and drop each
+candidate bodies and heads, chase each distinct candidate body once, in
+canonical form, read off its closure the heads it entails, name a rule for
+each of those, assemble the certified rules into a program, and drop each
 program rule that a kept rule subsumes.  Bodies are named as enumerated, not
 cored: a rule and the rule over its body's core subsume each other, and the
 prune keeps the one over the core, which has fewer atoms, whenever both are
@@ -11,6 +11,12 @@ enumerated.  The emitted program therefore carries a certificate for every
 rule and is subsumption-minimal, and the returned artifacts record the
 enumeration caps together with the verdict for every candidate and every
 dropped rule.
+
+A compile names only the candidates its program and its completeness need:
+the entailed heads that are not in their body, and every head of a body
+whose chase stopped at its budget (those not entailed are ``unknown``).
+The certification trail, which lists every candidate with its verdict, is
+produced when it is first read, by the same naming over the same bodies.
 
 The schemes, one per guardedness tier:
 
@@ -22,15 +28,16 @@ The schemes, one per guardedness tier:
   with an unguarded rule goes through fg's own construction, with
   guard-extension and query-extension predicates.
 
-``derive_full_guarded`` is the atomic scheme's one stage and returns a
-``StageResult``.  The cq scheme certifies, in one pass over the guarded
-bodies, the full guarded candidates and the rules deriving query-extension
-predicates, so each body is prepared and chased once; its trail lists the
-full-rule records first, exactly ``derive_full_guarded``'s, then the
-query-rule records, then the goal rules (conjunctions of query-extension
-predicates entailing the query).  Any cap that drops a candidate body, a
-query quotient, a subquery past ``k`` variables or a goal-premise partition
-marks the result ``capped``, in each scheme.
+``derive_full_guarded`` certifies the atomic scheme's candidates, the full
+guarded rules, and returns a ``StageResult`` with every entailed rule.  The
+cq scheme certifies, in one pass over the guarded bodies, the full guarded
+candidates and the rules deriving query-extension predicates, so each body
+is prepared and chased once; its trail lists the full-rule records first,
+exactly ``derive_full_guarded``'s, then the query-rule records, then the
+goal rules (conjunctions of query-extension predicates entailing the
+query).  Any cap that drops a candidate body, a query quotient, a subquery
+past ``k`` variables or a goal-premise partition marks the result
+``capped``, in each scheme.
 
 Programs run over copies of the input relations (one import rule per input
 relation), so derived facts never touch input relation names.  Boolean goals
@@ -41,12 +48,12 @@ holding the reserved constant ``_unit``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
-from .model import Fact, Instance, Signature, active_domain, align_instance, elem
+from .model import ELEMENT, Fact, Instance, Signature, active_domain, align_instance
 # canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
 from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Term, Var,
                     atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
@@ -102,8 +109,8 @@ class RewriteConfig:
     ``MAX_EXTRA_BODY_ATOMS``, ``FG_MAX_EXTRA_BODY_ATOMS``,
     ``EXTRA_ATOM_POOL_LIMIT``, ``MAX_QUOTIENT_VARS`` and ``MAX_GOAL_PREMISES``
     bound the enumeration space; every produced artifact records the caps it
-    was built under.  ``jobs`` (at least 1) is the number of processes that
-    certify candidates.
+    was built under.  ``k``, when set, is at least 0, and ``jobs`` (at least
+    1) is the number of processes that certify candidates.
     """
 
     k: Optional[int] = None
@@ -111,6 +118,8 @@ class RewriteConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if self.k is not None and self.k < 0:
+            raise ValueError(f"k must be at least 0, got {self.k}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
@@ -161,18 +170,46 @@ class GuardExtensionResult:
     signature: Signature
 
 
+class _Trail:
+    """Certification records produced when first read, then kept.  Two
+    trails are equal when their records are."""
+
+    __slots__ = ("_produce", "_records")
+
+    def __init__(self, produce: Callable[[], tuple[CertificationRecord, ...]]):
+        self._produce: Optional[Callable[[], tuple[CertificationRecord, ...]]] = produce
+        self._records: Optional[tuple[CertificationRecord, ...]] = None
+
+    def records(self) -> tuple[CertificationRecord, ...]:
+        if self._records is None:
+            self._records, self._produce = self._produce(), None
+        return self._records
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Trail) and self.records() == other.records()
+
+
 @dataclass
 class RewriteArtifacts:
-    """A compiled program plus everything needed to audit how it was built."""
+    """A compiled program plus everything needed to audit how it was built.
+
+    ``certification`` holds a record per candidate and per dropped program
+    rule.  It is computed when first read: the compile names only the
+    candidates its program and completeness need, and reading the trail
+    names the rest (most candidates are rejected)."""
 
     program: DatalogProgram
-    certification: tuple[CertificationRecord, ...]
+    _trail: _Trail = field(repr=False)
     caps: dict[str, int]
     capped: bool
     completeness: str  # complete_within_caps | capped
     query_predicates: dict[str, str]
     boolean_goal: bool
     answer_projection: tuple[int, ...]
+
+    @property
+    def certification(self) -> tuple[CertificationRecord, ...]:
+        return self._trail.records()
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +302,10 @@ def _canonical_family_form(q: ConjunctiveQuery) -> tuple[str, ConjunctiveQuery, 
 
 # a candidate body with its guard's variables
 _Body = tuple[tuple[Atom, ...], tuple[str, ...]]
+# a head: its relation, its number of arguments and the query it stands for
+_Head = tuple[str, int, Optional[ConjunctiveQuery]]
+# a head over named arguments: its relation and their names, () for ``_unit``
+_HeadArgs = tuple[str, tuple[str, ...]]
 
 
 class _Closure(NamedTuple):
@@ -275,11 +316,21 @@ class _Closure(NamedTuple):
     ren: dict[str, str]
 
 
+# bodies prepared for naming, by their distinct atoms sorted: each one's
+# renamed variables in order, its renamings as (new names, joined atom texts)
+# sorted by those texts, a format slot per renamed variable, and its closure
+_Prepared = dict[tuple[Atom, ...],
+                 tuple[list[str], list[tuple[list[str], str]], dict[str, str], _Closure]]
+# the heads to name over a body's guard variables, given its closure and
+# those variables; None for every head
+_Pick = Callable[[_Closure, tuple[str, ...]], Optional[set[_HeadArgs]]]
+
+
 class _Candidate(NamedTuple):
     """A candidate rule: a body, sorted by text, and a head over its
     variables.  An enumerated candidate keeps its body as enumerated and the
-    renaming that names it; ``rule`` applies that renaming when it is read,
-    so only the candidates kept as entailed build their named atoms."""
+    renaming that names it; ``named`` applies that renaming when it is
+    called, so only the candidates kept as entailed build their named atoms."""
     body: tuple[Atom, ...]
     head: Atom
     kind: str = "rule"  # rule | query-rule | axiom
@@ -287,18 +338,33 @@ class _Candidate(NamedTuple):
     closure: Optional[_Closure] = None  # None: entailed without a chase
     ren: Optional[dict[str, str]] = None  # None: body and head are named already
 
+    def named(self) -> tuple[tuple[Atom, ...], Atom]:
+        """The renamed body, sorted by text, and the renamed head."""
+        if self.ren is None:
+            return self.body, self.head
+        sub = {v: Var(n) for v, n in self.ren.items()}
+        return (tuple(sorted((substitute(a, sub) for a in self.body), key=str)),
+                substitute(self.head, sub))
+
     @property
     def rule(self) -> Tgd:
-        if self.ren is None:
-            return make_tgd(list(self.body), [self.head])
-        sub = {v: Var(n) for v, n in self.ren.items()}
-        return make_tgd(sorted((substitute(a, sub) for a in self.body), key=str),
-                        [substitute(self.head, sub)])
+        body, head = self.named()
+        return make_tgd(list(body), [head])
 
     @staticmethod
     def of(t: Tgd, kind: str = "rule") -> "_Candidate":
         """An input rule or axiom, which entails itself."""
         return _Candidate(t.body.atoms, t.head.atoms[0], kind)
+
+
+class _Space(NamedTuple):
+    """What candidates are named from: guarded bodies as enumerated, heads
+    over their guard variables, and the rules entailed without a chase, by
+    text.  An axiom takes the place of the enumerated candidate with its
+    text; an input rule leaves that candidate in place."""
+    bodies: list[_Body]
+    heads: list[_Head]
+    given: dict[str, _Candidate]
 
 
 def _enumeration_relations(sig: Signature) -> tuple[list[tuple[str, int]], bool]:
@@ -334,8 +400,8 @@ def _guarded_bodies(rels: Sequence[tuple[str, int]], max_extra: int,
     return bodies, capped
 
 
-def _rule_candidates(bodies: Iterable[_Body],
-                     heads: Sequence[tuple[str, int, Optional[ConjunctiveQuery]]]
+def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
+                     pick: Optional[_Pick] = None, prepared: Optional[_Prepared] = None
                      ) -> dict[str, _Candidate]:
     """Every body with every head ``(relation, n, query)``, whose arguments
     are each n-tuple of the body's guard variables (``_unit`` when n is 0).
@@ -347,11 +413,18 @@ def _rule_candidates(bodies: Iterable[_Body],
     heads.  A head is then named on text alone: of the sorted renamings, the
     first with the least head text, which is ``pick_renaming``'s choice.  A
     candidate keeps the body as enumerated and its renaming, so no atom is
-    renamed until its rule is read.  Past ``RENAMING_CAP`` the head orders
-    the body's one renaming, through ``body_renamings`` and
-    ``pick_renaming``."""
+    renamed until the candidate is kept.  Past ``RENAMING_CAP`` the head
+    orders the body's one renaming, through ``body_renamings`` and
+    ``pick_renaming``.
+
+    With ``pick``, a body's heads are named only where ``pick(closure, guard
+    variables)`` lists them as (relation, arguments), or all of them when it
+    returns None.  ``prepared`` keeps each body's preparation for a later
+    call; a call with no heads only prepares.  Certification prepares the
+    bodies, chases their closures, then names the heads read off those;
+    reading a trail names every head."""
     cands: dict[str, _Candidate] = {}
-    prepared: dict[tuple[Atom, ...], tuple[list[str], list, dict[str, str], _Closure]] = {}
+    prepared = {} if prepared is None else prepared
     for body, gvars in bodies:
         atoms = tuple(sorted(set(body), key=str))
         if atoms not in prepared:
@@ -361,9 +434,12 @@ def _rule_candidates(bodies: Iterable[_Body],
             slots = {v: f"{{{i}}}" for i, v in enumerate(order)}
             prepared[atoms] = order, ranked, slots, _Closure(" & ".join(texts), canon, ren)
         order, ranked, slots, closure = prepared[atoms]
+        wanted = None if pick is None else pick(closure, gvars)
         for rel, n, q in heads:
             name = rel.replace("{", "{{").replace("}", "}}")  # escaped as query._templates does
             for combo in itertools.product(gvars, repeat=n):
+                if wanted is not None and (rel, combo) not in wanted:
+                    continue
                 if len(order) > RENAMING_CAP:  # then the head orders the naming
                     head = _family_head(rel, combo)
                     picked = body_renamings(atoms, [("v", order)], lead=[head])
@@ -400,22 +476,20 @@ def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd
     return out
 
 
-def _derivation_candidates(rules: Sequence[Tgd], sig: Signature,
-                           query_heads: Sequence[tuple[str, int, ConjunctiveQuery]] = ()
-                           ) -> tuple[dict[str, _Candidate], bool]:
-    """Over the guarded bodies, in one pass: every full guarded candidate, a
-    candidate per query head, and the input rules of full guarded shape;
-    and whether a cap dropped a body."""
+def _derivation_space(rules: Sequence[Tgd], sig: Signature,
+                      query_heads: Sequence[_Head] = ()) -> tuple[_Space, bool]:
+    """The guarded bodies with the full guarded heads followed by the query
+    heads, and the input rules of full guarded shape; and whether a cap
+    dropped a body."""
     rels, capped = _enumeration_relations(sig)
     bodies, pool_capped = _guarded_bodies(rels, MAX_EXTRA_BODY_ATOMS)
-    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels] + list(query_heads))
-    for c in _inject_input_rules(rules, require_guarded=True):
-        cands.setdefault(str(c), _Candidate.of(c))
-    return cands, capped or pool_capped
+    inputs = {str(c): _Candidate.of(c) for c in _inject_input_rules(rules, require_guarded=True)}
+    return (_Space(bodies, [(r, a, None) for r, a in rels] + list(query_heads), inputs),
+            capped or pool_capped)
 
 
 # ---------------------------------------------------------------------------
-# certification: chase each candidate body once, judge all heads against it
+# certification: chase each candidate body once, read off the heads it entails
 
 def _closure_chunk(arg):
     rules, sig, items, oracle = arg
@@ -427,29 +501,62 @@ def _closure_chunk(arg):
     return out
 
 
-def _verdict(cand: _Candidate, status: str, closure: Instance) -> str:
-    head, ren = cand.head, cand.closure.ren
-    if cand.query is None:
-        args = tuple(closure.const_interp[t.name] if isinstance(t, Cst) else elem(ren[t.name])
-                     for t in head.args)
-        holds = Fact(head.rel, args) in closure
-    else:
-        binding = {f: elem(ren[t.name]) for f, t in zip(cand.query.free_vars, head.args)}
-        holds = eval_cq(cand.query, closure, binding=binding)
-    if holds:
-        return ENTAILED
-    return REJECTED if status == TERMINATED else UNKNOWN
+def _heads_holding(closure: Instance, heads: Sequence[_Head]) -> set[_HeadArgs]:
+    """The heads that hold in a body's closure over the body's elements:
+    a full head's facts over them, ``rel(_unit)`` for a head of no
+    arguments, and a query head's answers among them."""
+    unit = closure.const_interp.get(UNIT_CONST)
+    out: set[_HeadArgs] = set()
+    for rel, n, q in heads:
+        if q is not None:
+            found: Iterable[tuple] = eval_cq(q, closure)
+        elif n:
+            found = (f.args for f in closure.rel_facts(rel))
+        else:
+            found = [()] if unit is not None and Fact(rel, (unit,)) in closure else []
+        out.update((rel, tuple(v.name for v in args)) for args in found
+                   if all(v.kind == ELEMENT for v in args))
+    return out
 
 
-def _certify(rules: Sequence[Tgd], sig: Signature, cands: dict[str, _Candidate],
-             config: RewriteConfig) -> tuple[list[CertificationRecord], list[Tgd]]:
-    """Chase each distinct canonical body once under the rules and judge every
-    candidate against its body's closure; input rules and axioms are
-    entailed without a chase.  Returns the verdicts, the query rules after
-    the others and each part in text order, and the entailed rules in the
-    same order."""
-    items = sorted({c.closure.key: c.closure.atoms for c in cands.values()
-                    if c.closure is not None}.items())
+class _Verdicts(NamedTuple):
+    """What the chases decided, by closure key: the heads that hold in each
+    closure, over the canonical body's variables, and the keys whose chase
+    stopped at its budget."""
+    holds: dict[str, set[_HeadArgs]]
+    stopped: set[str]
+
+    def of(self, cand: _Candidate) -> str:
+        if cand.closure is None:
+            return ENTAILED
+        ren = cand.closure.ren
+        args = tuple(ren[t.name] for t in cand.head.args if isinstance(t, Var))
+        if (cand.head.rel, args) in self.holds[cand.closure.key]:
+            return ENTAILED
+        return UNKNOWN if cand.closure.key in self.stopped else REJECTED
+
+    def to_name(self, closure: _Closure, gvars: tuple[str, ...]) -> Optional[set[_HeadArgs]]:
+        """The heads over a body's guard variables that hold in its closure
+        and are not among its atoms (enumerated bodies hold variables only);
+        None, for every head, when its chase stopped at its budget, so that
+        each unknown candidate is named."""
+        if closure.key in self.stopped:
+            return None
+        back = {closure.ren[g]: g for g in gvars}
+        own = {(a.rel, tuple(t.name for t in a.args)) for a in closure.atoms}
+        return {(rel, tuple(back[n] for n in names))
+                for rel, names in self.holds[closure.key] - own
+                if all(n in back for n in names)}
+
+
+def _chase_space(rules: Sequence[Tgd], sig: Signature, space: _Space,
+                 config: RewriteConfig) -> tuple[_Verdicts, _Prepared]:
+    """Chase each distinct canonical body of the space once under the rules
+    and read off the heads that hold in its closure.  Returns the verdicts
+    and the bodies' preparations."""
+    prepared: _Prepared = {}
+    _rule_candidates(space.bodies, (), prepared=prepared)
+    items = sorted({c.key: c.atoms for *_, c in prepared.values()}.items())
     if config.jobs > 1 and len(items) > 1:
         # imported here: only this branch needs multiprocessing, and loading
         # it would slow every import of the package
@@ -462,14 +569,54 @@ def _certify(rules: Sequence[Tgd], sig: Signature, cands: dict[str, _Candidate],
                 closures.update(part)
     else:
         closures = dict(_closure_chunk((tuple(rules), sig, items, config.oracle)))
-    records, kept = [], []
-    for s in sorted(cands, key=lambda s: (cands[s].kind == "query-rule", s)):
-        c = cands[s]
-        verdict = ENTAILED if c.closure is None else _verdict(c, *closures[c.closure.key])
-        records.append(CertificationRecord(s, verdict, c.kind))
-        if verdict == ENTAILED:
-            kept.append(c.rule)
-    return records, kept
+    verdicts = _Verdicts({key: _heads_holding(inst, space.heads)
+                          for key, (_, inst) in closures.items()},
+                         {key for key, (status, _) in closures.items() if status != TERMINATED})
+    return verdicts, prepared
+
+
+def _judged(space: _Space, verdicts: _Verdicts, pick: Optional[_Pick] = None,
+            prepared: Optional[_Prepared] = None
+            ) -> list[tuple[CertificationRecord, _Candidate]]:
+    """The space's candidates, all of them or those ``pick`` names (see
+    ``_rule_candidates``), each with its record: the query rules after the
+    others, and each part in text order."""
+    cands = _rule_candidates(space.bodies, space.heads, pick, prepared)
+    for s, c in space.given.items():
+        if c.kind == "axiom" or s not in cands:
+            cands[s] = c
+    return [(CertificationRecord(s, verdicts.of(cands[s]), cands[s].kind), cands[s])
+            for s in sorted(cands, key=lambda s: (cands[s].kind == "query-rule", s))]
+
+
+def _records(space: _Space, verdicts: _Verdicts) -> tuple[CertificationRecord, ...]:
+    """The record of every candidate of the space.  It names them all, so a
+    trail calls it only when it is read."""
+    return tuple(r for r, _ in _judged(space, verdicts))
+
+
+class _Certified(NamedTuple):
+    """A certified space: its entailed candidates that are not tautologies
+    (head in body), whether one of its candidates is unknown, and its
+    records, produced by ``_records`` when called."""
+    kept: list[_Candidate]
+    unknown: bool
+    records: Callable[[], tuple[CertificationRecord, ...]]
+
+
+def _certify(rules: Sequence[Tgd], sig: Signature, space: _Space,
+             config: RewriteConfig) -> _Certified:
+    """Chase each distinct canonical body once under the rules, read the heads
+    its closure entails, and name only those that are not in the body, and
+    every head of a body whose chase stopped at its budget: the program
+    needs the entailed rules, and completeness the unknown ones.  Input
+    rules and axioms are entailed without a chase.  The other candidates
+    are named only when the records are read."""
+    verdicts, prepared = _chase_space(rules, sig, space, config)
+    judged = _judged(space, verdicts, verdicts.to_name, prepared)
+    return _Certified([c for r, c in judged if r.verdict == ENTAILED and c.head not in c.body],
+                      any(r.verdict == UNKNOWN for r, _ in judged),
+                      lambda: _records(space, verdicts))
 
 
 def derive_full_guarded(rules: Sequence[Tgd], config: Optional[RewriteConfig] = None,
@@ -477,9 +624,11 @@ def derive_full_guarded(rules: Sequence[Tgd], config: Optional[RewriteConfig] = 
     """Chase-certified full guarded consequences of the rule set, within caps."""
     config = config or RewriteConfig()
     base = tgd_signature(list(rules), sig)
-    cands, capped = _derivation_candidates(rules, base)
-    records, kept = _certify(rules, base, cands, config)
-    return StageResult(tuple(kept), tuple(records), _caps(), capped)
+    space, capped = _derivation_space(rules, base)
+    verdicts, prepared = _chase_space(rules, base, space, config)
+    judged = _judged(space, verdicts, prepared=prepared)
+    return StageResult(tuple(c.rule for r, c in judged if r.verdict == ENTAILED),
+                       tuple(r for r, _ in judged), _caps(), capped)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +746,6 @@ def _caps(k: Optional[int] = None,
             "extra_atom_pool_limit": EXTRA_ATOM_POOL_LIMIT}
 
 
-def _completeness(capped: bool, records: Iterable[CertificationRecord]) -> str:
-    if capped or any(r.verdict == UNKNOWN for r in records):
-        return CAPPED
-    return COMPLETE_WITHIN_CAPS
-
-
 def _subsumes(general: Rule, specific: Rule) -> bool:
     """Whether the general rule's body maps into the specific rule's body by
     a homomorphism sending the general head exactly onto the specific one.
@@ -636,34 +779,35 @@ def _prune_subsumed(rules: dict[str, Rule]) -> set[str]:
 
 
 def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, goal: str,
-              derived: Iterable[Tgd], records: Iterable[CertificationRecord],
-              caps: dict[str, int], capped: bool, *, goal_list: Iterable[Rule] = (),
+              certified: _Certified, caps: dict[str, int], capped: bool, *,
+              goal_list: Iterable[Rule] = (), goal_records: Iterable[CertificationRecord] = (),
               idb: Sequence[tuple[str, int]] = (),
               idb_if_used: Sequence[tuple[str, int]] = (),
               query_predicates: Optional[dict[str, str]] = None,
               projection: Optional[tuple[int, ...]] = None) -> RewriteArtifacts:
     """The program over relation copies: each certified rule that is not a
     tautology, moved onto the copies, the goal rules, and one import rule per
-    input relation, less the rules a kept rule subsumes; each of those gets
-    a ``subsumed`` record after the import records.  The idb declares the
-    copies, then the relations of ``idb_if_used`` that some rule before the
-    prune mentions, then ``idb``."""
+    input relation, less the rules a kept rule subsumes.  The trail lists
+    the certified records, the goal rules' records, the import records, then
+    a ``subsumed`` record per dropped rule.  The idb declares the copies,
+    then the relations of ``idb_if_used`` that some rule before the prune
+    mentions, then ``idb``."""
     def onto_copies(a: Atom) -> Atom:
         return Atom(copies.get(a.rel, a.rel), a.args)
 
     prog_rules: dict[str, tuple[Rule, str]] = {}
-    for t in derived:
-        if t.head.atoms[0] not in t.body.atoms:
-            r = Rule(onto_copies(t.head.atoms[0]), tuple(onto_copies(a) for a in t.body.atoms))
-            prog_rules[str(r)] = r, "rule"
+    for c in certified.kept:
+        body, head = c.named()
+        r = Rule(onto_copies(head), tuple(onto_copies(a) for a in body))
+        prog_rules[str(r)] = r, "rule"
     for r in goal_list:
         prog_rules[str(r)] = r, "goal-rule"
-    records = list(records)
+    rest = list(goal_records)
     for rel, arity in sig.arities.items():
         args = tuple(Var(f"x{i}") for i in range(arity))
         r = Rule(Atom(copies[rel], args), (Atom(rel, args),))
         prog_rules[str(r)] = r, "import"
-        records.append(CertificationRecord(str(r), ENTAILED, "import"))
+        rest.append(CertificationRecord(str(r), ENTAILED, "import"))
 
     ordered = {s: prog_rules[s] for s in sorted(prog_rules)}
     atoms = [a for r, _ in ordered.values() for a in (r.head, *r.body)]
@@ -675,15 +819,16 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
             isinstance(t, Cst) and t.name == UNIT_CONST for a in atoms for t in a.args):
         edb = sig.extend(constants=(UNIT_CONST,))
     kept = _prune_subsumed({s: r for s, (r, _) in ordered.items()})
-    records += [CertificationRecord(s, SUBSUMED, kind)
-                for s, (_, kind) in ordered.items() if s not in kept]
+    rest += [CertificationRecord(s, SUBSUMED, kind)
+             for s, (_, kind) in ordered.items() if s not in kept]
+    certified_records = certified.records  # the trail keeps no named candidate
     return RewriteArtifacts(
         program=DatalogProgram(edb, Signature(idb_rels),
                                tuple(r for s, (r, _) in ordered.items() if s in kept), goal),
-        certification=tuple(records),
+        _trail=_Trail(lambda: certified_records() + tuple(rest)),
         caps=caps,
         capped=capped,
-        completeness=_completeness(capped, records),
+        completeness=CAPPED if capped or certified.unknown else COMPLETE_WITHIN_CAPS,
         query_predicates=query_predicates or {},
         boolean_goal=not query.free_vars,
         answer_projection=(tuple(range(len(query.free_vars))) if projection is None
@@ -717,11 +862,11 @@ def rewrite_atomic_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
         if not classify(t).guarded:
             raise ValueError(f"rule is not guarded: {t}")
     sig = tgd_signature(list(rules), query_signature(query))
-    derivation = derive_full_guarded(rules, config, sig)
+    space, capped = _derivation_space(rules, sig)
     copies = _copy_map(sig)
     positions = {t.name: i for i, t in enumerate(qatom.args)}
-    return _assemble(sig, copies, query, copies[qatom.rel], derivation.rules,
-                     derivation.certification, derivation.caps, derivation.capped,
+    return _assemble(sig, copies, query, copies[qatom.rel],
+                     _certify(rules, sig, space, config), _caps(), capped,
                      projection=tuple(positions[x] for x in query.free_vars))
 
 
@@ -745,15 +890,15 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     goal_name = _fresh_name("Goal", used)
     family, names, fam_capped = _query_family(query, k, used | {goal_name})
 
-    cands, body_capped = _derivation_candidates(
+    space, body_capped = _derivation_space(
         rules, sig, [(names[key], len(q.free_vars), q) for key, q in family.items()])
-    records, kept = _certify(rules, sig, cands, config)
+    certified = _certify(rules, sig, space, config)
     goal_list, goal_records, goal_capped = _goal_rules(query, k, names, goal_name)
 
     capped = fam_capped or body_capped or goal_capped
-    art = _assemble(sig, copies, query, goal_name, kept, records + goal_records,
+    art = _assemble(sig, copies, query, goal_name, certified,
                     {**_caps(k), "max_goal_premises": MAX_GOAL_PREMISES},
-                    capped, goal_list=goal_list,
+                    capped, goal_list=goal_list, goal_records=goal_records,
                     idb=[(goal_name, max(1, len(query.free_vars)))],
                     idb_if_used=[(names[key], max(1, len(family[key].free_vars)))
                                  for key in names],
@@ -858,14 +1003,12 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery, k: int,
     base_rels, rel_capped = _enumeration_relations(base_sig)
     rels = base_rels + [(r, a) for r, a in extension_rels if a <= MAX_ARITY]
     bodies, pool_capped = _guarded_bodies(rels, FG_MAX_EXTRA_BODY_ATOMS, k)
-    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels]
-                             + [(r, 0, None) for r, a in rels if a == 1])
-    for c in _inject_input_rules(theory, require_guarded=False):
-        cands[str(c)] = _Candidate.of(c, "axiom")
-    records, kept = _certify(theory, ext.signature.extend(relations=extension_rels),
-                             cands, config)
+    space = _Space(bodies, [(r, a, None) for r, a in rels] + [(r, 0, None) for r, a in rels if a == 1],
+                   {str(c): _Candidate.of(c, "axiom")
+                    for c in _inject_input_rules(theory, require_guarded=False)})
+    certified = _certify(theory, ext.signature.extend(relations=extension_rels), space, config)
 
-    return _assemble(base_sig, _copy_map(base_sig), query, ans_name, kept, records,
+    return _assemble(base_sig, _copy_map(base_sig), query, ans_name, certified,
                      _caps(k, ("fg_max_extra_body_atoms", FG_MAX_EXTRA_BODY_ATOMS)),
                      fam_capped or rel_capped or pool_capped, idb=extension_rels,
                      query_predicates={names[key]: key for key in family})

@@ -102,6 +102,15 @@ def test_rewrite_rejects_zero_jobs(capsys, ex_files):
     assert out == ""
 
 
+def test_rewrite_rejects_a_negative_max_vars(capsys, ex_files):
+    # a negative k is a bad argument, not a budget that ran out (exit 2)
+    theory, _ = ex_files
+    rc, out = run_cli(capsys, "rewrite", "--mode", "cq", "--max-vars", "-1",
+                      "--theory", theory, "--query", "T(x)")
+    assert rc == EXIT_PRECONDITION
+    assert out == ""
+
+
 def test_importing_the_cli_loads_no_process_pool():
     src = os.path.dirname(os.path.dirname(gnfkit.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

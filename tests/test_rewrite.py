@@ -14,14 +14,14 @@ from oracles import naive_rule_candidates, naive_subsumes
 from randgen import random_instance
 from shapes import cycle
 from gnfkit import rewrite
-from gnfkit.chase import ChaseConfig
+from gnfkit.chase import TERMINATED, ChaseConfig, chase
 from gnfkit.datalog import DatalogProgram, classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, core_cq, cq, cq_equivalent,
+from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, canon_inst, core_cq, cq, cq_equivalent,
                           first_occurrence_vars, is_answer_guarded, query_signature)
-from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED,
+from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED, UNKNOWN,
                             RewriteConfig, _canonical_family_form, _copy_map,
-                            _derivation_candidates, _inject_input_rules, _query_family,
+                            _derivation_space, _inject_input_rules, _query_family,
                             _rule_candidates, certain_answers_oracle, derive_full_guarded,
                             evaluate_program, guard_extension_axioms,
                             rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
@@ -85,6 +85,13 @@ def test_query_predicates_skip_a_relation_named_like_them():
 
 # ---------------------------------------------------------------------------
 # candidate enumeration
+
+def _derivation_candidates(rules, sig):
+    """Every candidate of the full-rule stage, named."""
+    space, capped = _derivation_space(rules, sig)
+    assert not space.given
+    return _rule_candidates(space.bodies, space.heads), capped
+
 
 def test_enumeration_is_deterministic_and_canonical():
     cands, capped = _derivation_candidates([], SIG)
@@ -318,6 +325,77 @@ def test_certification_starts_one_worker_per_chunk(monkeypatch):
 def test_jobs_must_be_positive(jobs):
     with pytest.raises(ValueError, match="jobs"):
         RewriteConfig(jobs=jobs)
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_k_must_not_be_negative(k):
+    with pytest.raises(ValueError, match="k must be at least 0"):
+        RewriteConfig(k=k)
+    assert RewriteConfig(k=0).k == 0
+
+
+# ---------------------------------------------------------------------------
+# the certification trail, named when it is read
+
+# the count and SHA-256 of the unknown records' texts, one a line, of
+# null-producer V(x) under each scheme, as every candidate was named eagerly
+NULL_PRODUCER_UNKNOWN = {
+    "atomic": (58, "c571e0fc938c0382"),
+    "cq": (66, "9b4b38db4f0bec93"),
+}
+
+
+@pytest.mark.parametrize("scheme", ["atomic", "cq"])
+def test_completeness_is_decided_without_reading_the_trail(scheme, monkeypatch):
+    """null-producer is capped by unknown verdicts alone.  A compile decides
+    that from the heads it names, every head of a body whose chase stopped
+    at its budget, without producing its trail."""
+    problem = compile_problem("null-producer", "V(x)")
+
+    def refuse(*args):
+        raise AssertionError("the trail was produced")
+
+    monkeypatch.setattr(rewrite, "_records", refuse)
+    art = SCHEMES[scheme](problem.rules, problem.query)
+    assert not art.capped and art.completeness == CAPPED
+    monkeypatch.undo()
+    unknown = [r.candidate for r in art.certification if r.verdict == UNKNOWN]
+    count, digest = NULL_PRODUCER_UNKNOWN[scheme]
+    assert len(unknown) == count
+    assert hashlib.sha256("\n".join(unknown).encode()).hexdigest()[:16] == digest
+    assert art.certification is art.certification
+
+
+def test_a_compile_names_only_the_heads_it_needs(monkeypatch):
+    """Until the trail is read, a compile names the entailed heads that are
+    not in their body and every head of a body whose chase stopped at its
+    budget, which are the candidates its program and completeness need."""
+    problem = compile_problem("null-producer", "V(x)")
+    named: list[str] = []
+    real = rewrite._rule_candidates
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        named.extend(out)
+        return out
+
+    monkeypatch.setattr(rewrite, "_rule_candidates", spy)
+    art = rewrite_atomic_guarded(problem.rules, problem.query)
+    eager = set(named)
+    verdicts = {r.candidate: r.verdict for r in art.certification}
+    monkeypatch.undo()
+    sig = tgd_signature(problem.rules, query_signature(problem.query))
+    space, _ = _derivation_space(problem.rules, sig)
+    every = _rule_candidates(space.bodies, space.heads)
+    closures = {c.closure.key: c.closure.atoms for c in every.values()}
+    stopped = {key for key, atoms in closures.items()
+               if chase(canon_inst(cq([], list(atoms)), sig)[0], problem.rules).status
+               != TERMINATED}
+    want = {s for s, c in every.items()
+            if c.closure.key in stopped or (verdicts[s] == ENTAILED and c.head not in c.body)}
+    assert stopped and set(closures) - stopped
+    assert eager == want
+    assert len(eager) < len(every)
 
 
 # ---------------------------------------------------------------------------

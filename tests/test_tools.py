@@ -69,6 +69,49 @@ def test_bench_pairs_summarizes_one_correct_pair():
                        "all_runs_correct": True}
 
 
+def _pairs(parent, change):
+    return list(zip(parent, change))
+
+
+def test_bench_pairs_verdict_gain_needs_nine_pairs_in_ten_and_the_parent_spread():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    faster = [0.80, 0.82, 0.79, 0.81, 0.80, 0.83, 0.78, 0.80, 0.82, 0.79]
+    assert bench_pairs.verdict(_pairs(parent, faster), 0.25, "lower") == "gain"
+    # the same values, read as a metric where higher is better
+    assert bench_pairs.verdict(_pairs(faster, parent), 0.25, "higher") == "gain"
+    # 8 of 10 pairs won is not a gain, and the medians are within the bound
+    slower_twice = faster[:8] + [1.05, 1.06]
+    assert bench_pairs.verdict(_pairs(parent, slower_twice), 0.25, "lower") == "level"
+    # every pair won, by less than the parent's interquartile range (0.03)
+    nudged = [p - 0.01 for p in parent]
+    assert bench_pairs.verdict(_pairs(parent, nudged), 0.25, "lower") == "level"
+
+
+def test_bench_pairs_verdict_names_a_layout_offset_level_and_a_regression_worse():
+    parent = [0.50, 0.51, 0.49, 0.50, 0.50, 0.52, 0.49, 0.50, 0.51, 0.50]
+    offset = [p * 1.07 for p in parent]  # a repeatable 7 % offset, inside a 0.25 bound
+    assert bench_pairs.verdict(_pairs(parent, offset), 0.25, "lower") == "level"
+    slower = [p * 1.3 for p in parent]
+    assert bench_pairs.verdict(_pairs(parent, slower), 0.25, "lower") == "worse"
+    fewer = [p * 0.7 for p in parent]
+    assert bench_pairs.verdict(_pairs(parent, fewer), 0.25, "higher") == "worse"
+
+
+def test_bench_pairs_verdict_is_unresolved_past_the_parent_spread_or_without_values():
+    parent = [0.4, 1.0, 0.5, 0.9, 0.6, 0.8, 0.45, 0.95, 0.7, 0.55]  # IQR 0.33, median 0.65
+    change = [p * 1.05 for p in parent]
+    assert bench_pairs.verdict(_pairs(parent, change), 0.25, "lower") == "unresolved"
+    assert bench_pairs.verdict([(1.0, None), (1.1, None)], 0.25, "lower") == "unresolved"
+
+
+def test_bench_pairs_prints_a_verdict_per_reported_metric():
+    pairs = [(_result(1.0), _result(0.5))] * 10
+    metrics = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    assert bench_pairs.verdicts(pairs, metrics) == {"run_s": "gain", "peak_rss_mb": "level"}
+
+
 def test_bench_pairs_names_a_missing_checkout(tmp_path, capsys):
     repo = os.path.join(os.path.dirname(__file__), os.pardir)
     missing = tmp_path / "absent"

@@ -10,9 +10,9 @@ ones.  Prints one JSON object: per end-to-end metric of the change's
 number of pairs in which the change was lower, in the shape of the
 ``end_to_end`` entries of the ``BENCH_*.json`` files; then whether every run
 was correct, and each run that was not correct, had failed operations or
-printed no result.  Quartiles interpolate linearly between the sorted runs
-(``statistics.quantiles`` with ``method="inclusive"``).  Progress goes to
-stderr.
+printed no result; then a verdict per metric (see ``verdict``).  Quartiles
+interpolate linearly between the sorted runs (``statistics.quantiles`` with
+``method="inclusive"``).  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -73,6 +73,48 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict])
     return out
 
 
+def verdict(vals: list[tuple[float | None, float | None]], bound: float, better: str) -> str:
+    """The verdict on one end-to-end metric, from its (parent, change) value
+    in each pair (None where a run reported none), its bound, a fraction of
+    the parent's median, and whether ``lower`` or ``higher`` is better:
+
+    - ``gain``: the change is better in at least nine tenths of the pairs,
+      ties counting for neither, and its median is better than the parent's
+      by more than the parent's interquartile range;
+    - ``worse``: the change's median is past the parent's by more than the
+      bound;
+    - ``unresolved``: the parent's interquartile range is wider than the
+      bound, or a side reported no value;
+    - ``level`` otherwise."""
+    parent = [p for p, _ in vals if p is not None]
+    change = [c for _, c in vals if c is not None]
+    if not parent or not change:
+        return "unresolved"
+    sign = 1 if better == "lower" else -1
+    both = [(p, c) for p, c in vals if p is not None and c is not None]
+    won = sum(sign * (p - c) > 0 for p, c in both)
+    p, c = spread(parent), spread(change)
+    gained, iqr = sign * (p["median"] - c["median"]), p["q3"] - p["q1"]
+    if both and won >= 0.9 * len(both) and gained > iqr:
+        return "gain"
+    if -gained > bound * p["median"]:
+        return "worse"
+    if iqr > bound * p["median"]:
+        return "unresolved"
+    return "level"
+
+
+def verdicts(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -> dict:
+    """``verdict`` per metric ``{"name", "bound", "better"}`` that some run
+    reports, from the pairs' result lines."""
+    out = {}
+    for m in metrics:
+        vals = [tuple(value(r, m["name"]) for r in pair) for pair in pairs]
+        if any(v is not None for pair in vals for v in pair):
+            out[m["name"]] = verdict(vals, m["bound"], m["better"])
+    return out
+
+
 def run_once(checkout: Path, args: argparse.Namespace) -> dict | None:
     """The last JSON line one benchmark run prints, or None."""
     argv = [sys.executable, "benchmark/run.py", "--workload", args.workload,
@@ -117,7 +159,8 @@ def main(argv: list[str]) -> int:
                   file=sys.stderr)
         pairs.append((got["parent"], got["change"]))
     print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
-                      "seconds": args.seconds, "end_to_end": summarize(pairs, metrics)},
+                      "seconds": args.seconds, "end_to_end": summarize(pairs, metrics),
+                      "verdicts": verdicts(pairs, metrics)},
                      indent=1))
     return 0
 
