@@ -1,9 +1,9 @@
 """Command line: one subcommand per pipeline stage, deterministic stdout.
 
-Exit codes: 0 success; 1 a precondition failed (bad file, mismatched
-signatures, wrong query shape); 2 a budget ran out with the answer still
-unknown (chase rounds, enumeration caps, countermodel size, bisimulation
-instance size); 3 syntax error in an input.
+Exit codes: 0 success; 1 a precondition failed (bad usage, bad file,
+mismatched signatures, wrong query shape); 2 a budget ran out with the
+answer still unknown (chase rounds, enumeration caps, countermodel size,
+bisimulation instance size); 3 syntax error in an input.
 
 Everything printed to stdout is byte-identical across repeated runs with the
 same inputs and flags; wall-clock timing goes to stderr.  File formats are
@@ -74,8 +74,7 @@ def _chase_config(args) -> ChaseConfig:
 
 
 def _rewrite_config(args) -> RewriteConfig:
-    return RewriteConfig(k=args.max_vars, jobs=args.jobs,
-                         oracle=ChaseConfig(max_rounds=args.max_rounds))
+    return RewriteConfig(k=args.max_vars, oracle=ChaseConfig(max_rounds=args.max_rounds))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +260,18 @@ def _add_chase_flags(p: argparse.ArgumentParser):
                    default="restricted", help="trigger satisfaction mode")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, as any failed precondition: argparse's own
+    code, 2, means here that a budget ran out.  Subcommand parsers share
+    the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PRECONDITION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gnfkit",
         description="Guarded-rule toolkit: chase, certain-answer rewriting, "
                     "bisimulation checks, model constructions.")
@@ -289,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variable budget for derived predicates (default: from rules)")
     p.add_argument("--max-rounds", type=int, default=30,
                    help="chase budget for certification (default 30)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("eval-datalog", help="least-fixpoint goal tuples")

@@ -90,8 +90,7 @@ MAX_GOAL_PREMISES = 3        # premises of a goal rule
 
 @dataclass(frozen=True)
 class RewriteConfig:
-    """The variable bound ``k``, the chase budget used to certify, and the
-    number of certifying processes.
+    """The variable bound ``k`` and the chase budget used to certify.
 
     ``k`` bounds the number of variables in derived queries and goal rules.
     A ``k`` below the query's variable count marks the compile ``capped``.
@@ -109,8 +108,10 @@ class RewriteConfig:
     ``MAX_EXTRA_BODY_ATOMS``, ``FG_MAX_EXTRA_BODY_ATOMS``,
     ``EXTRA_ATOM_POOL_LIMIT``, ``MAX_QUOTIENT_VARS`` and ``MAX_GOAL_PREMISES``
     bound the enumeration space; every produced artifact records the caps it
-    was built under.  ``k``, when set, is at least 0, and ``jobs`` (at least
-    1) is the number of processes that certify candidates.
+    was built under.  ``k``, when set, is at least 0.
+
+    ``jobs`` selects nothing: certification runs in one process, and the
+    field stays, only ever 1, for the benchmark, which still passes it.
     """
 
     k: Optional[int] = None
@@ -120,8 +121,8 @@ class RewriteConfig:
     def __post_init__(self):
         if self.k is not None and self.k < 0:
             raise ValueError(f"k must be at least 0, got {self.k}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1: certification runs in one process, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -491,16 +492,6 @@ def _derivation_space(rules: Sequence[Tgd], sig: Signature,
 # ---------------------------------------------------------------------------
 # certification: chase each candidate body once, read off the heads it entails
 
-def _closure_chunk(arg):
-    rules, sig, items, oracle = arg
-    out = []
-    for key, atoms in items:
-        inst, _ = canon_inst(cq([], list(atoms)), sig)
-        res = chase(inst, list(rules), oracle)
-        out.append((key, (res.status, res.result)))
-    return out
-
-
 def _heads_holding(closure: Instance, heads: Sequence[_Head]) -> set[_HeadArgs]:
     """The heads that hold in a body's closure over the body's elements:
     a full head's facts over them, ``rel(_unit)`` for a head of no
@@ -551,27 +542,19 @@ class _Verdicts(NamedTuple):
 
 def _chase_space(rules: Sequence[Tgd], sig: Signature, space: _Space,
                  config: RewriteConfig) -> tuple[_Verdicts, _Prepared]:
-    """Chase each distinct canonical body of the space once under the rules
-    and read off the heads that hold in its closure.  Returns the verdicts
-    and the bodies' preparations."""
+    """Chase each distinct canonical body of the space once under the rules,
+    in key order, and read off the heads that hold in its closure; each
+    closure is dropped once its heads are read.  Returns the verdicts and
+    the bodies' preparations."""
     prepared: _Prepared = {}
     _rule_candidates(space.bodies, (), prepared=prepared)
-    items = sorted({c.key: c.atoms for *_, c in prepared.values()}.items())
-    if config.jobs > 1 and len(items) > 1:
-        # imported here: only this branch needs multiprocessing, and loading
-        # it would slow every import of the package
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = [items[i::config.jobs] for i in range(config.jobs)]
-        args = [(tuple(rules), sig, chunk, config.oracle) for chunk in chunks if chunk]
-        closures: dict[str, tuple[str, Instance]] = {}
-        with ProcessPoolExecutor(max_workers=len(args)) as ex:
-            for part in ex.map(_closure_chunk, args):
-                closures.update(part)
-    else:
-        closures = dict(_closure_chunk((tuple(rules), sig, items, config.oracle)))
-    verdicts = _Verdicts({key: _heads_holding(inst, space.heads)
-                          for key, (_, inst) in closures.items()},
-                         {key for key, (status, _) in closures.items() if status != TERMINATED})
+    verdicts = _Verdicts({}, set())
+    for key, atoms in sorted({c.key: c.atoms for *_, c in prepared.values()}.items()):
+        inst, _ = canon_inst(cq([], list(atoms)), sig)
+        res = chase(inst, list(rules), config.oracle)
+        verdicts.holds[key] = _heads_holding(res.result, space.heads)
+        if res.status != TERMINATED:
+            verdicts.stopped.add(key)
     return verdicts, prepared
 
 

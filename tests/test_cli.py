@@ -94,14 +94,6 @@ def test_rewrite_fg_on_a_guarded_theory_prints_the_cq_program(capsys, ex_files):
     assert "goal: Goal\n" in outs[1][1]
 
 
-def test_rewrite_rejects_zero_jobs(capsys, ex_files):
-    theory, _ = ex_files
-    rc, out = run_cli(capsys, "rewrite", "--mode", "atomic", "--jobs", "0",
-                      "--theory", theory, "--query", "T(x)")
-    assert rc == EXIT_PRECONDITION
-    assert out == ""
-
-
 def test_rewrite_rejects_a_negative_max_vars(capsys, ex_files):
     # a negative k is a bad argument, not a budget that ran out (exit 2)
     theory, _ = ex_files
@@ -109,6 +101,30 @@ def test_rewrite_rejects_a_negative_max_vars(capsys, ex_files):
                       "--theory", theory, "--query", "T(x)")
     assert rc == EXIT_PRECONDITION
     assert out == ""
+
+
+REWRITE_ARGS = ["rewrite", "--mode", "atomic", "--theory", "ex.gdt", "--query", "T(x)"]
+
+
+@pytest.mark.parametrize("argv", [REWRITE_ARGS + ["--bogus"], ["chase", "--max-rounds", "x"],
+                                  ["no-such-command"], REWRITE_ARGS + ["--jobs", "2"]],
+                         ids=["unknown-option", "bad-int", "unknown-command", "rewrite-jobs"])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own exit code, 2, means here that a budget ran out
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_PRECONDITION
+    assert out == "" and err.startswith("usage: gnfkit")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rewrite", "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_OK
+    assert out.startswith("usage: gnfkit rewrite") and err == ""
+    assert "--jobs" not in out
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -1,7 +1,8 @@
 """Every module-level import in the package is read by its module.  The one
 exception is a name the benchmark's traced mode wraps at that module: the
 callers it times look the name up there.  No module-level function keeps an
-unbounded cache."""
+unbounded cache, and none imports a module that starts processes or
+threads: certification runs in one process."""
 
 import ast
 import os
@@ -146,3 +147,32 @@ def test_the_scan_flags_an_unbounded_cache(tmp_path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_module_keeps_no_unbounded_cache(path):
     assert unbounded_caches(path) == []
+
+
+CONCURRENCY = {"concurrent", "multiprocessing", "threading"}
+
+
+def concurrency_imports(path: Path) -> list[str]:
+    """Modules of ``CONCURRENCY`` that the file imports anywhere, at module
+    level or inside a function."""
+    tree = ast.parse(path.read_text())
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) and n.module and not n.level]
+    return [m for m in names if m.split(".")[0] in CONCURRENCY]
+
+
+def test_the_scan_flags_a_concurrency_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os, threading\n"
+                      "from . import multiprocessing\n"
+                      "def f():\n"
+                      "    from concurrent.futures import ProcessPoolExecutor\n"
+                      "    import multiprocessing.pool\n")
+    assert concurrency_imports(module) == ["threading", "multiprocessing.pool",
+                                           "concurrent.futures"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_imports_no_concurrency(path):
+    assert concurrency_imports(path) == []

@@ -1,6 +1,5 @@
 """Tests for compiling certain-answer problems into Datalog."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -10,6 +9,7 @@ import pytest
 
 from corpus import (COMPILE_QUERIES, FG_QUERIES, ORACLE_QUERIES, PROBLEMS, SCHEMES,
                     compile_problem, compiled_problem, corpus_problem)
+from differential import sweep
 from oracles import naive_rule_candidates, naive_subsumes
 from randgen import random_instance
 from shapes import cycle
@@ -275,56 +275,11 @@ def test_derive_is_monotone_in_caps(monkeypatch):
     assert sizes[0] < sizes[1] < sizes[2]
 
 
-def test_derive_matches_between_sequential_and_parallel():
-    seq = derive_full_guarded(RULES, RewriteConfig(jobs=1), SIG)
-    par = derive_full_guarded(RULES, RewriteConfig(jobs=2), SIG)
-    assert [str(t) for t in seq.rules] == [str(t) for t in par.rules]
-    # every scheme certifies through the same step, so it too must not care
-    for scheme, rules, q in ((rewrite_cq_guarded, RULES, Q_T),
-                             (rewrite_fg, FG_RULES, FG_Q)):
-        seq = scheme(rules, q, RewriteConfig(jobs=1))
-        par = scheme(rules, q, RewriteConfig(jobs=2))
-        assert print_datalog(seq.program) == print_datalog(par.program)
-        assert seq.certification == par.certification
-
-
-def test_certification_starts_one_worker_per_chunk(monkeypatch):
-    """The pool is sized by the chunks it gets, never by ``jobs`` alone; a
-    stand-in pool maps in this process, so no process starts."""
-    pools = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers, self.chunks = max_workers, []
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            self.chunks = list(args)
-            return map(fn, self.chunks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(rewrite, "MAX_EXTRA_BODY_ATOMS", 0)
-    seq = derive_full_guarded(RULES, RewriteConfig(), SIG)
-    assert pools == []
-    for jobs in (2, 8):
-        par = derive_full_guarded(RULES, RewriteConfig(jobs=jobs), SIG)
-        assert par == seq
-        pool = pools.pop()
-        closures = sum(len(chunk) for _, _, chunk, _ in pool.chunks)
-        assert pool.max_workers == len(pool.chunks) == min(jobs, closures)
-    assert 2 < closures < 8
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_jobs_must_be_positive(jobs):
-    with pytest.raises(ValueError, match="jobs"):
+@pytest.mark.parametrize("jobs", [0, -1, 2])
+def test_jobs_must_be_1(jobs):
+    with pytest.raises(ValueError, match="jobs must be 1: certification runs in one process"):
         RewriteConfig(jobs=jobs)
+    assert RewriteConfig(jobs=1) == RewriteConfig()
 
 
 @pytest.mark.parametrize("k", [-1, -3])
@@ -820,6 +775,14 @@ def test_compiled_answers_agree_with_the_oracle(index, name, scheme, text):
             if art.completeness == COMPLETE_WITHIN_CAPS:
                 assert compiled == oracle, inst
     assert decided >= 3
+
+
+def test_compiled_answers_agree_with_the_oracle_on_random_theories():
+    # 20 seeded arity-2 theories, each with 3-4 compiles, checked on 4
+    # instances; at seed 0 the oracle decides 312 of 316 comparisons
+    result = sweep(seed=0, theories=20)
+    assert result.mismatches == []
+    assert result.compiles >= 70 and result.decided >= 300
 
 
 # SHA-256 of each compile's printed program with its subsumed rules put back,

@@ -1,5 +1,6 @@
 """Tests for the scripts under tools/."""
 
+import json
 import os
 import sys
 
@@ -9,6 +10,7 @@ sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
 import bench_pairs  # noqa: E402
 import code_lines  # noqa: E402
+import random_sweep  # noqa: E402
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], [__file__, "--help"]])
@@ -30,6 +32,13 @@ def test_code_lines_counts_code_only(tmp_path, capsys):
     path.write_text('"""doc"""\n\n# comment\nx = 1\n')
     assert code_lines.main([str(path)]) == 0
     assert capsys.readouterr().out == f"     1  {path}\n     1  total\n"
+
+
+def test_random_sweep_prints_its_counts(capsys):
+    assert random_sweep.main(["--seed", "0", "--theories", "2", "--max-arity", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["theories"] == 2 and out["mismatches"] == []
+    assert out["decided"] + out["undecided"] == 4 * out["compiles"] > 0
 
 
 def _result(run_s, correct=True, failed=0):
