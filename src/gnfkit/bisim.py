@@ -29,8 +29,12 @@ Conventions:
 * Witnesses returned by the checkers are always re-verified structurally
   before being handed back; the verifiers are public so externally built
   witnesses can be validated the same way.
-* Both fixpoint computations are exponential in the worst case, so instances
-  are capped at ``max_size`` active-domain values (default 12).
+* Both fixpoint computations are exponential in the worst case.  Only the
+  strong-GN side caps its instances: ``check_strong_gn``,
+  ``directional_checker``, ``check_directional`` and ``amalgamate`` raise
+  ``BudgetExceeded`` past ``max_size`` active-domain values (default 12).
+  ``check_guarded_bisim`` takes no cap, and the CLI's ``--max-size`` applies
+  to ``--kind strong-gn`` only.
 
 How the rounds are computed:
 

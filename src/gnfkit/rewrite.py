@@ -28,16 +28,16 @@ The schemes, one per guardedness tier:
   with an unguarded rule goes through fg's own construction, with
   guard-extension and query-extension predicates.
 
-``derive_full_guarded`` certifies the atomic scheme's candidates, the full
-guarded rules, and returns a ``StageResult`` with every entailed rule.  The
-cq scheme certifies, in one pass over the guarded bodies, the full guarded
-candidates and the rules deriving query-extension predicates, so each body
-is prepared and chased once; its trail lists the full-rule records first,
-exactly ``derive_full_guarded``'s, then the query-rule records, then the
-goal rules (conjunctions of query-extension predicates entailing the
-query).  Any cap that drops a candidate body, a query quotient, a subquery
-past ``k`` variables or a goal-premise partition marks the result
-``capped``, in each scheme.
+The cq scheme certifies, in one pass over the guarded bodies, the full
+guarded candidates and the rules deriving query-extension predicates, so
+each body is prepared and chased once; its trail lists the full-rule
+records first, exactly the atomic scheme's over the same signature, then
+the query-rule records, then the goal rules (conjunctions of
+query-extension predicates).  A goal rule's premises conjoin to a variable
+quotient of the query, onto which the quotient map sends the query and its
+answers, so every goal rule is entailed by construction.  Any cap that
+drops a candidate body, a query quotient, a subquery past ``k`` variables
+or a goal-premise partition marks the result ``capped``, in each scheme.
 
 Programs run over copies of the input relations (one import rule per input
 relation), so derived facts never touch input relation names.  Boolean goals
@@ -54,7 +54,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
 from .model import ELEMENT, Fact, Instance, Signature, active_domain, align_instance
-# canonical_cq is unused here, but the benchmark's traced mode wraps it at this name
+# canonical_cq and cq_contained are unused here, but the benchmark's traced
+# mode wraps them at these names
 from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Term, Var,
                     atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
                     canonical_renaming, core_cq, cq, cq_contained, eval_cq,
@@ -143,17 +144,6 @@ class CertificationRecord:
     # subsumes, under its program text; its kind is rule, goal-rule or import)
     verdict: str
     kind: str     # rule | query-rule | goal-rule | axiom | import
-
-
-@dataclass
-class StageResult:
-    """The full guarded consequences ``derive_full_guarded`` certified, with
-    a record per candidate and the caps enumerated under."""
-
-    rules: tuple[Tgd, ...]
-    certification: tuple[CertificationRecord, ...]
-    caps: dict[str, int]
-    capped: bool
 
 
 @dataclass
@@ -414,9 +404,10 @@ def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
     heads.  A head is then named on text alone: of the sorted renamings, the
     first with the least head text, which is ``pick_renaming``'s choice.  A
     candidate keeps the body as enumerated and its renaming, so no atom is
-    renamed until the candidate is kept.  Past ``RENAMING_CAP`` the head
-    orders the body's one renaming, through ``body_renamings`` and
-    ``pick_renaming``.
+    renamed until the candidate is kept.  No enumerated body reaches
+    ``RENAMING_CAP``: a guard has at most ``MAX_ARITY`` variables, atomic
+    and cq extra atoms use only those, and fg's one extra atom adds at most
+    ``MAX_ARITY`` fresh ones.
 
     With ``pick``, a body's heads are named only where ``pick(closure, guard
     variables)`` lists them as (relation, arguments), or all of them when it
@@ -430,6 +421,7 @@ def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
         atoms = tuple(sorted(set(body), key=str))
         if atoms not in prepared:
             _, order, choices = renamings = body_renamings(atoms, [("v", _vars(atoms))])
+            assert len(order) <= RENAMING_CAP
             canon, _, ren, texts = pick_renaming(renamings)
             ranked = [(ns, ", ".join(t)) for ns, t in sorted(choices, key=lambda c: c[1])]
             slots = {v: f"{{{i}}}" for i, v in enumerate(order)}
@@ -441,32 +433,23 @@ def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
             for combo in itertools.product(gvars, repeat=n):
                 if wanted is not None and (rel, combo) not in wanted:
                     continue
-                if len(order) > RENAMING_CAP:  # then the head orders the naming
-                    head = _family_head(rel, combo)
-                    picked = body_renamings(atoms, [("v", order)], lead=[head])
-                    _, new_head, ren, texts = pick_renaming(picked, head)
-                    key = f"{', '.join(texts)} -> {new_head}"
-                else:
-                    tmpl = f"{name}({','.join(slots[v] for v in combo) or UNIT_CONST})"
-                    ns, body_text = min(ranked, key=lambda c: tmpl.format(*c[0]))
-                    key = f"{body_text} -> {tmpl.format(*ns)}"
-                    ren = None  # built from ns below, for a new key only
+                tmpl = f"{name}({','.join(slots[v] for v in combo) or UNIT_CONST})"
+                ns, body_text = min(ranked, key=lambda c: tmpl.format(*c[0]))
+                key = f"{body_text} -> {tmpl.format(*ns)}"
                 if key not in cands:
                     kind = "rule" if q is None else "query-rule"
                     cands[key] = _Candidate(atoms, _family_head(rel, combo), kind, q, closure,
-                                            ren or dict(zip(order, ns)))
+                                            dict(zip(order, ns)))
     return cands
 
 
-def _inject_input_rules(rules: Sequence[Tgd], require_guarded: bool) -> list[Tgd]:
-    """Input rules that already have the shape of program rules: full, and
-    (when required) guarded.  Multi-atom heads split into one rule per atom,
-    whose body is cored around the head variables and then named."""
+def _inject_input_rules(rules: Sequence[Tgd]) -> list[Tgd]:
+    """Input rules that already have the shape of program rules: full ones.
+    Multi-atom heads split into one rule per atom, whose body is cored
+    around the head variables and then named."""
     out = []
     for t in rules:
         if t.head.exist_vars:
-            continue
-        if require_guarded and not classify(t).guarded:
             continue
         atoms = sorted(set(t.body.atoms), key=str)
         for ha in t.head.atoms:
@@ -484,7 +467,7 @@ def _derivation_space(rules: Sequence[Tgd], sig: Signature,
     dropped a body."""
     rels, capped = _enumeration_relations(sig)
     bodies, pool_capped = _guarded_bodies(rels, MAX_EXTRA_BODY_ATOMS)
-    inputs = {str(c): _Candidate.of(c) for c in _inject_input_rules(rules, require_guarded=True)}
+    inputs = {str(c): _Candidate.of(c) for c in _inject_input_rules(rules)}
     return (_Space(bodies, [(r, a, None) for r, a in rels] + list(query_heads), inputs),
             capped or pool_capped)
 
@@ -540,24 +523,6 @@ class _Verdicts(NamedTuple):
                 if all(n in back for n in names)}
 
 
-def _chase_space(rules: Sequence[Tgd], sig: Signature, space: _Space,
-                 config: RewriteConfig) -> tuple[_Verdicts, _Prepared]:
-    """Chase each distinct canonical body of the space once under the rules,
-    in key order, and read off the heads that hold in its closure; each
-    closure is dropped once its heads are read.  Returns the verdicts and
-    the bodies' preparations."""
-    prepared: _Prepared = {}
-    _rule_candidates(space.bodies, (), prepared=prepared)
-    verdicts = _Verdicts({}, set())
-    for key, atoms in sorted({c.key: c.atoms for *_, c in prepared.values()}.items()):
-        inst, _ = canon_inst(cq([], list(atoms)), sig)
-        res = chase(inst, list(rules), config.oracle)
-        verdicts.holds[key] = _heads_holding(res.result, space.heads)
-        if res.status != TERMINATED:
-            verdicts.stopped.add(key)
-    return verdicts, prepared
-
-
 def _judged(space: _Space, verdicts: _Verdicts, pick: Optional[_Pick] = None,
             prepared: Optional[_Prepared] = None
             ) -> list[tuple[CertificationRecord, _Candidate]]:
@@ -589,29 +554,26 @@ class _Certified(NamedTuple):
 
 def _certify(rules: Sequence[Tgd], sig: Signature, space: _Space,
              config: RewriteConfig) -> _Certified:
-    """Chase each distinct canonical body once under the rules, read the heads
-    its closure entails, and name only those that are not in the body, and
+    """Chase each distinct canonical body of the space once under the rules,
+    in key order, read the heads that hold in its closure, then drop the
+    closure.  Name only the entailed heads that are not in their body, and
     every head of a body whose chase stopped at its budget: the program
     needs the entailed rules, and completeness the unknown ones.  Input
     rules and axioms are entailed without a chase.  The other candidates
     are named only when the records are read."""
-    verdicts, prepared = _chase_space(rules, sig, space, config)
+    prepared: _Prepared = {}
+    _rule_candidates(space.bodies, (), prepared=prepared)
+    verdicts = _Verdicts({}, set())
+    for key, atoms in sorted({c.key: c.atoms for *_, c in prepared.values()}.items()):
+        inst, _ = canon_inst(cq([], list(atoms)), sig)
+        res = chase(inst, list(rules), config.oracle)
+        verdicts.holds[key] = _heads_holding(res.result, space.heads)
+        if res.status != TERMINATED:
+            verdicts.stopped.add(key)
     judged = _judged(space, verdicts, verdicts.to_name, prepared)
     return _Certified([c for r, c in judged if r.verdict == ENTAILED and c.head not in c.body],
                       any(r.verdict == UNKNOWN for r, _ in judged),
                       lambda: _records(space, verdicts))
-
-
-def derive_full_guarded(rules: Sequence[Tgd], config: Optional[RewriteConfig] = None,
-                        sig: Optional[Signature] = None) -> StageResult:
-    """Chase-certified full guarded consequences of the rule set, within caps."""
-    config = config or RewriteConfig()
-    base = tgd_signature(list(rules), sig)
-    space, capped = _derivation_space(rules, base)
-    verdicts, prepared = _chase_space(rules, base, space, config)
-    judged = _judged(space, verdicts, prepared=prepared)
-    return StageResult(tuple(c.rule for r, c in judged if r.verdict == ENTAILED),
-                       tuple(r for r, _ in judged), _caps(), capped)
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +637,15 @@ def _query_family(query: ConjunctiveQuery, k: int, used: set[str],
 # goal rules (conjunctions of query-extension predicates entailing the query)
 
 def _goal_rules(query: ConjunctiveQuery, k: int, names: dict[str, str],
-                goal_name: str) -> tuple[list[Rule], list[CertificationRecord], bool]:
-    """Every goal rule over query-extension predicates whose premise
-    conjunction is contained in the query, by the containment test."""
+                goal_name: str) -> tuple[list[Rule], bool]:
+    """Every goal rule over query-extension predicates: for each variable
+    quotient of the query within ``k`` variables and each partition of its
+    atoms into at most ``MAX_GOAL_PREMISES`` groups, the rule joining the
+    groups' subqueries.  The premises conjoin to the quotient, onto which
+    the quotient map sends the query and its answers, so each rule is
+    entailed."""
     quotients, capped = _quotients(query)
     rules_out: dict[str, Rule] = {}
-    records: dict[str, CertificationRecord] = {}
     for atoms, free in quotients:
         if len({v for a in atoms for v in a.vars()}) > k:
             continue
@@ -695,15 +660,8 @@ def _goal_rules(query: ConjunctiveQuery, k: int, names: dict[str, str],
                 key, _, args = _canonical_family_form(_subquery(atoms, free, group))
                 premises.append(_family_head(names[key], args))
             rule = Rule(_family_head(goal_name, free), tuple(sorted(premises, key=str)))
-            s = str(rule)
-            if s in records:
-                continue
-            verdict = ENTAILED if cq_contained(cq(tuple(free), atoms), query) else REJECTED
-            records[s] = CertificationRecord(s, verdict, "goal-rule")
-            if verdict == ENTAILED:
-                rules_out[s] = rule
-    return ([rules_out[s] for s in sorted(rules_out)],
-            [records[s] for s in sorted(records)], capped)
+            rules_out.setdefault(str(rule), rule)
+    return [rules_out[s] for s in sorted(rules_out)], capped
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +721,7 @@ def _prune_subsumed(rules: dict[str, Rule]) -> set[str]:
 
 def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, goal: str,
               certified: _Certified, caps: dict[str, int], capped: bool, *,
-              goal_list: Iterable[Rule] = (), goal_records: Iterable[CertificationRecord] = (),
+              goal_list: Sequence[Rule] = (),
               idb: Sequence[tuple[str, int]] = (),
               idb_if_used: Sequence[tuple[str, int]] = (),
               query_predicates: Optional[dict[str, str]] = None,
@@ -771,10 +729,10 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
     """The program over relation copies: each certified rule that is not a
     tautology, moved onto the copies, the goal rules, and one import rule per
     input relation, less the rules a kept rule subsumes.  The trail lists
-    the certified records, the goal rules' records, the import records, then
-    a ``subsumed`` record per dropped rule.  The idb declares the copies,
-    then the relations of ``idb_if_used`` that some rule before the prune
-    mentions, then ``idb``."""
+    the certified records, an ``entailed`` record per goal rule, the import
+    records, then a ``subsumed`` record per dropped rule.  The idb declares
+    the copies, then the relations of ``idb_if_used`` that some rule before
+    the prune mentions, then ``idb``."""
     def onto_copies(a: Atom) -> Atom:
         return Atom(copies.get(a.rel, a.rel), a.args)
 
@@ -785,7 +743,7 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
         prog_rules[str(r)] = r, "rule"
     for r in goal_list:
         prog_rules[str(r)] = r, "goal-rule"
-    rest = list(goal_records)
+    rest = [CertificationRecord(str(r), ENTAILED, "goal-rule") for r in goal_list]
     for rel, arity in sig.arities.items():
         args = tuple(Var(f"x{i}") for i in range(arity))
         r = Rule(Atom(copies[rel], args), (Atom(rel, args),))
@@ -876,12 +834,12 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     space, body_capped = _derivation_space(
         rules, sig, [(names[key], len(q.free_vars), q) for key, q in family.items()])
     certified = _certify(rules, sig, space, config)
-    goal_list, goal_records, goal_capped = _goal_rules(query, k, names, goal_name)
+    goal_list, goal_capped = _goal_rules(query, k, names, goal_name)
 
     capped = fam_capped or body_capped or goal_capped
     art = _assemble(sig, copies, query, goal_name, certified,
                     {**_caps(k), "max_goal_premises": MAX_GOAL_PREMISES},
-                    capped, goal_list=goal_list, goal_records=goal_records,
+                    capped, goal_list=goal_list,
                     idb=[(goal_name, max(1, len(query.free_vars)))],
                     idb_if_used=[(names[key], max(1, len(family[key].free_vars)))
                                  for key in names],
@@ -988,7 +946,7 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery, k: int,
     bodies, pool_capped = _guarded_bodies(rels, FG_MAX_EXTRA_BODY_ATOMS, k)
     space = _Space(bodies, [(r, a, None) for r, a in rels] + [(r, 0, None) for r, a in rels if a == 1],
                    {str(c): _Candidate.of(c, "axiom")
-                    for c in _inject_input_rules(theory, require_guarded=False)})
+                    for c in _inject_input_rules(theory)})
     certified = _certify(theory, ext.signature.extend(relations=extension_rels), space, config)
 
     return _assemble(base_sig, _copy_map(base_sig), query, ans_name, certified,

@@ -267,8 +267,8 @@ def specialize_to_fg(rules: Sequence[Tgd], constants: Iterable[str] = (),
             continue
         out.extend(decompose_components(chosen))
     seen: dict[str, Tgd] = {}
-    for t in out:
-        seen.setdefault(str(canonical_tgd(t)), canonical_tgd(t))
+    for t in map(canonical_tgd, out):
+        seen.setdefault(str(t), t)
     return RuleRewriteResult([seen[k] for k in sorted(seen)], failed)
 
 

@@ -4,14 +4,15 @@
 ``random_guarded_tgd`` rules and compiles, per theory:
 
 - an atomic query over a random relation, under the atomic and cq schemes;
-- a ``random_cq`` of at most 2 atoms and 3 variables under cq, and under fg
-  when it is answer-guarded.
+- a ``random_cq`` of at most ``max_query_atoms`` atoms (default 2) and 3
+  variables under cq, and under fg when it is answer-guarded.
 
 Each compile is run on 4 random instances of its theory and compared with the
 oracle's answers on each.  A comparison is decided when the oracle's chase
 terminated: the compiled answers must then be among the oracle's, and equal
-to them when the compile is ``complete_within_caps``.  The test suite runs a
-small arity-2 sweep; ``tools/random_sweep.py`` runs larger ones.
+to them when the compile is ``complete_within_caps``.  The test suite runs
+small arity-2 sweeps with queries of 2 and of 3 atoms; ``tools/random_sweep.py``
+runs larger ones.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class SweepResult:
     mismatches: list[str] = field(default_factory=list)
 
 
-def sweep(seed: int, theories: int, max_arity: int = 2) -> SweepResult:
+def sweep(seed: int, theories: int, max_arity: int = 2, max_query_atoms: int = 2) -> SweepResult:
     rng = random.Random(seed)
     out = SweepResult()
     for n in range(theories):
@@ -45,7 +46,7 @@ def sweep(seed: int, theories: int, max_arity: int = 2) -> SweepResult:
         rel = rng.choice(sig.relations())
         names = [f"x{i}" for i in range(sig.arities[rel])]
         atomic = cq(names, [Atom(rel, tuple(map(Var, names)))])
-        query = random_cq(rng, sig, max_atoms=2, max_vars=3)
+        query = random_cq(rng, sig, max_atoms=max_query_atoms, max_vars=3)
         compiles = [("atomic", rewrite_atomic_guarded, atomic), ("cq", rewrite_cq_guarded, atomic),
                     ("cq", rewrite_cq_guarded, query)]
         if is_answer_guarded(query):

@@ -11,18 +11,19 @@ from corpus import (COMPILE_QUERIES, FG_QUERIES, ORACLE_QUERIES, PROBLEMS, SCHEM
                     compile_problem, compiled_problem, corpus_problem)
 from differential import sweep
 from oracles import naive_rule_candidates, naive_subsumes
-from randgen import random_instance
+from randgen import random_cq, random_instance, random_signature
 from shapes import cycle
 from gnfkit import rewrite
 from gnfkit.chase import TERMINATED, ChaseConfig, chase
 from gnfkit.datalog import DatalogProgram, classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, canon_inst, core_cq, cq, cq_equivalent,
-                          first_occurrence_vars, is_answer_guarded, query_signature)
+from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, canon_inst, core_cq, cq,
+                          cq_contained, cq_equivalent, first_occurrence_vars, is_answer_guarded,
+                          query_signature, substitute)
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED, UNKNOWN,
-                            RewriteConfig, _canonical_family_form, _copy_map,
+                            RewriteConfig, _canonical_family_form, _certify, _copy_map,
                             _derivation_space, _inject_input_rules, _query_family,
-                            _rule_candidates, certain_answers_oracle, derive_full_guarded,
+                            _rule_candidates, certain_answers_oracle,
                             evaluate_program, guard_extension_axioms,
                             rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
 from gnfkit.syntax import parse_datalog, parse_instance, print_datalog
@@ -93,15 +94,21 @@ def _derivation_candidates(rules, sig):
     return _rule_candidates(space.bodies, space.heads), capped
 
 
+def _certified(rules, sig):
+    """The full-rule stage over the signature, certified."""
+    space, _ = _derivation_space(rules, sig)
+    return _certify(rules, sig, space, RewriteConfig())
+
+
 def test_enumeration_is_deterministic_and_canonical():
     cands, capped = _derivation_candidates([], SIG)
     assert list(cands) == list(_derivation_candidates([], SIG)[0])
     # each candidate is keyed by its own text, so no two share a text
     assert [str(c.rule) for c in cands.values()] == list(cands)
     assert not capped
-    d = derive_full_guarded([], sig=SIG)
-    assert d.certification == derive_full_guarded([], sig=SIG).certification
-    assert [r.candidate for r in d.certification] == sorted(cands)
+    records = _certified([], SIG).records()
+    assert records == _certified([], SIG).records()
+    assert [r.candidate for r in records] == sorted(cands)
 
 
 def test_enumeration_relation_cap_flags_capped(monkeypatch):
@@ -110,8 +117,8 @@ def test_enumeration_relation_cap_flags_capped(monkeypatch):
     assert capped
     used = {a.rel for c in cands.values() for a in (*c.rule.body.atoms, *c.rule.head.atoms)}
     assert used <= {"R", "U"}
-    d = derive_full_guarded([], sig=SIG)
-    assert d.capped and d.caps["max_relations"] == 2
+    art = rewrite_atomic_guarded(RULES, Q_T)
+    assert art.capped and art.caps["max_relations"] == 2
 
 
 def _random_body(rng: random.Random) -> tuple[tuple[Atom, ...], tuple[str, ...]]:
@@ -138,12 +145,9 @@ def _random_body(rng: random.Random) -> tuple[tuple[Atom, ...], tuple[str, ...]]
 def test_rule_candidates_agree_with_naming_each_candidate_whole():
     rng = random.Random(59)
     bodies = [_random_body(rng) for _ in range(150)]
-    # bodies whose renamings tie, and one past the renaming cap
+    # bodies whose renamings tie
     bodies += [((atom("E", "x", "y"), atom("E", "y", "x")), ("x", "y")),
                ((atom("E", "v1", "v0"), atom("E", "v0", "v1"), atom("U", "v0")), ("v1", "v0"))]
-    wide = [f"y{i}" for i in range(RENAMING_CAP + 1)]
-    bodies.append(((Atom("W", tuple(Var(v) for v in wide)), atom("E", wide[3], wide[1])),
-                   tuple(wide)))
     heads = [("E", 2, None), ("U", 1, None), ("H", 0, None),
              ("Q0", 1, cq(["f0"], [atom("E", "f0", "v0")])),
              ("Q1", 0, cq([], [atom("U", "v0")]))]
@@ -152,7 +156,6 @@ def test_rule_candidates_agree_with_naming_each_candidate_whole():
     assert list(got) == list(want)
     for key, cand in got.items():
         assert (cand.rule, cand.kind, cand.query) == want[key], key
-    assert any(len(c.rule.body.free_vars) > RENAMING_CAP for c in got.values())
     assert any(isinstance(t, Cst) and t.name in ("v0", "v1")
                for c in got.values() for a in c.rule.body.atoms for t in a.args)
 
@@ -160,13 +163,22 @@ def test_rule_candidates_agree_with_naming_each_candidate_whole():
 def test_full_rule_naming_keeps_head_constants_and_first_occurrence():
     # a head constant named like a fresh name is skipped by the renaming
     rule = make_tgd([atom("E", "x", "y")], [Atom("H", (Var("y"), Cst("v0")))])
-    assert [str(t) for t in _inject_input_rules([rule], require_guarded=False)] \
-        == ["E(v2,v1) -> H(v1,v0)"]
+    assert [str(t) for t in _inject_input_rules([rule])] == ["E(v2,v1) -> H(v1,v0)"]
     # past the cap, variables are named by first occurrence in the head first
     wide = [f"y{i}" for i in range(RENAMING_CAP + 1)]
     rule = make_tgd([Atom("W", tuple(Var(v) for v in wide))], [atom("U", wide[5])])
-    assert [str(t) for t in _inject_input_rules([rule], require_guarded=True)] \
-        == ["W(v1,v2,v3,v4,v5,v0,v6,v7) -> U(v0)"]
+    assert [str(t) for t in _inject_input_rules([rule])] == ["W(v1,v2,v3,v4,v5,v0,v6,v7) -> U(v0)"]
+
+
+def test_enumerated_bodies_stay_under_the_renaming_cap():
+    """A guard has at most ``MAX_ARITY`` variables; atomic and cq extra atoms
+    use only those, and fg's one extra atom adds at most ``MAX_ARITY`` fresh
+    ones, so no body has more than 6 variables and each is named on text."""
+    rels = [(f"R{i}", rewrite.MAX_ARITY) for i in range(rewrite.MAX_RELATIONS)]
+    for max_extra, k in ((rewrite.MAX_EXTRA_BODY_ATOMS, 0), (rewrite.FG_MAX_EXTRA_BODY_ATOMS, 8)):
+        bodies, _ = rewrite._guarded_bodies(rels, max_extra, k)
+        widths = {len({v for a in body for v in a.vars()}) for body, _ in bodies}
+        assert max(widths) <= 6 <= RENAMING_CAP
 
 
 def test_enumerated_candidates_are_guarded_and_full():
@@ -224,43 +236,53 @@ def test_rule_candidates_escape_braces_in_relation_names():
 
 
 # ---------------------------------------------------------------------------
-# derived full guarded rules
+# derived full guarded rules, read off the atomic compile's rule records
+
+def _rule_verdicts(art) -> dict[str, set[str]]:
+    """The full-rule candidates of a compile by verdict."""
+    out: dict[str, set[str]] = {}
+    for r in art.certification:
+        if r.kind == "rule" and r.verdict != SUBSUMED:
+            out.setdefault(r.verdict, set()).add(r.candidate)
+    return out
+
 
 def test_derive_includes_expected_consequences():
-    d = derive_full_guarded(RULES, sig=SIG)
-    have = {str(t) for t in d.rules}
+    # SIG is the signature of RULES
+    art = rewrite_atomic_guarded(RULES, Q_T)
+    have = _rule_verdicts(art)[ENTAILED]
     assert "U(v0) -> T(v0)" in have
     assert "R(v0,v1), U(v1) -> U(v0)" in have
     assert "R(v0,v1), U(v1) -> T(v0)" in have
-    assert not d.capped
+    assert not art.capped
 
 
 def test_derive_only_trivial_rules_without_input_rules():
-    d = derive_full_guarded([], sig=Signature([("A", 1), ("B", 1)]))
-    for t in d.rules:
-        assert t.head.atoms[0] in set(t.body.atoms)
+    # the certified candidates kept for the program are the entailed ones
+    # whose head is not in their body
+    certified = _certified([], Signature([("A", 1), ("B", 1)]))
+    assert certified.kept == []
+    assert any(r.verdict == ENTAILED for r in certified.records())
 
 
 def test_derive_composes_transitively():
     rules = [make_tgd([atom("A", "x")], [atom("B", "x")]),
              make_tgd([atom("B", "x")], [atom("C", "x")])]
-    d = derive_full_guarded(rules)
-    assert "A(v0) -> C(v0)" in {str(t) for t in d.rules}
+    art = rewrite_atomic_guarded(rules, cq(["x"], [atom("C", "x")]))
+    assert "A(v0) -> C(v0)" in _rule_verdicts(art)[ENTAILED]
 
 
 def test_derive_rejects_non_consequences():
-    d = derive_full_guarded(RULES, sig=SIG)
-    have = {str(t) for t in d.rules}
+    verdicts = _rule_verdicts(rewrite_atomic_guarded(RULES, Q_T))
     # nothing implies U from T alone
-    assert "T(v0) -> U(v0)" not in have
-    rejected = {r.candidate for r in d.certification if r.verdict == REJECTED}
-    assert "T(v0) -> U(v0)" in rejected
+    assert "T(v0) -> U(v0)" not in verdicts[ENTAILED]
+    assert "T(v0) -> U(v0)" in verdicts[REJECTED]
 
 
 def test_derive_certifies_every_kept_rule():
-    d = derive_full_guarded(RULES, sig=SIG)
-    entailed = {r.candidate for r in d.certification if r.verdict == ENTAILED}
-    assert all(str(t) in entailed for t in d.rules)
+    certified = _certified(RULES, SIG)
+    entailed = {r.candidate for r in certified.records() if r.verdict == ENTAILED}
+    assert certified.kept and all(str(c.rule) in entailed for c in certified.kept)
 
 
 def test_derive_is_monotone_in_caps(monkeypatch):
@@ -268,7 +290,7 @@ def test_derive_is_monotone_in_caps(monkeypatch):
     sizes = []
     for extra in (0, 1, 2):
         monkeypatch.setattr(rewrite, "MAX_EXTRA_BODY_ATOMS", extra)
-        got = {str(t) for t in derive_full_guarded(RULES, sig=SIG).rules}
+        got = _rule_verdicts(rewrite_atomic_guarded(RULES, Q_T))[ENTAILED]
         assert prev <= got
         sizes.append(len(got))
         prev = got
@@ -555,9 +577,50 @@ def test_goal_rules_split_triangle_into_edges():
     goals = _goal_rules(art)
     # some rule joins three premises, one per edge of the quotiented triangle
     assert any(len(r.body) == 3 for r in goals)
-    # every goal rule passed the containment check
+    # every goal rule is recorded as entailed
     entailed = {s for s, v in _records(art, "goal-rule").items() if v == ENTAILED}
     assert {str(r) for r in goals} == entailed
+
+
+def _unfolded_goal_rules(art, query) -> list:
+    """Each goal rule of a compile, its subsumed ones included, as a query
+    over its head's arguments: every premise replaced by the family member
+    it names, with that member's own variables made fresh."""
+    family, _, _ = _query_family(query, art.caps["k"], set())
+    out = []
+    for rule in _goal_rules(art):
+        atoms = []
+        for i, premise in enumerate(rule.body):
+            member = family[art.query_predicates[premise.rel]]
+            sub = {v: Var(f"p{i}_{v}") for v in member.exist_vars}
+            sub.update(zip(member.free_vars, premise.args))
+            atoms += [substitute(a, sub) for a in member.atoms]
+        out.append(cq([t.name for t in rule.head.args if isinstance(t, Var)], atoms))
+    return out
+
+
+def _random_goal_compiles():
+    rng = random.Random(67)
+    for _ in range(60):
+        q = random_cq(rng, random_signature(rng, max_rels=3, max_arity=2),
+                      max_atoms=4, max_vars=4)
+        yield q, rewrite_cq_guarded([], q, RewriteConfig(k=rng.randint(1, 4)))
+    for name, scheme, text in PRUNE_COMPILES:
+        if scheme == "cq":
+            problem, art = compiled_problem(name, scheme, text)
+            yield problem.query, art
+
+
+def test_goal_rule_premises_unfold_into_the_query():
+    """A goal rule's premises, unfolded through the query predicates they
+    name, are contained in the query: the goal rules are sound by their
+    construction, which no compile checks."""
+    unfolded = 0
+    for query, art in _random_goal_compiles():
+        for member in _unfolded_goal_rules(art, query):
+            assert cq_contained(member, query), (query, member)
+            unfolded += 1
+    assert unfolded >= 400
 
 
 def test_goal_rules_respect_premise_cap(monkeypatch):
@@ -595,22 +658,22 @@ def test_skipped_goal_premise_partitions_mark_the_compile_capped(monkeypatch):
 
 
 def test_scheme_trails_extend_the_full_rule_stage():
-    """Both guarded schemes certify the full guarded candidates record for
-    record as ``derive_full_guarded`` does; the cq scheme's trail goes on with
-    all its query rules, then all its goal rules."""
+    """The cq scheme certifies the full guarded candidates record for record
+    as the atomic scheme does over the same signature, whose trail holds
+    nothing else; the cq scheme's trail goes on with all its query rules,
+    then all its goal rules."""
     q_join = cq(["x"], [atom("R", "x", "y"), atom("T", "y")])
-    for rules, q in ((RULES, Q_T), (RULES, q_join), ([], Q_TRI)):
-        derived = derive_full_guarded(rules, sig=tgd_signature(rules, query_signature(q)))
-        n = len(derived.certification)
-        schemes = {rewrite_cq_guarded: ["query-rule", "goal-rule"]}
-        if q is Q_T:
-            schemes[rewrite_atomic_guarded] = []
-        for scheme, rest in schemes.items():
-            trail = [r for r in scheme(rules, q).certification
-                     if r.kind != "import" and r.verdict != SUBSUMED]
-            assert tuple(r for r in trail if r.kind == "rule") == derived.certification
-            assert tuple(trail[:n]) == derived.certification
-            assert [kind for kind, _ in itertools.groupby(r.kind for r in trail[n:])] == rest
+    q_edge = cq(["x", "y"], [atom("E", "x", "y")])
+    for rules, q, atomic in ((RULES, Q_T, Q_T), (RULES, q_join, Q_T), ([], Q_TRI, q_edge)):
+        full, trail = ([r for r in scheme(rules, query).certification
+                        if r.kind != "import" and r.verdict != SUBSUMED]
+                       for scheme, query in ((rewrite_atomic_guarded, atomic),
+                                             (rewrite_cq_guarded, q)))
+        assert full and all(r.kind == "rule" for r in full)
+        assert [r for r in trail if r.kind == "rule"] == full
+        assert trail[:len(full)] == full
+        assert ([kind for kind, _ in itertools.groupby(r.kind for r in trail[len(full):])]
+                == ["query-rule", "goal-rule"])
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +844,14 @@ def test_compiled_answers_agree_with_the_oracle_on_random_theories():
     # 20 seeded arity-2 theories, each with 3-4 compiles, checked on 4
     # instances; at seed 0 the oracle decides 312 of 316 comparisons
     result = sweep(seed=0, theories=20)
+    assert result.mismatches == []
+    assert result.compiles >= 70 and result.decided >= 300
+
+
+def test_compiled_answers_agree_with_the_oracle_on_three_atom_queries():
+    # the same sweep with queries of up to 3 atoms over 3 variables; at seed
+    # 0 the oracle decides 312 of 316 comparisons
+    result = sweep(seed=0, theories=20, max_query_atoms=3)
     assert result.mismatches == []
     assert result.compiles >= 70 and result.decided >= 300
 

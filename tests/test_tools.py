@@ -38,6 +38,19 @@ def test_random_sweep_prints_its_counts(capsys):
     assert random_sweep.main(["--seed", "0", "--theories", "2", "--max-arity", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["theories"] == 2 and out["mismatches"] == []
+    assert out["max_query_atoms"] == 2
+    assert out["decided"] + out["undecided"] == 4 * out["compiles"] > 0
+
+
+def test_random_sweep_draws_queries_of_the_given_atoms(capsys, monkeypatch):
+    calls = []
+    real = random_sweep.sweep
+    monkeypatch.setattr(random_sweep, "sweep", lambda *args: calls.append(args) or real(*args))
+    argv = ["--seed", "0", "--theories", "2", "--max-arity", "2"]
+    assert random_sweep.main([*argv, "--max-query-atoms", "3"]) == 0
+    assert calls == [(0, 2, 2, 3)]
+    out = json.loads(capsys.readouterr().out)
+    assert out["max_query_atoms"] == 3 and out["mismatches"] == []
     assert out["decided"] + out["undecided"] == 4 * out["compiles"] > 0
 
 
