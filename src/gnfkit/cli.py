@@ -295,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--max-vars", type=int, default=None,
-                   help="variable budget for derived predicates (default: from rules)")
+                   help="variable budget for derived predicates "
+                        "(default: from the rules and the query)")
     p.add_argument("--max-rounds", type=int, default=30,
                    help="chase budget for certification (default 30)")
     p.set_defaults(func=cmd_rewrite)

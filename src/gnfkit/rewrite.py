@@ -35,9 +35,13 @@ records first, exactly the atomic scheme's over the same signature, then
 the query-rule records, then the goal rules (conjunctions of
 query-extension predicates).  A goal rule's premises conjoin to a variable
 quotient of the query, onto which the quotient map sends the query and its
-answers, so every goal rule is entailed by construction.  Any cap that
-drops a candidate body, a query quotient, a subquery past ``k`` variables
-or a goal-premise partition marks the result ``capped``, in each scheme.
+answers, so every goal rule is entailed by construction.  The query family
+and the goal rules come from one list, the squid decompositions of the
+query's quotients: each splits a quotient's atoms into a head over input
+elements and tentacles below one guarded set each, every part is a family
+member, and the parts' predicates join in one goal rule.  Any cap that drops
+a candidate body, a query quotient or a quotient past ``k`` variables marks
+the result ``capped``, in each scheme.
 
 Programs run over copies of the input relations (one import rule per input
 relation), so derived facts never touch input relation names.  Boolean goals
@@ -48,7 +52,7 @@ holding the reserved constant ``_unit``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .chase import TERMINATED, ChaseConfig, chase
@@ -78,12 +82,11 @@ UNIT_CONST = "_unit"
 # recorded through k and the capped flag instead.
 MAX_RELATIONS = 4            # relations past this many are left out
 MAX_ARITY = 3                # relations of higher arity are left out
-MAX_K = 3                    # caps the default k (see ``RewriteConfig``)
+MAX_K = 3                    # caps the rule bodies' share of the default k
 MAX_EXTRA_BODY_ATOMS = 2     # extra body atoms beside a guard
 FG_MAX_EXTRA_BODY_ATOMS = 1  # extra body atoms in fg's extension construction
 EXTRA_ATOM_POOL_LIMIT = 12   # extra atoms a guard may draw from
 MAX_QUOTIENT_VARS = 6        # past this many query variables, no quotients
-MAX_GOAL_PREMISES = 3        # premises of a goal rule
 
 
 # ---------------------------------------------------------------------------
@@ -93,22 +96,21 @@ MAX_GOAL_PREMISES = 3        # premises of a goal rule
 class RewriteConfig:
     """The variable bound ``k`` and the chase budget used to certify.
 
-    ``k`` bounds the number of variables in derived queries and goal rules.
-    A ``k`` below the query's variable count marks the compile ``capped``.
-    When it is not set, with ``body vars`` the largest variable count of a
-    rule body (1 without rules) and ``query vars`` the query's variable
-    count:
+    ``k`` bounds the number of variables in the query quotients that derived
+    queries and goal rules come from.  A ``k`` below the query's variable
+    count marks the compile ``capped``.  When it is not set, with ``body
+    vars`` the largest variable count of a rule body (1 without rules) and
+    ``query vars`` the query's variable count:
 
-    - ``rewrite_cq_guarded`` uses ``min(max(body vars, query vars, 1), MAX_K)``;
-    - ``rewrite_fg`` uses ``max(min(max(body vars, 1), MAX_K), query vars)``,
-      so the query's count is never clamped; on guarded rules it passes that
-      ``k`` to ``rewrite_cq_guarded``;
+    - ``rewrite_cq_guarded`` and ``rewrite_fg`` use
+      ``max(min(max(body vars, 1), MAX_K), query vars)``, so the query's
+      count is never clamped;
     - ``rewrite_atomic_guarded`` does not use ``k``.
 
     The module constants ``MAX_RELATIONS``, ``MAX_ARITY``,
     ``MAX_EXTRA_BODY_ATOMS``, ``FG_MAX_EXTRA_BODY_ATOMS``,
-    ``EXTRA_ATOM_POOL_LIMIT``, ``MAX_QUOTIENT_VARS`` and ``MAX_GOAL_PREMISES``
-    bound the enumeration space; every produced artifact records the caps it
+    ``EXTRA_ATOM_POOL_LIMIT`` and ``MAX_QUOTIENT_VARS`` bound the
+    enumeration space; every produced artifact records the caps it
     was built under.  ``k``, when set, is at least 0.
 
     ``jobs`` selects nothing: certification runs in one process, and the
@@ -577,7 +579,7 @@ def _certify(rules: Sequence[Tgd], sig: Signature, space: _Space,
 
 
 # ---------------------------------------------------------------------------
-# query families: quotients of subqueries, canonicalized
+# query families and goal rules: squid decompositions of the query's quotients
 
 def _quotients(query: ConjunctiveQuery) -> tuple[list[tuple[list[Atom], list[str]]], bool]:
     """Each variable quotient of the query as its distinct atoms and its
@@ -601,28 +603,53 @@ def _subquery(atoms: list[Atom], free: list[str], group: Sequence[int]) -> Conju
     return cq([v for v in first_occurrence_vars(sub) if v in outside], sub)
 
 
-def _query_family(query: ConjunctiveQuery, k: int, used: set[str],
-                  answer_guarded_only: bool = False
-                  ) -> tuple[dict[str, ConjunctiveQuery], dict[str, str], bool]:
-    """Queries relevant to answering the input query: take a variable quotient,
-    keep a subset of its atoms, and expose the variables shared with the rest
-    (plus answer variables).  Canonicalized and capped at k variables.
-    Returns the family by canonical key, a predicate name per key (Q0, Q1,
-    ... in key order, avoiding the used names) and whether it was capped:
-    by the quotient cap, or by a k below the query's variable count, which
-    drops the subqueries and goal rules that need more variables."""
+# a squid decomposition: its quotient's answer variables and, per group of the
+# quotient's atoms, the group's subquery as ``_canonical_family_form`` gives it
+_Squid = tuple[list[str], list[tuple[str, ConjunctiveQuery, list[str]]]]
+
+
+def _squids(query: ConjunctiveQuery, k: int) -> tuple[list[_Squid], bool]:
+    """The squid decompositions of the query: for each variable quotient
+    within ``k`` variables and each set H of its variables holding its answer
+    variables, the atoms joined through variables outside H form one group
+    (a tentacle), and each atom over H alone is a group of its own (the
+    head).  Each group stands for its subquery, which exposes the variables
+    it shares with the other groups or the answer, in canonical form.  A
+    match of the quotient into a guarded chase, with H the variables sent to
+    input elements, sends each tentacle below one guarded set of the input.
+    Also returns whether a cap dropped a decomposition: the quotient cap, or
+    a ``k`` below the query's variable count."""
     quotients, capped = _quotients(query)
-    capped = capped or k < len(query.all_vars())
-    family: dict[str, ConjunctiveQuery] = {}
+    out: list[_Squid] = []
     for atoms, free in quotients:
-        for mask in range(1, 1 << len(atoms)):
-            qsub = _subquery(atoms, free, [i for i in range(len(atoms)) if mask >> i & 1])
-            if len(set(qsub.all_vars())) > k:
-                continue
-            key, canonq, _ = _canonical_family_form(qsub)
-            if answer_guarded_only and not is_answer_guarded(canonq):
-                continue
-            family.setdefault(key, canonq)
+        qvars = _vars(atoms)
+        if len(qvars) > k:
+            continue
+        nonfree = [v for v in qvars if v not in free]
+        parts = set()
+        for n in range(len(nonfree) + 1):
+            for outside in map(set, itertools.combinations(nonfree, n)):
+                # each group: its variables outside H and its atoms' indices
+                groups: list[tuple[set[str], list[int]]] = []
+                for i, a in enumerate(atoms):
+                    vs, js = set(a.vars()) & outside, [i]
+                    for g in [g for g in groups if vs & g[0]]:
+                        groups.remove(g)
+                        vs, js = vs | g[0], g[1] + js
+                    groups.append((vs, js))
+                parts.add(tuple(sorted(tuple(sorted(js)) for _, js in groups)))
+        forms = {g: _canonical_family_form(_subquery(atoms, free, g)) for g in set().union(*parts)}
+        out += [(free, [forms[g] for g in part]) for part in sorted(parts)]
+    return out, capped or k < len(query.all_vars())
+
+
+def _query_family(squids: Sequence[_Squid], used: set[str], answer_guarded_only: bool = False
+                  ) -> tuple[dict[str, ConjunctiveQuery], dict[str, str]]:
+    """The canonical subqueries of the decompositions' groups, answer-guarded
+    ones only if asked, by canonical key, and a predicate name per key (Q0,
+    Q1, ... in key order, avoiding the used names)."""
+    family = {key: canonq for _, groups in squids for key, canonq, _ in groups
+              if not answer_guarded_only or is_answer_guarded(canonq)}
     names = {}
     i = 0
     for key in sorted(family):
@@ -630,38 +657,19 @@ def _query_family(query: ConjunctiveQuery, k: int, used: set[str],
             i += 1
         names[key] = f"Q{i}"
         i += 1
-    return family, names, capped
+    return family, names
 
 
-# ---------------------------------------------------------------------------
-# goal rules (conjunctions of query-extension predicates entailing the query)
-
-def _goal_rules(query: ConjunctiveQuery, k: int, names: dict[str, str],
-                goal_name: str) -> tuple[list[Rule], bool]:
-    """Every goal rule over query-extension predicates: for each variable
-    quotient of the query within ``k`` variables and each partition of its
-    atoms into at most ``MAX_GOAL_PREMISES`` groups, the rule joining the
-    groups' subqueries.  The premises conjoin to the quotient, onto which
-    the quotient map sends the query and its answers, so each rule is
-    entailed."""
-    quotients, capped = _quotients(query)
+def _goal_rules(squids: Sequence[_Squid], names: dict[str, str], goal_name: str) -> list[Rule]:
+    """A goal rule per decomposition, joining its groups' query-extension
+    predicates.  The premises conjoin to the quotient, onto which the
+    quotient map sends the query and its answers, so each rule is entailed."""
     rules_out: dict[str, Rule] = {}
-    for atoms, free in quotients:
-        if len({v for a in atoms for v in a.vars()}) > k:
-            continue
-        for atom_part in _set_partitions(list(range(len(atoms)))):
-            if len(atom_part) > MAX_GOAL_PREMISES:
-                capped = True  # a skipped partition may be the only one deriving an answer
-                continue
-            # each group's subquery has at most the quotient's k variables,
-            # so the family holds it
-            premises = []
-            for group in atom_part:
-                key, _, args = _canonical_family_form(_subquery(atoms, free, group))
-                premises.append(_family_head(names[key], args))
-            rule = Rule(_family_head(goal_name, free), tuple(sorted(premises, key=str)))
-            rules_out.setdefault(str(rule), rule)
-    return [rules_out[s] for s in sorted(rules_out)], capped
+    for free, groups in squids:
+        premises = sorted((_family_head(names[key], args) for key, _, args in groups), key=str)
+        rule = Rule(_family_head(goal_name, free), tuple(premises))
+        rules_out.setdefault(str(rule), rule)
+    return [rules_out[s] for s in sorted(rules_out)]
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +677,11 @@ def _goal_rules(query: ConjunctiveQuery, k: int, names: dict[str, str],
 
 def _default_k(rules: Sequence[Tgd], query: ConjunctiveQuery,
                config: RewriteConfig) -> int:
-    """``config.k`` when set, else the cq-scheme default."""
+    """``config.k`` when set, else the default of ``RewriteConfig``."""
     if config.k is not None:
         return config.k
     maxbody = max((len(t.body.free_vars) for t in rules), default=1)
-    return min(max(maxbody, len(query.all_vars()), 1), MAX_K)
+    return max(min(max(maxbody, 1), MAX_K), len(query.all_vars()))
 
 
 def _caps(k: Optional[int] = None,
@@ -829,17 +837,14 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     copies = _copy_map(sig)
     used = set(sig.arities) | set(sig.constants) | set(copies.values())
     goal_name = _fresh_name("Goal", used)
-    family, names, fam_capped = _query_family(query, k, used | {goal_name})
+    squids, squid_capped = _squids(query, k)
+    family, names = _query_family(squids, used | {goal_name})
 
     space, body_capped = _derivation_space(
         rules, sig, [(names[key], len(q.free_vars), q) for key, q in family.items()])
     certified = _certify(rules, sig, space, config)
-    goal_list, goal_capped = _goal_rules(query, k, names, goal_name)
-
-    capped = fam_capped or body_capped or goal_capped
-    art = _assemble(sig, copies, query, goal_name, certified,
-                    {**_caps(k), "max_goal_premises": MAX_GOAL_PREMISES},
-                    capped, goal_list=goal_list,
+    art = _assemble(sig, copies, query, goal_name, certified, _caps(k),
+                    squid_capped or body_capped, goal_list=_goal_rules(squids, names, goal_name),
                     idb=[(goal_name, max(1, len(query.free_vars)))],
                     idb_if_used=[(names[key], max(1, len(family[key].free_vars)))
                                  for key in names],
@@ -893,8 +898,8 @@ def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
     """Compile certain answers of an answer-guarded query under frontier-guarded
     rules into a frontier-guarded program.
 
-    When every rule is guarded, this is ``rewrite_cq_guarded`` at fg's ``k``:
-    its internally guarded program is frontier-guarded for an answer-guarded
+    When every rule is guarded, this is ``rewrite_cq_guarded``: its
+    internally guarded program is frontier-guarded for an answer-guarded
     query.  Otherwise guard-extension and query-extension predicates carry
     the derived information through rules that need only a frontier guard."""
     config = config or RewriteConfig()
@@ -904,18 +909,15 @@ def rewrite_fg(rules: Sequence[Tgd], query: ConjunctiveQuery,
             raise ValueError(f"rule is not frontier-guarded: {t}")
     if not is_answer_guarded(query):
         raise ValueError("query must be answer-guarded")
-    maxbody = max((len(t.body.free_vars) for t in rules), default=1)
-    k = config.k if config.k is not None else max(min(max(maxbody, 1), MAX_K),
-                                                  len(query.all_vars()))
     if all(c.guarded for c in classes):
-        art = rewrite_cq_guarded(rules, query, replace(config, k=k))
+        art = rewrite_cq_guarded(rules, query, config)
     else:
-        art = _rewrite_fg_extended(rules, query, k, config)
+        art = _rewrite_fg_extended(rules, query, config)
     assert classify_datalog(art.program).frontier_guarded
     return art
 
 
-def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery, k: int,
+def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery,
                          config: RewriteConfig) -> RewriteArtifacts:
     """fg's own construction: candidate rules over the input relations,
     guard-extension predicates and the query's answer-guarded family,
@@ -924,8 +926,9 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery, k: int,
     ext = guard_extension_axioms(base_sig)
     used = set(ext.signature.arities) | set(ext.signature.constants)
     ans_name = _fresh_name("Ans", used)
-    family, names, fam_capped = _query_family(query, k, used | {ans_name},
-                                              answer_guarded_only=True)
+    k = _default_k(rules, query, config)
+    squids, fam_capped = _squids(query, k)
+    family, names = _query_family(squids, used | {ans_name}, answer_guarded_only=True)
 
     # the theory: input rules, the answer rule, and axioms defining every
     # guard-extension and query-extension predicate in both directions

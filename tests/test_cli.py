@@ -233,14 +233,15 @@ def test_bisim_guarded_cycles(capsys, tmp_path):
     assert rc == EXIT_BUDGET
 
 
-def test_rewrite_reports_a_skipped_goal_premise_partition(capsys, tmp_path):
+def test_rewrite_compiles_a_four_atom_cycle_complete(capsys, tmp_path):
+    # the default k is the query's 4 variables, and one goal rule joins the
+    # four edges
     theory = tmp_path / "e.gdt"
     theory.write_text("rel E/2.\n")
     rc, out = run_cli(capsys, "rewrite", "--mode", "cq", "--theory", str(theory),
-                      "--max-vars", "4",
                       "--query", "exists x,y,z,w: E(x,y), E(y,z), E(z,w), E(w,x)")
-    assert rc == EXIT_BUDGET
-    assert out.splitlines()[0] == "completeness: capped"
+    assert rc == EXIT_OK
+    assert out.splitlines()[0] == "completeness: complete_within_caps"
 
 
 def test_bisim_signature_mismatch(capsys, tmp_path):

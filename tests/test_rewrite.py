@@ -23,7 +23,7 @@ from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, canon_inst, core_c
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED, UNKNOWN,
                             RewriteConfig, _canonical_family_form, _certify, _copy_map,
                             _derivation_space, _inject_input_rules, _query_family,
-                            _rule_candidates, certain_answers_oracle,
+                            _rule_candidates, _squids, certain_answers_oracle,
                             evaluate_program, guard_extension_axioms,
                             rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
 from gnfkit.syntax import parse_datalog, parse_instance, print_datalog
@@ -70,11 +70,11 @@ def test_family_forms_agree_on_renamed_queries():
 
 def test_answer_guarded_families_drop_the_other_subqueries():
     q = cq(["x"], [atom("E", "x", "y"), atom("E", "y", "z"), atom("F", "x", "z")])
-    family, _, _ = _query_family(q, 3, set())
-    guarded, _, _ = _query_family(q, 3, set(), answer_guarded_only=True)
+    squids, _ = _squids(q, 3)
+    family, _ = _query_family(squids, set())
+    guarded, _ = _query_family(squids, set(), answer_guarded_only=True)
     assert sorted(set(family) - set(guarded)) == ["(f0,f1) exists v0: E(f0,v0), E(v0,f1)",
-                                                  "(f0,f1) exists v0: E(f0,v0), F(f1,v0)",
-                                                  "(f0,f1,f2) E(f0,f1), F(f0,f2)"]
+                                                  "(f0,f1) exists v0: E(f0,v0), F(f1,v0)"]
     assert set(guarded) < set(family)
     assert all(map(is_answer_guarded, guarded.values()))
 
@@ -527,9 +527,10 @@ def test_cq_rewrite_flags_small_k_as_capped():
 
 
 def test_a_k_below_the_query_variables_marks_each_stage_capped():
-    # the query family drops the triangle's three-variable subqueries and says so
-    assert _query_family(Q_TRI, 2, set())[2]
-    assert not _query_family(Q_TRI, 3, set())[2]
+    # the squid decompositions drop the triangle's three-variable quotients
+    # and say so
+    assert _squids(Q_TRI, 2)[1]
+    assert not _squids(Q_TRI, 3)[1]
     # the goal rules drop the three-variable quotient, so no goal rule joins
     # premises over three variables, and the compile says so
     for k in (2, 3):
@@ -586,7 +587,7 @@ def _unfolded_goal_rules(art, query) -> list:
     """Each goal rule of a compile, its subsumed ones included, as a query
     over its head's arguments: every premise replaced by the family member
     it names, with that member's own variables made fresh."""
-    family, _, _ = _query_family(query, art.caps["k"], set())
+    family, _ = _query_family(_squids(query, art.caps["k"])[0], set())
     out = []
     for rule in _goal_rules(art):
         atoms = []
@@ -601,7 +602,7 @@ def _unfolded_goal_rules(art, query) -> list:
 
 def _random_goal_compiles():
     rng = random.Random(67)
-    for _ in range(60):
+    for _ in range(120):
         q = random_cq(rng, random_signature(rng, max_rels=3, max_arity=2),
                       max_atoms=4, max_vars=4)
         yield q, rewrite_cq_guarded([], q, RewriteConfig(k=rng.randint(1, 4)))
@@ -623,38 +624,28 @@ def test_goal_rule_premises_unfold_into_the_query():
     assert unfolded >= 400
 
 
-def test_goal_rules_respect_premise_cap(monkeypatch):
-    monkeypatch.setattr(rewrite, "MAX_GOAL_PREMISES", 1)
-    art = rewrite_cq_guarded([], Q_TRI)
-    goals = _goal_rules(art)
-    assert goals and all(len(r.body) <= 1 for r in goals)
-    assert art.caps["max_goal_premises"] == 1 and art.completeness == CAPPED
-
-
 def test_query_and_goal_rules_read_k_from_the_config():
     def entailed_goal_rules(k: int) -> int:
         art = rewrite_cq_guarded([], Q_TRI, RewriteConfig(k=k))
         assert art.caps["k"] == k
         return sum(v == ENTAILED for v in _records(art, "goal-rule").values())
 
-    assert entailed_goal_rules(2) == 12 and entailed_goal_rules(3) == 17
+    assert entailed_goal_rules(2) == 6 and entailed_goal_rules(3) == 11
 
 
-def test_skipped_goal_premise_partitions_mark_the_compile_capped(monkeypatch):
-    """The 4-cycle query needs a goal rule with four premises; past
-    ``MAX_GOAL_PREMISES`` (3) that partition is skipped, so the program misses
-    the oracle's answer on the 4-cycle and the compile must say so."""
+def test_a_four_atom_cycle_compiles_complete_at_its_own_k():
+    """The 4-cycle query needs a goal rule with four premises, one per edge:
+    its squid decomposition whose head holds every variable.  The default
+    ``k`` is the query's 4 variables, and the program finds the oracle's
+    answer on the 4-cycle."""
     q = cq([], [atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "w"),
                 atom("E", "w", "x")])
     c4 = cycle(4)
     assert certain_answers_oracle([], q, c4) == (frozenset({()}), True)
-    art = rewrite_cq_guarded([], q, RewriteConfig(k=4))
-    assert art.capped and art.completeness == CAPPED
-    assert evaluate_program(art, c4) == set()
-    monkeypatch.setattr(rewrite, "MAX_GOAL_PREMISES", 4)
-    art = rewrite_cq_guarded([], q, RewriteConfig(k=4))
-    assert art.completeness == COMPLETE_WITHIN_CAPS and evaluate_program(art, c4) == {()}
-    assert art.caps["max_goal_premises"] == 4
+    art = rewrite_cq_guarded([], q)
+    assert art.caps["k"] == 4 and art.completeness == COMPLETE_WITHIN_CAPS
+    assert any(len(r.body) == 4 for r in _goal_rules(art))
+    assert evaluate_program(art, c4) == {()}
 
 
 def test_scheme_trails_extend_the_full_rule_stage():
@@ -770,12 +761,13 @@ def test_fg_rewrite_is_the_cq_scheme_on_guarded_rules(name):
 
 
 def test_fg_rewrite_passes_its_unclamped_k_to_the_cq_scheme():
-    # four query variables: fg's k is 4, where the cq scheme's default is 3
+    # four query variables: the one default k is 4 under both schemes, past
+    # MAX_K, so neither clamps the query
     q = cq([], [atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "w"),
                 atom("E", "w", "x")])
     art = rewrite_fg([], q)
-    assert art.caps["k"] == 4 and rewrite_cq_guarded([], q).caps["k"] == 3
-    assert _compile_record(art) == _compile_record(rewrite_cq_guarded([], q, RewriteConfig(k=4)))
+    assert art.caps["k"] == 4 and rewrite_cq_guarded([], q).caps["k"] == 4
+    assert _compile_record(art) == _compile_record(rewrite_cq_guarded([], q))
 
 
 def test_fg_compile_reports_its_known_miss_as_capped():
@@ -856,6 +848,16 @@ def test_compiled_answers_agree_with_the_oracle_on_three_atom_queries():
     assert result.compiles >= 70 and result.decided >= 300
 
 
+def test_compiled_answers_agree_with_the_oracle_on_four_atom_queries():
+    # queries of up to 4 atoms over 4 variables: the default k takes the
+    # query's variables and the goal rules come from squid decompositions,
+    # so no compile is capped; at seed 0 the oracle decides 304 of 304
+    # comparisons of 76 compiles
+    result = sweep(seed=0, theories=20, max_query_atoms=4, max_query_vars=4)
+    assert result.mismatches == []
+    assert result.decided >= 280 and result.capped == 0
+
+
 # SHA-256 of each compile's printed program with its subsumed rules put back,
 # completeness and certification records less the subsumed ones, with every
 # candidate named over its body as enumerated; any change to the naming, the
@@ -897,19 +899,19 @@ COMPILE_DIGESTS = {
     ("mutual-unary", "cq", "P(x)"):
         "4129185f268dc12eee4ea386d7a4c460fb2200df3604a121a4e036c2b5f4e7c2",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "b55884771acf10281c12c45596e8611c1ac78096bebd41d1bcd99f2b9975eeb1",
+        "81320592cad6fe3b23378e67c15740bdb6505527fdbe4b4ee83fa05bd8f49c9d",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
-        "a60224043cc20a1cd504e9be3ad17a531f305737d57a1a2d263d24996957a693",
+        "d263dcca1c0e3de902b2cb535807533ba927f5f9bc1d5e9adf1de73b4a30138e",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
         "e831c520abbb98ab6f1c18db61b79f56ceca3f41c7e40f76b3743097b09a0c48",
     ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
         "d7c7a7b9bc436b5424ef7bc0c586ba535a1a3fdeea7a5f02613477ba4add5b14",
     ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
-        "444ef3cf3f7a12987fa008b480ef1523325be1fb1ea0e76b77c2bb683c7cd336",
+        "e92b754a2ee2b24818af6d15e63e929829bfe2a4381dfa145baa2d89d59fff47",
     ("unary-cycle", "cq", "A(x), C(x)"):
-        "9b2f99f67f979886a635b7b14f692b6258b6655c8eb02714dff3668a366d88b2",
+        "8a797ae20d3743acf40834c708d5d6ecf7069741c430694d637e11e77f622bab",
     ("unary-cycle", "fg", "A(x), C(x)"):
-        "9b2f99f67f979886a635b7b14f692b6258b6655c8eb02714dff3668a366d88b2",
+        "8a797ae20d3743acf40834c708d5d6ecf7069741c430694d637e11e77f622bab",
     ("join-witness", "fg", "P(x)"):
         "a14ef61dcb0cb9c4f079684bb31f054099205fa7dbcfdb97c9d76af1604ef2c3",
     ("join-witness", "fg", "exists w: T(x,w)"):
@@ -957,19 +959,19 @@ PRUNED_DIGESTS = {
     ("mutual-unary", "cq", "P(x)"):
         "63d0832ea7ddcfb4c456b11f83fce1c6326cff076a4097e01948371d5dfa9eb1",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "ea55723c5d815ccddf3ea401923396ed41cee75afaca73a446056be2364d62be",
+        "9aa766e3e6993eb19fc94a17183adde339ece648669b240c51a3945f039ece1d",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
-        "1e4b261d6003f0497f347d155f23e1f83ce3789ad09f93116d0bcaf377d3fa50",
+        "6e36ee735c537386abc7826eba7d1466f64a2e0075b12cae90b93c320d5a4b1a",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
         "6561f4e8e8111a341c78a0af26824b8abb4aef4413f8a9204439addf4a2ce30d",
     ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
         "3db9468dede011f20b7cbb53ffe115fb9a10e8aa922b3ec3c2f1f825282b886c",
     ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
-        "9d22d153e8c5e46687f15728ecaab2db341b637abee0f94fb957d2631550791e",
+        "e0b8521d645589cf0dd58d02336740a325eb4f6753197f8d22cc054c32d1b30a",
     ("unary-cycle", "cq", "A(x), C(x)"):
-        "781a2ace13a598a14401617f5bd983cc6a48042f6cc48b1647337ee8383e76bf",
+        "3dd7856210257d82982b18eb7a7408f86e6e771c9aa76323d8490818793f02b2",
     ("unary-cycle", "fg", "A(x), C(x)"):
-        "781a2ace13a598a14401617f5bd983cc6a48042f6cc48b1647337ee8383e76bf",
+        "3dd7856210257d82982b18eb7a7408f86e6e771c9aa76323d8490818793f02b2",
     ("join-witness", "fg", "P(x)"):
         "49953a7761da2acf5329b34d851546132c7c68afa3cc8806d343051e757e7aec",
     ("join-witness", "fg", "exists w: T(x,w)"):
@@ -1059,19 +1061,19 @@ PROGRAM_DIGESTS = {
     ("mutual-unary", "cq", "P(x)"):
         "59a3680ed0a915809239c911f7d1477ac7eaa9682344ceacddf917913d2f7628",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "1376145dd6e9e1a1659308e9eceff875b0a9b6554bf71649cc4b18a82bf594e8",
+        "957159e184fc3335b1c08eade1b278c2b1ef1e095e42b0d458c7514c58d96aac",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
-        "210eab513f2603f17543568db8e19cef8661eb1ab90ed4666107e9acee8ad384",
+        "347a4cb034caff131bdd7967e65fb52ec8a855bf5e10115a1a96d641d8df9bfb",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
         "600b78f9b8fc789a9b9d985dc87bcf94e90318a24cde7de502f61c880dbb0fee",
     ("edge-endpoint", "cq", "exists x,y: E(x,y), P(y)"):
         "1967bed9dd71f6134f683fb2794769ba3fe5d3089251892d136bb6f899c620fc",
     ("symmetric-loop", "cq", "exists x,y: E(x,y), E(y,x), L(x)"):
-        "8c29ff256d2cd7585a9ae77d399736b56a9c69c08459decacd7d8e660cec89b4",
+        "a977b7b52eb2c0b98ab41c250225b09b79bbca789ed9421558bb76bc63363fe0",
     ("unary-cycle", "cq", "A(x), C(x)"):
-        "8a103f51984ce0461f878cd53a8a6a00c43b4989d1d7788eacf518fb7d00a3e3",
+        "2be61e947651e5931ba1936e64d066b59d17b90a2ecef5ce5791d733c5ac20f1",
     ("unary-cycle", "fg", "A(x), C(x)"):
-        "8a103f51984ce0461f878cd53a8a6a00c43b4989d1d7788eacf518fb7d00a3e3",
+        "2be61e947651e5931ba1936e64d066b59d17b90a2ecef5ce5791d733c5ac20f1",
     ("u-propagation", "atomic", None):
         "f3dc26772a4dda2045e9f6a51e4838ecf3ad3c945750eb86fc911583c70985af",
     ("u-propagation", "cq", None):

@@ -1,15 +1,17 @@
 """Check the compilers against the chase oracle on seeded random guarded theories.
 
 Usage: python tools/random_sweep.py --seed N --theories T --max-arity A
-                                    [--max-query-atoms M]
+                                    [--max-query-atoms M] [--max-query-vars V]
 
 Runs ``sweep`` of ``tests/differential.py`` (which says what is compiled and
 compared) and prints one JSON object: the counts of compiles, capped
 compiles, decided and undecided comparisons, and each mismatch.  Exits 1
 when a comparison mismatched, 2 on bad options.  ``--max-query-atoms``
-(default 2) bounds the atoms of each theory's random query.  The test suite
-runs arity-2 sweeps of 20 theories at seed 0, with queries of at most 2 and
-of at most 3 atoms.  An arity-3 sweep, where ternary
+(default 2) and ``--max-query-vars`` (default 3) bound the atoms and the
+variables of each theory's random query.  The test suite runs arity-2
+sweeps of 20 theories at seed 0, with queries of at most 2 and of at most 3
+atoms over 3 variables, and of at most 4 atoms over 4 variables.  An arity-3
+sweep, where ternary
 guards meet the enumeration caps, took 13 s for 20 theories on a 2-vCPU
 machine.
 """
@@ -34,10 +36,13 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--theories", type=int, required=True)
     ap.add_argument("--max-arity", type=int, required=True)
     ap.add_argument("--max-query-atoms", type=int, default=2)
+    ap.add_argument("--max-query-vars", type=int, default=3)
     args = ap.parse_args(argv)
-    result = sweep(args.seed, args.theories, args.max_arity, args.max_query_atoms)
+    result = sweep(args.seed, args.theories, args.max_arity, args.max_query_atoms,
+                   args.max_query_vars)
     print(json.dumps({"seed": args.seed, "theories": args.theories,
                       "max_arity": args.max_arity, "max_query_atoms": args.max_query_atoms,
+                      "max_query_vars": args.max_query_vars,
                       **dataclasses.asdict(result)}, indent=1))
     return 1 if result.mismatches else 0
 
