@@ -161,7 +161,9 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
                         args.append(binding[x.name])
                 fct = Fact(a.rel, tuple(args))
                 if cur[fct.rel].add(fct.args):
-                    delta.setdefault(fct.rel, Relation()).add(fct.args)
+                    if fct.rel not in delta:
+                        delta[fct.rel] = Relation()
+                    delta[fct.rel].add(fct.args)
                     n_facts += 1
                     added_this_round += 1
                     origin[fct] = org

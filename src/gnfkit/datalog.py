@@ -115,7 +115,9 @@ def eval_datalog_fixpoint(p: DatalogProgram, inst: Instance) -> dict[str, set[tu
         delta = {}
         for rel, tup in heads:
             if idb[rel].add(tup):
-                delta.setdefault(rel, Relation()).add(tup)
+                if rel not in delta:
+                    delta[rel] = Relation()
+                delta[rel].add(tup)
     return {r: rel.tuples for r, rel in idb.items()}
 
 

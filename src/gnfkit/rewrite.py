@@ -13,10 +13,17 @@ enumeration caps together with the verdict for every candidate and every
 dropped rule.
 
 A compile names only the candidates its program and its completeness need:
-the entailed heads that are not in their body, and every head of a body
-whose chase stopped at its budget (those not entailed are ``unknown``).
-The certification trail, which lists every candidate with its verdict, is
-produced when it is first read, by the same naming over the same bodies.
+the entailed heads that are not in their body and hold in the closure of
+none of its sub-bodies (the body less one atom beside its guard, whose rule
+would subsume the candidate by inclusion), and every head of a body whose
+chase stopped at its budget (those not entailed are ``unknown``).  This is
+the redundancy elimination of ExbDR/SkDR (Benedikt, Buron, Germano,
+Kappelmann and Motik, ICDT 2022), which generates only rules that survive
+subsumption; the prune still drops the subsumptions that are not
+inclusions, such as ``H(x) :- E(x,x)`` under ``H(x) :- E(x,y)``.  The
+certification trail, which lists every candidate with its verdict and every
+dropped program rule, is produced when it is first read, by the same naming
+over the same bodies.
 
 The schemes, one per guardedness tier:
 
@@ -314,9 +321,9 @@ class _Closure(NamedTuple):
 # sorted by those texts, a format slot per renamed variable, and its closure
 _Prepared = dict[tuple[Atom, ...],
                  tuple[list[str], list[tuple[list[str], str]], dict[str, str], _Closure]]
-# the heads to name over a body's guard variables, given its closure and
-# those variables; None for every head
-_Pick = Callable[[_Closure, tuple[str, ...]], Optional[set[_HeadArgs]]]
+# the heads to name over a body's guard variables, given its closure, the
+# body as enumerated and the prepared bodies; None for every head
+_Pick = Callable[[_Closure, _Body, _Prepared], Optional[set[_HeadArgs]]]
 
 
 class _Candidate(NamedTuple):
@@ -411,12 +418,14 @@ def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
     and cq extra atoms use only those, and fg's one extra atom adds at most
     ``MAX_ARITY`` fresh ones.
 
-    With ``pick``, a body's heads are named only where ``pick(closure, guard
-    variables)`` lists them as (relation, arguments), or all of them when it
-    returns None.  ``prepared`` keeps each body's preparation for a later
-    call; a call with no heads only prepares.  Certification prepares the
-    bodies, chases their closures, then names the heads read off those;
-    reading a trail names every head."""
+    With ``pick``, a body's heads are named only where ``pick(closure,
+    (body, guard variables), prepared)`` lists them as (relation,
+    arguments), or all of them when it returns None; the body comes as
+    enumerated, guard first, and ``prepared`` holds every body prepared so
+    far.  ``prepared`` keeps each body's preparation for a later call; a
+    call with no heads only prepares.  Certification prepares the bodies,
+    chases their closures, then names the heads read off those; reading a
+    trail names every head."""
     cands: dict[str, _Candidate] = {}
     prepared = {} if prepared is None else prepared
     for body, gvars in bodies:
@@ -429,7 +438,7 @@ def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
             slots = {v: f"{{{i}}}" for i, v in enumerate(order)}
             prepared[atoms] = order, ranked, slots, _Closure(" & ".join(texts), canon, ren)
         order, ranked, slots, closure = prepared[atoms]
-        wanted = None if pick is None else pick(closure, gvars)
+        wanted = None if pick is None else pick(closure, (body, gvars), prepared)
         for rel, n, q in heads:
             name = rel.replace("{", "{{").replace("}", "}}")  # escaped as query._templates does
             for combo in itertools.product(gvars, repeat=n):
@@ -511,18 +520,31 @@ class _Verdicts(NamedTuple):
             return ENTAILED
         return UNKNOWN if cand.closure.key in self.stopped else REJECTED
 
-    def to_name(self, closure: _Closure, gvars: tuple[str, ...]) -> Optional[set[_HeadArgs]]:
-        """The heads over a body's guard variables that hold in its closure
-        and are not among its atoms (enumerated bodies hold variables only);
-        None, for every head, when its chase stopped at its budget, so that
-        each unknown candidate is named."""
+    def to_name(self, closure: _Closure, body: _Body, prepared: _Prepared
+                ) -> Optional[set[_HeadArgs]]:
+        """The heads over a body's guard variables that hold in its closure,
+        are not among its atoms (enumerated bodies hold variables only) and
+        hold in the closure of none of its sub-bodies, the body less one atom
+        beside its guard, which is enumerated and prepared too.  The rule on
+        such a sub-body is entailed, subsumes the rule by inclusion and comes
+        first in the prune, which would drop the rule without evicting any
+        other, so skipping it leaves the program as it is.  None, for every
+        head, when the body's chase stopped at its budget, so that each
+        unknown candidate is named."""
         if closure.key in self.stopped:
             return None
+        atoms, gvars = body
         back = {closure.ren[g]: g for g in gvars}
         own = {(a.rel, tuple(t.name for t in a.args)) for a in closure.atoms}
-        return {(rel, tuple(back[n] for n in names))
-                for rel, names in self.holds[closure.key] - own
-                if all(n in back for n in names)}
+        heads = {(rel, tuple(back[n] for n in names))
+                 for rel, names in self.holds[closure.key] - own
+                 if all(n in back for n in names)}
+        for extra in atoms[1:]:
+            sub = prepared[tuple(sorted(set(atoms) - {extra}, key=str))][3]
+            holds = self.holds[sub.key]
+            heads = {(rel, args) for rel, args in heads
+                     if (rel, tuple(sub.ren[g] for g in args)) not in holds}
+        return heads
 
 
 def _judged(space: _Space, verdicts: _Verdicts, pick: Optional[_Pick] = None,
@@ -539,30 +561,39 @@ def _judged(space: _Space, verdicts: _Verdicts, pick: Optional[_Pick] = None,
             for s in sorted(cands, key=lambda s: (cands[s].kind == "query-rule", s))]
 
 
-def _records(space: _Space, verdicts: _Verdicts) -> tuple[CertificationRecord, ...]:
-    """The record of every candidate of the space.  It names them all, so a
-    trail calls it only when it is read."""
-    return tuple(r for r, _ in _judged(space, verdicts))
+def _entailed(judged: Iterable[tuple[CertificationRecord, _Candidate]]) -> list[_Candidate]:
+    """The entailed candidates that are not tautologies (head in body)."""
+    return [c for r, c in judged if r.verdict == ENTAILED and c.head not in c.body]
+
+
+def _records(space: _Space, verdicts: _Verdicts
+             ) -> tuple[tuple[CertificationRecord, ...], list[_Candidate]]:
+    """The record of every candidate of the space, and its entailed
+    candidates that are not tautologies.  It names them all, so a trail
+    calls it only when it is read."""
+    judged = _judged(space, verdicts)
+    return tuple(r for r, _ in judged), _entailed(judged)
 
 
 class _Certified(NamedTuple):
-    """A certified space: its entailed candidates that are not tautologies
-    (head in body), whether one of its candidates is unknown, and its
-    records, produced by ``_records`` when called."""
+    """A certified space: the entailed candidates that are not tautologies
+    and that no sub-body's candidate subsumes, whether one of its candidates
+    is unknown, and what ``_records`` returns, produced when called."""
     kept: list[_Candidate]
     unknown: bool
-    records: Callable[[], tuple[CertificationRecord, ...]]
+    trail: Callable[[], tuple[tuple[CertificationRecord, ...], list[_Candidate]]]
 
 
 def _certify(rules: Sequence[Tgd], sig: Signature, space: _Space,
              config: RewriteConfig) -> _Certified:
     """Chase each distinct canonical body of the space once under the rules,
     in key order, read the heads that hold in its closure, then drop the
-    closure.  Name only the entailed heads that are not in their body, and
-    every head of a body whose chase stopped at its budget: the program
-    needs the entailed rules, and completeness the unknown ones.  Input
-    rules and axioms are entailed without a chase.  The other candidates
-    are named only when the records are read."""
+    closure.  Name only the entailed heads that are not in their body and
+    hold in no sub-body's closure (see ``_Verdicts.to_name``), and every
+    head of a body whose chase stopped at its budget: the program needs
+    those entailed rules, and completeness the unknown ones.  Input rules
+    and axioms are entailed without a chase.  The other candidates are
+    named only when the records are read."""
     prepared: _Prepared = {}
     _rule_candidates(space.bodies, (), prepared=prepared)
     verdicts = _Verdicts({}, set())
@@ -573,8 +604,7 @@ def _certify(rules: Sequence[Tgd], sig: Signature, space: _Space,
         if res.status != TERMINATED:
             verdicts.stopped.add(key)
     judged = _judged(space, verdicts, verdicts.to_name, prepared)
-    return _Certified([c for r, c in judged if r.verdict == ENTAILED and c.head not in c.body],
-                      any(r.verdict == UNKNOWN for r, _ in judged),
+    return _Certified(_entailed(judged), any(r.verdict == UNKNOWN for r, _ in judged),
                       lambda: _records(space, verdicts))
 
 
@@ -734,31 +764,43 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
               idb_if_used: Sequence[tuple[str, int]] = (),
               query_predicates: Optional[dict[str, str]] = None,
               projection: Optional[tuple[int, ...]] = None) -> RewriteArtifacts:
-    """The program over relation copies: each certified rule that is not a
-    tautology, moved onto the copies, the goal rules, and one import rule per
-    input relation, less the rules a kept rule subsumes.  The trail lists
-    the certified records, an ``entailed`` record per goal rule, the import
-    records, then a ``subsumed`` record per dropped rule.  The idb declares
-    the copies, then the relations of ``idb_if_used`` that some rule before
-    the prune mentions, then ``idb``."""
+    """The program over relation copies: each certified rule, moved onto
+    the copies, the goal rules, and one import rule per input relation, less
+    the rules a kept rule subsumes.  The trail lists the certified records,
+    an ``entailed`` record per goal rule, the import records, then a
+    ``subsumed`` record per dropped rule, in text order.  Those records are
+    produced when the trail is read, from every entailed candidate that is
+    not a tautology: the ones certification skipped for a sub-body's rule
+    are subsumed too.  The idb declares the copies, then the relations of
+    ``idb_if_used`` that some rule before the prune mentions, then ``idb``.
+    A skipped rule changes neither signature: it has the head of a named
+    rule, and no enumerated body mentions an ``idb_if_used`` relation or
+    ``_unit``."""
     def onto_copies(a: Atom) -> Atom:
         return Atom(copies.get(a.rel, a.rel), a.args)
 
-    prog_rules: dict[str, tuple[Rule, str]] = {}
-    for c in certified.kept:
-        body, head = c.named()
-        r = Rule(onto_copies(head), tuple(onto_copies(a) for a in body))
-        prog_rules[str(r)] = r, "rule"
-    for r in goal_list:
-        prog_rules[str(r)] = r, "goal-rule"
-    rest = [CertificationRecord(str(r), ENTAILED, "goal-rule") for r in goal_list]
+    imports = []
     for rel, arity in sig.arities.items():
         args = tuple(Var(f"x{i}") for i in range(arity))
-        r = Rule(Atom(copies[rel], args), (Atom(rel, args),))
-        prog_rules[str(r)] = r, "import"
-        rest.append(CertificationRecord(str(r), ENTAILED, "import"))
+        imports.append(Rule(Atom(copies[rel], args), (Atom(rel, args),)))
+    rest = ([CertificationRecord(str(r), ENTAILED, "goal-rule") for r in goal_list]
+            + [CertificationRecord(str(r), ENTAILED, "import") for r in imports])
 
-    ordered = {s: prog_rules[s] for s in sorted(prog_rules)}
+    def program_rules(cands: Iterable[_Candidate]) -> dict[str, tuple[Rule, str]]:
+        """The candidates' rules, moved onto the copies, the goal rules and
+        the import rules, each with its kind, by text in text order."""
+        out: dict[str, tuple[Rule, str]] = {}
+        for c in cands:
+            body, head = c.named()
+            r = Rule(onto_copies(head), tuple(onto_copies(a) for a in body))
+            out[str(r)] = r, "rule"
+        for r in goal_list:
+            out[str(r)] = r, "goal-rule"
+        for r in imports:
+            out[str(r)] = r, "import"
+        return {s: out[s] for s in sorted(out)}
+
+    ordered = program_rules(certified.kept)
     atoms = [a for r, _ in ordered.values() for a in (r.head, *r.body)]
     referenced = {a.rel for a in atoms}
     idb_rels = ([(copies[rel], arity) for rel, arity in sig.arities.items()]
@@ -768,13 +810,18 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
             isinstance(t, Cst) and t.name == UNIT_CONST for a in atoms for t in a.args):
         edb = sig.extend(constants=(UNIT_CONST,))
     kept = _prune_subsumed({s: r for s, (r, _) in ordered.items()})
-    rest += [CertificationRecord(s, SUBSUMED, kind)
-             for s, (_, kind) in ordered.items() if s not in kept]
-    certified_records = certified.records  # the trail keeps no named candidate
+    certified_trail = certified.trail  # the trail keeps no named candidate
+
+    def records() -> tuple[CertificationRecord, ...]:
+        candidate_records, entailed = certified_trail()
+        return candidate_records + tuple(rest) + tuple(
+            CertificationRecord(s, SUBSUMED, kind)
+            for s, (_, kind) in program_rules(entailed).items() if s not in kept)
+
     return RewriteArtifacts(
         program=DatalogProgram(edb, Signature(idb_rels),
                                tuple(r for s, (r, _) in ordered.items() if s in kept), goal),
-        _trail=_Trail(lambda: certified_records() + tuple(rest)),
+        _trail=_Trail(records),
         caps=caps,
         capped=capped,
         completeness=CAPPED if capped or certified.unknown else COMPLETE_WITHIN_CAPS,

@@ -15,11 +15,11 @@ from randgen import random_cq, random_instance, random_signature
 from shapes import cycle
 from gnfkit import rewrite
 from gnfkit.chase import TERMINATED, ChaseConfig, chase
-from gnfkit.datalog import DatalogProgram, classify_datalog
+from gnfkit.datalog import DatalogProgram, Rule, classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, canon_inst, core_cq, cq,
-                          cq_contained, cq_equivalent, first_occurrence_vars, is_answer_guarded,
-                          query_signature, substitute)
+from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, atom_homomorphisms, canon_inst,
+                          core_cq, cq, cq_contained, cq_equivalent, first_occurrence_vars,
+                          is_answer_guarded, query_signature, substitute)
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED, UNKNOWN,
                             RewriteConfig, _canonical_family_form, _certify, _copy_map,
                             _derivation_space, _inject_input_rules, _query_family,
@@ -106,8 +106,8 @@ def test_enumeration_is_deterministic_and_canonical():
     # each candidate is keyed by its own text, so no two share a text
     assert [str(c.rule) for c in cands.values()] == list(cands)
     assert not capped
-    records = _certified([], SIG).records()
-    assert records == _certified([], SIG).records()
+    records, _ = _certified([], SIG).trail()
+    assert records == _certified([], SIG).trail()[0]
     assert [r.candidate for r in records] == sorted(cands)
 
 
@@ -262,7 +262,7 @@ def test_derive_only_trivial_rules_without_input_rules():
     # whose head is not in their body
     certified = _certified([], Signature([("A", 1), ("B", 1)]))
     assert certified.kept == []
-    assert any(r.verdict == ENTAILED for r in certified.records())
+    assert any(r.verdict == ENTAILED for r in certified.trail()[0])
 
 
 def test_derive_composes_transitively():
@@ -281,7 +281,7 @@ def test_derive_rejects_non_consequences():
 
 def test_derive_certifies_every_kept_rule():
     certified = _certified(RULES, SIG)
-    entailed = {r.candidate for r in certified.records() if r.verdict == ENTAILED}
+    entailed = {r.candidate for r in certified.trail()[0] if r.verdict == ENTAILED}
     assert certified.kept and all(str(c.rule) in entailed for c in certified.kept)
 
 
@@ -345,8 +345,11 @@ def test_completeness_is_decided_without_reading_the_trail(scheme, monkeypatch):
 
 def test_a_compile_names_only_the_heads_it_needs(monkeypatch):
     """Until the trail is read, a compile names the entailed heads that are
-    not in their body and every head of a body whose chase stopped at its
-    budget, which are the candidates its program and completeness need."""
+    not in their body and that no sub-body (the body less one atom beside
+    its guard) entails too, and every head of a body whose chase stopped at
+    its budget: the candidates its program and completeness need.  The
+    trail still lists each skipped candidate as entailed and its program
+    rule as subsumed."""
     problem = compile_problem("null-producer", "V(x)")
     named: list[str] = []
     real = rewrite._rule_candidates
@@ -368,11 +371,32 @@ def test_a_compile_names_only_the_heads_it_needs(monkeypatch):
     stopped = {key for key, atoms in closures.items()
                if chase(canon_inst(cq([], list(atoms)), sig)[0], problem.rules).status
                != TERMINATED}
-    want = {s for s, c in every.items()
-            if c.closure.key in stopped or (verdicts[s] == ENTAILED and c.head not in c.body)}
+    want = set()
+    for body, gvars in space.bodies:
+        # the sub-bodies' entailed heads, over the body's own variable names
+        below = {c.head for i in range(1, len(body))
+                 for t, c in _rule_candidates([(body[:i] + body[i + 1:], gvars)],
+                                              space.heads).items()
+                 if verdicts[t] == ENTAILED}
+        want |= {s for s, c in _rule_candidates([(body, gvars)], space.heads).items()
+                 if c.closure.key in stopped
+                 or (verdicts[s] == ENTAILED and c.head not in c.body and c.head not in below)}
     assert stopped and set(closures) - stopped
     assert eager == want
     assert len(eager) < len(every)
+
+    skipped = {s for s, c in every.items()
+               if verdicts[s] == ENTAILED and c.head not in c.body} - eager
+    copies = _copy_map(sig)
+    records = {(r.candidate, r.verdict, r.kind) for r in art.certification}
+    subsumed = {r.candidate for r in art.certification if r.verdict == SUBSUMED}
+    assert skipped
+    for s in skipped:
+        assert (s, ENTAILED, "rule") in records
+        body, head = every[s].named()
+        rule = Rule(Atom(copies[head.rel], head.args),
+                    tuple(Atom(copies[a.rel], a.args) for a in body))
+        assert str(rule) in subsumed, s
 
 
 # ---------------------------------------------------------------------------
@@ -1182,6 +1206,63 @@ def test_emitted_programs_are_subsumption_minimal(name, scheme, text):
         assert any(naive_subsumes(k, r) for k in kept), r
     for g, r in itertools.permutations(kept, 2):
         assert not naive_subsumes(g, r), (g, r)
+
+
+def _included(general, specific) -> bool:
+    """Whether a one-to-one renaming of the general rule's variables onto
+    variables sends its head onto the specific head and its body into the
+    specific body."""
+    pairs = list(zip(general.head.args, specific.head.args))
+    seed = dict(pairs)
+    if (general.head.rel != specific.head.rel or any(seed[s] != t for s, t in pairs)
+            or any(s != t for s, t in pairs if isinstance(s, Cst))
+            or not {a.rel for a in general.body} <= {a.rel for a in specific.body}):
+        return False
+    for h in atom_homomorphisms(general.body, specific.body, seed):
+        images = [t for s, t in h.items() if isinstance(s, Var)]
+        if all(isinstance(t, Var) for t in images) and len(set(images)) == len(images):
+            return True
+    return False
+
+
+def _prune_keeps_its_rules_without_included_ones(rules, prune) -> bool:
+    """Whether the prune keeps the same rules once every rule that a rule of
+    the set with a smaller body subsumes by inclusion is removed beforehand,
+    as certification does when a sub-body entails a body's head."""
+    by_text = {str(r): r for r in rules}
+    by_head: dict[str, list] = {}
+    for r in rules:
+        by_head.setdefault(r.head.rel, []).append(r)
+    included = {s for s, r in by_text.items()
+                if any(len(g.body) < len(r.body) and _included(g, r) for g in by_head[r.head.rel])}
+    return prune(by_text) == prune({s: r for s, r in by_text.items() if s not in included})
+
+
+@pytest.mark.parametrize("name, scheme, text", PRUNE_COMPILES, ids=PRUNE_IDS)
+def test_rules_included_in_smaller_ones_change_no_prune(name, scheme, text):
+    _, art = compiled_problem(name, scheme, text)
+    rules = _with_subsumed(art).rules
+    assert _prune_keeps_its_rules_without_included_ones(rules, rewrite._prune_subsumed)
+
+
+def test_a_prune_that_evicts_before_dropping_fails_the_inclusion_check():
+    # the mutant lets a rule that a kept one subsumes evict the rules it
+    # subsumes first, so a rule over a body and the one over its core
+    # included in it trade places
+    def evicting_first(rules):
+        kept = {}
+        for s, r in sorted(rules.items(), key=lambda item: (len(item[1].body), item[0])):
+            same_head = kept.setdefault(r.head.rel, {})
+            for other in [other for other, k in same_head.items() if rewrite._subsumes(r, k)]:
+                del same_head[other]
+            if not any(rewrite._subsumes(k, r) for k in same_head.values()):
+                same_head[s] = r
+        return {s for same_head in kept.values() for s in same_head}
+
+    _, art = compiled_problem("symmetric-loop", "atomic", None)
+    rules = _with_subsumed(art).rules
+    assert _prune_keeps_its_rules_without_included_ones(rules, rewrite._prune_subsumed)
+    assert not _prune_keeps_its_rules_without_included_ones(rules, evicting_first)
 
 
 @pytest.mark.parametrize("name, scheme, text", PRUNE_COMPILES, ids=PRUNE_IDS)

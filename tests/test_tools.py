@@ -164,3 +164,38 @@ def test_bench_pairs_prints_usage_on_a_missing_option(capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage: python tools/bench_pairs.py")
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+BENCH_FILES = sorted(f for f in os.listdir(ROOT) if f.startswith("BENCH_") and f.endswith(".json"))
+
+
+@pytest.mark.parametrize("filename", BENCH_FILES)
+def test_bench_files_carry_pair_spreads_in_the_tool_shape(filename):
+    """Each BENCH_*.json names the change, the layer it moved, its parent and
+    its method, and every end-to-end metric entry of each of its groups has
+    the parent's and the change's spreads in ``bench_pairs.summarize``'s
+    shape."""
+    with open(os.path.join(ROOT, filename), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    for key in ("change", "layer_moved", "parent", "method"):
+        assert isinstance(bench.get(key), str) and bench[key], key
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = {m["name"]: m["unit"] for m in json.load(fh)["end_to_end"]}
+    shape = set(bench_pairs.spread([1.0, 2.0]))
+    groups = bench.get("end_to_end")
+    assert isinstance(groups, dict) and groups
+    for group, entries in groups.items():
+        found = [name for name in entries if name in metrics]
+        assert found, group
+        for name in found:
+            entry = entries[name]
+            assert set(entry) == {"unit", "parent", "change", "change_lower_in_pairs"}, (group, name)
+            assert entry["unit"] == metrics[name], (group, name)
+            for side in ("parent", "change"):
+                spread = entry[side]
+                assert set(spread) == shape, (group, name, side)
+                assert isinstance(spread["runs"], int) and spread["runs"] > 0, (group, name, side)
+                assert spread["q1"] <= spread["median"] <= spread["q3"], (group, name, side)
+            lower, pairs = map(int, entry["change_lower_in_pairs"].split("/"))
+            assert 0 <= lower <= pairs, (group, name)
