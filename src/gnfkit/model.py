@@ -8,7 +8,7 @@ instance is the set of values occurring in its facts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
 ELEMENT = "element"
@@ -20,14 +20,28 @@ class BudgetExceeded(Exception):
     """Raised when a search exceeds its node budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
+    """An element, constant or null.
+
+    Values, facts, and the terms and atoms of ``gnfkit.query`` hash once, when
+    built, to the hash of their field tuple: the join kernel, the chase and
+    bisimulation hash them over and over."""
     kind: str
     name: str
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (ELEMENT, CONSTANT, NULL):
             raise ValueError(f"bad value kind: {self.kind!r}")
+        object.__setattr__(self, "_h", hash((self.kind, self.name)))
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):
+        # str hashes differ between processes: unpickle through the constructor
+        return Value, (self.kind, self.name)
 
     def __str__(self):
         return self.name
@@ -86,10 +100,20 @@ class Signature:
         return f"Signature({rels}; consts={list(self.constants)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     rel: str
     args: tuple[Value, ...]
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_h", hash((self.rel, self.args)))
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):
+        return Fact, (self.rel, self.args)
 
     def __str__(self):
         return f"{self.rel}({','.join(str(a) for a in self.args)})"

@@ -8,7 +8,7 @@ homomorphism test between sets of atoms runs ``model._hom_search`` through
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import Fact, Instance, Signature, Value, _hom_constraints, _hom_search, elem
@@ -16,17 +16,37 @@ from .model import Fact, Instance, Signature, Value, _hom_constraints, _hom_sear
 from .model import find_homomorphism
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_h", hash((self.name,)))
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):
+        return Var, (self.name,)
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cst:
     name: str
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_h", hash((self.name,)))
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):
+        return Cst, (self.name,)
 
     def __repr__(self):
         return self.name
@@ -35,10 +55,20 @@ class Cst:
 Term = Union[Var, Cst]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     rel: str
     args: tuple[Term, ...]
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_h", hash((self.rel, self.args)))
+
+    def __hash__(self):
+        return self._h
+
+    def __reduce__(self):
+        return Atom, (self.rel, self.args)
 
     def vars(self) -> tuple[str, ...]:
         seen = []

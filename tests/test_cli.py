@@ -385,9 +385,10 @@ def test_subprocess_determinism(tmp_path):
     # itself put it on the path
     src = os.path.dirname(os.path.dirname(gnfkit.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
-    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    # under two hash seeds: no output may depend on how strings hash
+    first, second = (subprocess.run(cmd, capture_output=True, text=True,
+                                    env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+                     for seed in ("1", "2"))
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert "T: a, b" in first.stdout

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gnfkit
 from gnfkit.model import (
     BudgetExceeded,
     Fact,
@@ -64,6 +68,64 @@ def test_fact_equality_and_str():
     assert f == Fact("R", (elem("a"), elem("b")))
     assert f != Fact("R", (elem("b"), elem("a")))
     assert str(f) == "R(a,b)"
+
+
+def test_values_and_facts_built_apart_are_equal_and_hash_alike():
+    assert elem("a") is not elem("a") and hash(elem("a")) == hash(elem("a"))
+    assert hash(const("c")) == hash(("constant", "c"))
+    f, g = (Fact("R", (elem("a"), const("c"))) for _ in range(2))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert hash(f) == hash(("R", (elem("a"), const("c"))))
+    assert {f: 1}[g] == 1
+
+
+def test_values_and_facts_keep_their_checks_text_and_slots():
+    with pytest.raises(ValueError, match="bad value kind"):
+        Value("bogus", "a")
+    f = Fact("R", (elem("a"), null("n")))
+    assert (str(f), repr(f), str(null("n")), repr(null("n"))) == ("R(a,n)", "R(a,n)", "n", "n")
+    assert elem("a") != ("element", "a") and f != ("R", f.args)
+    assert not hasattr(elem("a"), "__dict__") and not hasattr(f, "__dict__")
+    with pytest.raises(AttributeError):
+        elem("a").name = "b"
+    with pytest.raises(AttributeError):
+        f.rel = "S"
+
+
+def test_a_fact_with_list_arguments_fails_when_built():
+    with pytest.raises(TypeError):
+        Fact("R", [elem("a"), elem("b")])
+
+
+# One object of each hashed core type; a dict keyed by it is pickled under one
+# hash seed and read under another, where its stored hash would be stale.
+CROSS_SEED_KEYS = {
+    "Value": "elem('a')",
+    "Fact": "Fact('R', (elem('a'), const('c')))",
+    "Var": "Var('x')",
+    "Cst": "Cst('c')",
+    "Atom": "Atom('R', (Var('x'), Cst('c')))",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CROSS_SEED_KEYS))
+def test_a_pickled_key_is_found_under_another_hash_seed(kind, tmp_path):
+    prelude = ("import pickle, sys\n"
+               "from gnfkit.model import Fact, const, elem\n"
+               "from gnfkit.query import Atom, Cst, Var\n"
+               f"key = {CROSS_SEED_KEYS[kind]}\n"
+               "path = sys.argv[1]\n")
+    dump = prelude + "pickle.dump({key: 'found'}, open(path, 'wb'))\n"
+    load = (prelude + "d = pickle.load(open(path, 'rb'))\n"
+            "print(d.get(key), key in set(d), hash(next(iter(d))) == hash(key))\n")
+    src = os.path.dirname(os.path.dirname(gnfkit.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "keyed.pickle"
+    for code, seed in ((dump, "1"), (load, "2")):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        run = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
+                             text=True, env=env, check=True)
+    assert run.stdout == "found True True\n"
 
 
 # ---------------------------------------------------------------- signatures

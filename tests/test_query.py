@@ -63,6 +63,37 @@ def test_atom_builder_and_vars():
     assert str(b) == "R(x,c)"
 
 
+def test_terms_and_atoms_built_apart_are_equal_and_hash_alike():
+    assert Var("x") is not Var("x") and Var("x") == Var("x")
+    assert hash(Var("x")) == hash(Var("x")) == hash(("x",)) == hash(Cst("x"))
+    a, b = (Atom("R", (Var("x"), Cst("c"))) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash(("R", (Var("x"), Cst("c"))))
+    assert {a: 1}[b] == 1
+
+
+def test_terms_compare_by_class_and_never_equal_tuples():
+    assert Var("x") != Cst("x") and Cst("x") != Var("x")
+    assert len({Var("x"), Cst("x")}) == 2
+    assert Var("x") != ("x",) and Cst("c") != ("c",)
+    assert atom("R", "x") != ("R", (Var("x"),))
+
+
+def test_terms_and_atoms_keep_their_text_and_slots():
+    a = Atom("R", (Var("x"), Cst("c")))
+    assert (str(a), repr(a), str(Var("x")), repr(Cst("c"))) == ("R(x,c)", "R(x,c)", "x", "c")
+    assert not any(hasattr(obj, "__dict__") for obj in (Var("x"), Cst("c"), a))
+    with pytest.raises(AttributeError):
+        Var("x").name = "y"
+    with pytest.raises(AttributeError):
+        a.args = ()
+
+
+def test_an_atom_with_list_arguments_fails_when_built():
+    with pytest.raises(TypeError):
+        Atom("R", [Var("x"), Var("y")])
+
+
 def test_cq_infers_existentials_in_first_occurrence_order():
     q = cq(["x"], [atom("E", "x", "y"), atom("E", "y", "z")])
     assert q.free_vars == ("x",)
