@@ -1,5 +1,6 @@
 """Conjunctive queries: the join kernel and semi-naive round planner, evaluation,
-homomorphisms between atom sets (containment, cores), acyclicity, treeification.
+homomorphisms between atom sets (containment, cores), acyclicity, variable
+quotients, treeification.
 
 ``match_atoms`` joins relations (evaluation, the chase, Datalog); every
 homomorphism test between sets of atoms runs ``model._hom_search`` through
@@ -551,72 +552,89 @@ def canonical_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
     return cq(q.free_vars, atoms)
 
 
-def _enumerate_cqs(sig: Signature, free: tuple[str, ...], max_atoms: int,
-                   max_vars: int) -> Iterator[ConjunctiveQuery]:
-    """All canonical CQs over sig with the given free variables, within bounds."""
-    pool_vars = list(free) + fresh_names("v", max_vars - len(free), free)
-    atoms = []
-    for rel in sig.relations():
-        ar = sig.arities[rel]
-        for combo in itertools.product(pool_vars, repeat=ar):
-            atoms.append(Atom(rel, tuple(Var(v) for v in combo)))
-    atoms.sort(key=str)
-    seen = set()
-    for n in range(1, max_atoms + 1):
-        for combo in itertools.combinations(atoms, n):
-            used = {v for a in combo for v in a.vars()}
-            if len(used) > max_vars or not set(free) <= used:
-                continue
-            try:
-                cand = canonical_cq(cq(free, combo))
-            except ValueError:
-                continue
-            key = str(cand)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield cand
+# ---------------------------------------------------------------------------
+# quotients and treeification
+
+def quotients(items: Sequence, max_classes: Optional[int] = None) -> Iterator[dict]:
+    """Every partition of the items into at most ``max_classes`` classes (any
+    number when None), as the map sending each item to the first item of its
+    class.  The bound drops partitions inside the recursion, so the ones
+    within it come in the order the unbounded enumeration gives them."""
+    def partitions(i: int) -> Iterator[list[list]]:
+        if i == len(items):
+            yield []
+            return
+        for part in partitions(i + 1):
+            for j in range(len(part)):
+                yield part[:j] + [[items[i]] + part[j]] + part[j + 1:]
+            if max_classes is None or len(part) < max_classes:
+                yield [[items[i]]] + part
+
+    for part in partitions(0):
+        yield {x: cls[0] for cls in part for x in cls}
+
+
+def quotient_atoms(atoms: Iterable[Atom], rep: Mapping[str, str]) -> list[Atom]:
+    """The distinct atoms with each variable renamed to its class's name."""
+    sub = {v: Var(r) for v, r in rep.items()}
+    return list(dict.fromkeys(substitute(a, sub) for a in atoms))
+
+
+def atoms_over(rels: Iterable[tuple[str, int]], names: Sequence[str]) -> list[Atom]:
+    """Every atom over the relations ``(name, arity)`` with the named
+    variables as arguments, relation by relation."""
+    return [Atom(rel, tuple(map(Var, combo))) for rel, arity in rels
+            for combo in itertools.product(names, repeat=arity)]
 
 
 def treeify(q: ConjunctiveQuery, max_atoms: int, max_vars: int,
             sig: Optional[Signature] = None) -> list[ConjunctiveQuery]:
-    """The most general acyclic answer-guarded queries entailing q, within bounds.
+    """The most general acyclic answer-guarded queries entailing q, within
+    bounds: q's acyclic approximations within max_atoms atoms and max_vars
+    variables, in the sense of Barceló, Libkin and Romero ("Efficient
+    approximations of conjunctive queries", PODS 2012).
 
-    Searches every canonical CQ over the signature with at most max_atoms atoms and
-    max_vars variables; keeps those that are acyclic, answer-guarded and contained in q;
-    prunes members strictly contained in another member; ties between equivalent members
-    go to the lexicographically least serialization.
+    Such a query receives q by a homomorphism fixing the answer variables,
+    so it holds q's image, a quotient of q that keeps the answer variables
+    apart.  Candidates are built that way: each such quotient within the
+    bounds plus up to max_atoms - |quotient| extra atoms over the signature,
+    on the quotient's variables and fresh ones up to max_vars.  The
+    acyclic, answer-guarded candidates, distinct up to renaming, are cored;
+    a core strictly contained in another is dropped, and of equivalent
+    cores the one with the least canonical text is kept.  Members are
+    returned in canonical form, sorted by text.  A query with a constant
+    yields none: every candidate is built without constants.
     """
     if max_atoms < 1 or max_vars < 1:
         raise ValueError("treeify bounds must be positive")
     if not is_answer_guarded(q):
         raise ValueError("treeify requires an answer-guarded query")
     sig = query_signature(q, sig)
-    if len(q.free_vars) > max_vars:
+    if q.constants() or len(q.free_vars) > max_vars:
         return []
-    found: list[ConjunctiveQuery] = []
-    for cand in _enumerate_cqs(sig, q.free_vars, max_atoms, max_vars):
-        if not is_answer_guarded(cand) or not is_acyclic(cand):
+    rels = [(r, sig.arities[r]) for r in sig.relations()]
+    seen: set[str] = set()
+    cores: dict[str, ConjunctiveQuery] = {}
+    # the answer variables come first in all_vars, so each names its class
+    for rep in quotients(q.all_vars(), max_vars):
+        if len({rep[x] for x in q.free_vars}) < len(q.free_vars):
             continue
-        if cq_contained(cand, q):
-            found.append(core_cq(cand))
-    # keep the weakest members: drop t if strictly contained in some other member
-    out: list[ConjunctiveQuery] = []
-    for i, t in enumerate(found):
-        keep = True
-        for j, u in enumerate(found):
-            if i == j:
-                continue
-            if cq_contained(t, u):
-                if not cq_contained(u, t):
-                    keep = False
-                    break
-                # equivalent: lexicographic tie-break
-                ct, cu = str(canonical_cq(t)), str(canonical_cq(u))
-                if cu < ct or (cu == ct and j < i):
-                    keep = False
-                    break
-        if keep:
-            out.append(canonical_cq(t))
-    uniq = sorted(set(out), key=str)
-    return uniq
+        image = quotient_atoms(q.atoms, rep)
+        names = first_occurrence_vars(image)
+        pool = [a for a in atoms_over(rels, names + fresh_names("w", max_vars - len(names), names))
+                if a not in image]
+        for n in range(max_atoms - len(image) + 1):
+            for extra in itertools.combinations(pool, n):
+                cand = cq(q.free_vars, image + list(extra))
+                if not is_answer_guarded(cand) or not is_acyclic(cand):
+                    continue
+                key = str(canonical_cq(cand))
+                if key not in seen:
+                    seen.add(key)
+                    core = canonical_cq(core_cq(cand))
+                    cores.setdefault(str(core), core)
+    # keep t unless some other u contains it and is strictly weaker, or
+    # equivalent with a lesser key
+    return [cores[t] for t in sorted(cores)
+            if not any(u != t and cq_contained(cores[t], cores[u])
+                       and (u < t or not cq_contained(cores[u], cores[t])) for u in cores)]

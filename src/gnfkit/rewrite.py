@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .chase import TERMINATED, ChaseConfig, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
@@ -70,8 +70,8 @@ from .model import ELEMENT, Fact, Instance, Signature, active_domain, align_inst
 from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Term, Var,
                     atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
                     canonical_renaming, core_cq, cq, cq_contained, eval_cq,
-                    first_occurrence_vars, is_answer_guarded, pick_renaming,
-                    query_signature, substitute)
+                    atoms_over, first_occurrence_vars, is_answer_guarded, pick_renaming,
+                    query_signature, quotient_atoms, quotients, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
 
 ENTAILED = "entailed"
@@ -215,42 +215,6 @@ class RewriteArtifacts:
 # ---------------------------------------------------------------------------
 # small combinatorial helpers
 
-def _set_partitions(items: list) -> Iterator[list[list]]:
-    """All partitions of the list; each class lists its members in input order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
-def _position_patterns(arity: int) -> tuple[tuple[str, ...], ...]:
-    """Variable patterns for an atom: every way to repeat variables across
-    positions, named v0, v1, ... in first-occurrence order."""
-    out: list[tuple[str, ...]] = []
-
-    def rec(i: int, assignment: list[int], used: int):
-        if i == arity:
-            out.append(tuple(f"v{j}" for j in assignment))
-            return
-        for j in range(used + 1):
-            rec(i + 1, assignment + [j], max(used, j + 1))
-
-    rec(0, [], 0)
-    return tuple(out)
-
-
-def _atoms_over(rels: Sequence[tuple[str, int]], names: Sequence[str]) -> list[Atom]:
-    out = []
-    for rel, arity in rels:
-        for combo in itertools.product(names, repeat=arity):
-            out.append(Atom(rel, tuple(Var(v) for v in combo)))
-    return out
-
-
 def _fresh_name(base: str, used: set[str]) -> str:
     name = base
     while name in used:
@@ -385,11 +349,15 @@ def _guarded_bodies(rels: Sequence[tuple[str, int]], max_extra: int,
     capped = False
     bodies = []
     for rel, arity in rels:
-        for pattern in _position_patterns(arity):
+        patterns = []
+        for rep in quotients(range(arity)):
+            firsts = sorted(set(rep.values()))
+            patterns.append(tuple(f"v{firsts.index(rep[i])}" for i in range(arity)))
+        for pattern in sorted(patterns):
             guard = Atom(rel, tuple(Var(v) for v in pattern))
             gvars = tuple(dict.fromkeys(pattern))
             fresh = tuple(f"w{i}" for i in range(k - len(gvars)))
-            pool = [a for a in _atoms_over(rels, gvars + fresh) if a != guard]
+            pool = [a for a in atoms_over(rels, gvars + fresh) if a != guard]
             if len(pool) > EXTRA_ATOM_POOL_LIMIT:
                 pool = pool[:EXTRA_ATOM_POOL_LIMIT]
                 capped = True
@@ -611,20 +579,6 @@ def _certify(rules: Sequence[Tgd], sig: Signature, space: _Space,
 # ---------------------------------------------------------------------------
 # query families and goal rules: squid decompositions of the query's quotients
 
-def _quotients(query: ConjunctiveQuery) -> tuple[list[tuple[list[Atom], list[str]]], bool]:
-    """Each variable quotient of the query as its distinct atoms and its
-    answer variables.  Past ``MAX_QUOTIENT_VARS`` only the identity quotient
-    is taken, and the result is flagged as capped."""
-    allvars = list(query.all_vars())
-    capped = len(allvars) > MAX_QUOTIENT_VARS
-    out = []
-    for part in [[[v] for v in allvars]] if capped else _set_partitions(allvars):
-        rep = {v: Var(cls[0]) for cls in part for v in cls}
-        out.append((list(dict.fromkeys(substitute(a, rep) for a in query.atoms)),
-                    [rep[x].name for x in query.free_vars]))
-    return out, capped
-
-
 def _subquery(atoms: list[Atom], free: list[str], group: Sequence[int]) -> ConjunctiveQuery:
     """The atoms at the given indices, exposing the variables they share with
     the other atoms or with the answer."""
@@ -647,14 +601,23 @@ def _squids(query: ConjunctiveQuery, k: int) -> tuple[list[_Squid], bool]:
     it shares with the other groups or the answer, in canonical form.  A
     match of the quotient into a guarded chase, with H the variables sent to
     input elements, sends each tentacle below one guarded set of the input.
-    Also returns whether a cap dropped a decomposition: the quotient cap, or
-    a ``k`` below the query's variable count."""
-    quotients, capped = _quotients(query)
+    The quotients are ``query.quotients`` of the variables that occur in an
+    atom, within ``k`` classes, each class named after its first variable in
+    ``all_vars`` order; past ``MAX_QUOTIENT_VARS`` query variables only the
+    identity quotient is taken.  Also returns whether a cap dropped a
+    decomposition: the quotient cap, or a ``k`` below the query's variable
+    count."""
+    used = set(_vars(query.atoms))
+    names = [v for v in query.all_vars() if v in used]
+    capped = len(query.all_vars()) > MAX_QUOTIENT_VARS
+    if capped:
+        reps = [{v: v for v in names}] if len(names) <= k else []
+    else:
+        reps = quotients(names, k)
     out: list[_Squid] = []
-    for atoms, free in quotients:
+    for rep in reps:
+        atoms, free = quotient_atoms(query.atoms, rep), [rep[x] for x in query.free_vars]
         qvars = _vars(atoms)
-        if len(qvars) > k:
-            continue
         nonfree = [v for v in qvars if v not in free]
         parts = set()
         for n in range(len(nonfree) + 1):

@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from .model import Instance, Signature
 from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_renaming, cq, eval_cq,
-                    first_occurrence_vars, fresh_names, is_acyclic, query_signature,
-                    substitute, treeify)
+                    first_occurrence_vars, fresh_names, is_acyclic, is_answer_guarded,
+                    query_signature, substitute, treeify)
 
 
 @dataclass(frozen=True)
@@ -278,18 +278,20 @@ def to_acyclic_fg(rules: Sequence[Tgd], max_atoms: int, max_vars: int,
 
     Bodies and heads are replaced by members of their treeifications; body disjunction is
     expanded into separate rules, and a single entailed head disjunct is selected per
-    body member via the entailment oracle.
+    body member via the entailment oracle.  Acyclic frontier-guarded rules are kept as
+    they are.  Of the others, a rule that is not frontier-guarded, or whose head is not
+    answer-guarded and so has no treeification, fails without a cap.
     """
     out: list[Tgd] = []
     failed: list[Tgd] = []
     capped = False
     for t in rules:
         cls = classify(t)
-        if not cls.frontier_guarded:
-            failed.append(t)
-            continue
         if cls.acyclic_frontier_guarded:
             out.append(t)
+            continue
+        if not cls.frontier_guarded or not is_answer_guarded(t.head):
+            failed.append(t)
             continue
         body_q = cq(t.frontier(), t.body.atoms)
         body_members = treeify(body_q, max_atoms, max_vars)

@@ -14,9 +14,11 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from gnfkit.chase import BUDGET_EXHAUSTED, TERMINATED, ChaseConfig, ChaseResult
 from gnfkit.datalog import DatalogProgram, Rule
-from gnfkit.model import (BudgetExceeded, Fact, Homomorphism, Instance, Value, const, elem,
-                          find_homomorphism)
-from gnfkit.query import Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_renaming, cq
+from gnfkit.model import (BudgetExceeded, Fact, Homomorphism, Instance, Signature, Value,
+                          const, elem, find_homomorphism)
+from gnfkit.query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_cq,
+                          canonical_renaming, core_cq, cq, cq_contained, fresh_names,
+                          is_acyclic, is_answer_guarded, query_signature)
 from gnfkit.tgd import Tgd, make_tgd
 from gnfkit.logic import (FoAnd, FoEq, FoExists, FoForall, FoFormula, FoNot,
                           FoOr)
@@ -429,3 +431,74 @@ def naive_back_and_forth(family, gs_a, gs_b) -> set:
     bwd = [{t: s for s, t in items} for items in family]
     return {items for items in family
             if agrees(dict(items), gs_a, fwd) and agrees({t: s for s, t in items}, gs_b, bwd)}
+
+
+def _enumerate_cqs(sig: Signature, free: tuple[str, ...], max_atoms: int,
+                   max_vars: int) -> Iterator[ConjunctiveQuery]:
+    """All canonical CQs over sig with the given free variables, within bounds."""
+    pool_vars = list(free) + fresh_names("v", max_vars - len(free), free)
+    atoms = []
+    for rel in sig.relations():
+        ar = sig.arities[rel]
+        for combo in itertools.product(pool_vars, repeat=ar):
+            atoms.append(Atom(rel, tuple(Var(v) for v in combo)))
+    atoms.sort(key=str)
+    seen = set()
+    for n in range(1, max_atoms + 1):
+        for combo in itertools.combinations(atoms, n):
+            used = {v for a in combo for v in a.vars()}
+            if len(used) > max_vars or not set(free) <= used:
+                continue
+            try:
+                cand = canonical_cq(cq(free, combo))
+            except ValueError:
+                continue
+            key = str(cand)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield cand
+
+
+def naive_treeify(q: ConjunctiveQuery, max_atoms: int, max_vars: int,
+                  sig: Optional[Signature] = None) -> list[ConjunctiveQuery]:
+    """The most general acyclic answer-guarded queries entailing q, within bounds.
+
+    Searches every canonical CQ over the signature with at most max_atoms atoms and
+    max_vars variables; keeps those that are acyclic, answer-guarded and contained in q;
+    prunes members strictly contained in another member; ties between equivalent members
+    go to the lexicographically least serialization.
+    """
+    if max_atoms < 1 or max_vars < 1:
+        raise ValueError("treeify bounds must be positive")
+    if not is_answer_guarded(q):
+        raise ValueError("treeify requires an answer-guarded query")
+    sig = query_signature(q, sig)
+    if len(q.free_vars) > max_vars:
+        return []
+    found: list[ConjunctiveQuery] = []
+    for cand in _enumerate_cqs(sig, q.free_vars, max_atoms, max_vars):
+        if not is_answer_guarded(cand) or not is_acyclic(cand):
+            continue
+        if cq_contained(cand, q):
+            found.append(core_cq(cand))
+    # keep the weakest members: drop t if strictly contained in some other member
+    out: list[ConjunctiveQuery] = []
+    for i, t in enumerate(found):
+        keep = True
+        for j, u in enumerate(found):
+            if i == j:
+                continue
+            if cq_contained(t, u):
+                if not cq_contained(u, t):
+                    keep = False
+                    break
+                # equivalent: lexicographic tie-break
+                ct, cu = str(canonical_cq(t)), str(canonical_cq(u))
+                if cu < ct or (cu == ct and j < i):
+                    keep = False
+                    break
+        if keep:
+            out.append(canonical_cq(t))
+    uniq = sorted(set(out), key=str)
+    return uniq

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from corpus import FG_QUERIES, PROBLEMS, compiled_problem, corpus_problem
 from oracles import (naive_eval_cq, naive_eval_datalog, naive_eval_fo,
-                     naive_find_homomorphism)
+                     naive_find_homomorphism, naive_treeify)
 from randgen import (
     random_cq,
     random_datalog_program,
@@ -394,11 +394,14 @@ def test_criterion_09_treeification():
                 continue
             sources.append(q)
         for q in sources:
-            for member in treeify(q, 2, 3):
+            members = treeify(q, 2, 3)
+            assert members == naive_treeify(q, 2, 3), q
+            for member in members:
                 assert is_acyclic(member), (q, member)
                 assert cq_contained(member, q), (q, member)
         q_tri = sources[0]
         members = treeify(q_tri, 3, 3, Signature([("R", 2)]))
+        assert members == naive_treeify(q_tri, 3, 3, Signature([("R", 2)]))
         assert len(members) == 1
         expected = cq([], [atom("R", "x", "x")])
         assert cq_contained(members[0], expected) and cq_contained(expected, members[0])

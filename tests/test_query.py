@@ -38,12 +38,13 @@ from gnfkit.query import (
     is_answer_guarded,
     match_atoms,
     query_signature,
+    quotients,
     round_joins,
     treeify,
     _ordered_for_join,
 )
 
-from oracles import join_tree_exists, naive_eval_cq, naive_homomorphisms
+from oracles import join_tree_exists, naive_eval_cq, naive_homomorphisms, naive_treeify
 from randgen import random_cq, random_instance, random_signature
 from shapes import cycle, path
 
@@ -630,6 +631,27 @@ def test_canonical_renaming_names_by_first_occurrence_past_the_cap():
     assert set(atoms) == set(_renamed(path_atoms + [atom("U", "v1")], ren))
 
 
+# ---------------------------------------------------------------- quotients
+
+
+def test_quotients_are_the_set_partitions_within_the_bound():
+    # Bell numbers without a bound
+    assert [len(list(quotients(range(n)))) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+    # with at most two classes, the Stirling numbers S(5,1) + S(5,2)
+    assert len(list(quotients(range(5), 2))) == 1 + 15
+    items = ["x", "y", "z", "w"]
+    every = list(quotients(items))
+    for rep in every:
+        # each item maps to the first item of its class
+        assert all(rep[rep[v]] == rep[v] and items.index(rep[v]) <= items.index(v)
+                   for v in items)
+    assert len({tuple(sorted(r.items())) for r in every}) == len(every)
+    for bound in range(5):
+        # the bound drops partitions but keeps the others in order
+        assert list(quotients(items, bound)) == [r for r in every
+                                                 if len(set(r.values())) <= bound]
+
+
 # ---------------------------------------------------------------- treeify
 
 
@@ -670,6 +692,27 @@ def test_treeify_rejects_bad_inputs():
     two_step = cq(["x", "z"], [atom("E", "x", "y"), atom("E", "y", "z")])
     with pytest.raises(ValueError):
         treeify(two_step, 3, 3)
+
+
+def test_treeify_of_a_query_with_a_constant_is_empty():
+    # members are built without constants, so none receives q
+    q = cq(["x"], [atom("R", "x", "y"), atom("S", "y", Cst("c"))])
+    assert treeify(q, 3, 3) == []
+    assert naive_treeify(q, 3, 3) == []
+
+
+def test_treeify_matches_the_brute_force_oracle():
+    rng = random.Random(2601)
+    # binary cycles that only an extra ternary atom makes acyclic
+    covered = cq([], [atom("T", "x", "y", "x"), atom("T", "y", "z", "y"), atom("T", "z", "x", "z")])
+    cases = [(TRIANGLE, 3, 4), (covered, 4, 3)]
+    while len(cases) < 42:
+        sig = random_signature(rng, max_rels=2, max_arity=2)
+        q = random_cq(rng, sig, max_atoms=3, max_vars=4)
+        if is_answer_guarded(q):
+            cases.append((q, rng.choice([2, 3]), rng.choice([3, 4])))
+    for q, max_atoms, max_vars in cases:
+        assert treeify(q, max_atoms, max_vars) == naive_treeify(q, max_atoms, max_vars), q
 
 
 def test_treeify_answers_under_approximate_q_on_random_instances():

@@ -17,9 +17,10 @@ from gnfkit import rewrite
 from gnfkit.chase import TERMINATED, ChaseConfig, chase
 from gnfkit.datalog import DatalogProgram, Rule, classify_datalog
 from gnfkit.model import Fact, Instance, Signature, elem
-from gnfkit.query import (RENAMING_CAP, Atom, Cst, Var, atom, atom_homomorphisms, canon_inst,
-                          core_cq, cq, cq_contained, cq_equivalent, first_occurrence_vars,
-                          is_answer_guarded, query_signature, substitute)
+from gnfkit.query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Var, atom,
+                          atom_homomorphisms, canon_inst, core_cq, cq, cq_contained,
+                          cq_equivalent, first_occurrence_vars, is_answer_guarded,
+                          query_signature, substitute)
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED, UNKNOWN,
                             RewriteConfig, _canonical_family_form, _certify, _copy_map,
                             _derivation_space, _inject_input_rules, _query_family,
@@ -562,6 +563,29 @@ def test_a_k_below_the_query_variables_marks_each_stage_capped():
         assert art.capped == (k == 2)
         widths = {len({v for a in r.body for v in a.vars()}) for r in _goal_rules(art)}
         assert (3 in widths) == (k == 3)
+
+
+def test_a_k_bound_keeps_the_order_of_the_squids_within_it():
+    q = cq(["x"], [atom("E", "x", "y"), atom("E", "y", "z"), atom("F", "z", "w")])
+    every, _ = _squids(q, 4)
+    sizes = set()
+    for k in range(5):
+        bounded, _ = _squids(q, k)
+        rest = iter(every)
+        assert all(s in rest for s in bounded)  # an ordered subsequence
+        sizes.add(len(bounded))
+    assert len(sizes) == 5
+
+
+def test_squids_quotient_only_the_variables_in_atoms():
+    # an existential variable in no atom neither counts toward k nor names a class
+    loose = ConjunctiveQuery((), ("a", "y", "b", "z"), (atom("R", "y", "z"), atom("R", "z", "y")))
+    tight = cq([], [atom("R", "y", "z"), atom("R", "z", "y")])
+    assert _squids(loose, 2)[0] == _squids(tight, 2)[0]
+    # past the quotient cap the identity quotient stays within k
+    wide = ConjunctiveQuery(("x",), tuple("abcdefg"), (atom("R", "x", "x"),))
+    squids, capped = _squids(wide, 1)
+    assert capped and [free for free, _ in squids] == [["x"]]
 
 
 # ---------------------------------------------------------------------------

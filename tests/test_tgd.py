@@ -259,6 +259,13 @@ def test_to_acyclic_fg_flags_non_frontier_guarded_rules():
     assert not res.ok and res.failed == [t]
 
 
+def test_to_acyclic_fg_fails_a_head_that_is_not_answer_guarded_without_capping():
+    # frontier-guarded by G, but no head atom holds both x and y
+    t = make_tgd([atom("G", "x", "y", "w")], [atom("R", "x", "z"), atom("S", "y", "z")])
+    res = to_acyclic_fg([t], max_atoms=3, max_vars=3)
+    assert res.rules == [] and res.failed == [t] and not res.capped
+
+
 def test_to_acyclic_fg_reports_capping():
     t = make_tgd([atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "x")],
                  [atom("S", "x", "y")])
