@@ -38,10 +38,19 @@ Conventions:
 
 How the rounds are computed:
 
+* The initial families are matched by atomic type (``model.atomic_types``),
+  not tested pair by pair: once one check has found that the constants
+  alone correspond, two tuples are related by a partial isomorphism exactly
+  when their types are equal.  So every permutation of each guarded set of
+  ``b`` (each guarded tuple, for strong-GN) is bucketed by type, and each
+  guarded set of ``a`` (each guarded tuple) finds its partners in its
+  type's bucket.
 * A guarded-bisimulation round (``_back_and_forth``) checks a map only
   against the guarded sets that share an element with its domain or
   codomain, each by one set lookup in the projections of the members with
   that domain; a guarded set that is no member's domain empties the family.
+  Which sets those are, and the elements they share, are planned once per
+  domain, with their projections, for every map with that domain.
 * Every homomorphism search runs on ``model._hom_search``.  Its constraints
   are prepared once per fact set and image map (``_fact_constraints``), so
   a strong-GN round prepares each direction once for all of its pairs and
@@ -52,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
@@ -66,6 +76,7 @@ from .model import (
     _hom_constraints,
     _hom_search,
     active_domain,
+    atomic_types,
     elem,
     fact_key,
     guarded_sets,
@@ -187,31 +198,40 @@ def _agreeing(maps: Mapping[MapItems, Mapping[Value, Value]],
     No key passes when some set is the domain of no map.  Otherwise a map is
     checked only against the sets that share an element with its domain, by
     looking its values on the shared elements up in the projections onto
-    those elements of the maps with that domain; each projection is built on
-    first use."""
+    those elements of the maps with that domain.  Which sets those are, and
+    which elements they share, depend on the domain alone: each domain's
+    checks are planned once, with their projections, for all of its maps."""
     by_dom: dict[frozenset[Value], list[Mapping[Value, Value]]] = {}
-    for m in maps.values():
-        by_dom.setdefault(frozenset(m), []).append(m)
+    dom_of: dict[MapItems, frozenset[Value]] = {}
+    for key, m in maps.items():
+        dom = dom_of[key] = frozenset(m)
+        by_dom.setdefault(dom, []).append(m)
     if any(xs not in by_dom for xs in sets):
         return set()
     touching: dict[Value, list[frozenset[Value]]] = {}
     for xs in sets:
         for v in xs:
             touching.setdefault(v, []).append(xs)
-    projections: dict[tuple, set[tuple[Value, ...]]] = {}
+    projections: dict[tuple, set] = {}
 
-    def agrees(g: Mapping[Value, Value]) -> bool:
-        for xs in {xs for v in g for xs in touching.get(v, ())}:
-            shared = tuple(v for v in xs if v in g)
+    def plan(dom: frozenset[Value]) -> list[tuple[Callable, set]]:
+        """Per set touching `dom`: the getter of a map's values on the
+        shared elements, and the projection to find them in.  `dom` itself
+        needs no check: each map with that domain is in its projection."""
+        checks = []
+        for xs in {xs for v in dom for xs in touching.get(v, ())} - {dom}:
+            shared = tuple(v for v in xs if v in dom)
+            get = operator.itemgetter(*shared)
             proj = projections.get((xs, shared))
             if proj is None:
-                proj = projections[xs, shared] = {tuple(m[v] for v in shared)
-                                                  for m in by_dom[xs]}
-            if tuple(g[v] for v in shared) not in proj:
-                return False
-        return True
+                proj = projections[xs, shared] = {get(m) for m in by_dom[xs]}
+            checks.append((get, proj))
+        return checks
 
-    return {key for key in keys if agrees(maps[key])}
+    keys = list(keys)
+    plans = {dom: plan(dom) for dom in {dom_of[key] for key in keys}}
+    return {key for key in keys
+            if all(get(maps[key]) in proj for get, proj in plans[dom_of[key]])}
 
 
 def _back_and_forth(family: Collection[MapItems], gs_a: Collection[frozenset[Value]],
@@ -223,6 +243,32 @@ def _back_and_forth(family: Collection[MapItems], gs_a: Collection[frozenset[Val
     `_agreeing`, the back one only for the maps that pass forth."""
     forth = _agreeing({items: dict(items) for items in family}, gs_a, family)
     return _agreeing({items: {t: s for s, t in items} for items in family}, gs_b, forth)
+
+
+def _typed_pairs(a: Instance, b: Instance, tuples_a: Iterable[GuardedTuple],
+                 tuples_b: Iterable[GuardedTuple]) -> list[TuplePair]:
+    """The pairs of a tuple of `tuples_a` and a tuple of `tuples_b` whose
+    positional map, with constants pinned, is a partial isomorphism a -> b.
+    Once one check has found that the constants alone map by one,
+    `tuples_b` is bucketed by atomic type, and each tuple of `tuples_a`
+    finds its partners in its type's bucket."""
+    if not _is_partial_iso(a, b, ()):
+        return []
+    type_a, type_b = atomic_types(a), atomic_types(b)
+    buckets: dict[tuple, list[GuardedTuple]] = {}
+    for tb in tuples_b:
+        buckets.setdefault(type_b(tb), []).append(tb)
+    return [(ta, tb) for ta in tuples_a for tb in buckets.get(type_a(ta), ())]
+
+
+def _initial_family(a: Instance, b: Instance, gs_a: Iterable[frozenset[Value]],
+                    gs_b: Iterable[frozenset[Value]]) -> set[MapItems]:
+    """Every partial isomorphism (constants pinned) from a guarded set of `a`,
+    in name order, onto a guarded set of `b`: the sets of `a` against every
+    permutation of the sets of `b`, by `_typed_pairs`."""
+    named = (tuple(sorted(xs, key=_val_key)) for xs in gs_a)
+    perms = (p for ys in gs_b for p in itertools.permutations(sorted(ys, key=_val_key)))
+    return {tuple(zip(xs, ys)) for xs, ys in _typed_pairs(a, b, named, perms)}
 
 
 def check_guarded_bisim(a: Instance, b: Instance) -> Optional[GuardedBisimWitness]:
@@ -237,19 +283,9 @@ def check_guarded_bisim(a: Instance, b: Instance) -> Optional[GuardedBisimWitnes
     """
     if a.sig != b.sig:
         raise ValueError("check_guarded_bisim: signatures differ")
-    gs_a = sorted(guarded_sets(a), key=lambda s: (len(s), sorted(v.name for v in s)))
-    gs_b = sorted(guarded_sets(b), key=lambda s: (len(s), sorted(v.name for v in s)))
-    family: set[MapItems] = set()
-    for xs in gs_a:
-        xs_sorted = sorted(xs, key=_val_key)
-        for ys in gs_b:
-            if len(ys) != len(xs):
-                continue
-            for perm in itertools.permutations(sorted(ys, key=_val_key)):
-                items = tuple(zip(xs_sorted, perm))
-                if _is_partial_iso(a, b, items):
-                    family.add(items)
-    family = _greatest_fixpoint(family, lambda live: _back_and_forth(live, gs_a, gs_b))
+    gs_a, gs_b = guarded_sets(a), guarded_sets(b)
+    family = _greatest_fixpoint(_initial_family(a, b, gs_a, gs_b),
+                                lambda live: _back_and_forth(live, gs_a, gs_b))
     if not family:
         return None
     witness = GuardedBisimWitness(frozenset(family))
@@ -311,16 +347,8 @@ class StrongGnBisimWitness:
 
 def _initial_pairs(a: Instance, b: Instance) -> set[TuplePair]:
     """All well-typed pairs: equal length, and the positional map (with
-    constants pinned) is a partial isomorphism."""
-    gtb_by_len: dict[int, list[GuardedTuple]] = {}
-    for tb in guarded_tuples(b):
-        gtb_by_len.setdefault(len(tb), []).append(tb)
-    out: set[TuplePair] = set()
-    for ta in guarded_tuples(a):
-        for tb in gtb_by_len.get(len(ta), ()):
-            if _is_partial_iso(a, b, zip(ta, tb)):
-                out.add((ta, tb))
-    return out
+    constants pinned) is a partial isomorphism; by `_typed_pairs`."""
+    return set(_typed_pairs(a, b, guarded_tuples(a), guarded_tuples(b)))
 
 
 def _image_maps(pairs: Iterable[TuplePair]) -> tuple[ImageMap, ImageMap]:

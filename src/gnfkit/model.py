@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 ELEMENT = "element"
 CONSTANT = "constant"
@@ -219,6 +219,47 @@ def guarded_sets(inst: Instance) -> set[frozenset[Value]]:
             for combo in itertools.combinations(base, r):
                 out.add(frozenset(combo))
     return out
+
+
+AtomicType = tuple[tuple[int, ...], tuple[tuple[str, ...], ...], frozenset[tuple[str, tuple]]]
+
+
+def atomic_types(inst: Instance) -> Callable[[Sequence[Value]], AtomicType]:
+    """The atomic type of a tuple over `inst`: its equality pattern (each
+    position's first equal position), the constant names interpreted at
+    each position, and the facts that touch a tuple value and have every
+    argument among the tuple's values and the constant values, each
+    argument named by its first position in the tuple, or else by its
+    least constant name.
+
+    Once the constants of two instances span the same substructure (the
+    empty map, with constants pinned, is a partial isomorphism), two
+    equal-length tuples have equal types exactly when the positional map,
+    with constants pinned, is a partial isomorphism.  The element-to-facts
+    index is built here, once, for every tuple asked about."""
+    names: dict[Value, list[str]] = {}
+    for name in sorted(inst.const_interp):
+        names.setdefault(inst.const_interp[name], []).append(name)
+    least = {v: ns[0] for v, ns in names.items()}
+    touching: dict[Value, list[Fact]] = {}
+    for f in inst.facts:
+        for v in set(f.args):
+            touching.setdefault(v, []).append(f)
+
+    def atomic_type(t: Sequence[Value]) -> AtomicType:
+        first: dict[Value, int] = {}
+        for i, v in enumerate(t):
+            first.setdefault(v, i)
+        facts = set()
+        for v in first:
+            for f in touching.get(v, ()):
+                args = tuple(first[w] if w in first else least.get(w) for w in f.args)
+                if None not in args:
+                    facts.add((f.rel, args))
+        return (tuple(first[v] for v in t), tuple(tuple(names.get(v, ())) for v in t),
+                frozenset(facts))
+
+    return atomic_type
 
 
 def weak_substructure(a: Instance, b: Instance) -> bool:

@@ -603,13 +603,13 @@ def _squids(query: ConjunctiveQuery, k: int) -> tuple[list[_Squid], bool]:
     input elements, sends each tentacle below one guarded set of the input.
     The quotients are ``query.quotients`` of the variables that occur in an
     atom, within ``k`` classes, each class named after its first variable in
-    ``all_vars`` order; past ``MAX_QUOTIENT_VARS`` query variables only the
+    ``all_vars`` order; past ``MAX_QUOTIENT_VARS`` such variables only the
     identity quotient is taken.  Also returns whether a cap dropped a
-    decomposition: the quotient cap, or a ``k`` below the query's variable
-    count."""
+    decomposition: the quotient cap, or a ``k`` below the number of such
+    variables; an existential that occurs in no atom counts for neither."""
     used = set(_vars(query.atoms))
     names = [v for v in query.all_vars() if v in used]
-    capped = len(query.all_vars()) > MAX_QUOTIENT_VARS
+    capped = len(names) > MAX_QUOTIENT_VARS
     if capped:
         reps = [{v: v for v in names}] if len(names) <= k else []
     else:
@@ -633,7 +633,7 @@ def _squids(query: ConjunctiveQuery, k: int) -> tuple[list[_Squid], bool]:
                 parts.add(tuple(sorted(tuple(sorted(js)) for _, js in groups)))
         forms = {g: _canonical_family_form(_subquery(atoms, free, g)) for g in set().union(*parts)}
         out += [(free, [forms[g] for g in part]) for part in sorted(parts)]
-    return out, capped or k < len(query.all_vars())
+    return out, capped or k < len(names)
 
 
 def _query_family(squids: Sequence[_Squid], used: set[str], answer_guarded_only: bool = False

@@ -279,8 +279,9 @@ def to_acyclic_fg(rules: Sequence[Tgd], max_atoms: int, max_vars: int,
     Bodies and heads are replaced by members of their treeifications; body disjunction is
     expanded into separate rules, and a single entailed head disjunct is selected per
     body member via the entailment oracle.  Acyclic frontier-guarded rules are kept as
-    they are.  Of the others, a rule that is not frontier-guarded, or whose head is not
-    answer-guarded and so has no treeification, fails without a cap.
+    they are.  Of the others, a rule that is not frontier-guarded, whose head is not
+    answer-guarded, or whose body or head holds a constant fails without a cap: no
+    treeification exists for it at any bound.
     """
     out: list[Tgd] = []
     failed: list[Tgd] = []
@@ -290,7 +291,8 @@ def to_acyclic_fg(rules: Sequence[Tgd], max_atoms: int, max_vars: int,
         if cls.acyclic_frontier_guarded:
             out.append(t)
             continue
-        if not cls.frontier_guarded or not is_answer_guarded(t.head):
+        if (not cls.frontier_guarded or not is_answer_guarded(t.head)
+                or t.body.constants() or t.head.constants()):
             failed.append(t)
             continue
         body_q = cq(t.frontier(), t.body.atoms)

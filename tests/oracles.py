@@ -12,10 +12,11 @@ import itertools
 import re
 from typing import Iterator, Mapping, Optional, Sequence
 
+from gnfkit.bisim import _is_partial_iso, _val_key, guarded_tuples
 from gnfkit.chase import BUDGET_EXHAUSTED, TERMINATED, ChaseConfig, ChaseResult
 from gnfkit.datalog import DatalogProgram, Rule
 from gnfkit.model import (BudgetExceeded, Fact, Homomorphism, Instance, Signature, Value,
-                          const, elem, find_homomorphism)
+                          const, elem, find_homomorphism, guarded_sets)
 from gnfkit.query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_cq,
                           canonical_renaming, core_cq, cq, cq_contained, fresh_names,
                           is_acyclic, is_answer_guarded, query_signature)
@@ -431,6 +432,40 @@ def naive_back_and_forth(family, gs_a, gs_b) -> set:
     bwd = [{t: s for s, t in items} for items in family]
     return {items for items in family
             if agrees(dict(items), gs_a, fwd) and agrees({t: s for s, t in items}, gs_b, bwd)}
+
+
+def naive_initial_family(a: Instance, b: Instance) -> set:
+    """Every partial isomorphism (constants pinned) from a guarded set of
+    `a`, in name order, onto a guarded set of `b`, found by testing every
+    permutation of every equal-size pair of sets."""
+    gs_a = sorted(guarded_sets(a), key=lambda s: (len(s), sorted(v.name for v in s)))
+    gs_b = sorted(guarded_sets(b), key=lambda s: (len(s), sorted(v.name for v in s)))
+    family = set()
+    for xs in gs_a:
+        xs_sorted = sorted(xs, key=_val_key)
+        for ys in gs_b:
+            if len(ys) != len(xs):
+                continue
+            for perm in itertools.permutations(sorted(ys, key=_val_key)):
+                items = tuple(zip(xs_sorted, perm))
+                if _is_partial_iso(a, b, items):
+                    family.add(items)
+    return family
+
+
+def naive_initial_pairs(a: Instance, b: Instance) -> set:
+    """All well-typed guarded-tuple pairs: equal length, and the positional
+    map (with constants pinned) is a partial isomorphism, found by testing
+    every length-matched pair."""
+    gtb_by_len = {}
+    for tb in guarded_tuples(b):
+        gtb_by_len.setdefault(len(tb), []).append(tb)
+    out = set()
+    for ta in guarded_tuples(a):
+        for tb in gtb_by_len.get(len(ta), ()):
+            if _is_partial_iso(a, b, zip(ta, tb)):
+                out.add((ta, tb))
+    return out
 
 
 def _enumerate_cqs(sig: Signature, free: tuple[str, ...], max_atoms: int,

@@ -34,12 +34,13 @@ from gnfkit.model import (
     const,
     elem,
     find_homomorphism,
+    guarded_sets,
     pair_value,
     reduct,
     verify_homomorphism,
 )
 from gnfkit.query import Atom, Var
-from oracles import naive_back_and_forth
+from oracles import naive_back_and_forth, naive_initial_family, naive_initial_pairs
 from randgen import random_gfo_sentence, random_gnf_sentence, random_instance, random_signature
 from shapes import EDGE_SIG, cycle
 
@@ -203,6 +204,104 @@ def test_back_and_forth_matches_the_scan():
         kept += bool(want)
         emptied += bool(family) and not want
     assert kept > 100 and emptied > 50
+
+
+def _with_constants(rng: random.Random, inst: Instance) -> Instance:
+    """`inst` with constants c and d, each interpreted at one of its values
+    or at its own value, now and then used in an extra fact; d is sometimes
+    interpreted at c's value, so that two names share one value."""
+    sig = Signature([(r, inst.sig.arities[r]) for r in inst.sig.relations()], ["c", "d"])
+    dom = sorted(active_domain(inst), key=lambda v: v.name)
+    interp, facts = {}, set(inst.facts)
+    for name in ("c", "d"):
+        roll = rng.random()
+        if name == "d" and roll < 0.3:
+            interp[name] = interp["c"]
+        elif dom and roll < 0.65:
+            interp[name] = rng.choice(dom)
+        else:
+            interp[name] = const(name)
+            if rng.random() < 0.5:
+                rel = rng.choice(sig.relations())
+                pool = dom + [const(name)]
+                facts.add(Fact(rel, tuple(rng.choice(pool) for _ in range(sig.arities[rel]))))
+    return Instance(sig, facts, interp)
+
+
+def _shuffled(rng: random.Random, inst: Instance) -> Instance:
+    """A copy of `inst` whose elements are renamed by a seeded bijection;
+    constant values keep their names."""
+    dom = sorted(active_domain(inst) | inst.const_values(), key=lambda v: v.name)
+    names = [f"r{i}" for i in range(len(dom))]
+    rng.shuffle(names)
+    ren = {v: elem(n) if v.kind == "element" else v for v, n in zip(dom, names)}
+    return Instance(inst.sig, (Fact(f.rel, tuple(ren[v] for v in f.args)) for f in inst.facts),
+                    {c: ren[v] for c, v in inst.const_interp.items()})
+
+
+def _typed_family_pairs() -> list[tuple[Instance, Instance]]:
+    """480 seeded instance pairs of arity <= 3 with repeated arguments: a
+    random instance against another, against a renamed copy of itself, and
+    against itself with one more fact; in three of five pairs both carry the
+    constants of `_with_constants`, chosen apart or shared by the copy."""
+    rng = random.Random(2027)
+    out = []
+    for i in range(480):
+        sig = random_signature(rng, max_rels=2, max_arity=3)
+        a = random_instance(rng, sig, max_elems=3, max_facts=4)
+        if i % 5 < 3:
+            a = _with_constants(rng, a)
+        if i % 3 == 0:
+            b = random_instance(rng, sig, max_elems=3, max_facts=4)
+            b = _with_constants(rng, b) if i % 5 < 3 else b
+        elif i % 3 == 1:
+            b = _shuffled(rng, a)
+        else:
+            extra = _shuffled(rng, random_instance(rng, sig, max_elems=3, max_facts=1))
+            b = Instance(a.sig, a.facts | extra.facts, a.const_interp)
+        out.append((a, b))
+    return out
+
+
+def _families_match(a: Instance, b: Instance) -> bool:
+    family = bisim._initial_family(a, b, guarded_sets(a), guarded_sets(b))
+    return (family == naive_initial_family(a, b)
+            and bisim._initial_pairs(a, b) == naive_initial_pairs(a, b))
+
+
+def test_typed_initial_families_match_the_pairwise_scan():
+    nonempty = on_constants = shared_names = 0
+    for a, b in _typed_family_pairs():
+        assert _families_match(a, b), (a, a.const_interp, b, b.const_interp)
+        typed = bisim._initial_pairs(a, b)
+        nonempty += bool(typed)
+        on_constants += any(v in a.const_values() for ta, _ in typed for v in ta)
+        shared_names += bool(typed) and len(a.const_values()) < len(a.const_interp)
+    # the sample relates tuples often, through a constant's value too, and
+    # with two constant names at one value
+    assert nonempty > 250 and on_constants > 100 and shared_names > 50
+
+
+def test_typed_initial_families_need_the_constant_names(monkeypatch):
+    # a type without the constant names at each position relates a constant's
+    # value with a plain element, which no partial isomorphism does
+    untyped = bisim.atomic_types
+    monkeypatch.setattr(bisim, "atomic_types", lambda inst: lambda t: untyped(inst)(t)[::2])
+    assert not all(_families_match(a, b) for a, b in _typed_family_pairs())
+
+
+def test_typed_initial_families_hold_a_fact_over_constants_only():
+    # a fact that touches no tuple value is decided by the one constant check
+    sig = Signature([("E", 2), ("F", 1)], ["c"])
+    base = [Fact("E", (elem("x"), elem("y")))]
+    with_f = Instance(sig, base + [Fact("F", (const("c"),))])
+    without_f = Instance(sig, base)
+    for a, b in ((with_f, with_f), (with_f, without_f), (without_f, with_f)):
+        assert _families_match(a, b)
+    assert bisim._initial_pairs(with_f, with_f) and check_guarded_bisim(with_f, with_f)
+    gs = guarded_sets(with_f)
+    assert not bisim._initial_family(with_f, without_f, gs, guarded_sets(without_f))
+    assert not bisim._initial_pairs(without_f, with_f)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from gnfkit.model import (
     Value,
     active_domain,
     all_homomorphisms,
+    atomic_types,
     const,
     direct_product,
     direct_product_with_projections,
@@ -227,6 +228,20 @@ def test_any_subset_of_one_facts_arguments_is_guarded():
             args = list(set(f.args))
             k = rng.randint(0, len(args))
             assert is_guarded_set(i, rng.sample(args, k))
+
+
+def test_atomic_type_names_positions_first_and_constants_by_least_name():
+    # c and d share a value; b is not in the tuple, so R(a,b) is left out
+    sig = Signature([("R", 2), ("S", 3)], ["c", "d"])
+    a, b, k = elem("a"), elem("b"), elem("k")
+    inst = Instance(sig, [Fact("R", (a, b)), Fact("R", (a, k)), Fact("S", (k, a, a)),
+                          Fact("R", (k, k))], {"c": k, "d": k})
+    pattern, names, facts = atomic_types(inst)((a, k, a))
+    assert pattern == (0, 1, 0)
+    assert names == ((), ("c", "d"), ())
+    assert facts == {("R", (0, 1)), ("S", (1, 0, 0)), ("R", (1, 1))}
+    # outside the tuple, k is named by its least constant name
+    assert atomic_types(inst)((a,))[2] == {("R", (0, "c")), ("S", ("c", 0, 0))}
 
 
 # ---------------------------------------------------------------- substructures

@@ -27,7 +27,7 @@ from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SU
                             _rule_candidates, _squids, certain_answers_oracle,
                             evaluate_program, guard_extension_axioms,
                             rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
-from gnfkit.syntax import parse_datalog, parse_instance, print_datalog
+from gnfkit.syntax import parse_datalog, parse_instance, parse_query, print_datalog
 from gnfkit.tgd import classify, make_tgd, tgd_signature
 
 SIG = Signature([("R", 2), ("U", 1), ("S", 2), ("T", 1)])
@@ -582,10 +582,21 @@ def test_squids_quotient_only_the_variables_in_atoms():
     loose = ConjunctiveQuery((), ("a", "y", "b", "z"), (atom("R", "y", "z"), atom("R", "z", "y")))
     tight = cq([], [atom("R", "y", "z"), atom("R", "z", "y")])
     assert _squids(loose, 2)[0] == _squids(tight, 2)[0]
-    # past the quotient cap the identity quotient stays within k
+    # nor toward either cap
     wide = ConjunctiveQuery(("x",), tuple("abcdefg"), (atom("R", "x", "x"),))
     squids, capped = _squids(wide, 1)
-    assert capped and [free for free, _ in squids] == [["x"]]
+    assert not capped and [free for free, _ in squids] == [["x"]]
+    # past the quotient cap the identity quotient stays within k
+    chain = cq(["x"], [atom("R", s, t) for s, t in zip("xabcdef", "abcdefg")])
+    assert _squids(chain, 7) == ([], True)
+    squids, capped = _squids(chain, 8)
+    assert capped and squids and all(free == ["x"] for free, _ in squids)
+
+
+def test_an_existential_in_no_atom_does_not_cap_a_compile():
+    for text in ("exists z: R(x)", "R(x)"):
+        art = rewrite_cq_guarded([], parse_query(text), RewriteConfig(k=1))
+        assert not art.capped and art.completeness == COMPLETE_WITHIN_CAPS
 
 
 # ---------------------------------------------------------------------------

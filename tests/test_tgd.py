@@ -266,6 +266,14 @@ def test_to_acyclic_fg_fails_a_head_that_is_not_answer_guarded_without_capping()
     assert res.rules == [] and res.failed == [t] and not res.capped
 
 
+def test_to_acyclic_fg_fails_a_rule_with_a_constant_without_capping():
+    # treeify has no member for a query with a constant, at any bound
+    t = make_tgd([atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "x")],
+                 [Atom("T", (Var("x"), cst("c")))])
+    res = to_acyclic_fg([t], max_atoms=3, max_vars=3)
+    assert res.rules == [] and res.failed == [t] and not res.capped
+
+
 def test_to_acyclic_fg_reports_capping():
     t = make_tgd([atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "x")],
                  [atom("S", "x", "y")])
