@@ -407,9 +407,8 @@ def _compatible_homs(a: Instance, b: Instance,
 def _stable_pairs(a: Instance, b: Instance) -> dict[TuplePair, PairHoms]:
     """Greatest stable collection of guarded-tuple pairs between a and b,
     each with the compatible homomorphisms found for it in the last round
-    (empty when the constant substructures cannot correspond)."""
-    if not _is_partial_iso(a, b, ()):
-        return {}
+    (empty when the constant substructures cannot correspond, for then
+    `_typed_pairs` relates no tuples)."""
     return _greatest_fixpoint(_initial_pairs(a, b), functools.partial(_compatible_homs, a, b))
 
 
@@ -664,12 +663,9 @@ def amalgamate(a: Instance, b: Instance, z: StrongGnBisimWitness,
         for tb in partners:
             facts.add(Fact(f.rel, tuple(glued[(v, w)] for v, w in zip(f.args, tb))))
     for f in sorted(b_part.facts, key=fact_key):
-        if f.rel in shared_set:
-            partners = by_b.get(f.args, ())
-        else:
-            partners = image_candidates(f.args, dom_a, False)
-        for ta in partners:
-            facts.add(Fact(f.rel, tuple(glued[(v, w)] for v, w in zip(ta, f.args))))
+        if f.rel not in shared_set:  # a's loop built the shared-relation facts
+            for ta in image_candidates(f.args, dom_a, False):
+                facts.add(Fact(f.rel, tuple(glued[(v, w)] for v, w in zip(ta, f.args))))
 
     rels = [(r, sigma.arities[r]) for r in sigma.relations()]
     rels += [(s, tau.arities[s]) for s in tau.relations() if s not in sigma.arities]

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .model import (Fact, Instance, Signature, Value, active_domain,
                     is_guarded_set, minus, null)
-from .query import (ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq,
+from .query import (ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq, guard_index,
                     match_atoms, round_joins, _ordered_for_join)
 # unused here, but the benchmark's traced mode wraps gnfkit.chase.classify
 from .tgd import Tgd, classify, tgd_signature
@@ -70,14 +70,6 @@ def _next_null_start(inst: Instance) -> int:
     return mx + 1
 
 
-def _guard_atom_index(t: Tgd) -> Optional[int]:
-    frontier = set(t.frontier())
-    for i, a in enumerate(t.body.atoms):
-        if frontier <= set(a.vars()):
-            return i
-    return None
-
-
 def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = None) -> ChaseResult:
     config = config or ChaseConfig()
     sig = inst.sig
@@ -97,7 +89,7 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     n_facts = len(inst.facts)
     const_of = lambda c: inst.const_interp[c]
 
-    guards = [_guard_atom_index(t) for t in rules]
+    guards = [guard_index(t.frontier(), t.body.atoms) for t in rules]
     bodies = [t.body.atoms for t in rules]
     head_order = [_ordered_for_join(t.head.atoms, t.frontier()) for t in rules]
     # each fact the chase adds -> the guarded set of the input it hangs from

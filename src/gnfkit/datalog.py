@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Instance, Signature, Value
-from .query import Atom, Cst, Relation, Var, match_atoms, round_joins
+from .query import Atom, Cst, Relation, Var, guard_index, match_atoms, round_joins
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def classify_datalog(p: DatalogProgram) -> DatalogClass:
     """Guard classes: an eligible guard is any single body atom covering the required
     variables.  Goal rules (goal-headed) are exempt for the internally-guarded class."""
     def has_guard(rule: Rule, needed: set[str]) -> bool:
-        return not needed or any(needed <= set(a.vars()) for a in rule.body)
+        return guard_index(needed, rule.body) is not None
 
     guarded = all(has_guard(r, r.vars()) for r in p.rules)
     internally = all(has_guard(r, r.vars()) for r in p.rules if r.head.rel != p.goal)

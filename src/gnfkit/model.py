@@ -333,6 +333,18 @@ def _hom_constraints(constraints: Iterable[tuple[tuple[Value, ...], Iterable[tup
     return cons, mentions
 
 
+def _relational_constraints(src: Iterable, dst: Iterable) -> HomConstraints:
+    """The search constraints for maps sending each distinct fact or atom of
+    `src` onto one of `dst` over its relation: one per source item, in order
+    of relation, then argument names (ties keep input order), with the
+    argument tuples of the `dst` items over its relation as its images."""
+    images: dict[str, list[tuple]] = {}
+    for d in dict.fromkeys(dst):
+        images.setdefault(d.rel, []).append(d.args)
+    return _hom_constraints([(s.args, images.get(s.rel, ()))
+                             for s in sorted(dict.fromkeys(src), key=fact_key)])
+
+
 def _hom_search(constraints: HomConstraints, seed: Mapping[Value, Value],
                 budget: Optional[int] = None) -> Iterator[dict[Value, Value]]:
     """Every extension of `seed` sending each prepared constraint's argument
@@ -410,9 +422,7 @@ def all_homomorphisms(src: Instance, dst: Instance,
         if pinned.get(s, t) != t:
             raise ValueError(f"seed maps {s} to {t}, conflicting with constant pinning")
         pinned[s] = t
-    constraints = [(f.args, [g.args for g in dst.rel_facts(f.rel)])
-                   for f in sorted(src.facts, key=fact_key)]
-    for m in _hom_search(_hom_constraints(constraints), pinned, budget):
+    for m in _hom_search(_relational_constraints(src.facts, dst.facts), pinned, budget):
         yield Homomorphism.of(m)
 
 

@@ -1,10 +1,12 @@
 """Conjunctive queries: the join kernel and semi-naive round planner, evaluation,
-homomorphisms between atom sets (containment, cores), acyclicity, variable
-quotients, treeification.
+homomorphisms between atom sets (containment, cores), guards and atom
+components, acyclicity, variable quotients, treeification.
 
 ``match_atoms`` joins relations (evaluation, the chase, Datalog); every
 homomorphism test between sets of atoms runs ``model._hom_search`` through
-``atom_homomorphisms``."""
+``atom_homomorphisms``.  ``guard_index`` finds the atom that covers a set of
+variables (rule and query guards), and ``components`` groups atoms linked
+through shared variables (rule heads, squid decompositions)."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .model import Fact, Instance, Signature, Value, _hom_constraints, _hom_search, elem
+from .model import Fact, Instance, Signature, Value, _hom_search, _relational_constraints, elem
 # unused here, but the benchmark's traced mode wraps gnfkit.query.find_homomorphism
 from .model import find_homomorphism
 
@@ -348,24 +350,15 @@ def eval_cq(q: ConjunctiveQuery, inst: Instance,
     return out
 
 
-def atom_homomorphisms(src: Iterable[Atom], dst: Iterable[Atom],
+def atom_homomorphisms(src: Sequence[Atom], dst: Iterable[Atom],
                        seed: Mapping[Term, Term]) -> Iterator[dict[Term, Term]]:
     """Every map of the terms of `src` that extends `seed`, fixes each
-    constant and sends every `src` atom onto a `dst` atom, each once.
-
-    The atoms of `src` become the search's constraints in order of relation,
-    then argument names (ties keep input order), and each one's images are
-    the argument tuples of the `dst` atoms over its relation.
-    """
-    atoms = sorted(dict.fromkeys(src), key=lambda a: (a.rel, tuple(t.name for t in a.args)))
-    fixed = {t: t for a in atoms for t in a.args if isinstance(t, Cst)}
+    constant and sends every `src` atom onto a `dst` atom, each once, under
+    the constraints ``model._relational_constraints`` builds."""
+    fixed = {t: t for a in src for t in a.args if isinstance(t, Cst)}
     if any(seed.get(c, c) != c for c in fixed):
         return
-    images: dict[str, list[tuple[Term, ...]]] = {}
-    for a in dict.fromkeys(dst):
-        images.setdefault(a.rel, []).append(a.args)
-    cons = _hom_constraints([(a.args, images.get(a.rel, ())) for a in atoms])
-    yield from _hom_search(cons, {**seed, **fixed})
+    yield from _hom_search(_relational_constraints(src, dst), {**seed, **fixed})
 
 
 def cq_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
@@ -401,12 +394,29 @@ def core_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
             return cq(q.free_vars, atoms)
 
 
+def guard_index(names: Iterable[str], atoms: Sequence[Atom]) -> Optional[int]:
+    """The index of the first atom holding every named variable, or None."""
+    need = set(names)
+    return next((i for i, a in enumerate(atoms) if need <= set(a.vars())), None)
+
+
+def components(atoms: Sequence[Atom], through: Container[str]) -> list[list[int]]:
+    """The atoms' indices grouped into the classes of the atoms linked by
+    sharing a variable among `through`, each class increasing, in order of
+    its least index."""
+    groups: list[tuple[set[str], list[int]]] = []
+    for i, a in enumerate(atoms):
+        vs, js = {v for v in a.vars() if v in through}, [i]
+        for g in [g for g in groups if vs & g[0]]:
+            groups.remove(g)
+            vs, js = vs | g[0], g[1] + js
+        groups.append((vs, js))
+    return sorted(sorted(js) for _, js in groups)
+
+
 def is_answer_guarded(q: ConjunctiveQuery) -> bool:
     """Some atom contains every free variable (vacuously true for Boolean queries)."""
-    need = set(q.free_vars)
-    if not need:
-        return True
-    return any(need <= set(a.vars()) for a in q.atoms)
+    return not q.free_vars or guard_index(q.free_vars, q.atoms) is not None
 
 
 def is_acyclic(q: ConjunctiveQuery) -> bool:

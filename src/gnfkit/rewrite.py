@@ -20,10 +20,14 @@ chase stopped at its budget (those not entailed are ``unknown``).  This is
 the redundancy elimination of ExbDR/SkDR (Benedikt, Buron, Germano,
 Kappelmann and Motik, ICDT 2022), which generates only rules that survive
 subsumption; the prune still drops the subsumptions that are not
-inclusions, such as ``H(x) :- E(x,x)`` under ``H(x) :- E(x,y)``.  The
-certification trail, which lists every candidate with its verdict and every
-dropped program rule, is produced when it is first read, by the same naming
-over the same bodies.
+inclusions, such as ``H(x) :- E(x,x)`` under ``H(x) :- E(x,y)``.
+
+Certification is one value, ``_Certification``: the candidate space, the
+heads that hold in each distinct body's closure, and the closures whose
+chase stopped at its budget.  The compile names from it the candidates
+above.  The certification trail, which lists every candidate with its
+verdict and every dropped program rule, is produced from it when first
+read, by the same naming over the same bodies; it keeps no named candidate.
 
 The schemes, one per guardedness tier:
 
@@ -50,6 +54,12 @@ member, and the parts' predicates join in one goal rule.  Any cap that drops
 a candidate body, a query quotient or a quotient past ``k`` variables marks
 the result ``capped``, in each scheme.
 
+The atomic and cq schemes compile only what the query can reach (see
+``_relevant``): they enumerate bodies and heads over the relations the query
+reaches and certify under the rules that derive those, so a relation the
+query cannot reach takes no place under ``MAX_RELATIONS``.  The program still
+imports every input relation.
+
 Programs run over copies of the input relations (one import rule per input
 relation), so derived facts never touch input relation names.  Boolean goals
 and other zero-argument derived predicates are represented as unary relations
@@ -58,6 +68,7 @@ holding the reserved constant ``_unit``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -69,7 +80,7 @@ from .model import ELEMENT, Fact, Instance, Signature, active_domain, align_inst
 # mode wraps them at these names
 from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Term, Var,
                     atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
-                    canonical_renaming, core_cq, cq, cq_contained, eval_cq,
+                    canonical_renaming, components, core_cq, cq, cq_contained, eval_cq,
                     atoms_over, first_occurrence_vars, is_answer_guarded, pick_renaming,
                     query_signature, quotient_atoms, quotients, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
@@ -170,46 +181,27 @@ class GuardExtensionResult:
     signature: Signature
 
 
-class _Trail:
-    """Certification records produced when first read, then kept.  Two
-    trails are equal when their records are."""
-
-    __slots__ = ("_produce", "_records")
-
-    def __init__(self, produce: Callable[[], tuple[CertificationRecord, ...]]):
-        self._produce: Optional[Callable[[], tuple[CertificationRecord, ...]]] = produce
-        self._records: Optional[tuple[CertificationRecord, ...]] = None
-
-    def records(self) -> tuple[CertificationRecord, ...]:
-        if self._records is None:
-            self._records, self._produce = self._produce(), None
-        return self._records
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Trail) and self.records() == other.records()
-
-
 @dataclass
 class RewriteArtifacts:
     """A compiled program plus everything needed to audit how it was built.
 
     ``certification`` holds a record per candidate and per dropped program
-    rule.  It is computed when first read: the compile names only the
-    candidates its program and completeness need, and reading the trail
+    rule.  It is produced when first read, then kept: the compile names only
+    the candidates its program and completeness need, and reading the trail
     names the rest (most candidates are rejected)."""
 
     program: DatalogProgram
-    _trail: _Trail = field(repr=False)
     caps: dict[str, int]
     capped: bool
     completeness: str  # complete_within_caps | capped
     query_predicates: dict[str, str]
     boolean_goal: bool
     answer_projection: tuple[int, ...]
+    _produce: Callable[[], tuple[CertificationRecord, ...]] = field(repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def certification(self) -> tuple[CertificationRecord, ...]:
-        return self._trail.records()
+        return self._produce()
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +277,6 @@ class _Closure(NamedTuple):
 # sorted by those texts, a format slot per renamed variable, and its closure
 _Prepared = dict[tuple[Atom, ...],
                  tuple[list[str], list[tuple[list[str], str]], dict[str, str], _Closure]]
-# the heads to name over a body's guard variables, given its closure, the
-# body as enumerated and the prepared bodies; None for every head
-_Pick = Callable[[_Closure, _Body, _Prepared], Optional[set[_HeadArgs]]]
 
 
 class _Candidate(NamedTuple):
@@ -298,7 +287,6 @@ class _Candidate(NamedTuple):
     body: tuple[Atom, ...]
     head: Atom
     kind: str = "rule"  # rule | query-rule | axiom
-    query: Optional[ConjunctiveQuery] = None  # a query-rule's head stands for it
     closure: Optional[_Closure] = None  # None: entailed without a chase
     ren: Optional[dict[str, str]] = None  # None: body and head are named already
 
@@ -310,25 +298,32 @@ class _Candidate(NamedTuple):
         return (tuple(sorted((substitute(a, sub) for a in self.body), key=str)),
                 substitute(self.head, sub))
 
-    @property
-    def rule(self) -> Tgd:
-        body, head = self.named()
-        return make_tgd(list(body), [head])
-
-    @staticmethod
-    def of(t: Tgd, kind: str = "rule") -> "_Candidate":
-        """An input rule or axiom, which entails itself."""
-        return _Candidate(t.body.atoms, t.head.atoms[0], kind)
-
 
 class _Space(NamedTuple):
-    """What candidates are named from: guarded bodies as enumerated, heads
-    over their guard variables, and the rules entailed without a chase, by
-    text.  An axiom takes the place of the enumerated candidate with its
-    text; an input rule leaves that candidate in place."""
+    """What candidates are named from and certified under: guarded bodies
+    as enumerated, heads over their guard variables, the rules entailed
+    without a chase, by text, and the rules the chases run.  An axiom takes
+    the place of the enumerated candidate with its text; an input rule
+    leaves that candidate in place."""
     bodies: list[_Body]
     heads: list[_Head]
     given: dict[str, _Candidate]
+    rules: Sequence[Tgd]
+
+
+def _relevant(rules: Sequence[Tgd], query: ConjunctiveQuery) -> tuple[list[Tgd], set[str]]:
+    """The rules with a relevant relation in their head, in input order, and
+    the relevant relations: to a fixpoint, those the query uses or a body
+    of such a rule does.  Facts only grow, so no other rule's facts reach a
+    relevant body, and the query's certain answers are those under these
+    rules, read off facts of these relations."""
+    relevant = {a.rel for a in query.atoms}
+    while True:
+        kept = [t for t in rules if any(a.rel in relevant for a in t.head.atoms)]
+        reach = relevant.union(a.rel for t in kept for a in t.body.atoms)
+        if reach == relevant:
+            return kept, relevant
+        relevant = reach
 
 
 def _enumeration_relations(sig: Signature) -> tuple[list[tuple[str, int]], bool]:
@@ -368,35 +363,16 @@ def _guarded_bodies(rels: Sequence[tuple[str, int]], max_extra: int,
     return bodies, capped
 
 
-def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
-                     pick: Optional[_Pick] = None, prepared: Optional[_Prepared] = None
-                     ) -> dict[str, _Candidate]:
-    """Every body with every head ``(relation, n, query)``, whose arguments
-    are each n-tuple of the body's guard variables (``_unit`` when n is 0).
-    A head standing for a query is judged by that query.  Bodies are taken as
-    enumerated, not cored: the prune drops a candidate that the one over the
-    body's core subsumes.  Each distinct body is prepared once: its
-    renamings, listed and sorted by their atom texts, a format slot per
-    renamed variable, and its canonical form, the closure that judges all its
-    heads.  A head is then named on text alone: of the sorted renamings, the
-    first with the least head text, which is ``pick_renaming``'s choice.  A
-    candidate keeps the body as enumerated and its renaming, so no atom is
-    renamed until the candidate is kept.  No enumerated body reaches
-    ``RENAMING_CAP``: a guard has at most ``MAX_ARITY`` variables, atomic
-    and cq extra atoms use only those, and fg's one extra atom adds at most
-    ``MAX_ARITY`` fresh ones.
-
-    With ``pick``, a body's heads are named only where ``pick(closure,
-    (body, guard variables), prepared)`` lists them as (relation,
-    arguments), or all of them when it returns None; the body comes as
-    enumerated, guard first, and ``prepared`` holds every body prepared so
-    far.  ``prepared`` keeps each body's preparation for a later call; a
-    call with no heads only prepares.  Certification prepares the bodies,
-    chases their closures, then names the heads read off those; reading a
-    trail names every head."""
-    cands: dict[str, _Candidate] = {}
-    prepared = {} if prepared is None else prepared
-    for body, gvars in bodies:
+def _prepare(bodies: Iterable[_Body]) -> _Prepared:
+    """Each distinct body, by its distinct atoms sorted, prepared once for
+    naming: its renamings, listed and sorted by their atom texts, a format
+    slot per renamed variable, and its canonical form, the closure that
+    judges all its heads.  No enumerated body reaches ``RENAMING_CAP``: a
+    guard has at most ``MAX_ARITY`` variables, atomic and cq extra atoms use
+    only those, and fg's one extra atom adds at most ``MAX_ARITY`` fresh
+    ones."""
+    prepared: _Prepared = {}
+    for body, _ in bodies:
         atoms = tuple(sorted(set(body), key=str))
         if atoms not in prepared:
             _, order, choices = renamings = body_renamings(atoms, [("v", _vars(atoms))])
@@ -405,8 +381,27 @@ def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
             ranked = [(ns, ", ".join(t)) for ns, t in sorted(choices, key=lambda c: c[1])]
             slots = {v: f"{{{i}}}" for i, v in enumerate(order)}
             prepared[atoms] = order, ranked, slots, _Closure(" & ".join(texts), canon, ren)
+    return prepared
+
+
+def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head], prepared: _Prepared,
+                     certification: Optional[_Certification] = None) -> dict[str, _Candidate]:
+    """Every body with every head ``(relation, n, query)``, whose arguments
+    are each n-tuple of the body's guard variables (``_unit`` when n is 0),
+    named over the bodies as ``_prepare`` gave them.  Bodies are taken as
+    enumerated, not cored: the prune drops a candidate that the one over the
+    body's core subsumes.  A head is named on text alone: of the body's
+    sorted renamings, the first with the least head text, which is
+    ``pick_renaming``'s choice.  A candidate keeps the body as enumerated
+    and its renaming, so no atom is renamed until the candidate is kept.
+    With a certification, a body's heads are named only where its
+    ``to_name`` lists them, or all of them when it returns None."""
+    cands: dict[str, _Candidate] = {}
+    for body, gvars in bodies:
+        atoms = tuple(sorted(set(body), key=str))
         order, ranked, slots, closure = prepared[atoms]
-        wanted = None if pick is None else pick(closure, (body, gvars), prepared)
+        wanted = (None if certification is None
+                  else certification.to_name(closure, (body, gvars), prepared))
         for rel, n, q in heads:
             name = rel.replace("{", "{{").replace("}", "}}")  # escaped as query._templates does
             for combo in itertools.product(gvars, repeat=n):
@@ -416,17 +411,18 @@ def _rule_candidates(bodies: Iterable[_Body], heads: Sequence[_Head],
                 ns, body_text = min(ranked, key=lambda c: tmpl.format(*c[0]))
                 key = f"{body_text} -> {tmpl.format(*ns)}"
                 if key not in cands:
-                    kind = "rule" if q is None else "query-rule"
-                    cands[key] = _Candidate(atoms, _family_head(rel, combo), kind, q, closure,
+                    cands[key] = _Candidate(atoms, _family_head(rel, combo),
+                                            "rule" if q is None else "query-rule", closure,
                                             dict(zip(order, ns)))
     return cands
 
 
-def _inject_input_rules(rules: Sequence[Tgd]) -> list[Tgd]:
-    """Input rules that already have the shape of program rules: full ones.
-    Multi-atom heads split into one rule per atom, whose body is cored
-    around the head variables and then named."""
-    out = []
+def _inject_input_rules(rules: Sequence[Tgd], kind: str = "rule") -> dict[str, _Candidate]:
+    """Input rules that already have the shape of program rules, full ones,
+    as candidates by text, each entailed by itself.  Multi-atom heads split
+    into one rule per atom, whose body is cored around the head variables
+    and then named."""
+    out = {}
     for t in rules:
         if t.head.exist_vars:
             continue
@@ -435,20 +431,22 @@ def _inject_input_rules(rules: Sequence[Tgd]) -> list[Tgd]:
             frees = [v for v in first_occurrence_vars(atoms) if v in ha.vars()]
             cored = core_cq(cq(frees, atoms)).atoms
             body, head, _ = canonical_renaming(cored, [("v", _vars(cored))], ha)
-            out.append(make_tgd(list(body), [head]))
+            out[f"{', '.join(map(str, body))} -> {head}"] = _Candidate(body, head, kind)
     return out
 
 
-def _derivation_space(rules: Sequence[Tgd], sig: Signature,
+def _derivation_space(rules: Sequence[Tgd], sig: Signature, query: ConjunctiveQuery,
                       query_heads: Sequence[_Head] = ()) -> tuple[_Space, bool]:
-    """The guarded bodies with the full guarded heads followed by the query
-    heads, and the input rules of full guarded shape; and whether a cap
-    dropped a body."""
-    rels, capped = _enumeration_relations(sig)
+    """The space of the rules relevant to the query (see ``_relevant``): the
+    guarded bodies over the relevant relations with the full guarded heads
+    followed by the query heads, the relevant input rules of full guarded
+    shape, and the relevant rules; and whether a cap dropped a body."""
+    rules, relevant = _relevant(rules, query)
+    rels, capped = _enumeration_relations(
+        Signature((r, a) for r, a in sig.arities.items() if r in relevant))
     bodies, pool_capped = _guarded_bodies(rels, MAX_EXTRA_BODY_ATOMS)
-    inputs = {str(c): _Candidate.of(c) for c in _inject_input_rules(rules)}
-    return (_Space(bodies, [(r, a, None) for r, a in rels] + list(query_heads), inputs),
-            capped or pool_capped)
+    return (_Space(bodies, [(r, a, None) for r, a in rels] + list(query_heads),
+                   _inject_input_rules(rules), rules), capped or pool_capped)
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +470,19 @@ def _heads_holding(closure: Instance, heads: Sequence[_Head]) -> set[_HeadArgs]:
     return out
 
 
-class _Verdicts(NamedTuple):
-    """What the chases decided, by closure key: the heads that hold in each
-    closure, over the canonical body's variables, and the keys whose chase
-    stopped at its budget."""
+class _Certification(NamedTuple):
+    """A certified space: what its chases decided, by closure key, the heads
+    that hold in each closure, over the canonical body's variables, and the
+    keys whose chase stopped at its budget.  It keeps no named candidate:
+    its trail names every candidate again when it is read."""
+    space: _Space
     holds: dict[str, set[_HeadArgs]]
     stopped: set[str]
 
-    def of(self, cand: _Candidate) -> str:
+    def verdict(self, cand: _Candidate) -> str:
         if cand.closure is None:
             return ENTAILED
-        ren = cand.closure.ren
-        args = tuple(ren[t.name] for t in cand.head.args if isinstance(t, Var))
+        args = tuple(cand.closure.ren[t.name] for t in cand.head.args if isinstance(t, Var))
         if (cand.head.rel, args) in self.holds[cand.closure.key]:
             return ENTAILED
         return UNKNOWN if cand.closure.key in self.stopped else REJECTED
@@ -514,66 +513,50 @@ class _Verdicts(NamedTuple):
                      if (rel, tuple(sub.ren[g] for g in args)) not in holds}
         return heads
 
+    def judged(self, prepared: _Prepared, needed_only: bool = False
+               ) -> tuple[tuple[CertificationRecord, ...], list[_Candidate]]:
+        """The space's candidates, all of them or those ``to_name`` lists:
+        the record of each, the query rules after the others and each part
+        in text order, and the entailed ones that are not tautologies (head
+        in body)."""
+        cands = _rule_candidates(self.space.bodies, self.space.heads, prepared,
+                                 self if needed_only else None)
+        for s, c in self.space.given.items():
+            if c.kind == "axiom" or s not in cands:
+                cands[s] = c
+        order = sorted(cands, key=lambda s: (cands[s].kind == "query-rule", s))
+        records = tuple(CertificationRecord(s, self.verdict(cands[s]), cands[s].kind)
+                        for s in order)
+        return records, [cands[r.candidate] for r in records if r.verdict == ENTAILED
+                         and cands[r.candidate].head not in cands[r.candidate].body]
 
-def _judged(space: _Space, verdicts: _Verdicts, pick: Optional[_Pick] = None,
-            prepared: Optional[_Prepared] = None
-            ) -> list[tuple[CertificationRecord, _Candidate]]:
-    """The space's candidates, all of them or those ``pick`` names (see
-    ``_rule_candidates``), each with its record: the query rules after the
-    others, and each part in text order."""
-    cands = _rule_candidates(space.bodies, space.heads, pick, prepared)
-    for s, c in space.given.items():
-        if c.kind == "axiom" or s not in cands:
-            cands[s] = c
-    return [(CertificationRecord(s, verdicts.of(cands[s]), cands[s].kind), cands[s])
-            for s in sorted(cands, key=lambda s: (cands[s].kind == "query-rule", s))]
-
-
-def _entailed(judged: Iterable[tuple[CertificationRecord, _Candidate]]) -> list[_Candidate]:
-    """The entailed candidates that are not tautologies (head in body)."""
-    return [c for r, c in judged if r.verdict == ENTAILED and c.head not in c.body]
-
-
-def _records(space: _Space, verdicts: _Verdicts
-             ) -> tuple[tuple[CertificationRecord, ...], list[_Candidate]]:
-    """The record of every candidate of the space, and its entailed
-    candidates that are not tautologies.  It names them all, so a trail
-    calls it only when it is read."""
-    judged = _judged(space, verdicts)
-    return tuple(r for r, _ in judged), _entailed(judged)
+    def trail(self) -> tuple[tuple[CertificationRecord, ...], list[_Candidate]]:
+        """``judged`` over every candidate, on the bodies prepared again."""
+        return self.judged(_prepare(self.space.bodies))
 
 
-class _Certified(NamedTuple):
-    """A certified space: the entailed candidates that are not tautologies
-    and that no sub-body's candidate subsumes, whether one of its candidates
-    is unknown, and what ``_records`` returns, produced when called."""
-    kept: list[_Candidate]
-    unknown: bool
-    trail: Callable[[], tuple[tuple[CertificationRecord, ...], list[_Candidate]]]
-
-
-def _certify(rules: Sequence[Tgd], sig: Signature, space: _Space,
-             config: RewriteConfig) -> _Certified:
-    """Chase each distinct canonical body of the space once under the rules,
+def _certify(sig: Signature, space: _Space, config: RewriteConfig
+             ) -> tuple[_Certification, list[_Candidate], bool]:
+    """Chase each distinct canonical body of the space once under its rules,
     in key order, read the heads that hold in its closure, then drop the
     closure.  Name only the entailed heads that are not in their body and
-    hold in no sub-body's closure (see ``_Verdicts.to_name``), and every
-    head of a body whose chase stopped at its budget: the program needs
-    those entailed rules, and completeness the unknown ones.  Input rules
-    and axioms are entailed without a chase.  The other candidates are
-    named only when the records are read."""
-    prepared: _Prepared = {}
-    _rule_candidates(space.bodies, (), prepared=prepared)
-    verdicts = _Verdicts({}, set())
+    hold in no sub-body's closure (see ``_Certification.to_name``), and
+    every head of a body whose chase stopped at its budget: the program
+    needs those entailed rules, and completeness the unknown ones.  Returns
+    the certification, those entailed candidates, and whether one of the
+    named candidates is unknown.  Input rules and axioms are entailed
+    without a chase.  The other candidates are named only when the trail is
+    read."""
+    prepared = _prepare(space.bodies)
+    cert = _Certification(space, {}, set())
     for key, atoms in sorted({c.key: c.atoms for *_, c in prepared.values()}.items()):
         inst, _ = canon_inst(cq([], list(atoms)), sig)
-        res = chase(inst, list(rules), config.oracle)
-        verdicts.holds[key] = _heads_holding(res.result, space.heads)
+        res = chase(inst, list(space.rules), config.oracle)
+        cert.holds[key] = _heads_holding(res.result, space.heads)
         if res.status != TERMINATED:
-            verdicts.stopped.add(key)
-    judged = _judged(space, verdicts, verdicts.to_name, prepared)
-    return _Certified(_entailed(judged), any(r.verdict == UNKNOWN for r, _ in judged),
-                      lambda: _records(space, verdicts))
+            cert.stopped.add(key)
+    records, kept = cert.judged(prepared, needed_only=True)
+    return cert, kept, any(r.verdict == UNKNOWN for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +605,7 @@ def _squids(query: ConjunctiveQuery, k: int) -> tuple[list[_Squid], bool]:
         parts = set()
         for n in range(len(nonfree) + 1):
             for outside in map(set, itertools.combinations(nonfree, n)):
-                # each group: its variables outside H and its atoms' indices
-                groups: list[tuple[set[str], list[int]]] = []
-                for i, a in enumerate(atoms):
-                    vs, js = set(a.vars()) & outside, [i]
-                    for g in [g for g in groups if vs & g[0]]:
-                        groups.remove(g)
-                        vs, js = vs | g[0], g[1] + js
-                    groups.append((vs, js))
-                parts.add(tuple(sorted(tuple(sorted(js)) for _, js in groups)))
+                parts.add(tuple(map(tuple, components(atoms, outside))))
         forms = {g: _canonical_family_form(_subquery(atoms, free, g)) for g in set().union(*parts)}
         out += [(free, [forms[g] for g in part]) for part in sorted(parts)]
     return out, capped or k < len(names)
@@ -721,7 +696,8 @@ def _prune_subsumed(rules: dict[str, Rule]) -> set[str]:
 
 
 def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, goal: str,
-              certified: _Certified, caps: dict[str, int], capped: bool, *,
+              certified: tuple[_Certification, list[_Candidate], bool],
+              caps: dict[str, int], capped: bool, *,
               goal_list: Sequence[Rule] = (),
               idb: Sequence[tuple[str, int]] = (),
               idb_if_used: Sequence[tuple[str, int]] = (),
@@ -763,7 +739,8 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
             out[str(r)] = r, "import"
         return {s: out[s] for s in sorted(out)}
 
-    ordered = program_rules(certified.kept)
+    certification, entailed_named, unknown = certified
+    ordered = program_rules(entailed_named)
     atoms = [a for r, _ in ordered.values() for a in (r.head, *r.body)]
     referenced = {a.rel for a in atoms}
     idb_rels = ([(copies[rel], arity) for rel, arity in sig.arities.items()]
@@ -773,10 +750,9 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
             isinstance(t, Cst) and t.name == UNIT_CONST for a in atoms for t in a.args):
         edb = sig.extend(constants=(UNIT_CONST,))
     kept = _prune_subsumed({s: r for s, (r, _) in ordered.items()})
-    certified_trail = certified.trail  # the trail keeps no named candidate
 
     def records() -> tuple[CertificationRecord, ...]:
-        candidate_records, entailed = certified_trail()
+        candidate_records, entailed = certification.trail()
         return candidate_records + tuple(rest) + tuple(
             CertificationRecord(s, SUBSUMED, kind)
             for s, (_, kind) in program_rules(entailed).items() if s not in kept)
@@ -784,14 +760,14 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
     return RewriteArtifacts(
         program=DatalogProgram(edb, Signature(idb_rels),
                                tuple(r for s, (r, _) in ordered.items() if s in kept), goal),
-        _trail=_Trail(records),
         caps=caps,
         capped=capped,
-        completeness=CAPPED if capped or certified.unknown else COMPLETE_WITHIN_CAPS,
+        completeness=CAPPED if capped or unknown else COMPLETE_WITHIN_CAPS,
         query_predicates=query_predicates or {},
         boolean_goal=not query.free_vars,
         answer_projection=(tuple(range(len(query.free_vars))) if projection is None
                            else projection),
+        _produce=records,
     )
 
 
@@ -821,11 +797,11 @@ def rewrite_atomic_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
         if not classify(t).guarded:
             raise ValueError(f"rule is not guarded: {t}")
     sig = tgd_signature(list(rules), query_signature(query))
-    space, capped = _derivation_space(rules, sig)
+    space, capped = _derivation_space(rules, sig, query)
     copies = _copy_map(sig)
     positions = {t.name: i for i, t in enumerate(qatom.args)}
     return _assemble(sig, copies, query, copies[qatom.rel],
-                     _certify(rules, sig, space, config), _caps(), capped,
+                     _certify(sig, space, config), _caps(), capped,
                      projection=tuple(positions[x] for x in query.free_vars))
 
 
@@ -851,8 +827,8 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     family, names = _query_family(squids, used | {goal_name})
 
     space, body_capped = _derivation_space(
-        rules, sig, [(names[key], len(q.free_vars), q) for key, q in family.items()])
-    certified = _certify(rules, sig, space, config)
+        rules, sig, query, [(names[key], len(q.free_vars), q) for key, q in family.items()])
+    certified = _certify(sig, space, config)
     art = _assemble(sig, copies, query, goal_name, certified, _caps(k),
                     squid_capped or body_capped, goal_list=_goal_rules(squids, names, goal_name),
                     idb=[(goal_name, max(1, len(query.free_vars)))],
@@ -958,9 +934,8 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery,
     rels = base_rels + [(r, a) for r, a in extension_rels if a <= MAX_ARITY]
     bodies, pool_capped = _guarded_bodies(rels, FG_MAX_EXTRA_BODY_ATOMS, k)
     space = _Space(bodies, [(r, a, None) for r, a in rels] + [(r, 0, None) for r, a in rels if a == 1],
-                   {str(c): _Candidate.of(c, "axiom")
-                    for c in _inject_input_rules(theory)})
-    certified = _certify(theory, ext.signature.extend(relations=extension_rels), space, config)
+                   _inject_input_rules(theory, "axiom"), theory)
+    certified = _certify(ext.signature.extend(relations=extension_rels), space, config)
 
     return _assemble(base_sig, _copy_map(base_sig), query, ans_name, certified,
                      _caps(k, ("fg_max_extra_body_atoms", FG_MAX_EXTRA_BODY_ATOMS)),

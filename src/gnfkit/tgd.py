@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .model import Instance, Signature
-from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_renaming, cq, eval_cq,
-                    first_occurrence_vars, fresh_names, is_acyclic, is_answer_guarded,
-                    query_signature, substitute, treeify)
+from .query import (Atom, ConjunctiveQuery, Cst, Term, Var, canonical_renaming, components, cq,
+                    eval_cq, first_occurrence_vars, fresh_names, guard_index, is_acyclic,
+                    is_answer_guarded, query_signature, substitute, treeify)
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,8 @@ class TgdClass:
 
 def classify(t: Tgd) -> TgdClass:
     full = not t.head.exist_vars
-    body_vars = set(t.body.free_vars)
-    guarded = any(body_vars <= set(a.vars()) for a in t.body.atoms)
-    frontier = set(t.frontier())
-    fg = any(frontier <= set(a.vars()) for a in t.body.atoms)
+    guarded = guard_index(t.body.free_vars, t.body.atoms) is not None
+    fg = guard_index(t.frontier(), t.body.atoms) is not None
     acyclic_fg = False
     if fg:
         body_q = cq(t.frontier(), t.body.atoms)
@@ -117,29 +115,11 @@ def tgd_graph(t: Tgd) -> list[tuple[int, int]]:
     return edges
 
 
-def _head_components(t: Tgd) -> list[list[int]]:
-    n = len(t.head.atoms)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tgd_graph(t):
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for g in sorted(groups.values())]
-
-
 def decompose_components(t: Tgd) -> list[Tgd]:
     """Split the head into its existential-sharing components; the conjunction of the
     results is equivalent to t."""
     out = []
-    for comp in _head_components(t):
+    for comp in components(t.head.atoms, t.head.exist_vars):
         atoms = [t.head.atoms[i] for i in comp]
         out.append(make_tgd(t.body.atoms, atoms))
     return out
@@ -148,9 +128,9 @@ def decompose_components(t: Tgd) -> list[Tgd]:
 def is_quasi_frontier_guarded(t: Tgd) -> bool:
     """Every head component's universal variables fit inside one body atom."""
     body_vars = set(t.body.free_vars)
-    for comp in _head_components(t):
+    for comp in components(t.head.atoms, t.head.exist_vars):
         uni = {v for i in comp for v in t.head.atoms[i].vars()} & body_vars
-        if uni and not any(uni <= set(a.vars()) for a in t.body.atoms):
+        if guard_index(uni, t.body.atoms) is None:
             return False
     return True
 

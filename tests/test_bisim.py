@@ -172,6 +172,24 @@ def test_verify_guarded_bisim_rejects_tampering():
     assert not verify_guarded_bisim(a, b, pruned)
 
 
+def test_verify_guarded_bisim_checks_each_map():
+    """A 4-cycle's rotations form a witness; adding one bad map is caught
+    by the map checks, for the back-and-forth conditions keep each one."""
+    c4 = directed_cycle(4)
+    w = check_guarded_bisim(c4, c4)
+    assert w is not None and verify_guarded_bisim(c4, c4, w)
+    n1, n2, n3 = elem("n1"), elem("n2"), elem("n3")
+    # a pair listed twice, the same map as ((n1, n1),) but not a set of pairs
+    repeated = ((n1, n1), (n1, n1))
+    # the identity on {n1, n3}, which no fact guards
+    unguarded = ((n1, n1), (n3, n3))
+    # an edge sent onto its reverse, between guarded sets
+    flipped = ((n1, n2), (n2, n1))
+    for bad in (repeated, unguarded, flipped):
+        assert bad not in w.family
+        assert not verify_guarded_bisim(c4, c4, GuardedBisimWitness(w.family | {bad})), bad
+
+
 def test_guarded_bisimilar_cycles_agree_on_gfo_sentences():
     rng = random.Random(4273)
     a, b = directed_cycle(3), directed_cycle(5)

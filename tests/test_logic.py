@@ -97,6 +97,12 @@ def test_formula_signature_and_substitution():
     assert str(h) == str(f)
 
 
+
+def test_substitution_reaches_equalities():
+    f = fo_exists("y", FoEq(Var("x"), Var("y")))
+    assert substitute_free(f, {"x": Cst("d"), "y": Cst("e")}) == fo_exists("y", FoEq(Cst("d"), Var("y")))
+
+
 def test_cq_to_fo_round_trip_semantics():
     q = cq(["x"], [atom("E", "x", "y"), atom("E", "y", "x")])
     f = cq_to_fo(q)

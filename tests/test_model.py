@@ -360,6 +360,15 @@ def test_verify_homomorphism_rejects_bad_maps():
     assert not verify_homomorphism(partial, c3, c3)
 
 
+def test_verify_homomorphism_pins_constants():
+    # the facts map, but c's value in src does not go to c's value in dst
+    sig = Signature([("R", 1)], ["c"])
+    src = Instance(sig, [Fact("R", (const("c"),))])
+    dst = Instance(sig, [Fact("R", (const("c"),)), Fact("R", (elem("d"),))])
+    assert verify_homomorphism(Homomorphism.of({const("c"): const("c")}), src, dst)
+    assert not verify_homomorphism(Homomorphism.of({const("c"): elem("d")}), src, dst)
+
+
 def _with_constant(rng: random.Random, inst: Instance) -> Instance:
     """`inst` over its signature plus the constant c, mostly with e0 read as c."""
     ren = {elem("e0"): const("c")} if rng.random() < 0.7 else {}
@@ -541,6 +550,19 @@ def test_squid_check_rejects_tentacles_sharing_fresh_elements():
     assert not squid_check(a, b, [frozenset({f1}), frozenset({f2})])
     # merged into one tentacle the overlap {a, b} is guarded by R(a,b)
     assert squid_check(a, b, [frozenset({f1, f2})])
+
+
+def test_squid_check_rejects_a_tentacle_over_an_unguarded_set():
+    # each fact meets one a-element, but the one tentacle joins p and q,
+    # which no fact of a guards
+    sig = Signature([("U", 1), ("R", 2)])
+    p, q, n = elem("p"), elem("q"), elem("n")
+    a = Instance(sig, [Fact("U", (p,)), Fact("U", (q,))])
+    tentacle = frozenset({Fact("R", (p, n)), Fact("R", (q, n))})
+    b = Instance(sig, a.facts | tentacle)
+    assert not squid_check(a, b, [tentacle])
+    apart = Instance(sig, a.facts | {Fact("R", (p, n))})
+    assert squid_check(a, apart, [frozenset({Fact("R", (p, n))})])
 
 
 def test_squid_check_rejects_incomplete_partitions():

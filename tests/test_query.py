@@ -26,6 +26,7 @@ from gnfkit.query import (
     canon_inst,
     canonical_cq,
     canonical_renaming,
+    components,
     cq,
     cq_contained,
     cq_equivalent,
@@ -33,6 +34,7 @@ from gnfkit.query import (
     cst,
     eval_cq,
     first_occurrence_vars,
+    guard_index,
     instance_tuples,
     is_acyclic,
     is_answer_guarded,
@@ -515,6 +517,22 @@ def test_answer_guardedness():
     assert is_answer_guarded(cq(["x", "y"], [atom("E", "x", "y")]))
     two_step = cq(["x", "z"], [atom("E", "x", "y"), atom("E", "y", "z")])
     assert not is_answer_guarded(two_step)
+
+
+def test_guard_index_finds_the_first_covering_atom():
+    atoms = [atom("U", "x"), atom("E", "x", "y"), atom("E", "y", "x")]
+    assert guard_index(["y", "x"], atoms) == 1
+    assert guard_index(["x"], atoms) == 0
+    assert guard_index([], atoms) == 0
+    assert guard_index(["x", "z"], atoms) is None
+
+
+def test_components_link_atoms_through_the_given_variables():
+    atoms = [atom("E", "x", "y"), atom("U", "z"), atom("E", "y", "w"), atom("E", "z", "x")]
+    assert components(atoms, {"y"}) == [[0, 2], [1], [3]]
+    # the last atom joins the first two groups
+    assert components(atoms, {"x", "z"}) == [[0, 1, 3], [2]]
+    assert components(atoms, ()) == [[0], [1], [2], [3]]
 
 
 def test_acyclicity_frozen_examples():

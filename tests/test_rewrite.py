@@ -1,6 +1,7 @@
 """Tests for compiling certain-answer problems into Datalog."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
@@ -23,11 +24,11 @@ from gnfkit.query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Var, atom,
                           query_signature, substitute)
 from gnfkit.rewrite import (CAPPED, COMPLETE_WITHIN_CAPS, ENTAILED, REJECTED, SUBSUMED, UNKNOWN,
                             RewriteConfig, _canonical_family_form, _certify, _copy_map,
-                            _derivation_space, _inject_input_rules, _query_family,
+                            _derivation_space, _inject_input_rules, _prepare, _query_family,
                             _rule_candidates, _squids, certain_answers_oracle,
                             evaluate_program, guard_extension_axioms,
                             rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
-from gnfkit.syntax import parse_datalog, parse_instance, parse_query, print_datalog
+from gnfkit.syntax import parse_datalog, parse_instance, parse_query, parse_theory, print_datalog
 from gnfkit.tgd import classify, make_tgd, tgd_signature
 
 SIG = Signature([("R", 2), ("U", 1), ("S", 2), ("T", 1)])
@@ -88,27 +89,41 @@ def test_query_predicates_skip_a_relation_named_like_them():
 # ---------------------------------------------------------------------------
 # candidate enumeration
 
+def _every_relation(sig):
+    """A Boolean query over every relation of the signature, to which every
+    relation and every rule over the signature is relevant."""
+    return cq([], [Atom(r, tuple(Var(f"x{i}") for i in range(a))) for r, a in sig.arities.items()])
+
+
 def _derivation_candidates(rules, sig):
     """Every candidate of the full-rule stage, named."""
-    space, capped = _derivation_space(rules, sig)
+    space, capped = _derivation_space(rules, sig, _every_relation(sig))
     assert not space.given
-    return _rule_candidates(space.bodies, space.heads), capped
+    return _rule_candidates(space.bodies, space.heads, _prepare(space.bodies)), capped
 
 
 def _certified(rules, sig):
-    """The full-rule stage over the signature, certified."""
-    space, _ = _derivation_space(rules, sig)
-    return _certify(rules, sig, space, RewriteConfig())
+    """The full-rule stage over the signature, certified: the certification,
+    the entailed candidates it named that are not tautologies, and whether
+    one it named is unknown."""
+    space, _ = _derivation_space(rules, sig, _every_relation(sig))
+    return _certify(sig, space, RewriteConfig())
+
+
+def _rule(cand):
+    """A candidate's named rule."""
+    body, head = cand.named()
+    return make_tgd(list(body), [head])
 
 
 def test_enumeration_is_deterministic_and_canonical():
     cands, capped = _derivation_candidates([], SIG)
     assert list(cands) == list(_derivation_candidates([], SIG)[0])
     # each candidate is keyed by its own text, so no two share a text
-    assert [str(c.rule) for c in cands.values()] == list(cands)
+    assert [str(_rule(c)) for c in cands.values()] == list(cands)
     assert not capped
-    records, _ = _certified([], SIG).trail()
-    assert records == _certified([], SIG).trail()[0]
+    records, _ = _certified([], SIG)[0].trail()
+    assert records == _certified([], SIG)[0].trail()[0]
     assert [r.candidate for r in records] == sorted(cands)
 
 
@@ -116,10 +131,30 @@ def test_enumeration_relation_cap_flags_capped(monkeypatch):
     monkeypatch.setattr(rewrite, "MAX_RELATIONS", 2)
     cands, capped = _derivation_candidates([], SIG)
     assert capped
-    used = {a.rel for c in cands.values() for a in (*c.rule.body.atoms, *c.rule.head.atoms)}
+    used = {a.rel for c in cands.values() for a in (*c.body, c.head)}
     assert used <= {"R", "U"}
     art = rewrite_atomic_guarded(RULES, Q_T)
     assert art.capped and art.caps["max_relations"] == 2
+
+
+def test_a_compile_enumerates_only_the_relations_the_query_reaches():
+    """Of eight relations, the query reaches A0, A1, A2 and R, through the
+    two rules that derive them.  The atomic and cq schemes, and fg through
+    cq, enumerate over those four and certify under those two rules, so no
+    cap is hit and the program finds the oracle's answer.  Its edb and
+    imports still cover all eight relations."""
+    sig, rules = parse_theory("tgd B1(x) -> B2(x). tgd B2(x) -> B3(x). tgd B3(x) -> B4(x). "
+                              "tgd A0(x) -> exists y: R(x,y), A1(y). "
+                              "tgd R(x,y), A1(y) -> A2(x).")
+    assert list(sig.arities).index("R") == 7
+    query, inst = parse_query("A2(x)", sig), parse_instance("A0(a).")
+    assert certain_answers_oracle(rules, query, inst) == (frozenset({(elem("a"),)}), True)
+    for scheme in SCHEMES.values():
+        art = scheme(rules, query)
+        assert art.completeness == COMPLETE_WITHIN_CAPS and not art.capped
+        assert evaluate_program(art, inst) == {(elem("a"),)}
+        assert art.program.edb == sig
+        assert {a.rel for r in art.program.rules for a in r.body if a.rel in sig.arities} == set(sig.arities)
 
 
 def _random_body(rng: random.Random) -> tuple[tuple[Atom, ...], tuple[str, ...]]:
@@ -152,23 +187,23 @@ def test_rule_candidates_agree_with_naming_each_candidate_whole():
     heads = [("E", 2, None), ("U", 1, None), ("H", 0, None),
              ("Q0", 1, cq(["f0"], [atom("E", "f0", "v0")])),
              ("Q1", 0, cq([], [atom("U", "v0")]))]
-    got = _rule_candidates(bodies, heads)
+    got = _rule_candidates(bodies, heads, _prepare(bodies))
     want = naive_rule_candidates(bodies, heads)
     assert list(got) == list(want)
     for key, cand in got.items():
-        assert (cand.rule, cand.kind, cand.query) == want[key], key
+        assert (_rule(cand), cand.kind) == want[key][:2], key
     assert any(isinstance(t, Cst) and t.name in ("v0", "v1")
-               for c in got.values() for a in c.rule.body.atoms for t in a.args)
+               for c in got.values() for a in c.body for t in a.args)
 
 
 def test_full_rule_naming_keeps_head_constants_and_first_occurrence():
     # a head constant named like a fresh name is skipped by the renaming
     rule = make_tgd([atom("E", "x", "y")], [Atom("H", (Var("y"), Cst("v0")))])
-    assert [str(t) for t in _inject_input_rules([rule])] == ["E(v2,v1) -> H(v1,v0)"]
+    assert list(_inject_input_rules([rule])) == ["E(v2,v1) -> H(v1,v0)"]
     # past the cap, variables are named by first occurrence in the head first
     wide = [f"y{i}" for i in range(RENAMING_CAP + 1)]
     rule = make_tgd([Atom("W", tuple(Var(v) for v in wide))], [atom("U", wide[5])])
-    assert [str(t) for t in _inject_input_rules([rule])] == ["W(v1,v2,v3,v4,v5,v0,v6,v7) -> U(v0)"]
+    assert list(_inject_input_rules([rule])) == ["W(v1,v2,v3,v4,v5,v0,v6,v7) -> U(v0)"]
 
 
 def test_enumerated_bodies_stay_under_the_renaming_cap():
@@ -185,7 +220,7 @@ def test_enumerated_bodies_stay_under_the_renaming_cap():
 def test_enumerated_candidates_are_guarded_and_full():
     cands, _ = _derivation_candidates([], SIG)
     for cand in cands.values():
-        c = classify(cand.rule)
+        c = classify(_rule(cand))
         assert c.full and c.guarded
 
 
@@ -216,7 +251,7 @@ def test_rule_candidates_pick_one_renaming_per_body(monkeypatch):
     real = rewrite.pick_renaming
     monkeypatch.setattr(rewrite, "pick_renaming",
                         lambda renamings, *args: calls.append(renamings[0]) or real(renamings, *args))
-    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels])
+    cands = _rule_candidates(bodies, [(r, a, None) for r, a in rels], _prepare(bodies))
     assert len(cands) > len(distinct)
     assert {frozenset(atoms) for atoms in calls} == distinct
     assert len(calls) == len(distinct)
@@ -229,11 +264,11 @@ def test_rule_candidates_escape_braces_in_relation_names():
               ((atom("U}", "x"), Atom("R{x}", (Var("x"), Cst("{0}")))), ("x",))]
     heads = [("H{0}", 2, None), ("U}", 1, None), ("{}", 0, None),
              ("Q{1}", 1, cq(["f0"], [atom("U}", "f0")]))]
-    got = _rule_candidates(bodies, heads)
+    got = _rule_candidates(bodies, heads, _prepare(bodies))
     want = naive_rule_candidates(bodies, heads)
     assert list(got) == list(want)
     for key, cand in got.items():
-        assert (cand.rule, cand.kind, cand.query) == want[key], key
+        assert (_rule(cand), cand.kind) == want[key][:2], key
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +296,9 @@ def test_derive_includes_expected_consequences():
 def test_derive_only_trivial_rules_without_input_rules():
     # the certified candidates kept for the program are the entailed ones
     # whose head is not in their body
-    certified = _certified([], Signature([("A", 1), ("B", 1)]))
-    assert certified.kept == []
-    assert any(r.verdict == ENTAILED for r in certified.trail()[0])
+    certification, kept, _ = _certified([], Signature([("A", 1), ("B", 1)]))
+    assert kept == []
+    assert any(r.verdict == ENTAILED for r in certification.trail()[0])
 
 
 def test_derive_composes_transitively():
@@ -281,9 +316,9 @@ def test_derive_rejects_non_consequences():
 
 
 def test_derive_certifies_every_kept_rule():
-    certified = _certified(RULES, SIG)
-    entailed = {r.candidate for r in certified.trail()[0] if r.verdict == ENTAILED}
-    assert certified.kept and all(str(c.rule) in entailed for c in certified.kept)
+    certification, kept, _ = _certified(RULES, SIG)
+    entailed = {r.candidate for r in certification.trail()[0] if r.verdict == ENTAILED}
+    assert kept and all(str(_rule(c)) in entailed for c in kept)
 
 
 def test_derive_is_monotone_in_caps(monkeypatch):
@@ -333,7 +368,7 @@ def test_completeness_is_decided_without_reading_the_trail(scheme, monkeypatch):
     def refuse(*args):
         raise AssertionError("the trail was produced")
 
-    monkeypatch.setattr(rewrite, "_records", refuse)
+    monkeypatch.setattr(rewrite._Certification, "trail", refuse)
     art = SCHEMES[scheme](problem.rules, problem.query)
     assert not art.capped and art.completeness == CAPPED
     monkeypatch.undo()
@@ -342,6 +377,29 @@ def test_completeness_is_decided_without_reading_the_trail(scheme, monkeypatch):
     assert len(unknown) == count
     assert hashlib.sha256("\n".join(unknown).encode()).hexdigest()[:16] == digest
     assert art.certification is art.certification
+
+
+def test_the_trail_keeps_no_named_candidate():
+    """Until the trail is read, the compile keeps the certification it is
+    produced from, not the candidates certification named: only the input
+    rules, named already, are reachable from the producer."""
+    problem = compile_problem("null-producer", "V(x)")
+    art = rewrite_cq_guarded(problem.rules, problem.query)
+    reached, stack, seen = [], [art._produce], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, rewrite._Candidate):
+            reached.append(obj)
+        if callable(obj) and hasattr(obj, "__closure__"):
+            # a function is followed into its closure only, not its globals
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    assert reached and all(c.closure is None for c in reached)
+    assert any(r.verdict == ENTAILED and r.kind == "rule" for r in art.certification)
 
 
 def test_a_compile_names_only_the_heads_it_needs(monkeypatch):
@@ -366,20 +424,21 @@ def test_a_compile_names_only_the_heads_it_needs(monkeypatch):
     verdicts = {r.candidate: r.verdict for r in art.certification}
     monkeypatch.undo()
     sig = tgd_signature(problem.rules, query_signature(problem.query))
-    space, _ = _derivation_space(problem.rules, sig)
-    every = _rule_candidates(space.bodies, space.heads)
+    space, _ = _derivation_space(problem.rules, sig, problem.query)
+    prepared = _prepare(space.bodies)
+    every = _rule_candidates(space.bodies, space.heads, prepared)
     closures = {c.closure.key: c.closure.atoms for c in every.values()}
     stopped = {key for key, atoms in closures.items()
-               if chase(canon_inst(cq([], list(atoms)), sig)[0], problem.rules).status
+               if chase(canon_inst(cq([], list(atoms)), sig)[0], space.rules).status
                != TERMINATED}
     want = set()
     for body, gvars in space.bodies:
         # the sub-bodies' entailed heads, over the body's own variable names
         below = {c.head for i in range(1, len(body))
                  for t, c in _rule_candidates([(body[:i] + body[i + 1:], gvars)],
-                                              space.heads).items()
+                                              space.heads, prepared).items()
                  if verdicts[t] == ENTAILED}
-        want |= {s for s, c in _rule_candidates([(body, gvars)], space.heads).items()
+        want |= {s for s, c in _rule_candidates([(body, gvars)], space.heads, prepared).items()
                  if c.closure.key in stopped
                  or (verdicts[s] == ENTAILED and c.head not in c.body and c.head not in below)}
     assert stopped and set(closures) - stopped
@@ -958,7 +1017,7 @@ COMPILE_DIGESTS = {
     ("mutual-unary", "cq", "P(x)"):
         "4129185f268dc12eee4ea386d7a4c460fb2200df3604a121a4e036c2b5f4e7c2",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "81320592cad6fe3b23378e67c15740bdb6505527fdbe4b4ee83fa05bd8f49c9d",
+        "08dd36a3c758a2b97a8283ef0499daa43c3d05f540afe08681a2864c6a53d057",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
         "d263dcca1c0e3de902b2cb535807533ba927f5f9bc1d5e9adf1de73b4a30138e",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
@@ -1018,7 +1077,7 @@ PRUNED_DIGESTS = {
     ("mutual-unary", "cq", "P(x)"):
         "63d0832ea7ddcfb4c456b11f83fce1c6326cff076a4097e01948371d5dfa9eb1",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "9aa766e3e6993eb19fc94a17183adde339ece648669b240c51a3945f039ece1d",
+        "4a60e45182d04b2e87aaf5edcd053b31dd318b8e02a312ac44c3179b318a8f46",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
         "6e36ee735c537386abc7826eba7d1466f64a2e0075b12cae90b93c320d5a4b1a",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
@@ -1120,7 +1179,7 @@ PROGRAM_DIGESTS = {
     ("mutual-unary", "cq", "P(x)"):
         "59a3680ed0a915809239c911f7d1477ac7eaa9682344ceacddf917913d2f7628",
     ("u-propagation", "cq", "exists y: R(x,y), U(y)"):
-        "957159e184fc3335b1c08eade1b278c2b1ef1e095e42b0d458c7514c58d96aac",
+        "5d7b014069c6ff301e92a373605272376d0b9a4fd74048c6dcfee1b7723f4fba",
     ("mutual-unary", "cq", "exists y: E(x,y), Q(y)"):
         "347a4cb034caff131bdd7967e65fb52ec8a855bf5e10115a1a96d641d8df9bfb",
     ("mutual-unary", "cq", "exists x: P(x), Q(x)"):
@@ -1194,11 +1253,11 @@ PROGRAM_DIGESTS = {
     ("two-hop", "fg", None):
         "d94fd737ad2f7bc8d7b56590818fdf231f065071c2d5690def75bce39fd45454",
     ("double-head", "atomic", None):
-        "4a9a1821ce7353a96575215b13d5da945d56d6dcec36e4d970fac90a748c93ab",
+        "99cf43936851744d5a5af509ec9aac3a2f7b53567e6e4e6bf93c188655ee3155",
     ("double-head", "cq", None):
-        "1c8eebfcde0e2ed68ef63b9c9d4d013d439c82cf9e54903d5ffe78447ceaff19",
+        "b0fc65483469919964f83c92b865120b770fbe13aaa4a8e60048b74a559f1507",
     ("double-head", "fg", None):
-        "1c8eebfcde0e2ed68ef63b9c9d4d013d439c82cf9e54903d5ffe78447ceaff19",
+        "b0fc65483469919964f83c92b865120b770fbe13aaa4a8e60048b74a559f1507",
     ("witness-mark", "atomic", None):
         "0284190f6b100c1403f6024788e3664e92c7a0473dfec1e5e7de86ef48de5590",
     ("witness-mark", "cq", None):

@@ -60,6 +60,11 @@ def test_theory_roundtrip():
     assert print_theory(*parse_theory(text)) == text
 
 
+def test_comments_run_to_the_end_of_their_line():
+    text = "# two rules\ntgd R(x,y) -> U(x).  # R's first column\ntgd U(x) -> T(x).\n#"
+    assert parse_theory(text) == parse_theory("tgd R(x,y) -> U(x). tgd U(x) -> T(x).")
+
+
 def test_theory_signature_inference():
     sig, rules = parse_theory("tgd R(x,y) -> exists z: R(y,z).")
     assert sig.arities == {"R": 2}
@@ -142,6 +147,7 @@ def test_instance_roundtrip_plain_and_quoted():
         parse_instance("const c. let c = a. R(c,b). U(b)."),
         Instance(Signature([("E", 2)]), [Fact("E", (elem("p(n1,m1)"), elem("1")))]),
         Instance(Signature([("R", 1)], ["c"]), [Fact("R", (elem("c"),))]),
+        Instance(Signature([("R", 1)], ["c"]), [Fact("R", (const("c"),))]),
         Instance(Signature([], []), []),
     ]
     for inst in cases:

@@ -197,6 +197,14 @@ def test_select_disjunct_picks_an_entailed_head():
     assert select_disjunct(rules, d2) is None
 
 
+def test_select_disjunct_skips_a_head_over_other_variables():
+    # B(y) would be entailed if y were read as existential, but y is an
+    # answer variable that the body does not bind
+    rules = [make_tgd([atom("A", "x")], [atom("B", "w")])]
+    d = DisjunctiveTgd(cq(["x"], [atom("A", "x")]), (cq(["y"], [atom("B", "y")]),))
+    assert select_disjunct(rules, d) is None
+
+
 def test_select_disjunct_keeps_freshened_existentials_apart():
     # z clashes with a body variable; its fresh name must not be z0, the other existential
     rules = [make_tgd([atom("A", "x"), atom("B", "z")],
@@ -257,6 +265,15 @@ def test_to_acyclic_fg_flags_non_frontier_guarded_rules():
     t = make_tgd([atom("R", "x", "y"), atom("R", "y", "z")], [atom("T", "x", "z")])
     res = to_acyclic_fg([t], max_atoms=3, max_vars=3)
     assert not res.ok and res.failed == [t]
+
+
+def test_to_acyclic_fg_fails_when_no_acyclic_head_is_entailed():
+    # the head's acyclic approximations all need a loop, which the chase of
+    # U(x) never builds: no disjunct is entailed, and no cap decided that
+    t = make_tgd([atom("U", "x")], [atom("E", "x", "y"), atom("E", "y", "z"), atom("E", "z", "x")])
+    assert not classify(t).acyclic_frontier_guarded
+    res = to_acyclic_fg([t], max_atoms=3, max_vars=3)
+    assert res.failed == [t] and res.rules == [] and not res.capped
 
 
 def test_to_acyclic_fg_fails_a_head_that_is_not_answer_guarded_without_capping():

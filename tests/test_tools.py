@@ -11,6 +11,7 @@ sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 import bench_pairs  # noqa: E402
 import code_lines  # noqa: E402
 import random_sweep  # noqa: E402
+import uncovered  # noqa: E402
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], [__file__, "--help"]])
@@ -32,6 +33,29 @@ def test_code_lines_counts_code_only(tmp_path, capsys):
     path.write_text('"""doc"""\n\n# comment\nx = 1\n')
     assert code_lines.main([str(path)]) == 0
     assert capsys.readouterr().out == f"     1  {path}\n     1  total\n"
+
+
+def test_uncovered_names_the_statements_a_run_misses(tmp_path, capsys):
+    package = tmp_path / "uncovered_sample"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        '"""doc"""\n'
+        "\n"
+        "def sign(x):\n"
+        '    """doc"""\n'
+        "    if x < 0:\n"
+        "        return -1\n"
+        "    return (1 if x\n"
+        "            else 0)\n")
+    test = tmp_path / "test_sample.py"
+    test.write_text("from uncovered_sample.mod import sign\n\n"
+                    "def test_sign():\n    assert sign(0) == 0\n")
+    assert uncovered.main(["--source", str(package), "-q", "-p", "no:cacheprovider",
+                           str(test)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [f"{os.path.relpath(package / 'mod.py')}:6: return -1",
+                        "1 of 5 statements never ran"]
 
 
 def test_random_sweep_prints_its_counts(capsys):
