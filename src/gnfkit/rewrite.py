@@ -54,10 +54,12 @@ member, and the parts' predicates join in one goal rule.  Any cap that drops
 a candidate body, a query quotient or a quotient past ``k`` variables marks
 the result ``capped``, in each scheme.
 
-The atomic and cq schemes compile only what the query can reach (see
-``_relevant``): they enumerate bodies and heads over the relations the query
-reaches and certify under the rules that derive those, so a relation the
-query cannot reach takes no place under ``MAX_RELATIONS``.  The program still
+Every scheme compiles only what the query can reach (see ``_relevant``): it
+enumerates bodies and heads over the relations the query reaches and
+certifies under the rules that derive those, so a relation the query cannot
+reach takes no place under ``MAX_RELATIONS``.  fg's own construction reaches
+from its answer predicate through its extension axioms, and so also keeps
+only the relevant relations' guard-extension predicates.  The program still
 imports every input relation.
 
 Programs run over copies of the input relations (one import rule per input
@@ -170,9 +172,10 @@ class CertificationRecord:
 class GuardExtensionResult:
     """Projection predicates for every argument-position subset of each relation.
 
-    The predicate for the full position set is declared for uniformity but
-    needs no axioms: the relation itself plays that role.  The empty subset
-    yields a unary predicate over the reserved constant ``_unit`` recording
+    Each proper subset gets a fresh predicate, tied to the relation by an
+    axiom in each direction.  The full position set maps to the relation
+    itself, which needs no axioms and no fresh name.  The empty subset yields
+    a unary predicate over the reserved constant ``_unit`` recording
     nonemptiness of the relation.
     """
 
@@ -214,9 +217,10 @@ def _fresh_name(base: str, used: set[str]) -> str:
     return name
 
 
-def _copy_map(sig: Signature) -> dict[str, str]:
-    """A primed copy name per relation, fresh with respect to the signature."""
-    used = set(sig.arities) | set(sig.constants)
+def _copy_map(sig: Signature, taken: Iterable[str] = ()) -> dict[str, str]:
+    """A primed copy name per relation, fresh with respect to the signature
+    and the taken names."""
+    used = set(sig.arities) | set(sig.constants) | set(taken)
     out = {}
     for rel in sig.arities:
         name = _fresh_name(rel + "'", used)
@@ -302,9 +306,9 @@ class _Candidate(NamedTuple):
 class _Space(NamedTuple):
     """What candidates are named from and certified under: guarded bodies
     as enumerated, heads over their guard variables, the rules entailed
-    without a chase, by text, and the rules the chases run.  An axiom takes
-    the place of the enumerated candidate with its text; an input rule
-    leaves that candidate in place."""
+    without a chase, by text, and the rules the chases run.  A rule entailed
+    without a chase takes the place of the enumerated candidate with its
+    text."""
     bodies: list[_Body]
     heads: list[_Head]
     given: dict[str, _Candidate]
@@ -521,9 +525,7 @@ class _Certification(NamedTuple):
         in body)."""
         cands = _rule_candidates(self.space.bodies, self.space.heads, prepared,
                                  self if needed_only else None)
-        for s, c in self.space.given.items():
-            if c.kind == "axiom" or s not in cands:
-                cands[s] = c
+        cands.update(self.space.given)
         order = sorted(cands, key=lambda s: (cands[s].kind == "query-rule", s))
         records = tuple(CertificationRecord(s, self.verdict(cands[s]), cands[s].kind)
                         for s in order)
@@ -699,8 +701,6 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
               certified: tuple[_Certification, list[_Candidate], bool],
               caps: dict[str, int], capped: bool, *,
               goal_list: Sequence[Rule] = (),
-              idb: Sequence[tuple[str, int]] = (),
-              idb_if_used: Sequence[tuple[str, int]] = (),
               query_predicates: Optional[dict[str, str]] = None,
               projection: Optional[tuple[int, ...]] = None) -> RewriteArtifacts:
     """The program over relation copies: each certified rule, moved onto
@@ -710,11 +710,9 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
     ``subsumed`` record per dropped rule, in text order.  Those records are
     produced when the trail is read, from every entailed candidate that is
     not a tautology: the ones certification skipped for a sub-body's rule
-    are subsumed too.  The idb declares the copies, then the relations of
-    ``idb_if_used`` that some rule before the prune mentions, then ``idb``.
-    A skipped rule changes neither signature: it has the head of a named
-    rule, and no enumerated body mentions an ``idb_if_used`` relation or
-    ``_unit``."""
+    are subsumed too.  The idb declares each relation outside ``sig`` that
+    a rule before the prune mentions (the copies, through the import
+    heads), and the goal."""
     def onto_copies(a: Atom) -> Atom:
         return Atom(copies.get(a.rel, a.rel), a.args)
 
@@ -742,9 +740,8 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
     certification, entailed_named, unknown = certified
     ordered = program_rules(entailed_named)
     atoms = [a for r, _ in ordered.values() for a in (r.head, *r.body)]
-    referenced = {a.rel for a in atoms}
-    idb_rels = ([(copies[rel], arity) for rel, arity in sig.arities.items()]
-                + [(r, a) for r, a in idb_if_used if r in referenced] + list(idb))
+    idb = {a.rel: len(a.args) for a in atoms if a.rel not in sig.arities}
+    idb.setdefault(goal, max(1, len(query.free_vars)))
     edb = sig
     if UNIT_CONST not in sig.constants and any(
             isinstance(t, Cst) and t.name == UNIT_CONST for a in atoms for t in a.args):
@@ -758,7 +755,7 @@ def _assemble(sig: Signature, copies: dict[str, str], query: ConjunctiveQuery, g
             for s, (_, kind) in program_rules(entailed).items() if s not in kept)
 
     return RewriteArtifacts(
-        program=DatalogProgram(edb, Signature(idb_rels),
+        program=DatalogProgram(edb, Signature(idb.items()),
                                tuple(r for s, (r, _) in ordered.items() if s in kept), goal),
         caps=caps,
         capped=capped,
@@ -831,9 +828,6 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
     certified = _certify(sig, space, config)
     art = _assemble(sig, copies, query, goal_name, certified, _caps(k),
                     squid_capped or body_capped, goal_list=_goal_rules(squids, names, goal_name),
-                    idb=[(goal_name, max(1, len(query.free_vars)))],
-                    idb_if_used=[(names[key], max(1, len(family[key].free_vars)))
-                                 for key in names],
                     query_predicates={names[key]: key for key in family})
     assert classify_datalog(art.program).internally_guarded
     return art
@@ -844,24 +838,22 @@ def rewrite_cq_guarded(rules: Sequence[Tgd], query: ConjunctiveQuery,
 
 def guard_extension_axioms(sig: Signature) -> GuardExtensionResult:
     """Projection predicates for every argument-position subset of each input
-    relation, with axioms tying them to the relation in both directions."""
+    relation, with axioms tying each proper one to the relation in both
+    directions; the full position set maps to the relation itself."""
     used = set(sig.arities) | set(sig.constants)
     predicates: dict[tuple[str, tuple[int, ...]], str] = {}
     axioms: list[Tgd] = []
     new_rels: list[tuple[str, int]] = []
     for rel, arity in sig.arities.items():
-        positions = list(range(1, arity + 1))
-        subsets = [tuple(s) for size in range(arity + 1)
-                   for s in itertools.combinations(positions, size)]
-        for subset in subsets:
+        positions = tuple(range(1, arity + 1))
+        full_args = tuple(Var(f"x{i}") for i in positions)
+        proper = [s for size in range(arity) for s in itertools.combinations(positions, size)]
+        for subset in proper:
             suffix = "".join(str(p) for p in subset) or "0"
             name = _fresh_name(f"{rel}_p{suffix}", used)
             used.add(name)
             predicates[(rel, subset)] = name
             new_rels.append((name, max(1, len(subset))))
-            if len(subset) == arity:
-                continue  # the relation itself plays this role
-            full_args = tuple(Var(f"x{i}") for i in positions)
             if subset:
                 proj = tuple(Var(f"x{p}") for p in subset)
                 axioms.append(make_tgd([Atom(rel, full_args)], [Atom(name, proj)]))
@@ -871,6 +863,7 @@ def guard_extension_axioms(sig: Signature) -> GuardExtensionResult:
                                        [Atom(name, (Cst(UNIT_CONST),))]))
                 axioms.append(make_tgd([Atom(name, (Var("u"),))],
                                        [Atom(rel, full_args)]))
+        predicates[(rel, positions)] = rel
     constants = () if UNIT_CONST in sig.constants else (UNIT_CONST,)
     extended = sig.extend(relations=new_rels, constants=constants)
     return GuardExtensionResult(predicates, tuple(axioms), extended)
@@ -907,7 +900,9 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery,
                          config: RewriteConfig) -> RewriteArtifacts:
     """fg's own construction: candidate rules over the input relations,
     guard-extension predicates and the query's answer-guarded family,
-    certified under a theory that defines each of them."""
+    certified under a theory that defines each of them.  As in the other
+    schemes, only the relations and rules of that theory that the answer
+    predicate reaches (see ``_relevant``) are enumerated and certified."""
     base_sig = tgd_signature(list(rules), query_signature(query))
     ext = guard_extension_axioms(base_sig)
     used = set(ext.signature.arities) | set(ext.signature.constants)
@@ -918,28 +913,32 @@ def _rewrite_fg_extended(rules: Sequence[Tgd], query: ConjunctiveQuery,
 
     # the theory: input rules, the answer rule, and axioms defining every
     # guard-extension and query-extension predicate in both directions
-    theory = list(rules) + [make_tgd(list(query.atoms), [_family_head(ans_name, query.free_vars)])]
-    theory += ext.axioms
+    ans = _family_head(ans_name, query.free_vars)
+    theory = list(rules) + [make_tgd(list(query.atoms), [ans])] + list(ext.axioms)
     for key, name in names.items():
         canonq = family[key]
         head = _family_head(name, canonq.free_vars)
         back = head if canonq.free_vars else Atom(name, (Var("u"),))
         theory += [make_tgd(list(canonq.atoms), [head]), make_tgd([back], list(canonq.atoms))]
+    theory, relevant = _relevant(theory, cq([], [ans]))
     extension_rels = ([(ans_name, max(1, len(query.free_vars)))]
                       + [(name, max(1, len(family[key].free_vars))) for key, name in names.items()]
-                      + [(name, ext.signature.arities[name])
-                         for name in sorted(set(ext.signature.arities) - set(base_sig.arities))])
+                      + [(name, ext.signature.arities[name]) for name in
+                         sorted(relevant & (ext.signature.arities.keys() - base_sig.arities.keys()))])
 
-    base_rels, rel_capped = _enumeration_relations(base_sig)
+    base_rels, rel_capped = _enumeration_relations(
+        Signature((r, a) for r, a in base_sig.arities.items() if r in relevant))
     rels = base_rels + [(r, a) for r, a in extension_rels if a <= MAX_ARITY]
     bodies, pool_capped = _guarded_bodies(rels, FG_MAX_EXTRA_BODY_ATOMS, k)
     space = _Space(bodies, [(r, a, None) for r, a in rels] + [(r, 0, None) for r, a in rels if a == 1],
                    _inject_input_rules(theory, "axiom"), theory)
     certified = _certify(ext.signature.extend(relations=extension_rels), space, config)
 
-    return _assemble(base_sig, _copy_map(base_sig), query, ans_name, certified,
+    # the extension names were picked without the copies in view, so the copies avoid them
+    copies = _copy_map(base_sig, used | {ans_name, *names.values()})
+    return _assemble(base_sig, copies, query, ans_name, certified,
                      _caps(k, ("fg_max_extra_body_atoms", FG_MAX_EXTRA_BODY_ATOMS)),
-                     fam_capped or rel_capped or pool_capped, idb=extension_rels,
+                     fam_capped or rel_capped or pool_capped,
                      query_predicates={names[key]: key for key in family})
 
 

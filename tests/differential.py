@@ -14,6 +14,12 @@ terminated: the compiled answers must then be among the oracle's, and equal
 to them when the compile is ``complete_within_caps``.  The test suite runs
 small arity-2 sweeps with queries of 2 and of 3 atoms over 3 variables, and
 of 4 atoms over 4 variables; ``tools/random_sweep.py`` runs larger ones.
+
+``fg_sweep`` checks fg's own construction, which only a rule set with an
+unguarded rule reaches: each draw is one ``random_frontier_guarded_tgd`` and
+0-2 ``random_guarded_tgd`` rules over ``random_signature(max_rels=3)`` with a
+``random_cq``, and only a draw with an unguarded rule and an answer-guarded
+query is compiled, under fg, and compared in the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from dataclasses import dataclass, field
 from gnfkit.query import Atom, Var, cq, is_answer_guarded
 from gnfkit.rewrite import (COMPLETE_WITHIN_CAPS, certain_answers_oracle, evaluate_program,
                             rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
-from randgen import random_cq, random_guarded_tgd, random_instance, random_signature
+from gnfkit.tgd import classify
+from randgen import (random_cq, random_frontier_guarded_tgd, random_guarded_tgd,
+                     random_instance, random_signature)
 
 
 @dataclass
@@ -55,19 +63,38 @@ def sweep(seed: int, theories: int, max_arity: int = 2, max_query_atoms: int = 2
             compiles.append(("fg", rewrite_fg, query))
         insts = [random_instance(rng, sig, max_elems=5, max_facts=8) for _ in range(4)]
         for scheme, compile_, q in compiles:
-            art = compile_(rules, q)
-            complete = art.completeness == COMPLETE_WITHIN_CAPS
-            out.compiles += 1
-            out.capped += not complete
-            for i, inst in enumerate(insts):
-                expected, terminated = certain_answers_oracle(rules, q, inst)
-                if not terminated:
-                    out.undecided += 1
-                    continue
-                out.decided += 1
-                got = evaluate_program(art, inst)
-                if not got <= expected or (complete and got != expected):
-                    out.mismatches.append(
-                        f"theory {n} {scheme} {q} instance {i}: compiled {sorted(got)}, "
-                        f"oracle {sorted(expected)}, {art.completeness}")
+            _compare(out, f"theory {n} {scheme}", compile_(rules, q), rules, q, insts)
     return out
+
+
+def fg_sweep(seed: int, theories: int, max_arity: int = 2) -> SweepResult:
+    rng = random.Random(seed)
+    out = SweepResult()
+    for n in range(theories):
+        sig = random_signature(rng, max_rels=3, max_arity=max_arity)
+        rules = [random_frontier_guarded_tgd(rng, sig)]
+        rules += [random_guarded_tgd(rng, sig) for _ in range(rng.randint(0, 2))]
+        query = random_cq(rng, sig)
+        if all(classify(t).guarded for t in rules) or not is_answer_guarded(query):
+            continue
+        insts = [random_instance(rng, sig, max_elems=5, max_facts=8) for _ in range(4)]
+        _compare(out, f"theory {n} fg", rewrite_fg(rules, query), rules, query, insts)
+    return out
+
+
+def _compare(out: SweepResult, label: str, art, rules, query, insts) -> None:
+    """Count one compile and its comparisons with the oracle on each instance."""
+    complete = art.completeness == COMPLETE_WITHIN_CAPS
+    out.compiles += 1
+    out.capped += not complete
+    for i, inst in enumerate(insts):
+        expected, terminated = certain_answers_oracle(rules, query, inst)
+        if not terminated:
+            out.undecided += 1
+            continue
+        out.decided += 1
+        got = evaluate_program(art, inst)
+        if not got <= expected or (complete and got != expected):
+            out.mismatches.append(
+                f"{label} {query} instance {i}: compiled {sorted(got)}, "
+                f"oracle {sorted(expected)}, {art.completeness}")

@@ -10,7 +10,7 @@ import pytest
 
 from corpus import (COMPILE_QUERIES, FG_QUERIES, ORACLE_QUERIES, PROBLEMS, SCHEMES,
                     compile_problem, compiled_problem, corpus_problem)
-from differential import sweep
+from differential import fg_sweep, sweep
 from oracles import naive_rule_candidates, naive_subsumes
 from randgen import random_cq, random_instance, random_signature
 from shapes import cycle
@@ -790,16 +790,15 @@ def test_scheme_trails_extend_the_full_rule_stage():
 
 def test_guard_extension_counts_for_binary_relation():
     ext = guard_extension_axioms(Signature([("R", 2)]))
-    assert sorted(ext.predicates.values()) == ["R_p0", "R_p1", "R_p12", "R_p2"]
+    assert sorted(ext.predicates.values()) == ["R", "R_p0", "R_p1", "R_p2"]
     assert len(ext.axioms) == 6
 
 
 def test_guard_extension_full_position_set_needs_no_axioms():
+    # the relation itself is its full projection: no fresh name is declared
     ext = guard_extension_axioms(Signature([("R", 2)]))
-    full_name = ext.predicates[("R", (1, 2))]
-    mentioned = {a.rel for t in ext.axioms
-                 for a in (*t.body.atoms, *t.head.atoms)}
-    assert full_name not in mentioned
+    assert ext.predicates[("R", (1, 2))] == "R"
+    assert sorted(ext.signature.arities) == ["R", "R_p0", "R_p1", "R_p2"]
 
 
 def test_guard_extension_signature_and_projections():
@@ -901,6 +900,44 @@ def test_fg_compile_reports_its_known_miss_as_capped():
     assert compiled == oracle or art.completeness == CAPPED
 
 
+def test_fg_compile_enumerates_only_the_relations_the_answer_reaches():
+    # join-witness behind three rules over relations the answer cannot
+    # reach, declared first: fg's own construction compiles only what Ans
+    # reaches, so the program is join-witness's plus the imports of B1-B4
+    chain = [make_tgd([atom(f"B{i}", "x")], [atom(f"B{i + 1}", "x")]) for i in (1, 2, 3)]
+    problem, plain = compiled_problem("join-witness", "fg", "P(x)")
+    art = rewrite_fg(chain + list(problem.rules), problem.query)
+    imports = {f"B{i}'": 1 for i in (1, 2, 3, 4)}
+    assert len(plain.program.rules) == 55
+    assert ([r for r in art.program.rules if r.head.rel not in imports]
+            == list(plain.program.rules))
+    assert art.program.idb.arities == {**plain.program.idb.arities, **imports}
+
+
+def test_fg_programs_declare_only_relations_their_rules_mention():
+    for name, _, text in FG_QUERIES:
+        program = compiled_problem(name, "fg", text)[1].program
+        mentioned = {a.rel for r in program.rules for a in (r.head, *r.body)}
+        assert set(program.idb.arities) <= mentioned, (name, text)
+
+
+def test_fg_names_avoid_the_copies_of_input_relations():
+    # input relations Ans and R_p1 have the copies Ans' and R_p1', which
+    # the answer predicate and R's projection on position 1 would otherwise
+    # be named; the input fact Ans(d) must not become an answer
+    rules = [make_tgd([atom("R", "x", "y"), atom("S", "y", "z")], [atom("P", "x")]),
+             make_tgd([atom("P", "x")], [atom("Ans", "x")]),
+             make_tgd([atom("R_p1", "x")], [atom("R_p1", "x")])]
+    q = cq(["x"], [atom("P", "x")])
+    art = rewrite_fg(rules, q)
+    imported = {r.head.rel for r in art.program.rules
+                if len(r.body) == 1 and r.body[0].rel in art.program.edb.arities}
+    assert art.program.goal not in imported
+    assert len(imported) == len(art.program.edb.arities)
+    inst = parse_instance("R(a,b). S(b,c). Ans(d). R_p1(e).")
+    assert evaluate_program(art, inst) == {(elem("a"),)}
+
+
 def test_fg_extension_construction_runs_only_on_unguarded_rules(monkeypatch):
     calls = []
     real = rewrite.guard_extension_axioms
@@ -976,6 +1013,16 @@ def test_compiled_answers_agree_with_the_oracle_on_four_atom_queries():
     assert result.decided >= 280 and result.capped == 0
 
 
+def test_fg_construction_agrees_with_the_oracle_on_random_theories():
+    # 100 seeded draws, of which the 21 with an unguarded rule and an
+    # answer-guarded query are compiled by fg's own construction and checked
+    # on 4 instances; at seed 0 the oracle decides 84 of 84 comparisons, and
+    # 15 compiles are capped (18 when fg enumerated irrelevant relations)
+    result = fg_sweep(seed=0, theories=100)
+    assert result.mismatches == []
+    assert result.compiles >= 20 and result.decided >= 80 and result.capped <= 15
+
+
 # SHA-256 of each compile's printed program with its subsumed rules put back,
 # completeness and certification records less the subsumed ones, with every
 # candidate named over its body as enumerated; any change to the naming, the
@@ -1031,13 +1078,13 @@ COMPILE_DIGESTS = {
     ("unary-cycle", "fg", "A(x), C(x)"):
         "8a797ae20d3743acf40834c708d5d6ecf7069741c430694d637e11e77f622bab",
     ("join-witness", "fg", "P(x)"):
-        "a14ef61dcb0cb9c4f079684bb31f054099205fa7dbcfdb97c9d76af1604ef2c3",
+        "123a21cccc90956b75e77128de650df82b1bf5a96b3bd80ba4f676c13108a160",
     ("join-witness", "fg", "exists w: T(x,w)"):
-        "4a2d790dc7f469b39b7f36e1b9d6e1352187835f78b1f6c2a314f1a9046de386",
+        "192dcc45bba4a42f22e37e0a4e617812c148769e34eebca3aa0d2af3fba076ca",
     ("two-step-witness", "fg", "A(x)"):
-        "a8143a2e011bda18aad5e256265253efce1dc23d230241460d05fb39315af5ff",
+        "1698e6d62633b3a0392be2044d32447d74a425e243fd760331ff8cb8aeb93b5f",
     ("two-step-witness", "fg", "exists w: F(x,w)"):
-        "75a0d48331a681a803a584f19a48610d9408323899c5d99bc0907df450bfcb17",
+        "aa827b85ea2123c44bde4ec013d2f9f2d505a9601c2b8d72ab53ad1072d02599",
 }
 
 
@@ -1091,13 +1138,13 @@ PRUNED_DIGESTS = {
     ("unary-cycle", "fg", "A(x), C(x)"):
         "3dd7856210257d82982b18eb7a7408f86e6e771c9aa76323d8490818793f02b2",
     ("join-witness", "fg", "P(x)"):
-        "49953a7761da2acf5329b34d851546132c7c68afa3cc8806d343051e757e7aec",
+        "8d4a0526cfe1d4e32732a4f0ec4f38614b6fdd5c24e51ee3eaa1276c79e0e3a8",
     ("join-witness", "fg", "exists w: T(x,w)"):
-        "26e6e121ecacd245195d05d9ac47c9febec024c8eca5e7eeb199bac3d1444970",
+        "25a5078ee2fe8425d2d64178f723467da5c754e547643083dec3723bd30ae177",
     ("two-step-witness", "fg", "A(x)"):
-        "1577df823b8688b488f37650fe2efcfd7d10c89ab657dd564860b4fd1193d4d1",
+        "48698fc5cdd09dd1ec19866516ba93c502dc4e97696cc2c6393900e4e1c9f5a9",
     ("two-step-witness", "fg", "exists w: F(x,w)"):
-        "b7253f3abe5596b962fcab65712548ca1f2487094cf8d2de35fa93e7d5f31aba",
+        "c4c97b52a800799e94d7191964ac828995125d8849a1173c01fa4a280e55d1ee",
 }
 
 
@@ -1265,13 +1312,13 @@ PROGRAM_DIGESTS = {
     ("witness-mark", "fg", None):
         "8fc428f7af6432ee03a8d110297a4f45a9826369f7a9d8f61f768b73087b3c08",
     ("join-witness", "fg", "P(x)"):
-        "4d270af76bd00034235552f0f3ad5b7b0361ab6b011676f8a5eafb9e38a34976",
+        "65865b3c6438233f1b1a245431bfe1652e424d23412ef00ec62993817b46c2c1",
     ("join-witness", "fg", "exists w: T(x,w)"):
-        "7fa8f52a7ba0ae37e91507e78a04904ff6877743da12efe41c4e982d61a98ba3",
+        "3bfbdc425e272e55e5a655fb46607bf9d56616f5b21c8c40199b886c8f750fb1",
     ("two-step-witness", "fg", "A(x)"):
-        "b0a394e114e3b81bbecb8b49f0e10e2f807c677befd97a5f0ec15666b1283d40",
+        "f6e5fff0c29271698a92aa34930d550a795f9153d897eced6b5a01452dcb4104",
     ("two-step-witness", "fg", "exists w: F(x,w)"):
-        "c2a7b2fec9cc75d415d3adb0fe1039e629821c5e89cbf83d101acb697c66e79f",
+        "ee69e3098672f913f2f2a95619cb3b657426c2a22d068016a4070e7f5ab7720d",
 }
 
 

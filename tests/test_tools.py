@@ -66,6 +66,17 @@ def test_random_sweep_prints_its_counts(capsys):
     assert out["decided"] + out["undecided"] == 4 * out["compiles"] > 0
 
 
+def test_random_sweep_runs_the_fg_sweep(capsys, monkeypatch):
+    calls = []
+    real = random_sweep.fg_sweep
+    monkeypatch.setattr(random_sweep, "fg_sweep", lambda *args: calls.append(args) or real(*args))
+    assert random_sweep.main(["--seed", "0", "--theories", "10", "--max-arity", "2", "--fg"]) == 0
+    assert calls == [(0, 10, 2)]
+    out = json.loads(capsys.readouterr().out)
+    assert out["fg"] and out["mismatches"] == []
+    assert out["decided"] + out["undecided"] == 4 * out["compiles"] > 0
+
+
 def test_random_sweep_draws_queries_of_the_given_atoms(capsys, monkeypatch):
     calls = []
     real = random_sweep.sweep
