@@ -11,13 +11,20 @@ The checks apply it to
   * a negation, guarded by the atomic formulas conjoined with it;
   * an existential block, guarded by the atomic conjuncts of its kernel;
   * a universal block, guarded by the atoms its kernel's disjuncts negate.
+
+Evaluation compiles a formula once, by `_compile`, into nested closures that
+look its terms up in a list of slots and test each atom's ``(rel, args)`` key
+for membership in a set of keys: `eval_fo` builds that set from the
+instance's facts, and countermodel search one per candidate structure, over
+the elements 0..k-1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Container, Iterable, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Any, Callable, Container, Iterable, Mapping, Optional, Sequence, Union
 
 from .model import Fact, Instance, Signature, Value, active_domain, elem
 from .query import Atom, ConjunctiveQuery, Cst, Term, Var
@@ -220,7 +227,8 @@ def formula_signature(f: FoFormula) -> Signature:
             for p in _parts(g):
                 walk(p)
             return
-        for t in terms:  # a loop, not a generator: eval_fo calls this every time
+        # a loop, not a generator: every eval_fo call runs this before it compiles
+        for t in terms:
             if isinstance(t, Cst):
                 consts.add(t.name)
 
@@ -372,7 +380,8 @@ def eval_fo(f: FoFormula, inst: Instance, domain: Optional[Iterable[Value]] = No
     for c in sig.constants:
         if c not in inst.const_interp:
             raise ValueError(f"constant {c} not interpreted in the instance")
-    unbound = free_vars(f) - set(binding or ())
+    binding = binding or {}
+    unbound = free_vars(f) - set(binding)
     if unbound:
         raise ValueError(f"unbound variables: {', '.join(sorted(unbound))}")
     base = set(active_domain(inst)) | set(inst.const_interp.values())
@@ -382,37 +391,64 @@ def eval_fo(f: FoFormula, inst: Instance, domain: Optional[Iterable[Value]] = No
         dom = set(domain)
         if not base <= dom:
             raise ValueError("domain must contain the active domain and all constants")
-    return _holds(f, inst.facts, inst.const_interp, dom, dict(binding or {}))
+    holds, slots = _compile(f)
+    b = [inst.const_interp[t.name] if isinstance(t, Cst) else binding.get(t.name)
+         for t in slots]
+    return holds({(fa.rel, fa.args) for fa in inst.facts}, tuple(dom), b)
 
 
-def _holds(f: FoFormula, facts: Container[Fact], const_interp: Mapping[str, Value],
-           dom: Collection[Value], binding: dict[str, Value]) -> bool:
-    """Truth of `f` over the facts, with quantifiers ranging over `dom`; the
-    structure is taken to interpret `f` (``eval_fo`` checks that it does)."""
+_Evaluator = Callable[[Container[tuple], Sequence[Any], list], bool]
 
-    def term(t: Term, b: dict[str, Value]) -> Value:
-        if isinstance(t, Var):
-            return b[t.name]
-        return const_interp[t.name]
 
-    def ev(g: FoFormula, b: dict[str, Value]) -> bool:
+def _compile(f: FoFormula) -> tuple[_Evaluator, dict[Term, int]]:
+    """`f` built once into nested closures, and the binding slot of each of
+    its terms, in order.  ``holds(keys, dom, b)`` is the truth of `f` over
+    the structure whose facts have the ``(rel, args)`` keys in `keys`, with
+    quantifiers ranging over `dom` and ``b[slots[t]]`` the value of each free
+    variable and constant `t`.  A quantifier copies `b` once, then rebinds
+    its variable's slot in place for each domain value."""
+    slots: dict[Term, int] = {}
+
+    def at(t: Term) -> int:
+        return slots.setdefault(t, len(slots))
+
+    def build(g: FoFormula) -> _Evaluator:
         if isinstance(g, Atom):
-            return Fact(g.rel, tuple(term(t, b) for t in g.args)) in facts
+            rel, pos = g.rel, [at(t) for t in g.args]
+            if len(pos) == 1:
+                i = pos[0]
+                return lambda keys, dom, b: (rel, (b[i],)) in keys
+            get = itemgetter(*pos) if pos else lambda b: ()
+            return lambda keys, dom, b: (rel, get(b)) in keys
         if isinstance(g, FoEq):
-            return term(g.left, b) == term(g.right, b)
-        if isinstance(g, FoAnd):
-            return all(ev(p, b) for p in g.parts)
-        if isinstance(g, FoOr):
-            return any(ev(p, b) for p in g.parts)
+            i, j = at(g.left), at(g.right)
+            return lambda keys, dom, b: b[i] == b[j]
         if isinstance(g, FoNot):
-            return not ev(g.sub, b)
-        if isinstance(g, FoExists):
-            return any(ev(g.sub, {**b, g.var: v}) for v in dom)
-        if isinstance(g, FoForall):
-            return all(ev(g.sub, {**b, g.var: v}) for v in dom)
+            sub = build(g.sub)
+            return lambda keys, dom, b: not sub(keys, dom, b)
+        if isinstance(g, (FoAnd, FoOr)):
+            parts, stop = [build(p) for p in g.parts], isinstance(g, FoOr)
+
+            def junction(keys, dom, b) -> bool:
+                for p in parts:
+                    if p(keys, dom, b) is stop:
+                        return stop
+                return not stop
+            return junction
+        if isinstance(g, (FoExists, FoForall)):
+            i, sub, stop = at(Var(g.var)), build(g.sub), isinstance(g, FoExists)
+
+            def quantifier(keys, dom, b) -> bool:
+                b = b.copy()
+                for v in dom:
+                    b[i] = v
+                    if sub(keys, dom, b) is stop:
+                        return stop
+                return not stop
+            return quantifier
         raise TypeError(f"not a formula: {g!r}")
 
-    return ev(f, binding)
+    return build(f), slots
 
 
 # ---------------------------------------------------------------------------
@@ -554,30 +590,27 @@ class Countermodel:
     domain: frozenset[Value]
 
 
-def _search_at_size(f: FoFormula, sig: Signature, k: int) -> Optional[Countermodel]:
-    """A structure over `k` elements that falsifies the sentence `f`, or None.
-    `sig` is the sentence's own signature, so every candidate interprets `f`
-    and is evaluated without ``eval_fo``'s checks."""
-    elements = [elem(f"e{i + 1}") for i in range(k)]
-    all_facts: list[Fact] = []
-    for r in sig.relations():
-        for args in itertools.product(elements, repeat=sig.arities[r]):
-            all_facts.append(Fact(r, args))
-    fact_index = {fa: i for i, fa in enumerate(all_facts)}
-    n_facts = len(all_facts)
+def _search_at_size(holds: _Evaluator, slots: dict[Term, int], sig: Signature,
+                    k: int) -> Optional[Countermodel]:
+    """A structure over `k` elements that falsifies a sentence, or None.
+    `holds` and `slots` are the sentence compiled by ``_compile``; `sig` is
+    its own signature, so every candidate interprets it.  A candidate is the
+    set of fact keys over the elements 0..k-1 that a bit mask picks; only the
+    countermodel returned is built as an instance, over e1..ek."""
+    all_keys = [(r, args) for r in sig.relations()
+                for args in itertools.product(range(k), repeat=sig.arities[r])]
+    key_index = {key: i for i, key in enumerate(all_keys)}
+    n_facts = len(all_keys)
     consts = sorted(sig.constants)
 
     perm_tables: list[tuple[tuple[int, ...], list[int]]] = []
     for p in itertools.permutations(range(k)):
         if p == tuple(range(k)):
             continue
-        emap = {elements[i]: elements[p[i]] for i in range(k)}
-        table = [fact_index[Fact(fa.rel, tuple(emap[v] for v in fa.args))]
-                 for fa in all_facts]
+        table = [key_index[(r, tuple(p[a] for a in args))] for r, args in all_keys]
         perm_tables.append((p, table))
 
-    def canonical(cvec: tuple[int, ...], mask: int) -> bool:
-        bits = [i for i in range(n_facts) if mask >> i & 1]
+    def canonical(cvec: tuple[int, ...], mask: int, bits: list[int]) -> bool:
         for p, table in perm_tables:
             mc = tuple(p[c] for c in cvec)
             if mc > cvec:
@@ -589,15 +622,20 @@ def _search_at_size(f: FoFormula, sig: Signature, k: int) -> Optional[Countermod
                 return False
         return True
 
-    dom = frozenset(elements)
+    dom = tuple(range(k))
     for cvec in itertools.product(range(k), repeat=len(consts)):
-        const_interp = {c: elements[cvec[j]] for j, c in enumerate(consts)}
+        interp = dict(zip(consts, cvec))
+        b = [interp[t.name] if isinstance(t, Cst) else None for t in slots]
         for mask in range(1 << n_facts):
-            if not canonical(cvec, mask):
+            bits = [i for i in range(n_facts) if mask >> i & 1]
+            if not canonical(cvec, mask, bits):
                 continue
-            facts = frozenset(all_facts[i] for i in range(n_facts) if mask >> i & 1)
-            if not _holds(f, facts, const_interp, dom, {}):
-                return Countermodel(Instance(sig, facts, const_interp), dom)
+            picked = [all_keys[i] for i in bits]
+            if not holds(frozenset(picked), dom, b):
+                elements = [elem(f"e{i + 1}") for i in range(k)]
+                facts = [Fact(r, tuple(elements[a] for a in args)) for r, args in picked]
+                const_interp = {c: elements[v] for c, v in interp.items()}
+                return Countermodel(Instance(sig, facts, const_interp), frozenset(elements))
     return None
 
 
@@ -610,9 +648,10 @@ def search_countermodel(f: FoFormula, max_size: int) -> Optional[Countermodel]:
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     sig = formula_signature(f)
+    holds, slots = _compile(f)
     found: Optional[Countermodel] = None
     for k in range(1, max_size + 1):
-        found = _search_at_size(f, sig, k)
+        found = _search_at_size(holds, slots, sig, k)
         if found is not None:
             break
     if found is None:

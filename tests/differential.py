@@ -20,6 +20,12 @@ unguarded rule reaches: each draw is one ``random_frontier_guarded_tgd`` and
 0-2 ``random_guarded_tgd`` rules over ``random_signature(max_rels=3)`` with a
 ``random_cq``, and only a draw with an unguarded rule and an answer-guarded
 query is compiled, under fg, and compared in the same way.
+
+``dl_sweep`` draws description-logic TBoxes: each theory has 4-12 concept
+names and 1-3 role names (5-15 relations) and 2-8 ``random_dl_tbox`` axioms,
+and its atomic query over a random concept is compiled under the atomic and
+cq schemes and compared in the same way.  These theories are guarded, so fg
+compiles them as cq does.
 """
 
 from __future__ import annotations
@@ -27,11 +33,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from gnfkit.model import Signature
 from gnfkit.query import Atom, Var, cq, is_answer_guarded
 from gnfkit.rewrite import (COMPLETE_WITHIN_CAPS, certain_answers_oracle, evaluate_program,
                             rewrite_atomic_guarded, rewrite_cq_guarded, rewrite_fg)
 from gnfkit.tgd import classify
-from randgen import (random_cq, random_frontier_guarded_tgd, random_guarded_tgd,
+from randgen import (random_cq, random_dl_tbox, random_frontier_guarded_tgd, random_guarded_tgd,
                      random_instance, random_signature)
 
 
@@ -79,6 +86,21 @@ def fg_sweep(seed: int, theories: int, max_arity: int = 2) -> SweepResult:
             continue
         insts = [random_instance(rng, sig, max_elems=5, max_facts=8) for _ in range(4)]
         _compare(out, f"theory {n} fg", rewrite_fg(rules, query), rules, query, insts)
+    return out
+
+
+def dl_sweep(seed: int, theories: int) -> SweepResult:
+    rng = random.Random(seed)
+    out = SweepResult()
+    for n in range(theories):
+        concepts = [f"A{i}" for i in range(rng.randint(4, 12))]
+        roles = [f"R{i}" for i in range(rng.randint(1, 3))]
+        sig = Signature([(c, 1) for c in concepts] + [(r, 2) for r in roles])
+        rules = random_dl_tbox(rng, concepts, roles, rng.randint(2, 8))
+        query = cq(["x"], [Atom(rng.choice(concepts), (Var("x"),))])
+        insts = [random_instance(rng, sig, max_elems=5, max_facts=8) for _ in range(4)]
+        for scheme, compile_ in (("atomic", rewrite_atomic_guarded), ("cq", rewrite_cq_guarded)):
+            _compare(out, f"theory {n} {scheme}", compile_(rules, query), rules, query, insts)
     return out
 
 

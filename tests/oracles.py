@@ -288,6 +288,41 @@ def naive_eval_fo(f: FoFormula, inst: Instance, domain=None,
     return ev(f, dict(binding or {}))
 
 
+def naive_countermodel(f: FoFormula, max_size: int) -> Optional[tuple[Instance, list[Value]]]:
+    """A structure of the least size up to `max_size` that falsifies the
+    sentence `f`, with its domain, or None.  Tries, for k = 1, 2, ..., every
+    interpretation of the constants and every set of facts over the elements
+    e1..ek, with no symmetry reduction."""
+    rels: dict[str, int] = {}
+    consts: set[str] = set()
+
+    def walk(g) -> None:
+        if isinstance(g, (FoAnd, FoOr)):
+            for p in g.parts:
+                walk(p)
+        elif isinstance(g, (FoNot, FoExists, FoForall)):
+            walk(g.sub)
+        else:
+            terms = g.args if isinstance(g, Atom) else (g.left, g.right)
+            if isinstance(g, Atom):
+                rels[g.rel] = len(g.args)
+            consts.update(t.name for t in terms if isinstance(t, Cst))
+
+    walk(f)
+    sig = Signature(sorted(rels.items()), sorted(consts))
+    for k in range(1, max_size + 1):
+        dom = [elem(f"e{i + 1}") for i in range(k)]
+        facts = [Fact(r, args) for r in sorted(rels)
+                 for args in itertools.product(dom, repeat=rels[r])]
+        for values in itertools.product(dom, repeat=len(consts)):
+            interp = dict(zip(sorted(consts), values))
+            for chosen in itertools.product((False, True), repeat=len(facts)):
+                inst = Instance(sig, [fa for fa, c in zip(facts, chosen) if c], interp)
+                if not naive_eval_fo(f, inst, domain=dom):
+                    return inst, dom
+    return None
+
+
 def join_tree_exists(q: ConjunctiveQuery) -> bool:
     """Brute-force join-tree search: a tree over the atoms such that, for every
     variable, the atoms containing it induce a connected subtree."""

@@ -94,6 +94,32 @@ def random_full_tgd(rng: random.Random, sig: Signature) -> Tgd:
     return t
 
 
+def random_dl_tbox(rng: random.Random, concepts: list[str], roles: list[str],
+                   axioms: int) -> list[Tgd]:
+    """`axioms` description-logic TBox axioms over the concept (unary) and
+    role (binary) names, each of one of four shapes, as guarded TGDs:
+
+    - ``A ⊑ ∃R.B`` as ``A(x) -> exists y: R(x,y), B(y)``;
+    - ``∃R.A ⊑ B`` as ``R(x,y), A(y) -> B(x)``;
+    - ``A ⊓ B ⊑ C`` as ``A(x), B(x) -> C(x)``;
+    - ``A ⊑ ∀R.B`` as ``A(x), R(x,y) -> B(y)``."""
+    x, y = Var("x"), Var("y")
+    out = []
+    for _ in range(axioms):
+        shape = rng.randrange(4)
+        a, b, r = rng.choice(concepts), rng.choice(concepts), rng.choice(roles)
+        if shape == 0:
+            body, head = [Atom(a, (x,))], [Atom(r, (x, y)), Atom(b, (y,))]
+        elif shape == 1:
+            body, head = [Atom(r, (x, y)), Atom(a, (y,))], [Atom(b, (x,))]
+        elif shape == 2:
+            body, head = [Atom(a, (x,)), Atom(b, (x,))], [Atom(rng.choice(concepts), (x,))]
+        else:
+            body, head = [Atom(a, (x,)), Atom(r, (x, y))], [Atom(b, (y,))]
+        out.append(make_tgd(body, head))
+    return out
+
+
 def random_datalog_program(rng: random.Random):
     """A small program plus a matching edb instance."""
     from gnfkit.datalog import DatalogProgram, Rule
@@ -254,16 +280,23 @@ def random_gfo_sentence(rng: random.Random, sig: Signature, depth: int = 3):
 
 
 def random_formula(rng: random.Random, sig: Signature, depth: int = 3,
-                   pool: tuple[str, ...] = ("x", "y", "z")):
-    """A well-scoped FO formula; free variables draw from `pool`."""
+                   pool: tuple[str, ...] = ("x", "y", "z"), consts: tuple[str, ...] = ()):
+    """A well-scoped FO formula; free variables draw from `pool`.  With
+    `consts`, a leaf term is one of those constants one time in four; without,
+    the draws are those of a formula with no constants."""
     from gnfkit.logic import FoAnd, FoEq, FoExists, FoForall, FoNot, FoOr
+    from gnfkit.query import Cst
+
+    def term():
+        if consts and rng.random() < 0.25:
+            return Cst(rng.choice(consts))
+        return Var(rng.choice(pool))
 
     def leaf():
         if rng.random() < 0.8:
             rel = rng.choice(sig.relations())
-            return Atom(rel, tuple(Var(rng.choice(pool))
-                                   for _ in range(sig.arities[rel])))
-        return FoEq(Var(rng.choice(pool)), Var(rng.choice(pool)))
+            return Atom(rel, tuple(term() for _ in range(sig.arities[rel])))
+        return FoEq(term(), term())
 
     def build(d: int):
         if d <= 0:

@@ -332,6 +332,29 @@ def test_search_countermodel(capsys):
     assert "countermodel: none within size 3" in out
 
 
+# the sentences of benchmark/inputs/sentences.txt, with their stdout at size 3
+PINNED_COUNTERMODEL_STDOUT = {
+    "!(exists x. exists y. E(x,y) & !E(x,y))": "countermodel: none within size 3\n",
+    "(exists x. P(x)) | !(exists x. P(x))": "countermodel: none within size 3\n",
+    "!(exists x. exists y. E(x,y) & P(x) & !(exists z. E(x,z)))":
+        "countermodel: none within size 3\n",
+    "exists x. E(x,x)": "countermodel: found\ndomain: e1\n\nrel E/2.\n",
+    "!(exists x. exists y. E(x,y) & !E(y,x))":
+        "countermodel: found\ndomain: e1, e2\n\nrel E/2.\nE(e1,e2).\n",
+    "exists x. exists y. E(x,y) & P(y) & !P(x)":
+        "countermodel: found\ndomain: e1\n\nrel E/2.\nrel P/1.\n",
+    "!(exists x. P(x) & !(exists y. E(x,y) & P(y)))":
+        "countermodel: found\ndomain: e1\n\nrel E/2.\nrel P/1.\nP(e1).\n",
+}
+
+
+@pytest.mark.parametrize("sentence", list(PINNED_COUNTERMODEL_STDOUT))
+def test_search_countermodel_output_is_pinned(capsys, sentence):
+    rc, out = run_cli(capsys, "search-countermodel", "--formula", sentence, "--max-size", "3")
+    assert out == PINNED_COUNTERMODEL_STDOUT[sentence]
+    assert rc == (EXIT_OK if "found" in out else EXIT_BUDGET)
+
+
 def test_search_countermodel_rejects_open_formula(capsys):
     rc, _ = run_cli(capsys, "search-countermodel", "--formula", "U(x)")
     assert rc == EXIT_PRECONDITION

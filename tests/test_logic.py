@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -35,12 +36,12 @@ from gnfkit.logic import (
     substitute_free,
     tgd_to_gnf,
 )
-from gnfkit.model import Fact, Instance, Signature, active_domain, elem, serialize_facts
+from gnfkit.model import Fact, Instance, Signature, active_domain, const, elem, serialize_facts
 from gnfkit.query import Atom, Cst, Var, atom, cq, cst
 from gnfkit.syntax import parse_formula, parse_instance, parse_theory, print_formula
 from gnfkit.tgd import holds_in, make_tgd
 
-from oracles import naive_eval_fo
+from oracles import naive_countermodel, naive_eval_fo
 from randgen import random_formula, random_frontier_guarded_tgd, random_instance, random_signature
 from shapes import cycle, path
 
@@ -288,6 +289,49 @@ def test_eval_agrees_with_reference_evaluator():
         assert eval_fo(closed, i) == naive_eval_fo(closed, i)
 
 
+def _features(f, bound: frozenset = frozenset()) -> set[str]:
+    """The features of `f` that the evaluator's differential test must reach."""
+    if isinstance(f, (Atom, FoEq)):
+        terms = f.args if isinstance(f, Atom) else (f.left, f.right)
+        out = {"equality"} if isinstance(f, FoEq) else {f"arity {len(terms)}"}
+        return out | ({"constant"} if any(isinstance(t, Cst) for t in terms) else set())
+    if isinstance(f, (FoExists, FoForall)):
+        out = {type(f).__name__} | ({"quantified again"} if f.var in bound else set())
+        return out | _features(f.sub, bound | {f.var})
+    parts = f.parts if isinstance(f, (FoAnd, FoOr)) else (f.sub,)
+    return set().union(*(_features(p, bound) for p in parts))
+
+
+def test_eval_agrees_with_reference_on_constants_wide_domains_and_arity_3():
+    rng = random.Random(83)
+    seen: set[str] = set()
+    for n in range(300):
+        rels = random_signature(rng, max_rels=3, max_arity=3)
+        sig = Signature([(r, rels.arities[r]) for r in rels.relations()], ["a", "b"])
+        f = random_formula(rng, sig, depth=3, consts=("a", "b"))
+        drawn = random_instance(rng, sig, max_elems=3, max_facts=8)
+        interp = {c: rng.choice([const(c), elem("e0"), elem("e1")]) for c in ("a", "b")}
+        i = Instance(sig, drawn.facts, interp)
+        base = set(active_domain(i)) | set(interp.values())
+        domain = base | {elem("w")} if n % 2 else None
+        values = sorted(domain or base, key=lambda v: (v.kind, v.name))
+        binding = {x: rng.choice(values) for x in ("x", "y", "z")}
+        assert eval_fo(f, i, domain, binding) == naive_eval_fo(f, i, domain, binding), f
+        seen |= _features(f)
+    assert {"constant", "equality", "arity 3", "FoExists", "FoForall",
+            "quantified again"} <= seen
+
+
+def test_eval_scopes_a_variable_quantified_again_inside_its_own_scope():
+    sig = Signature([("P", 1), ("Q", 1)])
+    f = parse_formula("exists x. ((exists x. P(x)) & Q(x))", sig)
+    # the inner witness of x is a, the outer one b
+    i = Instance(sig, [Fact("P", (elem("a"),)), Fact("Q", (elem("b"),))])
+    assert eval_fo(f, i) and naive_eval_fo(f, i)
+    g = parse_formula("exists x. ((exists x. P(x)) & P(x) & Q(x))", sig)
+    assert not eval_fo(g, i) and not naive_eval_fo(g, i)
+
+
 # ---------------------------------------------------------------- dependencies
 
 
@@ -515,3 +559,54 @@ def test_countermodels_falsify_the_sentence():
         found += 1
         assert not eval_fo(closed, cm.instance, domain=set(cm.domain))
     assert found >= 5
+
+
+@pytest.mark.parametrize("consts", [(), ("a", "b")])
+def test_countermodel_search_agrees_with_exhaustive_search(consts):
+    rng = random.Random(107)
+    sizes = []
+    for _ in range(100):
+        rels = random_signature(rng, max_rels=2, max_arity=2)
+        sig = Signature([(r, rels.arities[r]) for r in rels.relations()], consts)
+        f = random_formula(rng, sig, depth=3, consts=consts)
+        closed = rng.choice([fo_forall, fo_exists])("x", "y", "z", f)
+        cm = search_countermodel(closed, 2)
+        naive = naive_countermodel(closed, 2)
+        assert (cm is None) == (naive is None), closed
+        sizes.append(cm and len(cm.domain))
+        if cm is not None:
+            assert len(cm.domain) == len(naive[1]), closed
+            assert not naive_eval_fo(closed, cm.instance, domain=cm.domain)
+    assert {None, 1, 2} <= set(sizes)
+
+
+SENTENCES = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "inputs",
+                         "sentences.txt")
+
+# (facts, domain, constant interpretation) of each countermodel at size 3
+PINNED_COUNTERMODELS = {
+    "!(exists x. exists y. E(x,y) & !E(x,y))": None,
+    "(exists x. P(x)) | !(exists x. P(x))": None,
+    "!(exists x. exists y. E(x,y) & P(x) & !(exists z. E(x,z)))": None,
+    "exists x. E(x,x)": ([], ["e1"], []),
+    "!(exists x. exists y. E(x,y) & !E(y,x))": (["E(e1,e2)"], ["e1", "e2"], []),
+    "exists x. exists y. E(x,y) & P(y) & !P(x)": ([], ["e1"], []),
+    "!(exists x. P(x) & !(exists y. E(x,y) & P(y)))": (["P(e1)"], ["e1"], []),
+    "!(exists x. exists y. exists z. E(x,y) & E(y,z) & !E(x,z)) | P(a)":
+        (["E(e1,e2)", "E(e2,e1)"], ["e1", "e2"], [("a", "e1")]),
+    "(a = b) | (forall x. (x = a | x = b | E(a,x)))":
+        ([], ["e1", "e2", "e3"], [("a", "e1"), ("b", "e2")]),
+}
+
+
+def test_countermodels_at_size_3_are_pinned():
+    with open(SENTENCES, encoding="utf-8") as fh:
+        texts = [line.split("|", 1)[1].strip() for line in fh
+                 if line.strip() and not line.startswith("#")]
+    assert texts == list(PINNED_COUNTERMODELS)[:7]
+    sig = Signature([("E", 2), ("P", 1)], ["a", "b"])
+    for text, pinned in PINNED_COUNTERMODELS.items():
+        cm = search_countermodel(parse_formula(text, sig), 3)
+        got = cm and (sorted(map(str, cm.instance.facts)), sorted(v.name for v in cm.domain),
+                      sorted((c, v.name) for c, v in cm.instance.const_interp.items()))
+        assert got == pinned, text

@@ -10,7 +10,7 @@ import pytest
 
 from corpus import (COMPILE_QUERIES, FG_QUERIES, ORACLE_QUERIES, PROBLEMS, SCHEMES,
                     compile_problem, compiled_problem, corpus_problem)
-from differential import fg_sweep, sweep
+from differential import dl_sweep, fg_sweep, sweep
 from oracles import naive_rule_candidates, naive_subsumes
 from randgen import random_cq, random_instance, random_signature
 from shapes import cycle
@@ -1021,6 +1021,16 @@ def test_fg_construction_agrees_with_the_oracle_on_random_theories():
     result = fg_sweep(seed=0, theories=100)
     assert result.mismatches == []
     assert result.compiles >= 20 and result.decided >= 80 and result.capped <= 15
+
+
+def test_compiled_answers_agree_with_the_oracle_on_random_dl_tboxes():
+    # 40 seeded TBoxes over 5-15 relations, each compiled under the atomic and
+    # cq schemes and checked on 4 instances; at seed 0 the oracle decides 286
+    # of 320 comparisons, and 26 of the 80 compiles are capped, 22 of them
+    # because the query reaches more than MAX_RELATIONS relations
+    result = dl_sweep(seed=0, theories=40)
+    assert result.mismatches == []
+    assert result.compiles == 80 and result.decided >= 280 and result.capped <= 26
 
 
 # SHA-256 of each compile's printed program with its subsumed rules put back,

@@ -77,6 +77,18 @@ def test_random_sweep_runs_the_fg_sweep(capsys, monkeypatch):
     assert out["decided"] + out["undecided"] == 4 * out["compiles"] > 0
 
 
+def test_random_sweep_runs_the_dl_sweep(capsys, monkeypatch):
+    calls = []
+    real = random_sweep.dl_sweep
+    monkeypatch.setattr(random_sweep, "dl_sweep", lambda *args: calls.append(args) or real(*args))
+    assert random_sweep.main(["--seed", "0", "--theories", "3", "--max-arity", "2", "--dl"]) == 0
+    assert calls == [(0, 3)]
+    out = json.loads(capsys.readouterr().out)
+    assert out["dl"] and not out["fg"] and out["mismatches"] == []
+    assert out["compiles"] == 6
+    assert out["decided"] + out["undecided"] == 4 * out["compiles"]
+
+
 def test_random_sweep_draws_queries_of_the_given_atoms(capsys, monkeypatch):
     calls = []
     real = random_sweep.sweep

@@ -1,7 +1,7 @@
 """Check the compilers against the chase oracle on seeded random guarded theories.
 
 Usage: python tools/random_sweep.py --seed N --theories T --max-arity A
-                                    [--max-query-atoms M] [--max-query-vars V] [--fg]
+                                    [--max-query-atoms M] [--max-query-vars V] [--fg | --dl]
 
 Runs ``sweep`` of ``tests/differential.py`` (which says what is compiled and
 compared) and prints one JSON object: the counts of compiles, capped
@@ -18,6 +18,10 @@ machine.
 ``--fg`` runs ``fg_sweep`` instead, over T draws of frontier-guarded
 theories, and leaves the query bounds unused.  The test suite runs it at
 seed 0 over 100 draws, arity 2.
+
+``--dl`` runs ``dl_sweep`` instead, over T description-logic TBoxes of 5-15
+unary and binary relations, and leaves the arity and the query bounds
+unused.  The test suite runs it at seed 0 over 40 TBoxes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from differential import fg_sweep, sweep  # noqa: E402
+from differential import dl_sweep, fg_sweep, sweep  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
@@ -41,15 +45,20 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--max-arity", type=int, required=True)
     ap.add_argument("--max-query-atoms", type=int, default=2)
     ap.add_argument("--max-query-vars", type=int, default=3)
-    ap.add_argument("--fg", action="store_true")
+    kind = ap.add_mutually_exclusive_group()
+    kind.add_argument("--fg", action="store_true")
+    kind.add_argument("--dl", action="store_true")
     args = ap.parse_args(argv)
-    if args.fg:
+    if args.dl:
+        result = dl_sweep(args.seed, args.theories)
+    elif args.fg:
         result = fg_sweep(args.seed, args.theories, args.max_arity)
     else:
         result = sweep(args.seed, args.theories, args.max_arity, args.max_query_atoms,
                        args.max_query_vars)
     print(json.dumps({"seed": args.seed, "theories": args.theories, "fg": args.fg,
-                      "max_arity": args.max_arity, "max_query_atoms": args.max_query_atoms,
+                      "dl": args.dl, "max_arity": args.max_arity,
+                      "max_query_atoms": args.max_query_atoms,
                       "max_query_vars": args.max_query_vars,
                       **dataclasses.asdict(result)}, indent=1))
     return 1 if result.mismatches else 0
