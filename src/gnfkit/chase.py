@@ -15,17 +15,24 @@ had fired or was already satisfied (a budget stop ends the run, so no round resu
 done).  Facts only grow, so the restricted mode would find it satisfied again.  Each
 trigger is thus enumerated exactly once, and the oblivious mode fires every trigger it
 enumerates.
+
+``TypeClosure`` computes, for guarded rules, exactly the facts over an instance's own
+values and the constants that every chase of it derives, where a chase may never end.
+A guarded chase is a tree whose child nodes are fixed by the facts over their own
+terms, so those facts are a least fixpoint over finitely many node types (Calì,
+Gottlob and Kifer, "Taming the Infinite Chase", KR 2008).
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .model import (Fact, Instance, Signature, Value, active_domain,
+from .model import (CONSTANT, ELEMENT, Fact, Instance, Signature, Value, active_domain,
                     is_guarded_set, minus, null)
-from .query import (ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq, guard_index,
+from .query import (Atom, ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq, guard_index,
                     match_atoms, round_joins, _ordered_for_join)
 # unused here, but the benchmark's traced mode wraps gnfkit.chase.classify
 from .tgd import Tgd, classify, tgd_signature
@@ -68,6 +75,11 @@ def _next_null_start(inst: Instance) -> int:
         if m:
             mx = max(mx, int(m.group(1)))
     return mx + 1
+
+
+def _instantiate(atoms: Sequence[Atom], binding: Mapping[str, Value], const_of) -> list[Fact]:
+    return [Fact(a.rel, tuple(const_of(x.name) if isinstance(x, Cst) else binding[x.name]
+                              for x in a.args)) for a in atoms]
 
 
 def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = None) -> ChaseResult:
@@ -138,20 +150,10 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
                 else:
                     org = origin.get(gfact)
 
-            fresh = {}
             for z in t.head.exist_vars:
-                fresh[z] = null(f"_n{null_k}")
+                binding[z] = null(f"_n{null_k}")
                 null_k += 1
-            for a in t.head.atoms:
-                args = []
-                for x in a.args:
-                    if isinstance(x, Cst):
-                        args.append(const_of(x.name))
-                    elif x.name in fresh:
-                        args.append(fresh[x.name])
-                    else:
-                        args.append(binding[x.name])
-                fct = Fact(a.rel, tuple(args))
+            for fct in _instantiate(t.head.atoms, binding, const_of):
                 if cur[fct.rel].add(fct.args):
                     if fct.rel not in delta:
                         delta[fct.rel] = Relation()
@@ -174,6 +176,176 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     result = Instance(sig, facts, inst.const_interp)
     fg = all(g is not None for g in guards)
     return ChaseResult(result, rounds, status, origin, fg)
+
+
+# ---------------------------------------------------------------------------
+# the type closure of guarded rules
+
+# a node type: its initial facts and its own values, those it shares with its
+# parent (at the root, the input's); its other values are the nulls it made
+_Type = tuple[frozenset[Fact], frozenset[Value]]
+
+
+def _rename(f: Fact, ren: Mapping[Value, Value]) -> Fact:
+    return Fact(f.rel, tuple(ren.get(v, v) for v in f.args))
+
+
+class _Node:
+    """A node type under saturation: its facts by relation, those added
+    since it last published, the facts its children sent since it last ran,
+    the child type each existential trigger (rule index, frontier values)
+    read last, the facts over its own values and the constants that it has
+    published, and the types of the nodes that read it, each with the map
+    from its slots to the reader's values.  Readers are held by type, so no
+    node refers to another and a dropped closure is freed at once."""
+
+    __slots__ = ("key", "rels", "fresh", "pending", "triggers", "out", "readers", "started",
+                 "queued")
+
+    def __init__(self, key: _Type):
+        self.key = key
+        self.rels: dict[str, Relation] = defaultdict(Relation)
+        for f in key[0]:
+            self.rels[f.rel].add(f.args)
+        self.fresh: list[Fact] = list(key[0])
+        self.pending: list[Fact] = []
+        self.triggers: dict[tuple[int, tuple[Value, ...]], Optional[_Type]] = {}
+        self.out: list[Fact] = []
+        self.readers: list[tuple[_Type, dict[Value, Value]]] = []
+        self.started = False
+        self.queued = True
+
+    def add(self, facts: Iterable[Fact]) -> dict[str, Relation]:
+        """Add the facts; those that were new, by relation."""
+        delta: dict[str, Relation] = {}
+        for f in facts:
+            if self.rels[f.rel].add(f.args):
+                delta.setdefault(f.rel, Relation()).add(f.args)
+                self.fresh.append(f)
+        return delta
+
+
+class TypeClosure:
+    """The facts over an instance's own values and the constants that every
+    chase of it under guarded rules derives, exact where no chase ends.
+
+    A node's type is its initial facts: at the root the instance; at a child
+    the head of the existential rule that made it and the facts its parent
+    holds over the frontier, with the frontier values renamed to slots
+    ``#0``, ``#1``, ... and the nulls named by the rule's existential
+    variables.  Constants are values of every node.  A node is saturated
+    semi-naively under the rules, and each existential trigger adds back the
+    facts over its frontier that the memo entry of its child's type holds;
+    when the node's facts over that frontier grow, the trigger reads the
+    entry of the larger type.  When an entry's facts over its own values
+    grow, a worklist runs its readers again.  Types are finitely many, so
+    the fixpoint is reached.  Each child type holds in its parent, so every
+    fact found is derived by the chase, and a guarded chase is a tree of such
+    nodes, so every fact it derives over the input is found.
+
+    One closure serves any number of instances over the same constants: its
+    memo of node types grows with each.
+    """
+
+    def __init__(self, rules: Sequence[Tgd], const_interp: Mapping[str, Value]):
+        for t in rules:
+            if guard_index(t.body.free_vars, t.body.atoms) is None:
+                raise ValueError(f"rule is not guarded: {t}")
+            for c in t.body.constants() | t.head.constants():
+                if c not in const_interp:
+                    raise ValueError(f"rule constant {c} not interpreted")
+        if any(v.kind != CONSTANT for v in const_interp.values()):
+            raise ValueError("the type closure needs constants interpreted as themselves")
+        self._rules = list(rules)
+        self._bodies = [t.body.atoms for t in rules]
+        self._const_interp = dict(const_interp)
+        self._consts = frozenset(const_interp.values())
+        self._nodes: dict[_Type, _Node] = {}
+        self._todo: list[_Node] = []
+
+    def closure(self, inst: Instance) -> Instance:
+        """The instance's facts, and those the rules derive, over its values
+        and the constants."""
+        if inst.const_interp != self._const_interp:
+            raise ValueError("the instance interprets the constants otherwise")
+        root = self._node(inst.facts, active_domain(inst) - self._consts)
+        while self._todo:
+            self._saturate(self._todo.pop())
+        return Instance(inst.sig, root.out, inst.const_interp)
+
+    def _node(self, facts: Iterable[Fact], own: Iterable[Value]) -> _Node:
+        key = (frozenset(facts), frozenset(own))
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = _Node(key)
+            self._todo.append(node)
+        return node
+
+    def _saturate(self, node: _Node) -> None:
+        const_of = self._const_interp.__getitem__
+        node.queued = False
+        delta = node.add(node.pending) if node.started else None
+        node.started, node.pending = True, []
+        while True:
+            if delta is not None and not delta:
+                delta = node.add(self._read_children(node))
+                if not delta:
+                    break
+            derived: list[Fact] = []
+            for ri, order, sources in round_joins(self._bodies, node.rels, delta):
+                t = self._rules[ri]
+                for m in match_atoms(order, sources, {}, const_of):
+                    if t.head.exist_vars:
+                        node.triggers.setdefault((ri, tuple(m[x] for x in t.frontier())), None)
+                    else:
+                        derived += _instantiate(t.head.atoms, m, const_of)
+            delta = node.add(derived)
+        self._publish(node)
+
+    def _read_children(self, node: _Node) -> list[Fact]:
+        """For each existential trigger whose child type changed since it
+        was read, the facts the new type's entry holds, over the node's values."""
+        const_of = self._const_interp.__getitem__
+        got: list[Fact] = []
+        for trigger, last in node.triggers.items():
+            ri, fvals = trigger
+            t = self._rules[ri]
+            slot: dict[Value, Value] = {}
+            for v in fvals:
+                if v not in self._consts and v not in slot:
+                    slot[v] = Value(ELEMENT, f"#{len(slot)}")
+            shared = slot.keys() | self._consts
+            facts = [Fact(rel, tuple(slot.get(v, v) for v in args))
+                     for rel, r in node.rels.items() for args in r.tuples
+                     if all(v in shared for v in args)]
+            binding = {x: slot.get(v, v) for x, v in zip(t.frontier(), fvals)}
+            binding.update((z, null(z)) for z in t.head.exist_vars)
+            key = (frozenset(facts + _instantiate(t.head.atoms, binding, const_of)),
+                   frozenset(slot.values()))
+            if key == last:
+                continue
+            node.triggers[trigger] = key
+            child = self._node(*key)
+            back = {s: v for v, s in slot.items()}
+            child.readers.append((node.key, back))
+            got += [_rename(f, back) for f in child.out]
+        return got
+
+    def _publish(self, node: _Node) -> None:
+        """Record the node's new facts over its own values and the constants,
+        and send them to each reader, which runs again."""
+        own = node.key[1] | self._consts
+        new = [f for f in node.fresh if all(v in own for v in f.args)]
+        node.fresh = []
+        if not new:
+            return
+        node.out += new
+        for key, back in node.readers:
+            reader = self._nodes[key]
+            reader.pending += [_rename(f, back) for f in new]
+            if not reader.queued:
+                reader.queued = True
+                self._todo.append(reader)
 
 
 def chase_entails_cq(inst: Instance, rules: Sequence[Tgd], q: ConjunctiveQuery,

@@ -298,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variable budget for derived predicates "
                         "(default: from the rules and the query)")
     p.add_argument("--max-rounds", type=int, default=30,
-                   help="chase budget for certification (default 30)")
+                   help="chase round budget for certification, which it bounds only "
+                        "where a rule is unguarded or a query head has an existential "
+                        "variable; elsewhere certification is exact (default 30)")
     p.set_defaults(func=cmd_rewrite)
 
     p = sub.add_parser("eval-datalog", help="least-fixpoint goal tuples")

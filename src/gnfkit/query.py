@@ -308,10 +308,14 @@ def round_joins(bodies: Sequence[Sequence[Atom]], relations: Mapping[str, Relati
     the rest against `relations`, so it finds exactly the matches that use a
     fact added by the previous round (a match with new facts at several
     positions is found once per such position).  Relations only grow, so a
-    match that uses no new fact was found in an earlier round.  A join with an empty source matches nothing
-    and is skipped.  Joins come in body order, then position order.
+    match that uses no new fact was found in an earlier round.  A join with an
+    empty source matches nothing and is skipped, and a body over an empty
+    relation before its joins are planned.  Joins come in body order, then
+    position order.
     """
     for bi, body in enumerate(bodies):
+        if not all(relations[a.rel].tuples for a in body):
+            continue
         if delta is None:
             orders = [_ordered_for_join(body)]
         else:

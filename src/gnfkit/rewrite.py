@@ -1,16 +1,23 @@
 """Compiling certain-answer problems over guarded rule sets into Datalog.
 
 All three compilation schemes run one pipeline: enumerate a capped space of
-candidate bodies and heads, chase each distinct candidate body once, in
-canonical form, read off its closure the heads it entails, name a rule for
-each of those, assemble the certified rules into a program, and drop each
-program rule that a kept rule subsumes.  Bodies are named as enumerated, not
-cored: a rule and the rule over its body's core subsume each other, and the
-prune keeps the one over the core, which has fewer atoms, whenever both are
-enumerated.  The emitted program therefore carries a certificate for every
-rule and is subsumption-minimal, and the returned artifacts record the
-enumeration caps together with the verdict for every candidate and every
-dropped rule.
+candidate bodies and heads, close each distinct candidate body once, in
+canonical form, under the rules, read off its closure the heads it entails,
+name a rule for each of those, assemble the certified rules into a program,
+and drop each program rule that a kept rule subsumes.  Bodies are named as
+enumerated, not cored: a rule and the rule over its body's core subsume each
+other, and the prune keeps the one over the core, which has fewer atoms,
+whenever both are enumerated.  The emitted program therefore carries a
+certificate for every rule and is subsumption-minimal, and the returned
+artifacts record the enumeration caps together with the verdict for every
+candidate and every dropped rule.
+
+When every rule of a space is guarded and every head is decided by facts
+over the body's elements (full heads, and query heads without an
+existential variable), ``chase.TypeClosure`` computes those facts exactly.
+Otherwise, in fg's own construction over an unguarded rule and under query
+heads with an existential variable, a body's closure is a chase under the
+budget of ``RewriteConfig.oracle``, which may stop at that budget.
 
 A compile names only the candidates its program and its completeness need:
 the entailed heads that are not in their body and hold in the closure of
@@ -24,10 +31,11 @@ inclusions, such as ``H(x) :- E(x,x)`` under ``H(x) :- E(x,y)``.
 
 Certification is one value, ``_Certification``: the candidate space, the
 heads that hold in each distinct body's closure, and the closures whose
-chase stopped at its budget.  The compile names from it the candidates
-above.  The certification trail, which lists every candidate with its
-verdict and every dropped program rule, is produced from it when first
-read, by the same naming over the same bodies; it keeps no named candidate.
+chase stopped at its budget (none under the type closure).  The compile
+names from it the candidates above.  The certification trail, which lists
+every candidate with its verdict and every dropped program rule, is
+produced from it when first read, by the same naming over the same bodies;
+it keeps no named candidate.
 
 The schemes, one per guardedness tier:
 
@@ -75,7 +83,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .chase import TERMINATED, ChaseConfig, chase
+from .chase import TERMINATED, ChaseConfig, TypeClosure, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
 from .model import ELEMENT, Fact, Instance, Signature, active_domain, align_instance
 # canonical_cq and cq_contained are unused here, but the benchmark's traced
@@ -83,8 +91,8 @@ from .model import ELEMENT, Fact, Instance, Signature, active_domain, align_inst
 from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Term, Var,
                     atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
                     canonical_renaming, components, core_cq, cq, cq_contained, eval_cq,
-                    atoms_over, first_occurrence_vars, is_answer_guarded, pick_renaming,
-                    query_signature, quotient_atoms, quotients, substitute)
+                    atoms_over, first_occurrence_vars, guard_index, is_answer_guarded,
+                    pick_renaming, query_signature, quotient_atoms, quotients, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
 
 ENTAILED = "entailed"
@@ -115,6 +123,11 @@ MAX_QUOTIENT_VARS = 6        # past this many query variables, no quotients
 @dataclass(frozen=True)
 class RewriteConfig:
     """The variable bound ``k`` and the chase budget used to certify.
+
+    ``oracle`` budgets certification only where it chases: when a rule of
+    the certified space is unguarded (fg's own construction) or a query head
+    has an existential variable.  Elsewhere ``chase.TypeClosure`` certifies
+    exactly, with no budget.
 
     ``k`` bounds the number of variables in the query quotients that derived
     queries and goal rules come from.  A ``k`` below the query's variable
@@ -454,7 +467,7 @@ def _derivation_space(rules: Sequence[Tgd], sig: Signature, query: ConjunctiveQu
 
 
 # ---------------------------------------------------------------------------
-# certification: chase each candidate body once, read off the heads it entails
+# certification: close each candidate body once, read off the heads it entails
 
 def _heads_holding(closure: Instance, heads: Sequence[_Head]) -> set[_HeadArgs]:
     """The heads that hold in a body's closure over the body's elements:
@@ -475,9 +488,9 @@ def _heads_holding(closure: Instance, heads: Sequence[_Head]) -> set[_HeadArgs]:
 
 
 class _Certification(NamedTuple):
-    """A certified space: what its chases decided, by closure key, the heads
-    that hold in each closure, over the canonical body's variables, and the
-    keys whose chase stopped at its budget.  It keeps no named candidate:
+    """A certified space: what its closures decided, by closure key, the
+    heads that hold in each closure, over the canonical body's variables, and
+    the keys whose chase stopped at its budget.  It keeps no named candidate:
     its trail names every candidate again when it is read."""
     space: _Space
     holds: dict[str, set[_HeadArgs]]
@@ -539,24 +552,36 @@ class _Certification(NamedTuple):
 
 def _certify(sig: Signature, space: _Space, config: RewriteConfig
              ) -> tuple[_Certification, list[_Candidate], bool]:
-    """Chase each distinct canonical body of the space once under its rules,
+    """Close each distinct canonical body of the space once under its rules,
     in key order, read the heads that hold in its closure, then drop the
-    closure.  Name only the entailed heads that are not in their body and
-    hold in no sub-body's closure (see ``_Certification.to_name``), and
-    every head of a body whose chase stopped at its budget: the program
-    needs those entailed rules, and completeness the unknown ones.  Returns
-    the certification, those entailed candidates, and whether one of the
-    named candidates is unknown.  Input rules and axioms are entailed
-    without a chase.  The other candidates are named only when the trail is
-    read."""
+    closure.  When every rule is guarded and every head is decided by facts
+    over the body's elements (full heads, and query heads without an
+    existential variable), one ``chase.TypeClosure``, whose memo serves every
+    body, computes those facts exactly and no chase stops; otherwise each
+    body is chased under ``config.oracle``.  Name only the entailed heads
+    that are not in their body and hold in no sub-body's closure (see
+    ``_Certification.to_name``), and every head of a body whose chase
+    stopped at its budget: the program needs those entailed rules, and
+    completeness the unknown ones.  Returns the certification, those
+    entailed candidates, and whether one of the named candidates is unknown.
+    Input rules and axioms are entailed without a closure.  The other
+    candidates are named only when the trail is read."""
     prepared = _prepare(space.bodies)
     cert = _Certification(space, {}, set())
+    types = None
+    if (all(guard_index(t.body.free_vars, t.body.atoms) is not None for t in space.rules)
+            and all(q is None or not q.exist_vars for *_, q in space.heads)):
+        types = TypeClosure(space.rules, Instance(sig, ()).const_interp)
     for key, atoms in sorted({c.key: c.atoms for *_, c in prepared.values()}.items()):
         inst, _ = canon_inst(cq([], list(atoms)), sig)
-        res = chase(inst, list(space.rules), config.oracle)
-        cert.holds[key] = _heads_holding(res.result, space.heads)
-        if res.status != TERMINATED:
-            cert.stopped.add(key)
+        if types is not None:
+            closure = types.closure(inst)
+        else:
+            res = chase(inst, list(space.rules), config.oracle)
+            closure = res.result
+            if res.status != TERMINATED:
+                cert.stopped.add(key)
+        cert.holds[key] = _heads_holding(closure, space.heads)
     records, kept = cert.judged(prepared, needed_only=True)
     return cert, kept, any(r.verdict == UNKNOWN for r in records)
 

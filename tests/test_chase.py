@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gnfkit
 from gnfkit.chase import (
     BUDGET_EXHAUSTED,
     NO,
@@ -13,6 +17,7 @@ from gnfkit.chase import (
     UNKNOWN,
     YES,
     ChaseConfig,
+    TypeClosure,
     chase,
     chase_entails_cq,
     entails_tgd,
@@ -25,14 +30,18 @@ from gnfkit.model import (
     Instance,
     Signature,
     active_domain,
+    const,
     elem,
     null,
     serialize_facts,
     squid_check,
     weak_substructure,
 )
-from gnfkit.query import atom, cq
-from gnfkit.tgd import all_hold_in, classify, make_tgd
+from gnfkit.query import Atom, Cst, Var, atom, canon_inst, cq, query_signature
+from gnfkit.rewrite import _derivation_space, _prepare
+from gnfkit.tgd import all_hold_in, classify, make_tgd, tgd_signature
+
+from corpus import COMPILE_QUERIES, PROBLEMS, compile_problem
 
 from oracles import naive_chase
 from randgen import (random_frontier_guarded_tgd, random_full_tgd, random_guarded_tgd,
@@ -338,3 +347,185 @@ def test_chase_agrees_with_the_naive_chase():
                 else:
                     stops["rounds"] += 1
     assert min(stops.values()) >= 20, stops
+
+
+# ---------------------------------------------------------------- the type closure
+
+
+def _over_input(res, inst):
+    """The chase's facts over the input's values and the constants."""
+    allowed = active_domain(inst) | inst.const_values()
+    return {f for f in res.result.facts if set(f.args) <= allowed}
+
+
+def _corpus_closures():
+    """Each guarded rule set that the corpus and the compile manifest certify
+    under, with its signature and the canonical instances of its distinct
+    candidate bodies."""
+    problems = list(PROBLEMS) + [compile_problem(name, text)
+                                 for name, _, text in COMPILE_QUERIES]
+    out: dict[tuple, tuple] = {}
+    for p in problems:
+        sig = tgd_signature(p.rules, query_signature(p.query))
+        space, _ = _derivation_space(p.rules, sig, p.query)
+        insts = out.setdefault(tuple(space.rules), (sig, {}))[1]
+        for *_, closure in _prepare(space.bodies).values():
+            insts.setdefault(closure.key, canon_inst(cq([], list(closure.atoms)), sig)[0])
+    return [(list(rules), sig, list(insts.values())) for rules, (sig, insts) in out.items()]
+
+
+def test_type_closure_agrees_with_the_chase_on_the_certified_bodies():
+    """On every candidate body that the corpus and the compile manifest
+    certify, the closure holds the chase's facts over the body.  Where the
+    chase stops at its budget, the closure must hold at least those; on
+    these bodies the chase has by then derived every fact over the body
+    that the closure holds, so the two are equal there too."""
+    counts = {"terminated": 0, "stopped": 0}
+    for rules, sig, insts in _corpus_closures():
+        types = TypeClosure(rules, Instance(sig, ()).const_interp)
+        for inst in insts:
+            res = chase(inst, rules)
+            assert types.closure(inst).facts == _over_input(res, inst), (rules, inst)
+            counts["terminated" if res.status == TERMINATED else "stopped"] += 1
+    # 626 and 261, over 13 rule sets
+    assert counts["terminated"] >= 600 and counts["stopped"] >= 250, counts
+
+
+def test_type_closure_agrees_with_the_chase_on_random_guarded_rules():
+    # the oblivious chase fires every trigger, so it stops at its budget more often
+    rng = random.Random(3131)
+    counts = {"terminated": 0, "stopped": 0}
+    for _ in range(120):
+        sig = random_signature(rng, max_rels=3, max_arity=3)
+        rules = [random_guarded_tgd(rng, sig) for _ in range(rng.randint(2, 4))]
+        types = TypeClosure(rules, {})
+        for mode in ("restricted", "oblivious_dedup"):
+            inst = random_instance(rng, sig, max_elems=4, max_facts=6)
+            res = chase(inst, rules, ChaseConfig(mode, max_rounds=8, max_facts=2000))
+            got = types.closure(inst).facts
+            want = _over_input(res, inst)
+            assert got >= want, (rules, inst)
+            if res.status == TERMINATED:
+                assert got == want, (rules, inst)
+                counts["terminated"] += 1
+            else:
+                counts["stopped"] += 1
+    # at this seed: 211 and 29
+    assert counts["terminated"] >= 200 and counts["stopped"] >= 25, counts
+
+
+def test_type_closure_of_a_self_feeding_axiom():
+    # the chase of A(a) never ends; the closure is what every chase derives over a
+    sig = Signature([("A", 1), ("R", 2), ("C", 1), ("E", 1)])
+    rules = [make_tgd([atom("A", "x")], [atom("R", "x", "y"), atom("A", "y")]),
+             make_tgd([atom("R", "x", "y"), atom("A", "y")], [atom("C", "x")]),
+             make_tgd([atom("R", "x", "x")], [atom("E", "x")])]
+    inst = Instance(sig, [Fact("A", (elem("a"),))])
+    res = chase(inst, rules)
+    assert res.status == BUDGET_EXHAUSTED
+    got = TypeClosure(rules, {}).closure(inst)
+    assert serialize_facts(got) == "A(a). C(a)."
+    assert _over_input(res, inst) == got.facts
+
+
+def test_type_closure_through_a_memo_cycle():
+    # R(a,b)'s child over b has the type {Q(#0), R(#0,z)}, and so does its own
+    # child over z: the entry reads itself, and still derives no P
+    sig = Signature([("R", 2), ("P", 1), ("Q", 1)])
+    rules = [make_tgd([atom("R", "x", "y")], [atom("R", "y", "z")]),
+             make_tgd([atom("R", "x", "y")], [atom("Q", "y")]),
+             make_tgd([atom("R", "x", "y"), atom("P", "y")], [atom("P", "x")])]
+    inst = Instance(sig, [Fact("R", (elem("a"), elem("b")))])
+    types = TypeClosure(rules, {})
+    assert serialize_facts(types.closure(inst)) == "Q(b). R(a,b)."
+    assert any(key in (k for k, _ in node.readers) for key, node in types._nodes.items())
+    # a P at the input flows back along R only
+    inst = Instance(sig, [Fact("R", (elem("a"), elem("b"))), Fact("P", (elem("b"),))])
+    assert serialize_facts(types.closure(inst)) == "P(a). P(b). Q(b). R(a,b)."
+
+
+def test_type_closure_with_a_constant():
+    # a child derives T(c), a fact over the constant alone, and the root
+    # reads it through a body atom with the constant
+    sig = Signature([("A", 1), ("R", 2), ("S", 2), ("T", 1), ("D", 1)], ["c"])
+    rules = [make_tgd([atom("A", "x")], [atom("R", "x", "y"), Atom("S", (Var("y"), Cst("c")))]),
+             make_tgd([atom("S", "y", "z")], [atom("T", "z")]),
+             make_tgd([atom("A", "x"), Atom("T", (Cst("c"),))], [atom("D", "x")])]
+    inst = Instance(sig, [Fact("A", (elem("a"),))])
+    res = chase(inst, rules)
+    assert res.status == TERMINATED
+    got = TypeClosure(rules, inst.const_interp).closure(inst)
+    assert serialize_facts(got) == "A(a). D(a). T(c)."
+    assert _over_input(res, inst) == got.facts
+
+
+def test_type_closure_reads_a_child_again_when_its_frontier_grows():
+    # A(a)'s R-child derives nothing until B(a) holds, and B(a) comes from
+    # b's T-child through E(a,b), which the R-child does not inherit: the
+    # R-trigger reads the type with B(#0) too, which derives C(y), then D(a)
+    sig = Signature([("A", 1), ("B", 1), ("C", 1), ("D", 1), ("G", 1), ("K", 1),
+                     ("E", 2), ("R", 2), ("T", 2)])
+    rules = [make_tgd([atom("A", "x")], [atom("R", "x", "y")]),
+             make_tgd([atom("R", "x", "y"), atom("B", "x")], [atom("C", "y")]),
+             make_tgd([atom("R", "x", "y"), atom("C", "y")], [atom("D", "x")]),
+             make_tgd([atom("G", "x")], [atom("T", "x", "z")]),
+             make_tgd([atom("T", "x", "z")], [atom("K", "x")]),
+             make_tgd([atom("E", "x", "y"), atom("K", "y")], [atom("B", "x")])]
+    inst = Instance(sig, [Fact("A", (elem("a"),)), Fact("E", (elem("a"), elem("b"))),
+                          Fact("G", (elem("b"),))])
+    res = chase(inst, rules)
+    assert res.status == TERMINATED
+    got = TypeClosure(rules, {}).closure(inst)
+    assert serialize_facts(got) == "A(a). B(a). D(a). E(a,b). G(b). K(b)."
+    assert _over_input(res, inst) == got.facts
+
+
+def test_type_closure_of_a_frontier_at_a_constant():
+    # the frontier of A(c)'s trigger is the constant c, which a child keeps
+    # as itself, so its R(c,y) meets the body atom R(c,y)
+    sig = Signature([("A", 1), ("R", 2), ("M", 1), ("D", 1)], ["c"])
+    rules = [make_tgd([atom("A", "x")], [atom("R", "x", "y")]),
+             make_tgd([Atom("R", (Cst("c"), Var("y")))], [atom("M", "y")]),
+             make_tgd([atom("R", "x", "y"), atom("M", "y")], [atom("D", "x")])]
+    inst = Instance(sig, [Fact("A", (const("c"),))])
+    res = chase(inst, rules)
+    assert res.status == TERMINATED
+    got = TypeClosure(rules, inst.const_interp).closure(inst)
+    assert serialize_facts(got) == "A(c). D(c)."
+    assert _over_input(res, inst) == got.facts
+
+
+def test_type_closure_refuses_what_it_cannot_close():
+    sig = Signature([("R", 2)])
+    with pytest.raises(ValueError, match="not guarded"):
+        TypeClosure([make_tgd([atom("R", "x", "y"), atom("R", "y", "z")],
+                              [atom("R", "x", "z")])], {})
+    with pytest.raises(ValueError, match="rule constant c not interpreted"):
+        TypeClosure([make_tgd([atom("R", "x", "y")], [Atom("R", (Var("x"), Cst("c")))])], {})
+    with pytest.raises(ValueError, match="constants interpreted as themselves"):
+        TypeClosure([], {"c": elem("c")})
+    with pytest.raises(ValueError, match="interprets the constants otherwise"):
+        TypeClosure([], {}).closure(Instance(sig.extend(constants=["c"]), []))
+
+
+def test_type_closure_is_the_same_under_every_hash_seed():
+    code = (
+        "import random, sys\n"
+        "from gnfkit.chase import TypeClosure\n"
+        "from gnfkit.model import serialize_facts\n"
+        "from randgen import random_guarded_tgd, random_instance, random_signature\n"
+        "rng = random.Random(77)\n"
+        "for _ in range(40):\n"
+        "    sig = random_signature(rng, max_rels=3, max_arity=3)\n"
+        "    types = TypeClosure([random_guarded_tgd(rng, sig) for _ in range(3)], {})\n"
+        "    for _ in range(3):\n"
+        "        print(serialize_facts(types.closure(random_instance(rng, sig, 4, 6))))\n")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(gnfkit.__file__))
+    path = os.pathsep.join(p for p in (src, here, os.environ.get("PYTHONPATH")) if p)
+    first, second = (subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env={**os.environ, "PYTHONPATH": path,
+                                         "PYTHONHASHSEED": seed}, check=True)
+                     for seed in ("1", "2"))
+    assert first.stdout == second.stdout
+    assert len(first.stdout.splitlines()) == 120
