@@ -14,13 +14,17 @@ no new fact was enumerated in an earlier round, and when that round completed th
 had fired or was already satisfied (a budget stop ends the run, so no round resumes half
 done).  Facts only grow, so the restricted mode would find it satisfied again.  Each
 trigger is thus enumerated exactly once, and the oblivious mode fires every trigger it
-enumerates.
+enumerates.  A run holds one plan table for the rule bodies, so each join order is
+planned once, and one head plan per rule, with the frontier bound, for the restricted
+mode's check.  Its result keeps the relations the run built; the oracles evaluate
+queries on them, and ``ChaseResult.result`` reads them as an instance when first read.
 
 ``TypeClosure`` computes, for guarded rules, exactly the facts over an instance's own
 values and the constants that every chase of it derives, where a chase may never end.
 A guarded chase is a tree whose child nodes are fixed by the facts over their own
 terms, so those facts are a least fixpoint over finitely many node types (Calì,
-Gottlob and Kifer, "Taming the Infinite Chase", KR 2008).
+Gottlob and Kifer, "Taming the Infinite Chase", KR 2008).  A closure holds one plan
+table for as long as it lives, shared by all its nodes and rounds.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .model import (CONSTANT, ELEMENT, Fact, Instance, Signature, Value, active_domain,
                     is_guarded_set, minus, null)
-from .query import (Atom, ConjunctiveQuery, Cst, Relation, Var, canon_inst, eval_cq, guard_index,
-                    match_atoms, round_joins, _ordered_for_join)
+from .query import (Atom, ConjunctiveQuery, Cst, JoinPlan, JoinPlans, Relation, Var, canon_inst,
+                    check_cq, cq_answers, guard_index, match_atoms, round_joins,
+                    _ordered_for_join)
 # unused here, but the benchmark's traced mode wraps gnfkit.chase.classify
 from .tgd import Tgd, classify, tgd_signature
 
@@ -60,18 +66,30 @@ class ChaseConfig:
 
 @dataclass
 class ChaseResult:
-    result: Instance
+    """A chase run: its facts by relation, and the instance it chased, whose
+    signature and constants `result` reads them under."""
+    relations: dict[str, Relation]
+    source: Instance
     rounds_executed: int
     status: str
     # generated fact -> guarded set of the input it hangs from (frontier-guarded rules)
     tentacle_map: dict[Fact, Optional[frozenset[Value]]] = field(default_factory=dict)
     rules_frontier_guarded: bool = False
 
+    @cached_property
+    def result(self) -> Instance:
+        """The facts as an instance, built when first read."""
+        return Instance(self.source.sig, _facts(self.relations), self.source.const_interp)
+
+
+def _facts(relations: Mapping[str, Relation]) -> list[Fact]:
+    return [Fact(r, args) for r, rel in relations.items() for args in rel.tuples]
+
 
 def _next_null_start(inst: Instance) -> int:
     mx = 0
     for v in active_domain(inst):
-        m = re.fullmatch(r"_n(\d+)", v.name)
+        m = v.name.startswith("_n") and re.fullmatch(r"_n(\d+)", v.name)
         if m:
             mx = max(mx, int(m.group(1)))
     return mx + 1
@@ -103,7 +121,9 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
 
     guards = [guard_index(t.frontier(), t.body.atoms) for t in rules]
     bodies = [t.body.atoms for t in rules]
-    head_order = [_ordered_for_join(t.head.atoms, t.frontier()) for t in rules]
+    plans: JoinPlans = {}
+    head_plans = [JoinPlan(_ordered_for_join(t.head.atoms, t.frontier()), t.frontier())
+                  for t in rules]
     # each fact the chase adds -> the guarded set of the input it hangs from
     origin: dict[Fact, Optional[frozenset[Value]]] = {}
     adom0 = active_domain(inst)
@@ -117,9 +137,9 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
     for rnd in range(1, config.max_rounds + 1):
         # every trigger is enumerated before any fires, so `cur` is the round's snapshot
         found: set[tuple[int, tuple[Value, ...]]] = set()
-        for ri, order, sources in round_joins(bodies, cur, delta):
+        for ri, plan, sources in round_joins(bodies, cur, delta, plans):
             free = rules[ri].body.free_vars
-            for m in match_atoms(order, sources, {}, const_of):
+            for m in match_atoms(plan, sources, {}, const_of):
                 found.add((ri, tuple(m[x] for x in free)))
         triggers = sorted(found, key=lambda tr: (tr[0], tuple(v.name for v in tr[1])))
         delta = {}
@@ -132,8 +152,8 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
             binding = dict(zip(t.body.free_vars, bvals))
             if config.mode == "restricted":
                 seed = {x: binding[x] for x in t.frontier()}
-                sources = [cur[a.rel] for a in head_order[ri]]
-                satisfied = next(match_atoms(head_order[ri], sources, seed, const_of), None)
+                sources = [cur[a.rel] for a in head_plans[ri]]
+                satisfied = next(match_atoms(head_plans[ri], sources, seed, const_of), None)
                 if satisfied is not None:
                     continue
             fired_this_round += 1
@@ -172,10 +192,8 @@ def chase(inst: Instance, rules: Sequence[Tgd], config: Optional[ChaseConfig] = 
         if stop:
             break
 
-    facts = [Fact(r, args) for r, s in cur.items() for args in s.tuples]
-    result = Instance(sig, facts, inst.const_interp)
     fg = all(g is not None for g in guards)
-    return ChaseResult(result, rounds, status, origin, fg)
+    return ChaseResult(cur, inst, rounds, status, origin, fg)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +276,7 @@ class TypeClosure:
             raise ValueError("the type closure needs constants interpreted as themselves")
         self._rules = list(rules)
         self._bodies = [t.body.atoms for t in rules]
+        self._plans: JoinPlans = {}
         self._const_interp = dict(const_interp)
         self._consts = frozenset(const_interp.values())
         self._nodes: dict[_Type, _Node] = {}
@@ -268,10 +287,16 @@ class TypeClosure:
         and the constants."""
         if inst.const_interp != self._const_interp:
             raise ValueError("the instance interprets the constants otherwise")
-        root = self._node(inst.facts, active_domain(inst) - self._consts)
+        return Instance(inst.sig, _facts(self.close(inst.facts)), inst.const_interp)
+
+    def close(self, facts: Collection[Fact]) -> Mapping[str, Relation]:
+        """``closure`` of facts whose constants are interpreted as themselves,
+        by relation: the root node's relations, which hold exactly the facts
+        it publishes.  Callers only read them."""
+        root = self._node(facts, {v for f in facts for v in f.args} - self._consts)
         while self._todo:
             self._saturate(self._todo.pop())
-        return Instance(inst.sig, root.out, inst.const_interp)
+        return root.rels
 
     def _node(self, facts: Iterable[Fact], own: Iterable[Value]) -> _Node:
         key = (frozenset(facts), frozenset(own))
@@ -292,9 +317,9 @@ class TypeClosure:
                 if not delta:
                     break
             derived: list[Fact] = []
-            for ri, order, sources in round_joins(self._bodies, node.rels, delta):
+            for ri, plan, sources in round_joins(self._bodies, node.rels, delta, self._plans):
                 t = self._rules[ri]
-                for m in match_atoms(order, sources, {}, const_of):
+                for m in match_atoms(plan, sources, {}, const_of):
                     if t.head.exist_vars:
                         node.triggers.setdefault((ri, tuple(m[x] for x in t.frontier())), None)
                     else:
@@ -359,8 +384,8 @@ def chase_entails_cq(inst: Instance, rules: Sequence[Tgd], q: ConjunctiveQuery,
     if not set(ans) <= allowed:
         raise ValueError("answer values must come from the instance")
     res = chase(inst, rules, config)
-    binding = dict(zip(q.free_vars, ans))
-    if eval_cq(q, res.result, binding=binding):
+    check_cq(q, inst.sig, inst.const_interp)
+    if cq_answers(q, res.relations, inst.const_interp.__getitem__, dict(zip(q.free_vars, ans))):
         return YES
     return NO if res.status == TERMINATED else UNKNOWN
 

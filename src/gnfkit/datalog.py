@@ -1,7 +1,8 @@
 """Datalog programs over an input signature: least-fixpoint evaluation and guard classes.
 
 Evaluation is semi-naive, with its rounds planned by `query.round_joins`, the planner
-the chase shares: a full rule under the chase is a Datalog rule.
+the chase shares: a full rule under the chase is a Datalog rule.  One evaluation holds
+one plan table, so each join order is planned once, in the first round that needs it.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Instance, Signature, Value
-from .query import Atom, Cst, Relation, Var, guard_index, match_atoms, round_joins
+from .query import Atom, Cst, JoinPlans, Relation, Var, guard_index, match_atoms, round_joins
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,16 @@ def eval_datalog_fixpoint(p: DatalogProgram, inst: Instance) -> dict[str, set[tu
     relations = {r: Relation(f.args for f in inst.rel_facts(r)) for r in p.edb.arities} | idb
     bodies = [rule.body for rule in p.rules]
     const_of = inst.const_interp.__getitem__
+    plans: JoinPlans = {}
 
     delta = None  # idb tuples added by the previous round
     while delta is None or delta:
         # every head tuple is collected before any is added, so the round's joins see
         # the relations and the delta as they were when it began
         heads: set[tuple[str, tuple[Value, ...]]] = set()
-        for ri, order, sources in round_joins(bodies, relations, delta):
+        for ri, plan, sources in round_joins(bodies, relations, delta, plans):
             head = p.rules[ri].head
-            for m in match_atoms(order, sources, {}, const_of):
+            for m in match_atoms(plan, sources, {}, const_of):
                 heads.add((head.rel, tuple(m[t.name] if isinstance(t, Var) else const_of(t.name)
                                            for t in head.args)))
         delta = {}

@@ -2,9 +2,13 @@
 homomorphisms between atom sets (containment, cores), guards and atom
 components, acyclicity, variable quotients, treeification.
 
-``match_atoms`` joins relations (evaluation, the chase, Datalog); every
-homomorphism test between sets of atoms runs ``model._hom_search`` through
-``atom_homomorphisms``.  ``guard_index`` finds the atom that covers a set of
+``match_atoms`` joins relations (evaluation, the chase, Datalog) on a
+``JoinPlan``, an atom order prepared once for the variables bound before the
+join.  ``round_joins`` keeps the plans of semi-naive rounds in a plan table
+that its caller holds for one evaluation (a chase run, a ``TypeClosure``, a
+Datalog evaluation) and drops with it; ``cq_answers`` evaluates a query on
+relations, and ``eval_cq`` on an instance.  Every homomorphism test between
+sets of atoms runs ``model._hom_search`` through ``atom_homomorphisms``.  ``guard_index`` finds the atom that covers a set of
 variables (rule and query guards), and ``components`` groups atoms linked
 through shared variables (rule heads, squid decompositions)."""
 
@@ -169,14 +173,14 @@ def canon_inst(q: ConjunctiveQuery, sig: Optional[Signature] = None):
 
     Returns (instance, free_values) with free_values positionally matching free_vars.
     """
-    sig = query_signature(q, sig)
-
-    def tv(t: Term) -> Value:
-        return elem(t.name) if isinstance(t, Var) else Value("constant", t.name)
-
-    facts = [Fact(a.rel, tuple(tv(t) for t in a.args)) for a in q.atoms]
-    inst = Instance(sig, facts)
+    inst = Instance(query_signature(q, sig), canon_facts(q.atoms))
     return inst, tuple(elem(x) for x in q.free_vars)
+
+
+def canon_facts(atoms: Iterable[Atom]) -> list[Fact]:
+    """The atoms as facts: one element per variable, constants as themselves."""
+    return [Fact(a.rel, tuple(elem(t.name) if isinstance(t, Var) else Value("constant", t.name)
+                              for t in a.args)) for a in atoms]
 
 
 # ---------------------------------------------------------------------------
@@ -214,38 +218,57 @@ class Relation:
         return index.get(key, ())
 
 
+class JoinPlan(list):
+    """Atoms in join order, prepared for ``match_atoms`` with the variables
+    `bound` bound beforehand: per atom, its bound positions (its constants,
+    the bound variables and those an earlier atom binds) with their key
+    terms, whether every position is bound, the positions whose values it
+    binds and the pairs of positions that must agree."""
+
+    __slots__ = ("bound", "steps")
+
+    def __init__(self, atoms: Iterable[Atom], bound: Iterable[str] = ()):
+        super().__init__(atoms)
+        self.bound = frozenset(bound)
+        self.steps = []
+        seen = set(self.bound)
+        for a in self:
+            positions, key, binds, same = [], [], [], []
+            first: dict[str, int] = {}
+            for i, t in enumerate(a.args):
+                if isinstance(t, Cst):
+                    positions.append(i)
+                    key.append((None, t.name))
+                elif t.name in seen:
+                    positions.append(i)
+                    key.append((t.name, None))
+                elif t.name in first:
+                    same.append((first[t.name], i))
+                else:
+                    first[t.name] = i
+                    binds.append((i, t.name))
+            seen.update(first)
+            self.steps.append((tuple(positions), key, len(positions) == len(a.args),
+                               binds, same))
+
+
 def match_atoms(atoms: Sequence[Atom], sources: Sequence[Relation],
                 binding: dict[str, Value],
                 const_of) -> Iterator[dict[str, Value]]:
     """All extensions of `binding` matching each atom against its own relation.
 
     `const_of(name)` resolves constant terms to values.  Atoms are matched
-    left to right; callers order them (guard first) for pruning.  An atom's
-    bound positions are its constants and the variables that `binding` or an
-    earlier atom binds: the atom probes its relation's index on those
-    positions (a membership test when all are bound) and scans the relation
-    only when none is.
+    left to right; callers order them (guard first) for pruning.  An atom
+    probes its relation's index on its bound positions (a membership test
+    when all are bound) and scans the relation only when none is.  A
+    ``JoinPlan`` runs as prepared, for a binding over exactly its bound
+    variables; other atoms are planned for this binding's variables.
     """
-    plan = []
-    bound = set(binding)
-    for a in atoms:
-        positions, key, binds, same = [], [], [], []
-        first: dict[str, int] = {}
-        for i, t in enumerate(a.args):
-            if isinstance(t, Cst):
-                positions.append(i)
-                key.append((None, t.name))
-            elif t.name in bound:
-                positions.append(i)
-                key.append((t.name, None))
-            elif t.name in first:
-                same.append((first[t.name], i))
-            else:
-                first[t.name] = i
-                binds.append((i, t.name))
-        bound.update(first)
-        plan.append((tuple(positions), key, len(positions) == len(a.args), binds, same))
-    yield from _join(plan, sources, 0, binding, const_of)
+    if not isinstance(atoms, JoinPlan):
+        atoms = JoinPlan(atoms, binding)
+    elif atoms.bound != binding.keys():
+        raise ValueError("the join plan was prepared for other bound variables")
+    return _join(atoms.steps, sources, 0, binding, const_of)
 
 
 def _join(plan, sources, k, binding, const_of):
@@ -293,14 +316,22 @@ def _ordered_for_join(atoms: Sequence[Atom], bound: Iterable[str] = ()) -> list[
     return out
 
 
-def round_joins(bodies: Sequence[Sequence[Atom]], relations: Mapping[str, Relation],
-                delta: Optional[Mapping[str, Relation]]
-                ) -> Iterator[tuple[int, list[Atom], list[Relation]]]:
-    """The joins of one semi-naive round, as (body index, atom order, sources).
+# a plan table: the join plan of each body, in full (None) or led by the
+# atom at a delta position
+JoinPlans = dict[tuple[int, Optional[int]], JoinPlan]
 
-    The chase and Datalog evaluation both plan their rounds here; each matches
-    the yielded joins with `match_atoms` and adds what they derive only after
-    the round, so `relations` and `delta` do not change while it runs.
+
+def round_joins(bodies: Sequence[Sequence[Atom]], relations: Mapping[str, Relation],
+                delta: Optional[Mapping[str, Relation]], plans: JoinPlans
+                ) -> Iterator[tuple[int, JoinPlan, list[Relation]]]:
+    """The joins of one semi-naive round, as (body index, join plan, sources).
+
+    The chase, the type closure and Datalog evaluation plan their rounds
+    here; each matches the yielded joins with `match_atoms` and adds what
+    they derive only after the round, so `relations` and `delta` do not
+    change while it runs.  Each holds one plan table for the bodies while
+    its evaluation lasts (a chase run, a ``TypeClosure``, a Datalog
+    evaluation); a join order is planned the first time a round needs it.
 
     Enumeration is delta-driven.  The first round (`delta` is None) joins every
     body in full.  Each later round joins a body once per position whose
@@ -310,48 +341,58 @@ def round_joins(bodies: Sequence[Sequence[Atom]], relations: Mapping[str, Relati
     positions is found once per such position).  Relations only grow, so a
     match that uses no new fact was found in an earlier round.  A join with an
     empty source matches nothing and is skipped, and a body over an empty
-    relation before its joins are planned.  Joins come in body order, then
+    relation before its joins are looked up.  Joins come in body order, then
     position order.
     """
     for bi, body in enumerate(bodies):
         if not all(relations[a.rel].tuples for a in body):
             continue
-        if delta is None:
-            orders = [_ordered_for_join(body)]
-        else:
-            orders = [[a] + _ordered_for_join(body[:i] + body[i + 1:], a.vars())
-                      for i, a in enumerate(body) if a.rel in delta]
-        for order in orders:
-            sources = [relations[a.rel] for a in order]
-            if delta is not None:
-                sources[0] = delta[order[0].rel]
+        for i in [None] if delta is None else [i for i, a in enumerate(body) if a.rel in delta]:
+            plan = plans.get((bi, i))
+            if plan is None:
+                plan = plans[bi, i] = JoinPlan(
+                    _ordered_for_join(body) if i is None else
+                    [body[i]] + _ordered_for_join(body[:i] + body[i + 1:], body[i].vars()))
+            sources = [relations[a.rel] for a in plan]
+            if i is not None:
+                sources[0] = delta[plan[0].rel]
             if all(s.tuples for s in sources):
-                yield bi, order, sources
+                yield bi, plan, sources
 
 
 def instance_tuples(inst: Instance, rel: str) -> set[tuple[Value, ...]]:
     return {f.args for f in inst.rel_facts(rel)}
 
 
+def check_cq(q: ConjunctiveQuery, sig: Signature, const_interp: Mapping[str, Value]) -> None:
+    """Raise ValueError unless every constant of q is interpreted and every
+    relation of q declared with its arity."""
+    for c in q.constants():
+        if c not in const_interp:
+            raise ValueError(f"constant {c} not interpreted in instance")
+    for a in q.atoms:
+        if a.rel not in sig.arities:
+            raise ValueError(f"undeclared relation {a.rel}")
+        if sig.arities[a.rel] != len(a.args):
+            raise ValueError(f"arity mismatch on {a.rel}")
+
+
+def cq_answers(q: ConjunctiveQuery, relations: Mapping[str, Relation], const_of,
+               binding: Optional[dict[str, Value]] = None) -> set[tuple[Value, ...]]:
+    """All answer tuples of q over the relations, by name (set semantics),
+    unchecked: the core of ``eval_cq``."""
+    start = dict(binding) if binding else {}
+    plan = JoinPlan(_ordered_for_join(q.atoms), start)
+    return {tuple(m[x] for x in q.free_vars)
+            for m in match_atoms(plan, [relations[a.rel] for a in plan], start, const_of)}
+
+
 def eval_cq(q: ConjunctiveQuery, inst: Instance,
             binding: Optional[dict[str, Value]] = None) -> set[tuple[Value, ...]]:
     """All answer tuples of q on inst (set semantics, active-domain)."""
-    for c in q.constants():
-        if c not in inst.const_interp:
-            raise ValueError(f"constant {c} not interpreted in instance")
-    for a in q.atoms:
-        if a.rel not in inst.sig.arities:
-            raise ValueError(f"undeclared relation {a.rel}")
-        if inst.sig.arities[a.rel] != len(a.args):
-            raise ValueError(f"arity mismatch on {a.rel}")
-    ordered = _ordered_for_join(q.atoms)
-    rels = {a.rel: Relation(instance_tuples(inst, a.rel)) for a in ordered}
-    sources = [rels[a.rel] for a in ordered]
-    out = set()
-    start = dict(binding) if binding else {}
-    for m in match_atoms(ordered, sources, start, lambda c: inst.const_interp[c]):
-        out.add(tuple(m[x] for x in q.free_vars))
-    return out
+    check_cq(q, inst.sig, inst.const_interp)
+    rels = {a.rel: Relation(instance_tuples(inst, a.rel)) for a in q.atoms}
+    return cq_answers(q, rels, inst.const_interp.__getitem__, binding)
 
 
 def atom_homomorphisms(src: Sequence[Atom], dst: Iterable[Atom],

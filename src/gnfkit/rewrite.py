@@ -81,16 +81,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .chase import TERMINATED, ChaseConfig, TypeClosure, chase
 from .datalog import DatalogProgram, Rule, classify_datalog, eval_datalog
-from .model import ELEMENT, Fact, Instance, Signature, active_domain, align_instance
-# canonical_cq and cq_contained are unused here, but the benchmark's traced
-# mode wraps them at these names
-from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Term, Var,
-                    atom_homomorphisms, body_renamings, canon_inst, canonical_cq,
-                    canonical_renaming, components, core_cq, cq, cq_contained, eval_cq,
+from .model import ELEMENT, Instance, Signature, Value, active_domain, align_instance
+# canonical_cq, cq_contained and eval_cq are unused here, but the benchmark's
+# traced mode wraps them at these names
+from .query import (RENAMING_CAP, Atom, ConjunctiveQuery, Cst, Relation, Term, Var,
+                    atom_homomorphisms, body_renamings, canon_facts, canonical_cq,
+                    canonical_renaming, components, core_cq, cq, cq_answers, cq_contained,
+                    eval_cq,
                     atoms_over, first_occurrence_vars, guard_index, is_answer_guarded,
                     pick_renaming, query_signature, quotient_atoms, quotients, substitute)
 from .tgd import Tgd, classify, make_tgd, tgd_signature
@@ -469,19 +470,20 @@ def _derivation_space(rules: Sequence[Tgd], sig: Signature, query: ConjunctiveQu
 # ---------------------------------------------------------------------------
 # certification: close each candidate body once, read off the heads it entails
 
-def _heads_holding(closure: Instance, heads: Sequence[_Head]) -> set[_HeadArgs]:
-    """The heads that hold in a body's closure over the body's elements:
-    a full head's facts over them, ``rel(_unit)`` for a head of no
+def _heads_holding(closure: Mapping[str, Relation], heads: Sequence[_Head],
+                   const_interp: Mapping[str, Value]) -> set[_HeadArgs]:
+    """The heads that hold in a body's closure, by relation, over the body's
+    elements: a full head's facts over them, ``rel(_unit)`` for a head of no
     arguments, and a query head's answers among them."""
-    unit = closure.const_interp.get(UNIT_CONST)
+    unit = const_interp.get(UNIT_CONST)
     out: set[_HeadArgs] = set()
     for rel, n, q in heads:
         if q is not None:
-            found: Iterable[tuple] = eval_cq(q, closure)
+            found: Iterable[tuple] = cq_answers(q, closure, const_interp.__getitem__)
         elif n:
-            found = (f.args for f in closure.rel_facts(rel))
+            found = closure[rel].tuples
         else:
-            found = [()] if unit is not None and Fact(rel, (unit,)) in closure else []
+            found = [()] if unit is not None and (unit,) in closure[rel].tuples else []
         out.update((rel, tuple(v.name for v in args)) for args in found
                    if all(v.kind == ELEMENT for v in args))
     return out
@@ -568,20 +570,21 @@ def _certify(sig: Signature, space: _Space, config: RewriteConfig
     candidates are named only when the trail is read."""
     prepared = _prepare(space.bodies)
     cert = _Certification(space, {}, set())
+    const_interp = Instance(sig, ()).const_interp
     types = None
     if (all(guard_index(t.body.free_vars, t.body.atoms) is not None for t in space.rules)
             and all(q is None or not q.exist_vars for *_, q in space.heads)):
-        types = TypeClosure(space.rules, Instance(sig, ()).const_interp)
+        types = TypeClosure(space.rules, const_interp)
     for key, atoms in sorted({c.key: c.atoms for *_, c in prepared.values()}.items()):
-        inst, _ = canon_inst(cq([], list(atoms)), sig)
+        facts = canon_facts(atoms)
         if types is not None:
-            closure = types.closure(inst)
+            closure = types.close(facts)
         else:
-            res = chase(inst, list(space.rules), config.oracle)
-            closure = res.result
+            res = chase(Instance(sig, facts), list(space.rules), config.oracle)
+            closure = res.relations
             if res.status != TERMINATED:
                 cert.stopped.add(key)
-        cert.holds[key] = _heads_holding(closure, space.heads)
+        cert.holds[key] = _heads_holding(closure, space.heads, const_interp)
     records, kept = cert.judged(prepared, needed_only=True)
     return cert, kept, any(r.verdict == UNKNOWN for r in records)
 
@@ -982,7 +985,7 @@ def certain_answers_oracle(rules: Sequence[Tgd], query: ConjunctiveQuery,
     inst2 = Instance(sig, inst.facts, inst.const_interp)
     res = chase(inst2, list(rules), config.oracle)
     allowed = active_domain(inst2) | inst2.const_values()
-    answers = frozenset(t for t in eval_cq(query, res.result)
+    answers = frozenset(t for t in cq_answers(query, res.relations, inst2.const_interp.__getitem__)
                         if set(t) <= allowed)
     return answers, res.status == TERMINATED
 

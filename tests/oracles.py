@@ -17,7 +17,7 @@ from gnfkit.chase import BUDGET_EXHAUSTED, TERMINATED, ChaseConfig, ChaseResult
 from gnfkit.datalog import DatalogProgram, Rule
 from gnfkit.model import (BudgetExceeded, Fact, Homomorphism, Instance, Signature, Value,
                           const, elem, find_homomorphism, guarded_sets)
-from gnfkit.query import (Atom, ConjunctiveQuery, Cst, Var, canon_inst, canonical_cq,
+from gnfkit.query import (Atom, ConjunctiveQuery, Cst, Relation, Var, canon_inst, canonical_cq,
                           canonical_renaming, core_cq, cq, cq_contained, fresh_names,
                           is_acyclic, is_answer_guarded, query_signature)
 from gnfkit.tgd import Tgd, make_tgd
@@ -197,8 +197,8 @@ def naive_chase(inst: Instance, rules: Sequence[Tgd],
     result = Instance(inst.sig, [Fact(r, args) for r, s in facts.items() for args in s],
                       inst.const_interp)
     tentacle_map = {f: origin.get(f) for f in result.facts - inst.facts}
-    return ChaseResult(result, rounds, status, tentacle_map,
-                       all(g is not None for g in guards))
+    return ChaseResult({r: Relation(s) for r, s in facts.items()}, inst, rounds, status,
+                       tentacle_map, all(g is not None for g in guards))
 
 
 def naive_homomorphisms(src: Instance, dst: Instance,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -37,11 +38,13 @@ from gnfkit.model import (
     squid_check,
     weak_substructure,
 )
-from gnfkit.query import Atom, Cst, Var, atom, canon_inst, cq, query_signature
-from gnfkit.rewrite import _derivation_space, _prepare
+from gnfkit import query
+from gnfkit.query import (Atom, Cst, JoinPlan, Relation, Var, atom, canon_inst, cq, eval_cq,
+                          match_atoms, query_signature, _ordered_for_join)
+from gnfkit.rewrite import RewriteConfig, _derivation_space, _prepare, certain_answers_oracle
 from gnfkit.tgd import all_hold_in, classify, make_tgd, tgd_signature
 
-from corpus import COMPILE_QUERIES, PROBLEMS, compile_problem
+from corpus import COMPILE_QUERIES, FG_PROBLEMS, PROBLEMS, compile_problem
 
 from oracles import naive_chase
 from randgen import (random_frontier_guarded_tgd, random_full_tgd, random_guarded_tgd,
@@ -529,3 +532,90 @@ def test_type_closure_is_the_same_under_every_hash_seed():
                      for seed in ("1", "2"))
     assert first.stdout == second.stdout
     assert len(first.stdout.splitlines()) == 120
+
+
+def test_a_prepared_head_plan_with_the_frontier_bound_matches_the_unplanned_check():
+    # the restricted check of exists z: R(x,z), S(z,y), T(z,c) for a trigger
+    # binding the frontier x, y, as the relations grow round by round
+    a, b, c = elem("a"), elem("b"), const("c")
+    head = [atom("R", "x", "z"), atom("S", "z", "y"), Atom("T", (Var("z"), Cst("c")))]
+    plan = JoinPlan(_ordered_for_join(head, ["x", "y"]), ["x", "y"])
+    rels = {"R": Relation(), "S": Relation(), "T": Relation()}
+    batches = [[("R", (a, b)), ("S", (b, a))], [("T", (b, c)), ("R", (b, b))],
+               [("S", (b, b)), ("R", (a, a)), ("S", (a, b)), ("T", (a, c))]]
+    const_of = {"c": c}.__getitem__
+    satisfied = []
+    for batch in batches:
+        for rel, args in batch:
+            rels[rel].add(args)
+        sources = [rels[x.rel] for x in plan]
+        for x, y in itertools.product((a, b), repeat=2):
+            got = list(match_atoms(plan, sources, {"x": x, "y": y}, const_of))
+            want = list(match_atoms(_ordered_for_join(head, ["x", "y"]), sources,
+                                    {"x": x, "y": y}, const_of))
+            assert sorted(map(str, got)) == sorted(map(str, want))
+            satisfied.append(bool(got))
+    # nothing in the first round; then (a,a) and (b,a); then (a,b) and (b,b) too
+    assert satisfied == [False] * 4 + [True, False, True, False] + [True] * 4
+
+
+def test_a_type_closure_plans_each_join_once_across_rounds_nodes_and_instances(monkeypatch):
+    made = []
+
+    class Counted(JoinPlan):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    joins = []
+
+    def counted_rounds(*args):
+        for join in query.round_joins(*args):
+            joins.append(join[1])
+            yield join
+
+    monkeypatch.setattr(query, "JoinPlan", Counted)
+    monkeypatch.setattr("gnfkit.chase.round_joins", counted_rounds)
+    sig = Signature([("A", 1), ("R", 2), ("C", 1), ("E", 1), ("B", 1)])
+    rules = [make_tgd([atom("A", "x")], [atom("R", "x", "y"), atom("A", "y")]),
+             make_tgd([atom("R", "x", "y"), atom("A", "y")], [atom("C", "x")]),
+             make_tgd([atom("R", "x", "y"), atom("B", "x")], [atom("B", "y")]),
+             make_tgd([atom("R", "x", "x")], [atom("E", "x")])]
+    insts = [Instance(sig, [Fact("A", (elem("a"),))]),
+             Instance(sig, [Fact("A", (elem("a"),)), Fact("B", (elem("a"),)),
+                            Fact("R", (elem("b"), elem("b")))])]
+    types = TypeClosure(rules, {})
+    got = [types.closure(inst) for inst in insts]
+    # one table for the closure's life: 6 nodes run 21 joins on 5 plans
+    assert len(types._nodes) >= 4
+    assert len(made) == len(types._plans) == len({id(p) for p in joins})
+    assert len(joins) >= 3 * len(made), (len(joins), len(made))
+    fresh = [TypeClosure(rules, {}).closure(inst) for inst in insts]
+    assert got == fresh
+    assert [serialize_facts(g) for g in got] == \
+        ["A(a). C(a).", "A(a). B(a). C(a). E(b). R(b,b)."]
+
+
+def test_the_oracle_answers_as_eval_cq_does_on_the_chase_result():
+    # certain_answers_oracle reads the chase's relations; eval_cq on the
+    # instance that ChaseResult.result builds when first read must agree
+    rng = random.Random(5150)
+    flags = {True: 0, False: 0}
+    for p in PROBLEMS + FG_PROBLEMS:
+        sig = tgd_signature(p.rules, query_signature(p.query))
+        for _ in range(3):
+            inst = random_instance(rng, sig, max_elems=5, max_facts=10)
+            allowed = active_domain(inst) | inst.const_values()
+            for mode in ("restricted", "oblivious_dedup"):
+                config = RewriteConfig(oracle=ChaseConfig(mode, max_rounds=4))
+                answers, complete = certain_answers_oracle(p.rules, p.query, inst, config)
+                res = chase(inst, list(p.rules), config.oracle)
+                assert answers == {t for t in eval_cq(p.query, res.result) if set(t) <= allowed}
+                assert complete == (res.status == TERMINATED)
+                eager = Instance(inst.sig, [Fact(r, args) for r, rel in res.relations.items()
+                                            for args in rel.tuples], inst.const_interp)
+                assert res.result == eager and res.result is res.result
+                flags[complete] += 1
+    assert min(flags.values()) >= 10, flags  # 73 complete and 11 not, at this seed

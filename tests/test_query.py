@@ -18,6 +18,7 @@ from gnfkit.query import (
     Atom,
     ConjunctiveQuery,
     Cst,
+    JoinPlan,
     Relation,
     UnionOfCQs,
     Var,
@@ -228,7 +229,8 @@ def test_round_joins_plans_full_bodies_then_one_join_per_delta_position():
     bodies = [(ux, exy), (ux,), (exy, eyz), (exy, ty)]
 
     # first round: each body in full, in join order; the body over empty T is skipped
-    first = list(round_joins(bodies, rels, None))
+    plans = {}
+    first = list(round_joins(bodies, rels, None, plans))
     assert [(bi, order) for bi, order, _ in first] == \
         [(bi, _ordered_for_join(body)) for bi, body in enumerate(bodies[:3])]
     for _, order, sources in first:
@@ -236,7 +238,7 @@ def test_round_joins_plans_full_bodies_then_one_join_per_delta_position():
 
     # later rounds: the delta atom first, against the delta; E twice gives two joins
     delta = {"E": Relation({(b, c)})}
-    later = list(round_joins(bodies, rels, delta))
+    later = list(round_joins(bodies, rels, delta, plans))
     assert [(bi, order) for bi, order, _ in later] == [
         (0, [exy, ux]), (2, [exy] + _ordered_for_join([eyz], ["x", "y"])),
         (2, [eyz] + _ordered_for_join([exy], ["y", "z"]))]
@@ -265,6 +267,7 @@ def test_round_joins_find_exactly_the_matches_that_use_the_delta():
                    for rel in rng.choices(sig.relations(), k=rng.randint(1, 3))]
                   for _ in range(rng.randint(1, 3))]
         queries = [cq(sorted({v for x in body for v in x.vars()}), body) for body in bodies]
+        plans = {}
 
         def matches(facts):
             inst = Instance(sig, facts)
@@ -272,15 +275,112 @@ def test_round_joins_find_exactly_the_matches_that_use_the_delta():
 
         for d, want in ((None, matches(old | new)), (delta, matches(old | new) - matches(old))):
             got = set()
-            for bi, order, sources in round_joins(bodies, rels, d):
+            for bi, order, sources in round_joins(bodies, rels, d, plans):
                 assert all(s.tuples for s in sources)
                 names = queries[bi].free_vars
                 got |= {(bi, tuple(m[v] for v in names))
                         for m in match_atoms(order, sources, {}, None)}
             assert got == want, (bodies, old, new)
             planned = len(bodies) if d is None else sum(x.rel in d for b in bodies for x in b)
-            skipped += planned - len(list(round_joins(bodies, rels, d)))
+            skipped += planned - len(list(round_joins(bodies, rels, d, plans)))
     assert skipped >= 20, skipped
+
+
+def _unplanned_round(bodies, relations, delta):
+    """One semi-naive round's joins as planned before plan tables: every
+    order computed afresh, as plain atom lists."""
+    for bi, body in enumerate(bodies):
+        if not all(relations[a.rel].tuples for a in body):
+            continue
+        if delta is None:
+            orders = [(_ordered_for_join(body), relations[body[0].rel])]
+        else:
+            orders = [([a] + _ordered_for_join(body[:i] + body[i + 1:], a.vars()), delta[a.rel])
+                      for i, a in enumerate(body) if a.rel in delta]
+        for order, lead in orders:
+            sources = [relations[a.rel] for a in order]
+            if delta is not None:
+                sources[0] = lead
+            if all(s.tuples for s in sources):
+                yield bi, order, sources
+
+
+def _matches(order, sources, binding, const_of):
+    return {frozenset(m.items()) for m in match_atoms(order, sources, dict(binding), const_of)}
+
+
+def _prepared_rounds_agree(bodies, batches, const_of=None) -> int:
+    """Feed each batch of facts in as one round, under one plan table: each
+    round's prepared joins are the unplanned ones, in the same order, and
+    match what they match; a plan, once made, serves every later round.
+    Returns the number of matches found."""
+    rels = {a.rel: Relation() for body in bodies for a in body}
+    plans: dict = {}
+    found = reused = 0
+    for rnd, batch in enumerate(batches):
+        new = [f for f in batch if rels[f.rel].add(f.args)]
+        delta = None
+        if rnd:
+            delta = {f.rel: Relation() for f in new}
+            for f in new:
+                delta[f.rel].add(f.args)
+        before = dict(plans)
+        got = list(round_joins(bodies, rels, delta, plans))
+        want = list(_unplanned_round(bodies, rels, delta))
+        assert all(plans[key] is plan for key, plan in before.items())
+        assert [(bi, list(plan)) for bi, plan, _ in got] == [(bi, order) for bi, order, _ in want]
+        for (bi, plan, sources), (_, order, plain) in zip(got, want):
+            assert all(s is p for s, p in zip(sources, plain))
+            assert any(plan is p for p in plans.values())
+            reused += any(plan is p for p in before.values())
+            matched = _matches(plan, sources, {}, const_of)
+            assert matched == _matches(order, plain, {}, const_of), (bodies[bi], rnd)
+            found += len(matched)
+    assert reused, "no plan served a second round"
+    return found
+
+
+def test_a_prepared_plan_for_a_repeated_variable_matches_the_unplanned_join():
+    # R(x,x) binds x at its first position and tests the second against it;
+    # led by U(x), both positions are bound and the atom is a membership test
+    a, b, c = elem("a"), elem("b"), elem("c")
+    rxx, ux, rxy = atom("R", "x", "x"), atom("U", "x"), atom("R", "x", "y")
+    bodies = [(rxx,), (ux, rxx), (rxy, rxx)]
+    batches = [[Fact("R", (a, b)), Fact("U", (a,)), Fact("R", (b, b))],
+               [Fact("R", (a, a)), Fact("U", (c,))],
+               [Fact("R", (c, c)), Fact("R", (c, a)), Fact("U", (b,))]]
+    assert _prepared_rounds_agree(bodies, batches) == 14
+
+
+def test_a_prepared_plan_with_a_constant_matches_the_unplanned_join():
+    a, b, c = elem("a"), elem("b"), const("c")
+    exc, ux = Atom("E", (Var("x"), Cst("c"))), atom("U", "x")
+    bodies = [(exc,), (ux, exc), (Atom("E", (Cst("c"), Var("y"))), atom("E", "y", "x"))]
+    batches = [[Fact("E", (a, c)), Fact("E", (a, b))],
+               [Fact("U", (a,)), Fact("E", (c, b))],
+               [Fact("E", (b, a)), Fact("E", (b, c)), Fact("U", (b,))]]
+    assert _prepared_rounds_agree(bodies, batches, {"c": c}.__getitem__) == 7
+
+
+def test_prepared_plans_for_a_relation_twice_in_the_delta_match_the_unplanned_joins():
+    # E(x,y), E(y,z) with E in the delta: one join led by each position
+    a, b, c, d = elem("a"), elem("b"), elem("c"), elem("d")
+    bodies = [(atom("E", "x", "y"), atom("E", "y", "z")),
+              (atom("E", "x", "y"), atom("E", "y", "x"), atom("U", "y"))]
+    batches = [[Fact("E", (a, b)), Fact("U", (b,))],
+               [Fact("E", (b, c)), Fact("E", (b, a))],
+               [Fact("E", (c, d)), Fact("E", (d, c)), Fact("U", (a,)), Fact("U", (d,))]]
+    assert _prepared_rounds_agree(bodies, batches) == 13
+
+
+def test_a_prepared_plan_refuses_a_binding_over_other_variables():
+    a = elem("a")
+    plan = JoinPlan([atom("E", "x", "y")], ["x"])
+    rel = Relation([(a, a)])
+    assert list(match_atoms(plan, [rel], {"x": a}, None)) == [{"x": a, "y": a}]
+    for binding in ({}, {"x": a, "y": a}):
+        with pytest.raises(ValueError, match="other bound variables"):
+            match_atoms(plan, [rel], binding, None)
 
 
 # ---------------------------------------------------------------- containment

@@ -213,6 +213,57 @@ def test_bench_pairs_prints_usage_on_a_missing_option(capsys):
     assert out == "" and err.startswith("usage: python tools/bench_pairs.py")
 
 
+def test_bench_pairs_summarizes_raw_timings():
+    pairs = [({"raw_s": 0.06, "ref_loop_ms": 2.9}, {"raw_s": 0.05, "ref_loop_ms": 2.5}),
+             ({"raw_s": 0.07, "ref_loop_ms": 3.1}, {"raw_s": 0.05, "ref_loop_ms": 2.4}),
+             ({"raw_s": 0.06, "ref_loop_ms": 2.8}, None)]
+    assert bench_pairs.summarize_raw(pairs) == {
+        "raw_s": {"parent": {"median": 0.06, "q1": 0.06, "q3": 0.065, "runs": 3},
+                  "change": {"median": 0.05, "q1": 0.05, "q3": 0.05, "runs": 2},
+                  "change_lower_in_pairs": "2/2"},
+        "ref_loop_ms": {"parent": {"median": 2.9, "q1": 2.85, "q3": 3.0, "runs": 3},
+                        "change": {"median": 2.45, "q1": 2.425, "q3": 2.475, "runs": 2},
+                        "change_lower_in_pairs": "2/2"},
+    }
+    assert bench_pairs.summarize_raw([(None, None)]) == {"raw_s": None, "ref_loop_ms": None}
+
+
+def _stub_checkout(root, check: str):
+    """A checkout whose benchmark has one workload ``w`` of two calls, with
+    the real runner and reference loop."""
+    bench = root / "benchmark"
+    bench.mkdir(parents=True)
+    (root / "src").mkdir()
+    here = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark")
+    for name in ("run.py", "reference.py"):
+        with open(os.path.join(here, name), encoding="utf-8") as fh:
+            (bench / name).write_text(fh.read())
+    (bench / "workloads.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import Callable\n"
+        "@dataclass\n"
+        "class Op:\n"
+        "    name: str\n"
+        "    run: Callable\n"
+        "    check: Callable\n"
+        "class W:\n"
+        "    def setup(self, seed):\n"
+        "        self.n = 2000 * seed\n"
+        "    def ops(self):\n"
+        f"        return [Op(str(i), lambda: sum(range(self.n)), {check}) for i in range(2)]\n"
+        "WORKLOADS = {'w': W}\n")
+    return root
+
+
+def test_bench_pairs_times_a_checkout_raw_in_a_fresh_process(tmp_path):
+    args = bench_pairs.parse_args(["--parent", ".", "--change", ".", "--workload", "w",
+                                   "--seed", "3", "--pairs", "1", "--seconds", "1"])
+    got = bench_pairs.raw_once(_stub_checkout(tmp_path / "ok", "lambda s: s > 0"), args)
+    assert set(got) == {"raw_s", "ref_loop_ms"} and got["raw_s"] > 0 < got["ref_loop_ms"]
+    # a call whose check fails gives no timing
+    assert bench_pairs.raw_once(_stub_checkout(tmp_path / "bad", "lambda s: False"), args) is None
+
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH_FILES = sorted(f for f in os.listdir(ROOT) if f.startswith("BENCH_") and f.endswith(".json"))
 
